@@ -292,8 +292,15 @@ mod tests {
         let m = parse(DEFAULT_MANIFEST).expect("embedded manifest must parse");
         // Acceptance: every named mutex in shard.rs, runtime.rs,
         // event_loop.rs (none — poller scope instead), and edge.rs.
-        for class in ["front", "shard", "worker-applied", "span-logic", "edge-state", "edge-upstream"]
-        {
+        for class in [
+            "front",
+            "shard",
+            "shared-handler",
+            "worker-applied",
+            "recorder",
+            "edge-state",
+            "edge-upstream",
+        ] {
             assert!(m.class(class).is_some(), "missing class {class}");
         }
         assert!(m.is_poller_file("crates/net/src/event_loop.rs"));

@@ -15,8 +15,91 @@
 //! The encoding is hand-rolled (not serde) so the byte layout — and
 //! therefore [`ClusterLayout::layout_hash`] — is stable across builds
 //! and never depends on a serialisation crate's internals.
+//!
+//! This module also owns the one rule for cutting an update along spans
+//! ([`span_view`]) and the one rule for putting per-span replies back
+//! together ([`assemble_replies`]). The in-process sharded server, the
+//! cluster worker transport, the edge aggregator and the lockstep cluster
+//! driver all go through them, which is what makes a K-process run replay
+//! the single-process one bitwise.
 
-use dgs_sparsify::ShardSpan;
+use crate::protocol::{DownMsg, UpPayload, UpPayloadView};
+use crate::worker::TrainWorker;
+use dgs_sparsify::{ShardSpan, SparseUpdate};
+use std::sync::Arc;
+
+/// The part of `payload` that `span` owns: a dense payload by coordinate
+/// range, sparse and ternary payloads by whole-segment chunk range (chunks
+/// map 1:1 onto partition segments and spans own whole segments, so no
+/// index is rewritten). `None` when the payload does not cover the span.
+pub fn span_view<'a>(payload: &'a UpPayload, span: &ShardSpan) -> Option<UpPayloadView<'a>> {
+    Some(match payload {
+        UpPayload::Dense(g) => UpPayloadView::Dense(g.get(span.range())?),
+        UpPayload::Sparse(s) => UpPayloadView::Sparse(s.chunks.get(span.seg_range())?),
+        UpPayload::TernarySparse(t) => {
+            UpPayloadView::TernarySparse(t.chunks.get(span.seg_range())?)
+        }
+    })
+}
+
+/// Concatenates per-span replies, in span order, into the message one
+/// server over the whole model would have sent: dense models by
+/// coordinates, sparse diffs by chunks. Mixed reply kinds — one span
+/// answered a resync densely while the others sent diffs — are not one
+/// message; they (and an empty list) come back as `Err` for the caller to
+/// apply span by span.
+pub fn assemble_replies(replies: Vec<DownMsg>) -> Result<DownMsg, Vec<DownMsg>> {
+    let dense = replies.iter().filter(|r| matches!(r, DownMsg::DenseModel(_))).count();
+    if replies.is_empty() || (dense != 0 && dense != replies.len()) {
+        return Err(replies);
+    }
+    let total = replies
+        .iter()
+        .map(|r| match r {
+            DownMsg::DenseModel(m) => m.len(),
+            DownMsg::SparseDiff(d) => d.chunks.len(),
+        })
+        .sum();
+    let mut model = Vec::with_capacity(if dense > 0 { total } else { 0 });
+    let mut chunks = Vec::with_capacity(if dense > 0 { 0 } else { total });
+    for reply in replies {
+        match reply {
+            DownMsg::DenseModel(m) => model.extend_from_slice(&m),
+            DownMsg::SparseDiff(d) => chunks.extend(d.chunks),
+        }
+    }
+    Ok(if dense > 0 {
+        DownMsg::DenseModel(Arc::new(model))
+    } else {
+        DownMsg::SparseDiff(SparseUpdate { chunks })
+    })
+}
+
+/// Applies one round's per-span replies to `worker`: assembled into the
+/// single-server reply when they are homogeneous (every clean round), span
+/// by span otherwise. Returns the downlink bytes the round accounts for —
+/// the assembled message's, or the sum of the parts.
+pub fn apply_span_replies(
+    worker: &mut TrainWorker,
+    layout: &ClusterLayout,
+    replies: Vec<DownMsg>,
+) -> u64 {
+    match assemble_replies(replies) {
+        Ok(reply) => {
+            let bytes = reply.wire_bytes() as u64;
+            worker.apply_reply(reply);
+            bytes
+        }
+        Err(replies) => {
+            let mut bytes = 0;
+            for (k, reply) in replies.into_iter().enumerate() {
+                bytes += reply.wire_bytes() as u64;
+                worker.apply_span_reply(&layout.shard_span(k), reply);
+            }
+            bytes
+        }
+    }
+}
 
 /// One span-server's slice of the model, as carried in the cluster
 /// handshake's partition map.
@@ -208,7 +291,56 @@ impl ClusterLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgs_sparsify::Partition;
+    use dgs_sparsify::{Partition, SparseVec};
+
+    fn chunk(v: f32) -> SparseVec {
+        SparseVec { idx: vec![0], val: vec![v] }
+    }
+
+    #[test]
+    fn span_views_cut_dense_by_range_and_sparse_by_chunks() {
+        let p = Partition::from_layer_sizes([("a", 2), ("b", 3), ("c", 1)]);
+        let spans = p.shard_spans(2);
+        let dense = UpPayload::Dense((0..6).map(|i| i as f32).collect());
+        let sparse =
+            UpPayload::Sparse(SparseUpdate { chunks: vec![chunk(1.0), chunk(2.0), chunk(3.0)] });
+        let mut coords = 0;
+        let mut segs = 0;
+        for span in &spans {
+            match span_view(&dense, span) {
+                Some(UpPayloadView::Dense(g)) => {
+                    assert_eq!(g[0], span.offset as f32);
+                    coords += g.len();
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            match span_view(&sparse, span) {
+                Some(UpPayloadView::Sparse(c)) => segs += c.len(),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!((coords, segs), (6, 3), "spans tile the payload");
+        let short = UpPayload::Dense(vec![0.0; 4]);
+        assert!(span_view(&short, spans.last().unwrap()).is_none(), "uncovered span");
+    }
+
+    #[test]
+    fn assemble_concatenates_homogeneous_and_returns_mixed() {
+        let diff = |v| DownMsg::SparseDiff(SparseUpdate { chunks: vec![chunk(v)] });
+        let model = |v: f32| DownMsg::DenseModel(Arc::new(vec![v; 2]));
+        match assemble_replies(vec![diff(1.0), diff(2.0)]) {
+            Ok(DownMsg::SparseDiff(s)) => {
+                assert_eq!(s.chunks.iter().map(|c| c.val[0]).collect::<Vec<_>>(), vec![1.0, 2.0]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        match assemble_replies(vec![model(1.0), model(2.0)]) {
+            Ok(DownMsg::DenseModel(m)) => assert_eq!(*m, vec![1.0, 1.0, 2.0, 2.0]),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(assemble_replies(vec![diff(1.0), model(2.0)]).unwrap_err().len(), 2);
+        assert!(assemble_replies(Vec::new()).is_err());
+    }
 
     fn layout3() -> ClusterLayout {
         let p = Partition::from_layer_sizes([("a", 40), ("b", 25), ("c", 31), ("d", 4)]);
@@ -241,7 +373,10 @@ mod tests {
         let empty = ClusterLayout { dim: 0, spans: Vec::new() };
         // FNV-1a of the 12-byte zero prefix — pinned so accidental
         // encoding changes break this test, not a live cluster.
-        assert_eq!(empty.layout_hash(), ClusterLayout::decode(&empty.encode()).unwrap().layout_hash());
+        assert_eq!(
+            empty.layout_hash(),
+            ClusterLayout::decode(&empty.encode()).unwrap().layout_hash()
+        );
     }
 
     #[test]

@@ -1,7 +1,17 @@
-//! Training-curve records and run results, serialisable for EXPERIMENTS.md.
+//! Training-curve records and run results, serialisable for EXPERIMENTS.md,
+//! and the one [`RunRecorder`] every asynchronous engine accounts a run with.
 
 use crate::config::TrainConfig;
+use crate::memory::MemoryReport;
+use dgs_nn::data::Dataset;
+use dgs_nn::metrics::evaluate;
+use dgs_nn::model::Network;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// Staleness histogram a run is finalised with (re-exported so crates
+/// above `dgs-core` can keep one without depending on `dgs-psim`).
+pub use dgs_psim::StalenessStats;
 
 /// One evaluation point along a training run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,10 +81,179 @@ impl RunResult {
     }
 }
 
+/// The run record in the making: evaluation cadence, curve points, byte
+/// and loss accounting, and [`RunResult`] finalisation. The single-lock
+/// logic, the lock-striped logic and the span-cluster driver all keep
+/// exactly one, so the three produce the same record from the same ticks.
+pub struct RunRecorder {
+    cfg: TrainConfig,
+    eval_net: Network,
+    val: Arc<dyn Dataset>,
+    eval_every: u64,
+    total_updates: u64,
+    updates_per_epoch: u64,
+    curve: Vec<CurvePoint>,
+    loss_sum: f64,
+    loss_n: u64,
+    bytes_up: u64,
+    bytes_down: u64,
+    worker_aux_bytes: usize,
+}
+
+impl RunRecorder {
+    /// A recorder for `cfg` trained on `train_len` samples. `eval_net` is a
+    /// freshly built model: it evaluates every curve point, and its size
+    /// fixes the per-worker auxiliary memory the method implies (no worker
+    /// needs to exist to report it).
+    pub fn new(
+        cfg: &TrainConfig,
+        eval_net: Network,
+        val: Arc<dyn Dataset>,
+        train_len: usize,
+    ) -> Self {
+        let total_updates = (cfg.iters_per_worker(train_len) * cfg.workers) as u64;
+        let model_bytes = eval_net.num_params() * std::mem::size_of::<f32>();
+        RunRecorder {
+            eval_every: (total_updates / cfg.evals.max(1) as u64).max(1),
+            updates_per_epoch: (total_updates / cfg.epochs.max(1) as u64).max(1),
+            worker_aux_bytes: MemoryReport::analytic(cfg.method, cfg.workers, model_bytes)
+                .worker_aux_bytes,
+            cfg: cfg.clone(),
+            eval_net,
+            val,
+            total_updates,
+            curve: Vec::new(),
+            loss_sum: 0.0,
+            loss_n: 0,
+            bytes_up: 0,
+            bytes_down: 0,
+        }
+    }
+
+    /// The model the recorder was built around (`θ_0` until the first eval).
+    pub fn eval_net(&self) -> &Network {
+        &self.eval_net
+    }
+
+    /// Accounts the update stamped with global tick `t`; `true` when an
+    /// evaluation is due at this tick (every `eval_every`-th and the last).
+    pub fn record(&mut self, t: u64, up_bytes: u64, down_bytes: u64, train_loss: f64) -> bool {
+        self.bytes_up += up_bytes;
+        self.bytes_down += down_bytes;
+        self.loss_sum += train_loss;
+        self.loss_n += 1;
+        t.is_multiple_of(self.eval_every) || t == self.total_updates
+    }
+
+    /// Charges a recovery reply (resync) to the downlink.
+    pub fn add_down(&mut self, bytes: u64) {
+        self.bytes_down += bytes;
+    }
+
+    /// Evaluates `model` and appends the curve point for tick `t`.
+    pub fn eval(&mut self, t: u64, virtual_time: f64, model: &[f32]) {
+        self.eval_net.params_mut().load_data(model);
+        let res = evaluate(&mut self.eval_net, self.val.as_ref(), self.cfg.eval_batch);
+        self.curve.push(CurvePoint {
+            epoch: (t / self.updates_per_epoch) as usize,
+            updates: t,
+            train_loss: if self.loss_n > 0 { self.loss_sum / self.loss_n as f64 } else { 0.0 },
+            val_loss: res.loss,
+            val_acc: res.top1,
+            virtual_time,
+            bytes_up: self.bytes_up,
+            bytes_down: self.bytes_down,
+        });
+        self.loss_sum = 0.0;
+        self.loss_n = 0;
+    }
+
+    /// Accumulated (uplink, downlink) data bytes.
+    pub fn traffic(&self) -> (u64, u64) {
+        (self.bytes_up, self.bytes_down)
+    }
+
+    /// Finalises the run record. Concurrent evals may have recorded points
+    /// out of order; the curve comes back sorted by update count.
+    pub fn finish(
+        mut self,
+        wall_secs: f64,
+        staleness: &StalenessStats,
+        server_tracking_bytes: usize,
+    ) -> RunResult {
+        self.curve.sort_by_key(|p| p.updates);
+        let last = self.curve.last().copied();
+        RunResult {
+            config: self.cfg,
+            final_acc: last.map(|p| p.val_acc).unwrap_or(0.0),
+            final_loss: last.map(|p| p.val_loss).unwrap_or(0.0),
+            bytes_up: self.bytes_up,
+            bytes_down: self.bytes_down,
+            virtual_time: last.map(|p| p.virtual_time).unwrap_or(0.0),
+            wall_secs,
+            mean_staleness: staleness.mean(),
+            max_staleness: staleness.max(),
+            server_tracking_bytes,
+            worker_aux_bytes: self.worker_aux_bytes,
+            curve: self.curve,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::method::Method;
+    use dgs_nn::data::GaussianBlobs;
+    use dgs_nn::models::mlp;
+
+    fn recorder(evals: usize) -> RunRecorder {
+        let blobs = GaussianBlobs::new(64, 8, 4, 0.3, 1);
+        let val: Arc<dyn Dataset> = Arc::new(blobs.validation(32));
+        let mut cfg = TrainConfig::paper_default(Method::Dgs, 2, 2);
+        cfg.batch_per_worker = 16;
+        cfg.evals = evals;
+        RunRecorder::new(&cfg, mlp(8, &[16], 4, 7), val, blobs.len())
+    }
+
+    /// 2 workers x 2 epochs x 64/(2*16) = 8 updates; with 3 evals the
+    /// cadence is every 2nd tick, and the final tick always evaluates.
+    #[test]
+    fn eval_fires_once_per_eligible_tick_and_at_the_end() {
+        let mut rec = recorder(3);
+        assert_eq!(rec.total_updates, 8);
+        let due: Vec<u64> = (1..=8).filter(|&t| rec.record(t, 10, 20, 1.0)).collect();
+        assert_eq!(due, vec![2, 4, 6, 8]);
+        // A cadence that does not divide the run still closes it.
+        let mut rec = recorder(1);
+        rec.total_updates = 7;
+        rec.eval_every = 7 / 2;
+        let due: Vec<u64> = (1..=7).filter(|&t| rec.record(t, 0, 0, 0.0)).collect();
+        assert_eq!(due, vec![3, 6, 7], "last tick evaluates exactly once");
+        assert_eq!(rec.traffic(), (0, 0));
+    }
+
+    #[test]
+    fn out_of_order_points_come_back_sorted_with_their_accounting() {
+        let mut rec = recorder(4);
+        let model = rec.eval_net().params().data().to_vec();
+        for t in [4u64, 2, 8, 6] {
+            rec.record(t, 10, 20, t as f64);
+            rec.eval(t, 0.0, &model);
+        }
+        rec.add_down(5);
+        let result = rec.finish(1.5, &StalenessStats::new(), 77);
+        let updates: Vec<u64> = result.curve.iter().map(|p| p.updates).collect();
+        assert_eq!(updates, vec![2, 4, 6, 8]);
+        // Each point keeps the loss window and byte totals of its own eval.
+        assert_eq!(result.curve[0].train_loss, 2.0);
+        assert_eq!(result.curve[0].bytes_up, 20);
+        assert_eq!((result.bytes_up, result.bytes_down), (40, 85));
+        assert_eq!(result.final_acc, result.curve[3].val_acc);
+        assert_eq!(result.server_tracking_bytes, 77);
+        assert_eq!(result.worker_aux_bytes, 4 * model.len(), "DGS keeps one velocity buffer");
+        assert_eq!(result.wall_secs, 1.5);
+    }
 
     fn dummy_result() -> RunResult {
         let config = TrainConfig::paper_default(Method::Dgs, 4, 3);

@@ -55,7 +55,7 @@ pub mod worker;
 
 pub use cluster::{ClusterLayout, SpanInfo};
 pub use config::{LrSchedule, TrainConfig};
-pub use curves::{CurvePoint, RunResult};
+pub use curves::{CurvePoint, RunRecorder, RunResult};
 pub use method::Method;
 pub use protocol::{DownMsg, UpMsg};
 pub use server::MdtServer;

@@ -88,6 +88,21 @@ pub enum UpPayloadView<'a> {
     TernarySparse(&'a [TernaryVec]),
 }
 
+impl UpPayloadView<'_> {
+    /// An owned payload holding a copy of the viewed part.
+    pub fn to_payload(self) -> UpPayload {
+        match self {
+            UpPayloadView::Dense(g) => UpPayload::Dense(g.to_vec()),
+            UpPayloadView::Sparse(chunks) => {
+                UpPayload::Sparse(SparseUpdate { chunks: chunks.to_vec() })
+            }
+            UpPayloadView::TernarySparse(chunks) => {
+                UpPayload::TernarySparse(TernaryUpdate { chunks: chunks.to_vec() })
+            }
+        }
+    }
+}
+
 /// A worker→server message.
 #[derive(Debug, Clone)]
 pub struct UpMsg {

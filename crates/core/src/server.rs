@@ -38,6 +38,7 @@
 //! degradation, never a wrong answer) and rebuilds the dirty set in the
 //! process. See `DESIGN.md` §"Server hot path".
 
+use crate::config::TrainConfig;
 use crate::method::Method;
 use crate::protocol::{DownMsg, UpMsg, UpPayloadView};
 use crate::update_log::UpdateLog;
@@ -48,7 +49,8 @@ use dgs_sparsify::merge::{
     send_all_dense_with, send_topk_dense, sort_dedup, sort_dedup_pooled, topk_pairs_with,
 };
 use dgs_sparsify::{
-    k_for_ratio, scatter_add, Partition, SelectScratch, SelectStrategy, SparseUpdate, SparseVec,
+    k_for_ratio, scatter_add, Partition, SelectScratch, SelectStrategy, ShardSpan, SparseUpdate,
+    SparseVec,
 };
 use dgs_tensor::{BufferPool, Kernel};
 use rayon::prelude::*;
@@ -120,6 +122,139 @@ pub enum DiffStrategy {
     /// worker's dirty set; falls back to [`DiffStrategy::DenseScan`] per
     /// reply when the log no longer covers the worker's cursor.
     LogMerge,
+}
+
+/// Everything a [`TrainConfig`] decides about a server. [`Self::from_config`]
+/// is the one place those config fields are read; every server face — the
+/// single-lock server, each stripe of the sharded server, each span server
+/// of a cluster, and a span restarted from its checkpoint — is configured
+/// through [`Self::apply`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServerTunables {
+    /// What the server sends back (the method's pairing, plus secondary
+    /// compression when configured).
+    pub downlink: Downlink,
+    /// Gap-aware staleness damping.
+    pub damping: StalenessDamping,
+    /// Update-log budget in logged indices; `0` keeps the automatic default
+    /// of one index per owned coordinate. In [`Self::from_config`] this is
+    /// the whole model's budget, in [`MdtServer::tunables`] that server's own.
+    pub log_capacity: usize,
+    /// How `M − v_k` is reconstructed.
+    pub strategy: DiffStrategy,
+}
+
+impl ServerTunables {
+    /// The server tunables `cfg` selects.
+    pub fn from_config(cfg: &TrainConfig) -> Self {
+        let secondary = cfg.secondary_compression.then_some(cfg.sparsity_ratio);
+        ServerTunables {
+            downlink: Downlink::for_method(cfg.method, secondary),
+            damping: StalenessDamping { alpha: cfg.staleness_damping },
+            log_capacity: cfg.server_log_nnz,
+            strategy: if cfg.server_dense_scan {
+                DiffStrategy::DenseScan
+            } else {
+                DiffStrategy::LogMerge
+            },
+        }
+    }
+
+    /// Builds the server that owns span `k` of `spans` over the full model
+    /// `(theta0, partition)` — the whole model when `spans` is the one-span
+    /// layout `partition.shard_spans(1)`.
+    pub fn build(
+        &self,
+        theta0: &[f32],
+        partition: &Partition,
+        workers: usize,
+        spans: &[ShardSpan],
+        k: usize,
+    ) -> MdtServer {
+        let (slice, sub) = (theta0[spans[k].range()].to_vec(), partition.subpartition(&spans[k]));
+        let mut server = MdtServer::new(slice, sub, workers, self.downlink);
+        self.apply(&mut server, spans, k);
+        server
+    }
+
+    /// Rebuilds span `k`'s server from its checkpoint with the same
+    /// tunables [`Self::build`] gave it ([`MdtServer::restore`] alone
+    /// resets them to defaults).
+    pub fn restore(
+        &self,
+        ckpt: ServerCheckpoint,
+        partition: &Partition,
+        spans: &[ShardSpan],
+        k: usize,
+    ) -> MdtServer {
+        let mut server = MdtServer::restore(ckpt, partition.subpartition(&spans[k]), self.downlink);
+        self.apply(&mut server, spans, k);
+        server
+    }
+
+    /// Configures the server that owns span `k` of `spans` (a one-span list
+    /// for an unsharded server). The log budget is this span's
+    /// [`apportion_log_capacity`] share, so the shares of any layout sum to
+    /// the configured total.
+    pub fn apply(&self, server: &mut MdtServer, spans: &[ShardSpan], k: usize) {
+        server.set_damping(self.damping);
+        if self.log_capacity > 0 {
+            server.set_log_capacity(apportion_log_capacity(self.log_capacity, spans)[k]);
+        }
+        server.set_diff_strategy(self.strategy);
+    }
+}
+
+/// Largest-remainder apportionment of a total update-log budget over
+/// `spans`: each span's quota `capacity·len/dim` is floored, then the
+/// rounding shortfall goes one slot at a time to the largest fractional
+/// remainders (ties broken by lower span index), so the shares sum to
+/// **exactly** `capacity` — naive per-span flooring can drift by up to
+/// `spans − 1` slots, which would make a sharded or clustered memory
+/// budget incomparable to the single server's.
+///
+/// One deviation remains: a span cannot be handed an explicit `0` (that
+/// means "automatic default" downstream), so spans whose quota rounds to
+/// zero are raised to one slot, paid for by shaving the largest
+/// allocations. Only when `capacity < spans.len()` is that debt unpayable
+/// and the sum becomes `spans.len()` instead of `capacity`.
+pub fn apportion_log_capacity(capacity: usize, spans: &[ShardSpan]) -> Vec<usize> {
+    let dim = spans.iter().map(|s| s.len).sum::<usize>().max(1);
+    let mut caps: Vec<usize> = spans.iter().map(|s| capacity * s.len / dim).collect();
+    // Σ floor(c·len_i/dim) undershoots `capacity` by at most n−1, so one
+    // pass over the remainder-sorted order settles the shortfall.
+    let shortfall = capacity.saturating_sub(caps.iter().sum());
+    let mut order: Vec<usize> = (0..spans.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(capacity * spans[i].len % dim), i));
+    for &i in order.iter().take(shortfall) {
+        caps[i] += 1;
+    }
+    let mut debt = 0usize;
+    for c in caps.iter_mut() {
+        if *c == 0 {
+            *c = 1;
+            debt += 1;
+        }
+    }
+    while debt > 0 {
+        // Shave the largest allocation (ties to the lower index) without
+        // creating a new zero.
+        let donor = caps
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 1)
+            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
+            .map(|(i, _)| i);
+        match donor {
+            Some(i) => {
+                caps[i] -= 1;
+                debt -= 1;
+            }
+            // capacity < spans.len(): every span keeps its single slot.
+            None => break,
+        }
+    }
+    caps
 }
 
 /// The parameter server.
@@ -284,6 +419,17 @@ impl MdtServer {
     /// The active diff strategy.
     pub fn diff_strategy(&self) -> DiffStrategy {
         self.strategy
+    }
+
+    /// The tunables this server currently runs with (`log_capacity` is its
+    /// own budget) — what a restarted server must report unchanged.
+    pub fn tunables(&self) -> ServerTunables {
+        ServerTunables {
+            downlink: self.downlink,
+            damping: self.damping,
+            log_capacity: self.log.capacity(),
+            strategy: self.strategy,
+        }
     }
 
     /// Enables/disables the per-segment rayon fan-out inside reply

@@ -51,8 +51,12 @@
 //! sibling task that blocks on another shard. The front lock is released
 //! before any shard lock is taken.
 
-use crate::protocol::{DownMsg, UpMsg, UpPayload, UpPayloadView};
-use crate::server::{DiffStrategy, Downlink, MdtServer, ServerMemoryReport, StalenessDamping};
+use crate::cluster::{assemble_replies, span_view};
+use crate::protocol::{DownMsg, UpMsg, UpPayload};
+use crate::server::{
+    apportion_log_capacity, DiffStrategy, Downlink, MdtServer, ServerMemoryReport, ServerTunables,
+    StalenessDamping,
+};
 use crate::PAR_THRESHOLD;
 use dgs_psim::StalenessStats;
 use dgs_sparsify::{Kernel, Partition, SelectStrategy, ShardSpan, SparseUpdate};
@@ -78,8 +82,6 @@ pub struct ShardedMdtServer {
     shards: Vec<Mutex<MdtServer>>,
     spans: Vec<ShardSpan>,
     front: Mutex<Front>,
-    partition: Partition,
-    downlink: Downlink,
     dim: usize,
 }
 
@@ -117,8 +119,6 @@ impl ShardedMdtServer {
                 staleness: StalenessStats::new(),
                 damping: StalenessDamping::off(),
             }),
-            partition,
-            downlink,
             dim,
         }
     }
@@ -168,28 +168,30 @@ impl ShardedMdtServer {
         self.front.get_mut().expect("front lock poisoned").damping = damping;
     }
 
+    /// Runs `f` on every shard with its index (construction-time access:
+    /// `&mut self` proves no lock is held).
+    fn each_shard(&mut self, mut f: impl FnMut(usize, &mut MdtServer)) {
+        for (k, shard) in self.shards.iter_mut().enumerate() {
+            f(k, shard.get_mut().expect("shard lock poisoned"));
+        }
+    }
+
     /// Selects the secondary-compression Top-k engine on every shard
     /// (payload-invariant, see [`MdtServer::set_select_strategy`]).
     pub fn set_select_strategy(&mut self, select: SelectStrategy) {
-        for shard in &mut self.shards {
-            shard.get_mut().expect("shard lock poisoned").set_select_strategy(select);
-        }
+        self.each_shard(|_, shard| shard.set_select_strategy(select));
     }
 
     /// Selects the diff-construction strategy on every shard
     /// (payload-invariant, see [`MdtServer::set_diff_strategy`]).
     pub fn set_diff_strategy(&mut self, strategy: DiffStrategy) {
-        for shard in &mut self.shards {
-            shard.get_mut().expect("shard lock poisoned").set_diff_strategy(strategy);
-        }
+        self.each_shard(|_, shard| shard.set_diff_strategy(strategy));
     }
 
     /// Selects the compute backend on every shard (payload-invariant, see
     /// [`MdtServer::set_kernel`]).
     pub fn set_kernel(&mut self, kernel: Kernel) {
-        for shard in &mut self.shards {
-            shard.get_mut().expect("shard lock poisoned").set_kernel(kernel);
-        }
+        self.each_shard(|_, shard| shard.set_kernel(kernel));
     }
 
     /// Splits a total update-log budget across shards proportionally to
@@ -205,11 +207,23 @@ impl ShardedMdtServer {
         let caps = if capacity == 0 {
             vec![0; self.shards.len()]
         } else {
-            apportion_log_capacity(capacity, &self.spans, self.dim)
+            apportion_log_capacity(capacity, &self.spans)
         };
-        for (shard, cap) in self.shards.iter_mut().zip(caps) {
-            shard.get_mut().expect("shard lock poisoned").set_log_capacity(cap);
-        }
+        self.each_shard(|k, shard| shard.set_log_capacity(caps[k]));
+    }
+
+    /// Applies a config's tunables: every shard through the same
+    /// [`ServerTunables::apply`] a span server of the same layout gets,
+    /// damping additionally at the front (where the scale is computed).
+    pub fn configure(&mut self, tunables: &ServerTunables) {
+        self.set_damping(tunables.damping);
+        let spans = self.spans.clone();
+        self.each_shard(|k, shard| tunables.apply(shard, &spans, k));
+    }
+
+    /// Σ over shards of the update-log budgets actually in force.
+    pub fn log_capacity(&self) -> usize {
+        (0..self.shards.len()).map(|si| self.lock_shard(si).tunables().log_capacity).sum()
     }
 
     /// Has any lock been poisoned by a panicking update? Transport
@@ -271,14 +285,10 @@ impl ShardedMdtServer {
     /// each closure takes exactly one shard lock (see module docs).
     fn fan_out(&self, worker: usize, payload: &UpPayload, scale: f32) -> Vec<DownMsg> {
         let run = |si: usize| -> DownMsg {
-            let span = &self.spans[si];
-            let view = match payload {
-                UpPayload::Dense(g) => UpPayloadView::Dense(&g[span.range()]),
-                UpPayload::Sparse(s) => UpPayloadView::Sparse(&s.chunks[span.seg_range()]),
-                UpPayload::TernarySparse(t) => {
-                    UpPayloadView::TernarySparse(&t.chunks[span.seg_range()])
-                }
-            };
+            // Our own workers always cut updates to the partition; a
+            // payload that does not cover a shard is a non-conforming peer,
+            // contained like any other apply panic at the handler boundary.
+            let view = span_view(payload, &self.spans[si]).expect("update covers every shard");
             self.lock_shard(si).handle_scaled(worker, view, scale)
         };
         if self.shards.len() > 1 && self.dim >= PAR_THRESHOLD {
@@ -288,41 +298,19 @@ impl ShardedMdtServer {
         }
     }
 
-    /// Concatenates per-shard replies into the global reply. Shard order
-    /// equals segment order, so sparse chunk-lists concatenate into
-    /// exactly the global server's chunk layout and dense slices into the
-    /// global model.
+    /// Concatenates per-shard replies into the global reply
+    /// ([`assemble_replies`]): shard order equals segment order, so sparse
+    /// chunk-lists concatenate into exactly the global server's chunk
+    /// layout and dense slices into the global model.
     fn assemble(&self, replies: Vec<DownMsg>) -> DownMsg {
-        // A shard replying the wrong shape is impossible by construction —
-        // every shard shares the global downlink config — so the odd arm
-        // is contained as a no-op fold (debug builds assert) rather than
-        // a panic on a connection thread.
-        match self.downlink {
-            Downlink::DenseModel => {
-                let mut model = Vec::with_capacity(self.dim);
-                for reply in replies {
-                    match reply {
-                        DownMsg::DenseModel(m) => model.extend_from_slice(&m),
-                        DownMsg::SparseDiff(_) => {
-                            debug_assert!(false, "dense downlink shard replied sparse");
-                        }
-                    }
-                }
-                DownMsg::DenseModel(Arc::new(model))
-            }
-            Downlink::ModelDifference { .. } => {
-                let mut chunks = Vec::with_capacity(self.partition.num_segments());
-                for reply in replies {
-                    match reply {
-                        DownMsg::SparseDiff(d) => chunks.extend(d.chunks),
-                        DownMsg::DenseModel(_) => {
-                            debug_assert!(false, "diff downlink shard replied dense");
-                        }
-                    }
-                }
-                DownMsg::SparseDiff(SparseUpdate { chunks })
-            }
-        }
+        // Shards replying in different shapes is impossible by construction
+        // — every shard shares the global downlink config — so that arm is
+        // contained as an empty diff (debug builds assert) rather than a
+        // panic on a connection thread.
+        assemble_replies(replies).unwrap_or_else(|_| {
+            debug_assert!(false, "shards of one server replied in different shapes");
+            DownMsg::SparseDiff(SparseUpdate { chunks: Vec::new() })
+        })
     }
 
     /// Recovery path for a worker whose reply was lost (see
@@ -376,59 +364,6 @@ impl ShardedMdtServer {
         }
         total
     }
-}
-
-/// Largest-remainder apportionment of a total update-log budget over the
-/// shard spans: each shard's quota `capacity·len/dim` is floored, then
-/// the rounding shortfall goes one slot at a time to the largest
-/// fractional remainders (ties broken by lower shard index), so the
-/// per-shard capacities sum to **exactly** `capacity` — naive per-shard
-/// flooring can drift by up to `num_shards − 1` slots, which would make
-/// the sharded memory budget incomparable to the global server's in the
-/// 1:1 benchmarks.
-///
-/// One deviation remains: a shard cannot be handed an explicit `0`
-/// (that means "automatic default" downstream), so shards whose quota
-/// rounds to zero are raised to one slot, paid for by shaving the
-/// largest allocations. Only when `capacity < num_shards` is that debt
-/// unpayable and the sum becomes `num_shards` instead of `capacity`.
-fn apportion_log_capacity(capacity: usize, spans: &[ShardSpan], dim: usize) -> Vec<usize> {
-    let dim = dim.max(1);
-    let mut caps: Vec<usize> = spans.iter().map(|s| capacity * s.len / dim).collect();
-    // Σ floor(c·len_i/dim) undershoots `capacity` by at most n−1, so one
-    // pass over the remainder-sorted order settles the shortfall.
-    let shortfall = capacity.saturating_sub(caps.iter().sum());
-    let mut order: Vec<usize> = (0..spans.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(capacity * spans[i].len % dim), i));
-    for &i in order.iter().take(shortfall) {
-        caps[i] += 1;
-    }
-    let mut debt = 0usize;
-    for c in caps.iter_mut() {
-        if *c == 0 {
-            *c = 1;
-            debt += 1;
-        }
-    }
-    while debt > 0 {
-        // Shave the largest allocation (ties to the lower index) without
-        // creating a new zero.
-        let donor = caps
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 1)
-            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
-            .map(|(i, _)| i);
-        match donor {
-            Some(i) => {
-                caps[i] -= 1;
-                debt -= 1;
-            }
-            // capacity < num_shards: every shard keeps its single slot.
-            None => break,
-        }
-    }
-    caps
 }
 
 #[cfg(test)]
@@ -710,7 +645,7 @@ mod tests {
         let spans = tiny.shard_spans(8);
         assert_eq!(spans.len(), 8);
         for capacity in [8usize, 9, 13, 20, 100, 1_000_003] {
-            let caps = apportion_log_capacity(capacity, &spans, tiny.total_len());
+            let caps = apportion_log_capacity(capacity, &spans);
             assert_eq!(caps.iter().sum::<usize>(), capacity, "budget {capacity} drifted");
             assert!(caps.iter().all(|&c| c >= 1), "budget {capacity} left a zero shard");
         }
@@ -718,13 +653,13 @@ mod tests {
         // the one-coordinate shard still gets its floor slot.
         let skew = Partition::from_layer_sizes([("a", 100), ("b", 1), ("c", 100)]);
         let spans = skew.shard_spans(3);
-        let caps = apportion_log_capacity(11, &spans, skew.total_len());
+        let caps = apportion_log_capacity(11, &spans);
         assert_eq!(caps.iter().sum::<usize>(), 11);
         assert_eq!(caps[1], 1);
         assert!(caps[0].abs_diff(caps[2]) <= 1, "equal spans must split evenly: {caps:?}");
         // Documented deviation: fewer slots than shards — every shard
         // keeps one (an explicit 0 would mean "automatic default"), so
         // the sum is num_shards, not capacity.
-        assert_eq!(apportion_log_capacity(2, &spans, skew.total_len()), vec![1, 1, 1]);
+        assert_eq!(apportion_log_capacity(2, &spans), vec![1, 1, 1]);
     }
 }

@@ -143,7 +143,6 @@ pub fn train_des_stragglers(
         w.set_stragglers(stragglers.clone());
     }
     let iters = cfg.iters_per_worker(train.len());
-    let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
     let mut adapter = DesServerAdapter { logic, cost: params.server_cost };
     // With a lag model, consume the budget first-come first-served so fast
     // workers pick up the straggler's slack — the asynchronous cluster's
@@ -155,8 +154,7 @@ pub fn train_des_stragglers(
         Budget::Total(iters.saturating_mul(cfg.workers))
     };
     let report = run_des_budget(&mut adapter, &mut workers, budget, params.des_network());
-    let mut result =
-        adapter.logic.into_result(cfg.clone(), start.elapsed().as_secs_f64(), worker_aux);
+    let mut result = adapter.logic.into_result(start.elapsed().as_secs_f64());
     result.virtual_time = report.total_time;
     result
 }

@@ -26,10 +26,12 @@ pub mod threaded;
 
 pub use des::{train_des, train_des_stragglers, DesParams, ServerCostModel};
 pub use schedule::{schedule_for, train_scheduled, Schedule, ScheduledRun};
-pub use sharded::{build_sharded_participants, ShardedServerLogic};
+pub use sharded::{build_sharded_participants, build_sharded_server, ShardedServerLogic};
 pub use single::train_msgd;
 pub use sync::{train_ssgd, SyncCompression};
-pub use threaded::{build_participants, train_async, AsyncServerLogic};
+pub use threaded::{
+    build_participants, build_server, build_workers, train_async, AsyncServerLogic,
+};
 
 use dgs_nn::model::Network;
 

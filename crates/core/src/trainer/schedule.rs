@@ -137,7 +137,6 @@ pub fn train_scheduled(
         );
     }
     let (mut logic, mut workers) = build_participants(cfg, build_model, &train, &val, 50.0);
-    let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
     let start = Instant::now();
     for &k in schedule.order() {
         let up = workers[k].local_step();
@@ -146,7 +145,7 @@ pub fn train_scheduled(
     }
     let server_model = logic.server().current_model();
     let worker_models = workers.iter().map(|w| w.model_params().to_vec()).collect();
-    let result = logic.into_result(cfg.clone(), start.elapsed().as_secs_f64(), worker_aux);
+    let result = logic.into_result(start.elapsed().as_secs_f64());
     ScheduledRun { result, server_model, worker_models }
 }
 

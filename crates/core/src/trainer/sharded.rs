@@ -6,134 +6,65 @@
 //! encode all serialize, and at 4+ workers the server is a sequential
 //! bottleneck. [`ShardedServerLogic`] is the `&self` counterpart built for
 //! concurrent callers: MDT state lives behind the sharded server's striped
-//! locks, and the only logic-level lock is a small telemetry mutex
-//! (byte/loss counters, the eval net, the training curve) that is never
-//! held across shard work. Evaluation — the single most expensive item in
-//! the old critical section — runs on the telemetry lock only, so workers
-//! keep streaming updates through the shards while one thread evaluates.
+//! locks, and the only logic-level lock guards the same
+//! [`RunRecorder`] the single-lock logic owns outright, never held across
+//! shard work. Evaluation — the single most expensive item in the old
+//! critical section — runs on the recorder lock only, so workers keep
+//! streaming updates through the shards while one thread evaluates.
 //!
-//! Lock discipline: shard/front locks and the telemetry lock are never
+//! Lock discipline: shard/front locks and the recorder lock are never
 //! held at the same time (`process` finishes `handle_update_timed`, then
 //! accounts; `current_model` snapshots before the eval lock is taken), so
 //! there is no lock-order cycle. The eval cadence fires exactly once per
 //! eligible timestamp because [`ShardedMdtServer::handle_update_timed`]
 //! hands each update a unique global tick. Under concurrency, curve points
-//! can be *recorded* out of timestamp order; `into_result` sorts the curve
+//! can be *recorded* out of timestamp order; the recorder sorts the curve
 //! by update count, which is the order the single-lock logic produces.
 
 use crate::config::TrainConfig;
-use crate::curves::{CurvePoint, RunResult};
+use crate::curves::{RunRecorder, RunResult};
 use crate::method::Method;
 use crate::protocol::{DownMsg, UpMsg};
-use crate::server::Downlink;
+use crate::server::ServerTunables;
 use crate::shard::ShardedMdtServer;
+use crate::trainer::threaded::build_workers;
 use crate::trainer::ModelBuilder;
 use crate::worker::TrainWorker;
 use dgs_nn::data::Dataset;
-use dgs_nn::metrics::evaluate;
-use dgs_nn::model::Network;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Everything `process` touches besides MDT state: traffic/loss counters
-/// and the evaluation pipeline. One short-lived lock, disjoint from the
-/// shard locks.
-struct Telemetry {
-    eval_net: Network,
-    val: Arc<dyn Dataset>,
-    cfg: TrainConfig,
-    eval_every: u64,
-    total_updates: u64,
-    updates_per_epoch: u64,
-    curve: Vec<CurvePoint>,
-    loss_sum: f64,
-    loss_n: u64,
-    bytes_up: u64,
-    bytes_down: u64,
-}
-
-/// Concurrent (`&self`) server logic: the sharded MDT server plus curve
-/// recording and traffic accounting. `dgs-net` serves it to many
-/// connection threads at once without a global critical section.
+/// Concurrent (`&self`) server logic: the sharded MDT server plus the run
+/// recorder. `dgs-net` serves it to many connection threads at once
+/// without a global critical section.
 pub struct ShardedServerLogic {
     server: ShardedMdtServer,
-    telemetry: Mutex<Telemetry>,
+    recorder: Mutex<RunRecorder>,
 }
 
 impl ShardedServerLogic {
-    /// Wraps a built sharded server with eval/traffic recording.
-    /// `total_updates` sets the evaluation cadence, mirroring
-    /// [`AsyncServerLogic::new`](crate::trainer::threaded::AsyncServerLogic::new).
-    pub fn new(
-        server: ShardedMdtServer,
-        eval_net: Network,
-        val: Arc<dyn Dataset>,
-        cfg: TrainConfig,
-        total_updates: u64,
-    ) -> Self {
-        let eval_every = (total_updates / cfg.evals.max(1) as u64).max(1);
-        let updates_per_epoch = (total_updates / cfg.epochs.max(1) as u64).max(1);
-        ShardedServerLogic {
-            server,
-            telemetry: Mutex::new(Telemetry {
-                eval_net,
-                val,
-                cfg,
-                eval_every,
-                total_updates,
-                updates_per_epoch,
-                curve: Vec::new(),
-                loss_sum: 0.0,
-                loss_n: 0,
-                bytes_up: 0,
-                bytes_down: 0,
-            }),
-        }
-    }
-
-    /// Locks the telemetry counters. A lock poisoned by a panicking
-    /// eval is recovered rather than propagated — the counters stay
-    /// additive across a torn eval, and [`Self::into_result`] already
-    /// recovers the same way — so a wire-path resync never inherits a
-    /// panic from a sibling's eval.
-    fn lock_telemetry(&self) -> MutexGuard<'_, Telemetry> {
-        self.telemetry.lock().unwrap_or_else(|e| e.into_inner())
+    /// Locks the recorder. A lock poisoned by a panicking eval is
+    /// recovered rather than propagated — the counters stay additive
+    /// across a torn eval, and [`Self::into_result`] already recovers the
+    /// same way — so a wire-path resync never inherits a panic from a
+    /// sibling's eval.
+    fn lock_recorder(&self) -> MutexGuard<'_, RunRecorder> {
+        self.recorder.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Applies one update and produces the reply; same accounting as the
-    /// single-lock logic, with only the counters behind a lock.
+    /// single-lock logic, with only the recorder behind a lock.
     pub fn process(&self, worker: usize, req: UpMsg) -> DownMsg {
-        let up_bytes = req.wire_bytes() as u64;
-        let train_loss = req.train_loss;
         let (reply, t) = self.server.handle_update_timed(worker, &req);
-        let down_bytes = reply.wire_bytes() as u64;
+        let (up, down) = (req.wire_bytes() as u64, reply.wire_bytes() as u64);
         let eval_due = {
-            let mut tel = self.lock_telemetry();
-            tel.bytes_up += up_bytes;
-            tel.bytes_down += down_bytes;
-            tel.loss_sum += train_loss;
-            tel.loss_n += 1;
-            t.is_multiple_of(tel.eval_every) || t == tel.total_updates
+            let mut recorder = self.lock_recorder();
+            recorder.record(t, up, down, req.train_loss)
         };
         if eval_due {
-            // Snapshot the model before taking the telemetry lock so shard
-            // locks and the telemetry lock are never nested.
+            // Snapshot the model before retaking the recorder lock so shard
+            // locks and the recorder lock are never nested.
             let model = self.server.current_model();
-            let mut tel = self.lock_telemetry();
-            let tel = &mut *tel;
-            tel.eval_net.params_mut().load_data(&model);
-            let res = evaluate(&mut tel.eval_net, tel.val.as_ref(), tel.cfg.eval_batch);
-            tel.curve.push(CurvePoint {
-                epoch: (t / tel.updates_per_epoch) as usize,
-                updates: t,
-                train_loss: if tel.loss_n > 0 { tel.loss_sum / tel.loss_n as f64 } else { 0.0 },
-                val_loss: res.loss,
-                val_acc: res.top1,
-                virtual_time: 0.0,
-                bytes_up: tel.bytes_up,
-                bytes_down: tel.bytes_down,
-            });
-            tel.loss_sum = 0.0;
-            tel.loss_n = 0;
+            self.lock_recorder().eval(t, 0.0, &model);
         }
         reply
     }
@@ -142,7 +73,7 @@ impl ShardedServerLogic {
     /// charged to the downlink like any other data message.
     pub fn resync(&self, worker: usize) -> DownMsg {
         let reply = self.server.resync_worker(worker);
-        self.lock_telemetry().bytes_down += reply.wire_bytes() as u64;
+        self.lock_recorder().add_down(reply.wire_bytes() as u64);
         reply
     }
 
@@ -153,39 +84,42 @@ impl ShardedServerLogic {
 
     /// Accumulated (uplink, downlink) data bytes.
     pub fn traffic(&self) -> (u64, u64) {
-        let tel = self.lock_telemetry();
-        (tel.bytes_up, tel.bytes_down)
+        self.lock_recorder().traffic()
     }
 
-    /// Finalises the run record; the curve is sorted by update count
-    /// because concurrent evals may record out of order.
-    pub fn into_result(self, cfg: TrainConfig, wall_secs: f64, worker_aux_bytes: usize) -> RunResult {
-        let staleness = self.server.staleness();
+    /// Finalises the run record.
+    pub fn into_result(self, wall_secs: f64) -> RunResult {
         let tracking = self.server.memory_report().tracking_bytes;
-        let mut tel = self.telemetry.into_inner().unwrap_or_else(|e| e.into_inner());
-        tel.curve.sort_by_key(|p| p.updates);
-        let last = tel.curve.last().copied();
-        RunResult {
-            config: cfg,
-            final_acc: last.map(|p| p.val_acc).unwrap_or(0.0),
-            final_loss: last.map(|p| p.val_loss).unwrap_or(0.0),
-            bytes_up: tel.bytes_up,
-            bytes_down: tel.bytes_down,
-            virtual_time: last.map(|p| p.virtual_time).unwrap_or(0.0),
-            wall_secs,
-            mean_staleness: staleness.mean(),
-            max_staleness: staleness.max(),
-            server_tracking_bytes: tracking,
-            worker_aux_bytes,
-            curve: tel.curve,
-        }
+        let recorder = self.recorder.into_inner().unwrap_or_else(|e| e.into_inner());
+        recorder.finish(wall_secs, &self.server.staleness(), tracking)
     }
+}
+
+/// Builds the lock-striped server side of a run alone — the twin of
+/// [`build_server`](crate::trainer::threaded::build_server). `shards` caps
+/// the stripe count (clamped to the layer count; `1` yields a
+/// single-stripe server, useful as a like-for-like baseline).
+pub fn build_sharded_server(
+    cfg: &TrainConfig,
+    build_model: ModelBuilder<'_>,
+    train_len: usize,
+    val: &Arc<dyn Dataset>,
+    shards: usize,
+) -> ShardedServerLogic {
+    assert_ne!(cfg.method, Method::Msgd, "MSGD uses train_msgd");
+    let net0 = build_model();
+    let partition = net0.params().partition().clone();
+    let theta0 = net0.params().data().to_vec();
+    let tunables = ServerTunables::from_config(cfg);
+    let mut server =
+        ShardedMdtServer::new(theta0, partition, cfg.workers, tunables.downlink, shards);
+    server.configure(&tunables);
+    let recorder = RunRecorder::new(cfg, net0, Arc::clone(val), train_len);
+    ShardedServerLogic { server, recorder: Mutex::new(recorder) }
 }
 
 /// Assembles a sharded server + workers for a config — the lock-striped
 /// twin of [`build_participants`](crate::trainer::threaded::build_participants).
-/// `shards` caps the stripe count (clamped to the layer count; `1` yields
-/// a single-stripe server, useful as a like-for-like baseline).
 pub fn build_sharded_participants(
     cfg: &TrainConfig,
     build_model: ModelBuilder<'_>,
@@ -194,37 +128,9 @@ pub fn build_sharded_participants(
     worker_gflops: f64,
     shards: usize,
 ) -> (ShardedServerLogic, Vec<TrainWorker>) {
-    assert_ne!(cfg.method, Method::Msgd, "MSGD uses train_msgd");
-    let net0 = build_model();
-    let partition = net0.params().partition().clone();
-    let theta0 = net0.params().data().to_vec();
-    let secondary = if cfg.secondary_compression { Some(cfg.sparsity_ratio) } else { None };
-    let downlink = Downlink::for_method(cfg.method, secondary);
-    let mut server =
-        ShardedMdtServer::new(theta0.clone(), partition, cfg.workers, downlink, shards);
-    if cfg.staleness_damping > 0.0 {
-        server.set_damping(crate::server::StalenessDamping { alpha: cfg.staleness_damping });
-    }
-    if cfg.server_log_nnz > 0 {
-        server.set_log_capacity(cfg.server_log_nnz);
-    }
-    if cfg.server_dense_scan {
-        server.set_diff_strategy(crate::server::DiffStrategy::DenseScan);
-    }
-
-    let workers: Vec<TrainWorker> = (0..cfg.workers)
-        .map(|k| {
-            let net = build_model();
-            assert_eq!(net.params().data(), theta0.as_slice(), "builder must be deterministic");
-            TrainWorker::new(k, net, Arc::clone(train), cfg.clone(), worker_gflops)
-        })
-        .collect();
-
-    let iters = cfg.iters_per_worker(train.len());
-    let total_updates = (iters * cfg.workers) as u64;
-    let logic =
-        ShardedServerLogic::new(server, build_model(), Arc::clone(val), cfg.clone(), total_updates);
-    (logic, workers)
+    let logic = build_sharded_server(cfg, build_model, train.len(), val, shards);
+    let theta0 = logic.server.theta0();
+    (logic, build_workers(cfg, build_model, train, worker_gflops, &theta0))
 }
 
 #[cfg(test)]
@@ -259,7 +165,8 @@ mod tests {
         let cfg = quick_cfg(Method::Dgs, 3);
         let build = || mlp(8, &[16], 4, 99);
         let (mut single, mut workers_a) = build_participants(&cfg, &build, &train, &val, 50.0);
-        let (sharded, mut workers_b) = build_sharded_participants(&cfg, &build, &train, &val, 50.0, 4);
+        let (sharded, mut workers_b) =
+            build_sharded_participants(&cfg, &build, &train, &val, 50.0, 4);
         for round in 0..12 {
             let w = round % 3;
             let req_a = workers_a[w].local_step();
@@ -311,7 +218,7 @@ mod tests {
         let logic = Arc::into_inner(logic).expect("all worker threads joined");
         let total = (iters * cfg.workers) as u64;
         assert_eq!(logic.server().timestamp(), total);
-        let result = logic.into_result(cfg, 0.0, 0);
+        let result = logic.into_result(0.0);
         assert_eq!(result.curve.last().map(|p| p.updates), Some(total));
         assert!(result.curve.windows(2).all(|w| w[0].updates < w[1].updates), "curve unsorted");
         assert!(result.final_acc > 0.6, "sharded run should learn, got {}", result.final_acc);

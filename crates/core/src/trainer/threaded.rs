@@ -6,94 +6,35 @@
 //! reconstructed global model `θ_0 + M` — workers never pause for it.
 
 use crate::config::TrainConfig;
-use crate::curves::{CurvePoint, RunResult};
+use crate::curves::{RunRecorder, RunResult};
 use crate::method::Method;
 use crate::protocol::{DownMsg, UpMsg};
-use crate::server::{Downlink, MdtServer};
+use crate::server::{MdtServer, ServerTunables};
 use crate::trainer::ModelBuilder;
 use crate::worker::TrainWorker;
 use dgs_nn::data::Dataset;
-use dgs_nn::metrics::evaluate;
-use dgs_nn::model::Network;
 use dgs_psim::thread_engine::{run_cluster, ServerLogic, WorkerLogic};
 use std::sync::Arc;
 
-/// Server logic shared by every execution engine: MDT server plus curve
-/// recording and traffic accounting. The thread engine and the DES drive
-/// it in-process; `dgs-net` wraps it in an `UpdateHandler` to serve
-/// loopback and TCP transports.
+/// Server logic shared by every execution engine: MDT server plus the run
+/// recorder. The thread engine and the DES drive it in-process; `dgs-net`
+/// serves it to loopback and TCP transports behind its `LogicHandler`.
 pub struct AsyncServerLogic {
-    pub(crate) server: MdtServer,
-    eval_net: Network,
-    val: Arc<dyn Dataset>,
-    cfg: TrainConfig,
-    eval_every: u64,
-    total_updates: u64,
-    updates_per_epoch: u64,
-    pub(crate) curve: Vec<CurvePoint>,
-    loss_sum: f64,
-    loss_n: u64,
-    pub(crate) bytes_up: u64,
-    pub(crate) bytes_down: u64,
+    server: MdtServer,
+    recorder: RunRecorder,
     /// Virtual-time hook: the DES sets this before delegating.
     pub(crate) vtime: f64,
 }
 
 impl AsyncServerLogic {
-    /// Wraps a built server with eval/traffic recording. `total_updates`
-    /// sets the evaluation cadence.
-    pub fn new(
-        server: MdtServer,
-        eval_net: Network,
-        val: Arc<dyn Dataset>,
-        cfg: TrainConfig,
-        total_updates: u64,
-    ) -> Self {
-        let eval_every = (total_updates / cfg.evals.max(1) as u64).max(1);
-        let updates_per_epoch = (total_updates / cfg.epochs.max(1) as u64).max(1);
-        AsyncServerLogic {
-            server,
-            eval_net,
-            val,
-            cfg,
-            eval_every,
-            total_updates,
-            updates_per_epoch,
-            curve: Vec::new(),
-            loss_sum: 0.0,
-            loss_n: 0,
-            bytes_up: 0,
-            bytes_down: 0,
-            vtime: 0.0,
-        }
-    }
-
-    /// Core handling shared by every engine: accounts the traffic, applies
-    /// the update, records curve points on the eval cadence.
+    /// Core handling shared by every engine: applies the update, accounts
+    /// the traffic, records curve points on the eval cadence.
     pub fn process(&mut self, worker: usize, req: UpMsg) -> DownMsg {
-        self.bytes_up += req.wire_bytes() as u64;
-        self.loss_sum += req.train_loss;
-        self.loss_n += 1;
         let reply = self.server.handle_update(worker, &req);
-        self.bytes_down += reply.wire_bytes() as u64;
-
         let t = self.server.timestamp();
-        if t.is_multiple_of(self.eval_every) || t == self.total_updates {
-            let model = self.server.current_model();
-            self.eval_net.params_mut().load_data(&model);
-            let res = evaluate(&mut self.eval_net, self.val.as_ref(), self.cfg.eval_batch);
-            self.curve.push(CurvePoint {
-                epoch: (t / self.updates_per_epoch) as usize,
-                updates: t,
-                train_loss: if self.loss_n > 0 { self.loss_sum / self.loss_n as f64 } else { 0.0 },
-                val_loss: res.loss,
-                val_acc: res.top1,
-                virtual_time: self.vtime,
-                bytes_up: self.bytes_up,
-                bytes_down: self.bytes_down,
-            });
-            self.loss_sum = 0.0;
-            self.loss_n = 0;
+        let (up, down) = (req.wire_bytes() as u64, reply.wire_bytes() as u64);
+        if self.recorder.record(t, up, down, req.train_loss) {
+            self.recorder.eval(t, self.vtime, &self.server.current_model());
         }
         reply
     }
@@ -103,7 +44,7 @@ impl AsyncServerLogic {
     /// downlink like any other data message.
     pub fn resync(&mut self, worker: usize) -> DownMsg {
         let reply = self.server.resync_worker(worker);
-        self.bytes_down += reply.wire_bytes() as u64;
+        self.recorder.add_down(reply.wire_bytes() as u64);
         reply
     }
 
@@ -114,31 +55,13 @@ impl AsyncServerLogic {
 
     /// Accumulated (uplink, downlink) data bytes.
     pub fn traffic(&self) -> (u64, u64) {
-        (self.bytes_up, self.bytes_down)
+        self.recorder.traffic()
     }
 
     /// Finalises the run record.
-    pub fn into_result(
-        self,
-        cfg: TrainConfig,
-        wall_secs: f64,
-        worker_aux_bytes: usize,
-    ) -> RunResult {
-        let last = self.curve.last().copied();
-        RunResult {
-            config: cfg,
-            final_acc: last.map(|p| p.val_acc).unwrap_or(0.0),
-            final_loss: last.map(|p| p.val_loss).unwrap_or(0.0),
-            bytes_up: self.bytes_up,
-            bytes_down: self.bytes_down,
-            virtual_time: last.map(|p| p.virtual_time).unwrap_or(0.0),
-            wall_secs,
-            mean_staleness: self.server.staleness().mean(),
-            max_staleness: self.server.staleness().max(),
-            server_tracking_bytes: self.server.memory_report().tracking_bytes,
-            worker_aux_bytes,
-            curve: self.curve,
-        }
+    pub fn into_result(self, wall_secs: f64) -> RunResult {
+        let tracking = self.server.memory_report().tracking_bytes;
+        self.recorder.finish(wall_secs, self.server.staleness(), tracking)
     }
 }
 
@@ -172,6 +95,48 @@ impl WorkerLogic for TrainWorker {
     }
 }
 
+/// Builds the server side of a run alone — no worker is constructed.
+/// `train_len` (the training-set size) fixes the update count and with it
+/// the evaluation cadence.
+pub fn build_server(
+    cfg: &TrainConfig,
+    build_model: ModelBuilder<'_>,
+    train_len: usize,
+    val: &Arc<dyn Dataset>,
+) -> AsyncServerLogic {
+    assert_ne!(cfg.method, Method::Msgd, "MSGD uses train_msgd");
+    let net0 = build_model();
+    let params = net0.params();
+    let whole = params.partition().shard_spans(1);
+    let server = ServerTunables::from_config(cfg).build(
+        params.data(),
+        params.partition(),
+        cfg.workers,
+        &whole,
+        0,
+    );
+    let recorder = RunRecorder::new(cfg, net0, Arc::clone(val), train_len);
+    AsyncServerLogic { server, recorder, vtime: 0.0 }
+}
+
+/// Builds the worker fleet of a run; every worker must start from the
+/// `theta0` its server was built from.
+pub fn build_workers(
+    cfg: &TrainConfig,
+    build_model: ModelBuilder<'_>,
+    train: &Arc<dyn Dataset>,
+    worker_gflops: f64,
+    theta0: &[f32],
+) -> Vec<TrainWorker> {
+    (0..cfg.workers)
+        .map(|k| {
+            let net = build_model();
+            assert_eq!(net.params().data(), theta0, "builder must be deterministic");
+            TrainWorker::new(k, net, Arc::clone(train), cfg.clone(), worker_gflops)
+        })
+        .collect()
+}
+
 /// Assembles server + workers for a config. Shared by the thread engine,
 /// the DES, the scheduled driver, and the cross-process runtime.
 pub fn build_participants(
@@ -181,36 +146,8 @@ pub fn build_participants(
     val: &Arc<dyn Dataset>,
     worker_gflops: f64,
 ) -> (AsyncServerLogic, Vec<TrainWorker>) {
-    assert_ne!(cfg.method, Method::Msgd, "MSGD uses train_msgd");
-    let net0 = build_model();
-    let partition = net0.params().partition().clone();
-    let theta0 = net0.params().data().to_vec();
-    let secondary = if cfg.secondary_compression { Some(cfg.sparsity_ratio) } else { None };
-    let downlink = Downlink::for_method(cfg.method, secondary);
-    let mut server = MdtServer::new(theta0.clone(), partition, cfg.workers, downlink);
-    if cfg.staleness_damping > 0.0 {
-        server.set_damping(crate::server::StalenessDamping { alpha: cfg.staleness_damping });
-    }
-    if cfg.server_log_nnz > 0 {
-        server.set_log_capacity(cfg.server_log_nnz);
-    }
-    if cfg.server_dense_scan {
-        server.set_diff_strategy(crate::server::DiffStrategy::DenseScan);
-    }
-
-    let workers: Vec<TrainWorker> = (0..cfg.workers)
-        .map(|k| {
-            let net = build_model();
-            // All workers must agree on θ_0 with the server.
-            assert_eq!(net.params().data(), theta0.as_slice(), "builder must be deterministic");
-            TrainWorker::new(k, net, Arc::clone(train), cfg.clone(), worker_gflops)
-        })
-        .collect();
-
-    let iters = cfg.iters_per_worker(train.len());
-    let total_updates = (iters * cfg.workers) as u64;
-    let logic =
-        AsyncServerLogic::new(server, build_model(), Arc::clone(val), cfg.clone(), total_updates);
+    let logic = build_server(cfg, build_model, train.len(), val);
+    let workers = build_workers(cfg, build_model, train, worker_gflops, logic.server.theta0());
     (logic, workers)
 }
 
@@ -222,10 +159,8 @@ pub fn train_async(
     val: Arc<dyn Dataset>,
 ) -> RunResult {
     let (logic, workers) = build_participants(cfg, build_model, &train, &val, 50.0);
-    let iters = cfg.iters_per_worker(train.len());
-    let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
-    let report = run_cluster(logic, workers, iters);
-    report.server.into_result(cfg.clone(), report.wall_secs, worker_aux)
+    let report = run_cluster(logic, workers, cfg.iters_per_worker(train.len()));
+    report.server.into_result(report.wall_secs)
 }
 
 #[cfg(test)]

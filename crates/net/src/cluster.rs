@@ -9,11 +9,12 @@
 //! fan-out does (`dgs_core::shard`) — a dense payload by coordinate
 //! range, sparse/ternary payloads by whole-segment chunk ranges — so a
 //! span server receives precisely the sub-update its in-process shard
-//! twin would see. Replies come back one per span; when they are
-//! homogeneous (the steady state), [`assemble_replies`] concatenates
-//! them in span order into the exact message a single sharded server
-//! would have sent, which is what makes the K-process schedule replay
-//! the single-process one bitwise.
+//! twin would see (both cut with `dgs_core::cluster::span_view`). Replies
+//! come back one per span; when they are homogeneous (the steady state),
+//! `dgs_core::cluster::assemble_replies` concatenates them in span order
+//! into the exact message a single sharded server would have sent, which
+//! is what makes the K-process schedule replay the single-process one
+//! bitwise.
 //!
 //! Fault behaviour is *per span*: each sub-transport keeps its own
 //! sequence/applied counters and its own reconnect-with-backoff
@@ -24,10 +25,9 @@
 //! path, now per slice).
 
 use crate::error::{NetError, NetResult};
-use crate::msg::{ClusterLayout, DownMsg, SparseUpdate, TernaryUpdate, UpMsg, UpPayload};
+use crate::msg::{span_view, ClusterLayout, DownMsg, UpMsg};
 use crate::tcp::{ClusterClientOpts, TcpOpts, TcpWorkerTransport};
 use crate::transport::{Tier, Transport, WireStats};
-use std::sync::Arc;
 
 /// Worker-side transport over a span-sharded PS cluster: one TCP
 /// sub-transport per span server, driven in span order.
@@ -90,52 +90,19 @@ impl ClusterTransport {
         self.spans.len()
     }
 
-    /// Slices one full update into per-span sub-updates, mirroring the
-    /// in-process sharded fan-out: dense by coordinate range,
-    /// sparse/ternary by whole-segment chunk ranges. Every sub-update
-    /// carries the full `train_loss` (each span's telemetry sees the
-    /// same scalar, exactly like every in-process shard does).
+    /// Slices one full update into per-span sub-updates with the same
+    /// [`span_view`] cut the in-process sharded fan-out uses. Every
+    /// sub-update carries the full `train_loss` (each span's telemetry sees
+    /// the same scalar, exactly like every in-process shard does).
     fn fan_out(&self, up: &UpMsg) -> NetResult<Vec<UpMsg>> {
-        let mut parts = Vec::with_capacity(self.spans.len());
-        for k in 0..self.spans.len() {
-            let span = self.layout.shard_span(k);
-            let payload = match &up.payload {
-                UpPayload::Dense(g) => {
-                    if g.len() != self.layout.dim as usize {
-                        return Err(NetError::Protocol(format!(
-                            "dense update has {} coordinates, layout covers {}",
-                            g.len(),
-                            self.layout.dim
-                        )));
-                    }
-                    UpPayload::Dense(g[span.range()].to_vec())
-                }
-                UpPayload::Sparse(s) => {
-                    if s.chunks.len() < span.seg_end {
-                        return Err(NetError::Protocol(format!(
-                            "sparse update has {} chunks, span {k} needs segments up to {}",
-                            s.chunks.len(),
-                            span.seg_end
-                        )));
-                    }
-                    UpPayload::Sparse(SparseUpdate { chunks: s.chunks[span.seg_range()].to_vec() })
-                }
-                UpPayload::TernarySparse(t) => {
-                    if t.chunks.len() < span.seg_end {
-                        return Err(NetError::Protocol(format!(
-                            "ternary update has {} chunks, span {k} needs segments up to {}",
-                            t.chunks.len(),
-                            span.seg_end
-                        )));
-                    }
-                    UpPayload::TernarySparse(TernaryUpdate {
-                        chunks: t.chunks[span.seg_range()].to_vec(),
-                    })
-                }
-            };
-            parts.push(UpMsg { payload, train_loss: up.train_loss });
-        }
-        Ok(parts)
+        (0..self.spans.len())
+            .map(|k| {
+                let view = span_view(&up.payload, &self.layout.shard_span(k)).ok_or_else(|| {
+                    NetError::Protocol(format!("update does not cover span {k} of the layout"))
+                })?;
+                Ok(UpMsg { payload: view.to_payload(), train_loss: up.train_loss })
+            })
+            .collect()
     }
 
     /// Sends one training update to every span server and collects the
@@ -144,11 +111,7 @@ impl ClusterTransport {
     /// retransmit-or-resync recovery) independently.
     pub fn exchange(&mut self, up: &UpMsg) -> NetResult<Vec<DownMsg>> {
         let parts = self.fan_out(up)?;
-        self.spans
-            .iter_mut()
-            .zip(parts.iter())
-            .map(|(t, part)| t.exchange(part))
-            .collect()
+        self.spans.iter_mut().zip(parts.iter()).map(|(t, part)| t.exchange(part)).collect()
     }
 
     /// Requests a full resynchronisation from every span server; the
@@ -200,48 +163,15 @@ impl ClusterTransport {
     }
 }
 
-/// Concatenates homogeneous per-span replies (in span order) into the
-/// message a single sharded server would have sent: dense models by
-/// coordinate concatenation, sparse diffs by chunk concatenation.
-/// Returns `None` for an empty list or mixed reply kinds — the
-/// post-fault case where one span answered with a dense resync while
-/// the others sent sparse diffs; the caller then applies the replies
-/// per span instead.
-pub fn assemble_replies(replies: &[DownMsg]) -> Option<DownMsg> {
-    let (first, _) = replies.split_first()?;
-    match first {
-        DownMsg::DenseModel(_) => {
-            let mut model: Vec<f32> = Vec::new();
-            for r in replies {
-                match r {
-                    DownMsg::DenseModel(m) => model.extend_from_slice(m),
-                    DownMsg::SparseDiff(_) => return None,
-                }
-            }
-            Some(DownMsg::DenseModel(Arc::new(model)))
-        }
-        DownMsg::SparseDiff(first_chunks) => {
-            let mut chunks =
-                Vec::with_capacity(first_chunks.chunks.len() * replies.len().max(1));
-            for r in replies {
-                match r {
-                    DownMsg::SparseDiff(s) => chunks.extend(s.chunks.iter().cloned()),
-                    DownMsg::DenseModel(_) => return None,
-                }
-            }
-            Some(DownMsg::SparseDiff(SparseUpdate { chunks }))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::{Partition, SparseVec, UpPayload};
+    use crate::msg::{Partition, SparseUpdate, SparseVec, UpPayload};
+    use crate::runtime::LogicHandler;
     use crate::tcp::{serve_cluster, ServerOpts, SpanOpts};
     use crate::transport::UpdateHandler;
     use std::net::TcpListener;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use std::thread;
     use std::time::Duration;
 
@@ -254,7 +184,7 @@ mod tests {
     }
 
     impl UpdateHandler for SpanHandler {
-        fn handle_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
             self.applied[worker as usize] += 1;
             let tag = self.marker + self.applied[worker as usize] as f32 + up.train_loss as f32;
             DownMsg::SparseDiff(SparseUpdate {
@@ -262,13 +192,9 @@ mod tests {
             })
         }
 
-        fn handle_resync(&mut self, worker: u16) -> DownMsg {
+        fn on_resync(&mut self, worker: u16) -> DownMsg {
             self.resyncs += 1;
             DownMsg::DenseModel(Arc::new(vec![self.marker + f32::from(worker); 2]))
-        }
-
-        fn applied(&self, worker: u16) -> u64 {
-            self.applied[worker as usize]
         }
     }
 
@@ -284,8 +210,11 @@ mod tests {
     fn spawn_span_servers(
         layout: &ClusterLayout,
         workers: usize,
-    ) -> (Vec<String>, Vec<Arc<Mutex<SpanHandler>>>, Vec<thread::JoinHandle<NetResult<WireStats>>>)
-    {
+    ) -> (
+        Vec<String>,
+        Vec<Arc<Mutex<LogicHandler<SpanHandler>>>>,
+        Vec<thread::JoinHandle<NetResult<WireStats>>>,
+    ) {
         let layout_hash = layout.layout_hash();
         let layout_bytes = layout.encode();
         let mut addrs = Vec::new();
@@ -294,11 +223,12 @@ mod tests {
         for (k, info) in layout.spans.iter().enumerate() {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             addrs.push(listener.local_addr().unwrap().to_string());
-            let handler = Arc::new(Mutex::new(SpanHandler {
+            let toy = SpanHandler {
                 marker: (k as f32 + 1.0) * 100.0,
                 applied: vec![0; workers],
                 resyncs: 0,
-            }));
+            };
+            let handler = Arc::new(Mutex::new(LogicHandler::new(toy, workers)));
             handlers.push(Arc::clone(&handler));
             let mut opts = ServerOpts::new(workers, info.len, info.theta0_crc);
             opts.read_timeout = Duration::from_millis(50);
@@ -354,7 +284,8 @@ mod tests {
             other => panic!("unexpected fan-out {other:?}"),
         }
         // Dense: coordinate ranges.
-        let dense = UpMsg { payload: UpPayload::Dense(vec![1.0, 2.0, 3.0, 4.0, 5.0]), train_loss: 0.0 };
+        let dense =
+            UpMsg { payload: UpPayload::Dense(vec![1.0, 2.0, 3.0, 4.0, 5.0]), train_loss: 0.0 };
         let parts = t.fan_out(&dense).unwrap();
         match (&parts[0].payload, &parts[1].payload) {
             (UpPayload::Dense(a), UpPayload::Dense(b)) => {
@@ -366,31 +297,6 @@ mod tests {
         // Wrong dense length is a protocol error, not silent corruption.
         let bad = UpMsg { payload: UpPayload::Dense(vec![0.0; 4]), train_loss: 0.0 };
         assert!(t.fan_out(&bad).is_err());
-    }
-
-    #[test]
-    fn assemble_replies_concatenates_in_span_order() {
-        let sparse = |tag: f32| {
-            DownMsg::SparseDiff(SparseUpdate {
-                chunks: vec![SparseVec { idx: vec![0], val: vec![tag] }],
-            })
-        };
-        match assemble_replies(&[sparse(1.0), sparse(2.0)]) {
-            Some(DownMsg::SparseDiff(s)) => {
-                assert_eq!(s.chunks.len(), 2);
-                assert_eq!(s.chunks[0].val, vec![1.0]);
-                assert_eq!(s.chunks[1].val, vec![2.0]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let dense = |v: Vec<f32>| DownMsg::DenseModel(Arc::new(v));
-        match assemble_replies(&[dense(vec![1.0, 2.0]), dense(vec![3.0])]) {
-            Some(DownMsg::DenseModel(m)) => assert_eq!(*m, vec![1.0, 2.0, 3.0]),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Mixed kinds (post-fault) and the empty list refuse to assemble.
-        assert!(assemble_replies(&[sparse(1.0), dense(vec![0.0])]).is_none());
-        assert!(assemble_replies(&[]).is_none());
     }
 
     #[test]
@@ -430,7 +336,7 @@ mod tests {
         t.shutdown().unwrap();
         for (j, h) in joins.into_iter().zip(&handlers) {
             j.join().unwrap().unwrap();
-            assert_eq!(h.lock().unwrap().applied, vec![3]);
+            assert_eq!(h.lock().unwrap().logic().applied, vec![3]);
         }
     }
 
@@ -454,6 +360,7 @@ mod tests {
         for (j, h) in joins.into_iter().zip(&handlers) {
             j.join().unwrap().unwrap();
             let h = h.lock().unwrap();
+            let h = h.logic();
             assert_eq!(h.applied, vec![2], "both spans applied both updates exactly once");
             assert_eq!(h.resyncs, 0);
         }

@@ -275,10 +275,9 @@ pub(crate) fn protocol_step<H: SharedUpdateHandler + ?Sized>(
                         worker,
                         reason: format!("sequence gap: got {seq}, applied {applied}"),
                     }),
-                    Err(reason) => StepOut::close_with(Outgoing::Error {
-                        worker,
-                        reason: reason.to_string(),
-                    }),
+                    Err(reason) => {
+                        StepOut::close_with(Outgoing::Error { worker, reason: reason.to_string() })
+                    }
                 }
             }
             Event::Resync { worker: w, .. } => {
@@ -290,10 +289,9 @@ pub(crate) fn protocol_step<H: SharedUpdateHandler + ?Sized>(
                 }
                 match handler.handle_resync(worker) {
                     Ok(reply) => StepOut::send1(Outgoing::Reply { worker, seq: 0, msg: reply }),
-                    Err(reason) => StepOut::close_with(Outgoing::Error {
-                        worker,
-                        reason: reason.to_string(),
-                    }),
+                    Err(reason) => {
+                        StepOut::close_with(Outgoing::Error { worker, reason: reason.to_string() })
+                    }
                 }
             }
             Event::Heartbeat { worker: w } => {
@@ -575,6 +573,7 @@ impl<S: Read + Write> Conn<S> {
 mod tests {
     use super::*;
     use crate::msg::{SparseUpdate, SparseVec, UpMsg, UpPayload};
+    use crate::runtime::LogicHandler;
     use crate::transport::{loopback_pair, LoopbackStream, UpdateHandler, WireConn};
     use std::sync::Mutex;
 
@@ -584,7 +583,7 @@ mod tests {
     }
 
     impl UpdateHandler for ToyHandler {
-        fn handle_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
             self.applied[worker as usize] += 1;
             let tag = self.applied[worker as usize] as f32 + up.train_loss as f32;
             DownMsg::SparseDiff(SparseUpdate {
@@ -592,17 +591,13 @@ mod tests {
             })
         }
 
-        fn handle_resync(&mut self, worker: u16) -> DownMsg {
+        fn on_resync(&mut self, worker: u16) -> DownMsg {
             DownMsg::DenseModel(std::sync::Arc::new(vec![f32::from(worker); 3]))
-        }
-
-        fn applied(&self, worker: u16) -> u64 {
-            self.applied[worker as usize]
         }
     }
 
-    fn handler(workers: usize) -> Mutex<ToyHandler> {
-        Mutex::new(ToyHandler { applied: vec![0; workers] })
+    fn handler(workers: usize) -> Mutex<LogicHandler<ToyHandler>> {
+        Mutex::new(LogicHandler::new(ToyHandler { applied: vec![0; workers] }, workers))
     }
 
     fn opts(workers: usize) -> ServerOpts {
@@ -630,7 +625,7 @@ mod tests {
 
     fn drive(
         conn: &mut Conn<LoopbackStream>,
-        h: &Mutex<ToyHandler>,
+        h: &Mutex<LogicHandler<ToyHandler>>,
         o: &ServerOpts,
     ) -> DriveOutcome {
         let mut scratch = [0u8; 4096];
@@ -661,7 +656,7 @@ mod tests {
             Event::Reply { msg: DownMsg::DenseModel(m), .. } => assert_eq!(m.len(), 3),
             other => panic!("expected dense resync, got {other:?}"),
         }
-        assert_eq!(h.lock().unwrap().applied, vec![0, 2]);
+        assert_eq!(h.lock().unwrap().logic().applied, vec![0, 2]);
         // Graceful shutdown: ack + close + done, all flushed.
         peer.send_control(MsgType::Shutdown, 1).unwrap();
         let outcome = drive(&mut conn, &h, &o);
@@ -686,7 +681,7 @@ mod tests {
             other => panic!("expected error frame, got {other:?}"),
         }
         assert!(conn.should_teardown());
-        assert_eq!(h.lock().unwrap().applied, vec![0], "gap must not apply");
+        assert_eq!(h.lock().unwrap().logic().applied, vec![0], "gap must not apply");
     }
 
     #[test]
@@ -804,7 +799,8 @@ mod tests {
             }
         }
 
-        let mut conn: Conn<Trickle> = Conn::new(Trickle { out: Vec::new(), cap: 7 }, 1 << 20, 1 << 20);
+        let mut conn: Conn<Trickle> =
+            Conn::new(Trickle { out: Vec::new(), cap: 7 }, 1 << 20, 1 << 20);
         let mut want = Vec::new();
         for _ in 0..5 {
             let out = Outgoing::Control { ty: MsgType::HeartbeatAck, worker: 0 };

@@ -37,10 +37,11 @@
 //! ([`crate::tcp::serve_cluster`]) — an evented single-thread listener
 //! would deadlock on the barrier.
 
-use crate::cluster::{assemble_replies, ClusterTransport};
+use crate::cluster::ClusterTransport;
 use crate::error::{NetError, NetResult};
 use crate::msg::{
-    try_merge_sparse_updates, ClusterLayout, DownMsg, Partition, SparseUpdate, UpMsg, UpPayload,
+    assemble_replies, try_merge_sparse_updates, ClusterLayout, DownMsg, Partition, SparseUpdate,
+    UpMsg, UpPayload,
 };
 use crate::transport::{Sequenced, SharedUpdateHandler, WireStats};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -120,9 +121,7 @@ impl EdgeHandler {
         if group == 0 {
             return Err(NetError::Protocol("edge group size must be at least 1".to_string()));
         }
-        if theta0.len() != partition.total_len()
-            || theta0.len() != upstream.layout().dim as usize
-        {
+        if theta0.len() != partition.total_len() || theta0.len() != upstream.layout().dim as usize {
             return Err(NetError::Protocol(format!(
                 "edge θ0 has {} coordinates, partition covers {}, layout {}",
                 theta0.len(),
@@ -269,26 +268,25 @@ impl EdgeHandler {
         let st = &mut *st; // split-borrow fields through the guard
         st.in_flight = false;
         let replies = exchanged?;
-        let reply = match assemble_replies(&replies) {
-            Some(DownMsg::SparseDiff(s)) => {
+        let reply = match assemble_replies(replies) {
+            Ok(DownMsg::SparseDiff(s)) => {
                 s.try_apply_add(&mut st.cache, &st.partition, 1.0).ok_or(EDGE_MISALIGNED)?;
                 DownMsg::SparseDiff(s)
             }
-            Some(DownMsg::DenseModel(m)) => {
+            Ok(DownMsg::DenseModel(m)) => {
                 if m.len() != st.cache.len() {
                     return Err(EDGE_MISALIGNED);
                 }
                 st.cache.copy_from_slice(&m);
                 DownMsg::DenseModel(m)
             }
-            None => {
+            Err(replies) => {
                 // Mixed per-span replies (one span resynced mid-run):
                 // fold each span's reply into its slice of the cache and
                 // hand members the coherent dense result.
                 for (k, r) in replies.iter().enumerate() {
                     let span = self.layout.shard_span(k);
-                    let dst =
-                        st.cache.get_mut(span.range()).ok_or(EDGE_MISALIGNED)?;
+                    let dst = st.cache.get_mut(span.range()).ok_or(EDGE_MISALIGNED)?;
                     match r {
                         DownMsg::DenseModel(m) => {
                             if m.len() != dst.len() {
@@ -408,6 +406,7 @@ impl SharedUpdateHandler for EdgeHandler {
 mod tests {
     use super::*;
     use crate::msg::{ClusterLayout, SparseVec};
+    use crate::runtime::LogicHandler;
     use crate::tcp::{serve_cluster, ServerOpts, SpanOpts, TcpOpts, TcpWorkerTransport};
     use crate::transport::{Tier, Transport, UpdateHandler};
     use std::net::TcpListener;
@@ -419,13 +418,11 @@ mod tests {
     struct RootSpan {
         model: Vec<f32>,
         sub: Partition,
-        applied: Vec<u64>,
         got: Vec<UpMsg>,
     }
 
     impl UpdateHandler for RootSpan {
-        fn handle_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
-            self.applied[worker as usize] += 1;
+        fn on_update(&mut self, _worker: u16, up: UpMsg) -> DownMsg {
             self.got.push(up.clone());
             match &up.payload {
                 UpPayload::Sparse(s) => {
@@ -436,12 +433,8 @@ mod tests {
             }
         }
 
-        fn handle_resync(&mut self, _worker: u16) -> DownMsg {
+        fn on_resync(&mut self, _worker: u16) -> DownMsg {
             DownMsg::DenseModel(Arc::new(self.model.clone()))
-        }
-
-        fn applied(&self, worker: u16) -> u64 {
-            self.applied[worker as usize]
         }
     }
 
@@ -457,8 +450,11 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn spawn_roots(
         groups: usize,
-    ) -> (Vec<String>, Vec<Arc<Mutex<RootSpan>>>, Vec<thread::JoinHandle<NetResult<WireStats>>>)
-    {
+    ) -> (
+        Vec<String>,
+        Vec<Arc<Mutex<LogicHandler<RootSpan>>>>,
+        Vec<thread::JoinHandle<NetResult<WireStats>>>,
+    ) {
         let layout = layout();
         let p = full_partition();
         let hash = layout.layout_hash();
@@ -470,12 +466,12 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             addrs.push(listener.local_addr().unwrap().to_string());
             let span = layout.shard_span(k);
-            let handler = Arc::new(Mutex::new(RootSpan {
+            let root = RootSpan {
                 model: vec![0.0; span.len],
                 sub: p.subpartition(&span),
-                applied: vec![0; groups],
                 got: Vec::new(),
-            }));
+            };
+            let handler = Arc::new(Mutex::new(LogicHandler::new(root, groups)));
             handlers.push(Arc::clone(&handler));
             let mut opts = ServerOpts::new(groups, info.len, info.theta0_crc);
             opts.read_timeout = Duration::from_millis(50);
@@ -522,7 +518,7 @@ mod tests {
         o
     }
 
-    /// Root span that parks inside `handle_update` until released —
+    /// Root span that parks inside `on_update` until released —
     /// pins down what the edge keeps serving while its upstream
     /// round-trip is in flight.
     struct StallingRoot {
@@ -532,28 +528,23 @@ mod tests {
     }
 
     impl UpdateHandler for StallingRoot {
-        fn handle_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
             let (flag, cv) = &*self.entered;
             *flag.lock().unwrap() = true;
             cv.notify_all();
             let (gate, cv) = &*self.release;
             let mut go = gate.lock().unwrap();
             while !*go {
-                let (guard, timed_out) =
-                    cv.wait_timeout(go, Duration::from_secs(10)).unwrap();
+                let (guard, timed_out) = cv.wait_timeout(go, Duration::from_secs(10)).unwrap();
                 go = guard;
                 assert!(!timed_out.timed_out(), "test never released the root");
             }
             drop(go);
-            self.inner.handle_update(worker, up)
+            self.inner.on_update(worker, up)
         }
 
-        fn handle_resync(&mut self, worker: u16) -> DownMsg {
-            self.inner.handle_resync(worker)
-        }
-
-        fn applied(&self, worker: u16) -> u64 {
-            self.inner.applied(worker)
+        fn on_resync(&mut self, worker: u16) -> DownMsg {
+            self.inner.on_resync(worker)
         }
     }
 
@@ -576,16 +567,16 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             addrs.push(listener.local_addr().unwrap().to_string());
             let span = layout.shard_span(k);
-            let handler = Arc::new(Mutex::new(StallingRoot {
+            let root = StallingRoot {
                 inner: RootSpan {
                     model: vec![0.0; span.len],
                     sub: p.subpartition(&span),
-                    applied: vec![0; 1],
                     got: Vec::new(),
                 },
                 entered: Arc::clone(&entered),
                 release: Arc::clone(&release),
-            }));
+            };
+            let handler = Arc::new(Mutex::new(LogicHandler::new(root, 1)));
             let mut opts = ServerOpts::new(1, info.len, info.theta0_crc);
             opts.read_timeout = Duration::from_millis(50);
             opts.deadline = Some(Duration::from_secs(30));
@@ -602,26 +593,19 @@ mod tests {
             o.backoff_base = Duration::from_millis(20);
         })
         .unwrap();
-        let edge = EdgeHandler::new(
-            up,
-            full_partition(),
-            vec![0.0; 5],
-            0,
-            1,
-            Duration::from_secs(10),
-        )
-        .unwrap();
+        let edge =
+            EdgeHandler::new(up, full_partition(), vec![0.0; 5], 0, 1, Duration::from_secs(10))
+                .unwrap();
 
         // The (single) member's update completes the round: the runner
-        // thread blocks inside the root's stalled `handle_update`.
+        // thread blocks inside the root's stalled `on_update`.
         let edge2 = Arc::clone(&edge);
         let member = thread::spawn(move || edge2.handle_sequenced(0, 1, member_up(0, 1)));
         {
             let (flag, cv) = &*entered;
             let mut seen = flag.lock().unwrap();
             while !*seen {
-                let (guard, timed_out) =
-                    cv.wait_timeout(seen, Duration::from_secs(10)).unwrap();
+                let (guard, timed_out) = cv.wait_timeout(seen, Duration::from_secs(10)).unwrap();
                 seen = guard;
                 assert!(!timed_out.timed_out(), "upstream exchange never reached the root");
             }
@@ -683,6 +667,7 @@ mod tests {
         // The roots saw the member's payload verbatim, sliced per span.
         {
             let r0 = roots[0].lock().unwrap();
+            let r0 = r0.logic();
             assert_eq!(r0.got.len(), 1);
             match &r0.got[0].payload {
                 UpPayload::Sparse(s) => {
@@ -765,6 +750,7 @@ mod tests {
         // ingress scales with groups, not members.
         for (k, root) in roots.iter().enumerate() {
             let r = root.lock().unwrap();
+            let r = r.logic();
             assert_eq!(r.got.len(), 1, "span {k}");
             assert_eq!(r.got[0].train_loss, 1.0, "mean member loss");
         }

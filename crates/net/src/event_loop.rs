@@ -280,6 +280,7 @@ mod tests {
     use crate::codec::Hello;
     use crate::frame::MsgType;
     use crate::msg::{DownMsg, SparseUpdate, SparseVec, UpMsg, UpPayload};
+    use crate::runtime::LogicHandler;
     use crate::tcp::{TcpOpts, TcpWorkerTransport};
     use crate::transport::{Event, Transport, UpdateHandler};
     use std::sync::Mutex;
@@ -294,13 +295,14 @@ mod tests {
     }
 
     impl ToyHandler {
-        fn shared(workers: usize, reply_len: usize) -> Arc<Mutex<ToyHandler>> {
-            Arc::new(Mutex::new(ToyHandler { applied: vec![0; workers], resyncs: 0, reply_len }))
+        fn shared(workers: usize, reply_len: usize) -> Arc<Mutex<LogicHandler<ToyHandler>>> {
+            let toy = ToyHandler { applied: vec![0; workers], resyncs: 0, reply_len };
+            Arc::new(Mutex::new(LogicHandler::new(toy, workers)))
         }
     }
 
     impl UpdateHandler for ToyHandler {
-        fn handle_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
             self.applied[worker as usize] += 1;
             if self.reply_len > 0 {
                 return DownMsg::DenseModel(Arc::new(vec![up.train_loss as f32; self.reply_len]));
@@ -311,13 +313,9 @@ mod tests {
             })
         }
 
-        fn handle_resync(&mut self, worker: u16) -> DownMsg {
+        fn on_resync(&mut self, worker: u16) -> DownMsg {
             self.resyncs += 1;
             DownMsg::DenseModel(Arc::new(vec![f32::from(worker); 3]))
-        }
-
-        fn applied(&self, worker: u16) -> u64 {
-            self.applied[worker as usize]
         }
     }
 
@@ -335,7 +333,8 @@ mod tests {
         workers: usize,
         reply_len: usize,
         ev_opts: EventedOpts,
-    ) -> (String, Arc<Mutex<ToyHandler>>, thread::JoinHandle<NetResult<WireStats>>) {
+    ) -> (String, Arc<Mutex<LogicHandler<ToyHandler>>>, thread::JoinHandle<NetResult<WireStats>>)
+    {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handler = ToyHandler::shared(workers, reply_len);
@@ -394,6 +393,7 @@ mod tests {
         assert_eq!(server_stats.frames_up, 10);
         assert_eq!(server_stats.rejected_conns, 0);
         let h = handler.lock().unwrap();
+        let h = h.logic();
         assert_eq!(h.applied, vec![5, 5]);
         assert_eq!(h.resyncs, 0);
     }
@@ -467,7 +467,7 @@ mod tests {
         }
         // The server survived and applied at least the first update but
         // stopped long before all 8 — the budget cut it off.
-        let applied_before = handler.lock().unwrap().applied[0];
+        let applied_before = handler.lock().unwrap().logic().applied[0];
         assert!(applied_before >= 1, "first update must have been applied");
         // Recovery: a well-behaved worker reconnects. The handshake
         // reports applied >= its seq, so the transport resyncs — the
@@ -480,7 +480,8 @@ mod tests {
         t.shutdown().unwrap();
         join.join().unwrap().unwrap();
         let h = handler.lock().unwrap();
-        assert_eq!(h.resyncs, 1, "recovery goes through handle_resync");
+        let h = h.logic();
+        assert_eq!(h.resyncs, 1, "recovery goes through on_resync");
         assert!(
             h.applied[0] < 8,
             "a stalled reader must be cut off, not served to completion ({} applied)",

@@ -32,24 +32,25 @@
 //! * [`cluster`] — the span-sharded multi-process parameter-server
 //!   client: [`cluster::ClusterTransport`] fans each uplink out per
 //!   [`msg::ShardSpan`] over independent TCP links (per-span handshake
-//!   carrying the partition map + θ0 CRC, per-span seq/reconnect), and
-//!   [`cluster::assemble_replies`] reassembles the downlink in shard
-//!   order — the in-process sharding seam of `dgs_core::shard` lifted
-//!   onto the wire.
+//!   carrying the partition map + θ0 CRC, per-span seq/reconnect); the
+//!   cut and the reassembly are `dgs_core::cluster`'s — the in-process
+//!   sharding seam of `dgs_core::shard` lifted onto the wire.
 //! * [`edge`] — the two-level aggregation tier: [`edge::EdgeHandler`]
 //!   merges a worker group's uplinks with the shared sparse-merge
 //!   kernels and forwards one combined update to the root spans, so
 //!   root ingress scales with the number of groups, not workers.
 //! * [`runtime`] — glue binding the transports to the training stack
-//!   (`AsyncServerLogic`, `ShardedServerLogic`, `TrainWorker`):
-//!   `serve_training` / `serve_training_sharded` / `run_worker` /
-//!   `train_loopback`.
+//!   (`AsyncServerLogic`, `ShardedServerLogic`, `TrainWorker`): one
+//!   handler ([`runtime::LogicHandler`]), one serve entry
+//!   ([`runtime::serve_training_io`]) with its worker half
+//!   ([`runtime::run_worker`]), and one lockstep driver
+//!   ([`runtime::train`] over a [`runtime::Topology`]).
 //!
-//! Testing note: the container's cargo cannot reach a registry, so the
-//! runnable mirror of this crate's tests lives in `crates/net/harness/`
-//! (plain `rustc --test`, see the verify skill). Keep `crate::msg` the
-//! only place protocol types are imported from so the harness shim keeps
-//! working.
+//! Layering note: every module except [`runtime`] imports protocol types
+//! through [`msg`] only, so the codec/transport layers never name the
+//! training crates. When cargo cannot reach a registry,
+//! `crates/ledger/offline/build.sh` builds the whole workspace with bare
+//! `rustc` (see the verify skill).
 
 #![warn(missing_docs)]
 // The "error, never panic" wire-path promise, enforced twice: clippy here
@@ -71,7 +72,7 @@ pub mod runtime;
 pub mod tcp;
 pub mod transport;
 
-pub use cluster::{assemble_replies, ClusterTransport};
+pub use cluster::ClusterTransport;
 pub use codec::Hello;
 pub use edge::EdgeHandler;
 pub use error::{NetError, NetResult};

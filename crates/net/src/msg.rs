@@ -2,16 +2,12 @@
 //!
 //! Every codec/transport module in this crate imports the protocol types
 //! through `crate::msg` instead of naming `dgs_core`/`dgs_sparsify`
-//! directly. That single seam is what lets the offline verification
-//! harness (`crates/net/harness/`, see the repo's verify skill) compile
-//! the real `crc.rs`/`frame.rs`/`codec.rs`/`transport.rs`/`tcp.rs`
-//! sources standalone with `rustc --test` by substituting a dependency-free
-//! shim for this module — the container's cargo cannot resolve the
-//! registry, so the harness is the only way to *run* these tests locally.
+//! directly, so the wire layers depend on the message shapes and nothing
+//! else of the training stack; only `runtime.rs` binds the two.
 //!
 //! Keep this module to plain re-exports; logic belongs in the other files.
 
-pub use dgs_core::cluster::{ClusterLayout, SpanInfo};
+pub use dgs_core::cluster::{assemble_replies, span_view, ClusterLayout, SpanInfo};
 pub use dgs_core::protocol::{DownMsg, UpMsg, UpPayload, HEADER_BYTES, UP_LOSS_BYTES};
 pub use dgs_sparsify::{
     merge_sparse_updates, try_merge_sparse_updates, Partition, ShardSpan, SparseUpdate, SparseVec,

@@ -1,54 +1,47 @@
-//! Glue between the transports and the training stack.
+//! Glue between the transports and the training stack: one handler, one
+//! serve entry, one lockstep driver.
 //!
-//! * [`LogicHandler`] adapts `AsyncServerLogic` (the engine-shared server
-//!   logic: MDT server + curves + traffic accounting) to the transport
-//!   layer's [`UpdateHandler`] seam, adding the per-worker applied
-//!   counters the reconnect protocol needs. It is served behind one
-//!   `Mutex`, so connection threads take turns.
-//! * [`ShardedLogicHandler`] is the lock-striped counterpart: it adapts
-//!   `ShardedServerLogic` (over `ShardedMdtServer`) to the concurrent
-//!   [`SharedUpdateHandler`] seam with one tiny *per-worker* lock, so
-//!   connection threads for different workers apply updates in parallel —
-//!   no connection-shared lock on the update path.
-//! * [`train_loopback`] replays a pinned [`Schedule`] with every message
-//!   round-tripped through the codec — the transport side of the
-//!   differential test against `train_scheduled`.
-//! * [`serve_training`] / [`run_worker`] are the process-mode halves that
-//!   `dgs-cli serve` / `dgs-cli work` call.
-//!
-//! Unlike its siblings, this module imports the training crates directly
-//! (not via `crate::msg`), so it is *not* part of the standalone rustc
-//! harness — the harness covers the codec/transport/tcp layers with toy
-//! handlers, and this file is exercised by the cargo tests and the
-//! two-process smoke test.
+//! * [`LogicHandler`] puts any server logic behind the transport layer's
+//!   [`SharedUpdateHandler`] seam. It owns the per-worker applied counts the
+//!   reconnect protocol needs and runs every update through
+//!   [`sequenced_apply`]. A `&mut` logic (`AsyncServerLogic`, a span
+//!   server's `MdtServer`) is served as `Mutex<LogicHandler<_>>`, so
+//!   connections take turns; the lock-striped `ShardedServerLogic` is
+//!   served bare, with one small lock per *worker*, so connections of
+//!   different workers apply concurrently.
+//! * [`serve_training_io`] hosts either logic over TCP on either I/O
+//!   backend until every worker has shut down; [`run_worker`] is the
+//!   worker half. `dgs-cli serve` / `dgs-cli work` call these.
+//! * [`train`] replays a pinned [`Schedule`] in lockstep over a
+//!   [`Topology`] — loopback, TCP (single-lock or striped server), a span
+//!   cluster, or a span cluster behind edge aggregators — with optional
+//!   injected [`Fault`]s. It is the transport side of the differential
+//!   tests against `train_scheduled`.
 
-use crate::cluster::{assemble_replies, ClusterTransport};
-use crate::codec::Hello;
+use crate::cluster::ClusterTransport;
 use crate::edge::EdgeHandler;
 use crate::error::{NetError, NetResult};
 use crate::event_loop::{serve_cluster_evented, EventedOpts};
 use crate::tcp::{serve_cluster, ServerOpts, SpanOpts, TcpOpts, TcpWorkerTransport};
 use crate::transport::{
-    Loopback, Sequenced, SharedUpdateHandler, Tier, Transport, UpdateHandler, WireStats,
-    POISONED_REASON,
+    contain, sequenced_apply, Loopback, Sequenced, SharedUpdateHandler, Tier, Transport,
+    UpdateHandler, WireStats, POISONED_REASON,
 };
-use dgs_core::cluster::ClusterLayout;
+use dgs_core::cluster::{apply_span_replies, ClusterLayout};
 use dgs_core::config::TrainConfig;
-use dgs_core::curves::{CurvePoint, RunResult};
-use dgs_core::server::{DiffStrategy, Downlink, MdtServer, StalenessDamping};
-use dgs_core::trainer::sharded::ShardedServerLogic;
-use dgs_core::trainer::threaded::{build_participants, AsyncServerLogic};
+use dgs_core::curves::{RunRecorder, RunResult, StalenessStats};
+use dgs_core::protocol::{DownMsg, UpMsg};
+use dgs_core::server::{MdtServer, ServerTunables};
+use dgs_core::trainer::sharded::{build_sharded_server, ShardedServerLogic};
+use dgs_core::trainer::threaded::{build_server, build_workers, AsyncServerLogic};
 use dgs_core::trainer::{ModelBuilder, Schedule};
 use dgs_core::worker::TrainWorker;
 use dgs_nn::data::Dataset;
-use dgs_nn::metrics::evaluate;
-use dgs_nn::model::Network;
 use dgs_sparsify::{Partition, ShardSpan};
-use std::cell::RefCell;
 use std::net::TcpListener;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// CRC-32 fingerprint of a model's parameters (little-endian f32 bytes).
@@ -69,149 +62,172 @@ pub fn theta0_crc(params: &[f32]) -> u32 {
     crate::crc::crc32_finish(state)
 }
 
-/// [`UpdateHandler`] over the engine-shared server logic. Tracks how many
-/// updates each worker has had applied — the counter the handshake and
-/// duplicate suppression are built on.
-pub struct LogicHandler {
-    logic: AsyncServerLogic,
-    applied: Vec<u64>,
-}
-
-impl LogicHandler {
-    /// Wraps server logic for `workers` workers.
-    pub fn new(logic: AsyncServerLogic, workers: usize) -> Self {
-        LogicHandler { logic, applied: vec![0; workers] }
+impl UpdateHandler for AsyncServerLogic {
+    fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        self.process(usize::from(worker), up)
     }
 
-    /// The wrapped logic (read access).
-    pub fn logic(&self) -> &AsyncServerLogic {
-        &self.logic
-    }
-
-    /// Unwraps the logic for result finalisation.
-    pub fn into_logic(self) -> AsyncServerLogic {
-        self.logic
+    fn on_resync(&mut self, worker: u16) -> DownMsg {
+        self.resync(usize::from(worker))
     }
 }
 
-impl UpdateHandler for LogicHandler {
-    fn handle_update(
-        &mut self,
-        worker: u16,
-        up: dgs_core::protocol::UpMsg,
-    ) -> dgs_core::protocol::DownMsg {
-        self.applied[usize::from(worker)] += 1;
-        self.logic.process(usize::from(worker), up)
+/// The lock-striped logic applies through `&self`, so a shared reference
+/// is all the "exclusive" access [`sequenced_apply`] needs.
+impl UpdateHandler for &ShardedServerLogic {
+    fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        self.process(usize::from(worker), up)
     }
 
-    fn handle_resync(&mut self, worker: u16) -> dgs_core::protocol::DownMsg {
-        self.logic.resync(usize::from(worker))
-    }
-
-    fn applied(&self, worker: u16) -> u64 {
-        self.applied[usize::from(worker)]
+    fn on_resync(&mut self, worker: u16) -> DownMsg {
+        self.resync(usize::from(worker))
     }
 }
 
-/// [`SharedUpdateHandler`] over the lock-striped server logic. Each
-/// worker owns a `Mutex<u64>` applied counter, and that lock is held
-/// across the whole sequence-check → apply/resync → counter-publish
-/// span — per worker, exactly what the `Mutex` blanket impl does
-/// globally. Consequences:
+/// One span server of a cluster: a plain [`MdtServer`] over the span's
+/// sub-partition. The run record lives with the driver (no single span
+/// owns the model), so there is nothing to account here.
 ///
-/// * a retransmit racing its own apply blocks on the lock and then takes
-///   the duplicate path, so an update is never folded in twice;
-/// * a reconnecting worker's resync can never run concurrently with that
-///   same worker's still-in-flight apply (which would let shard-local
-///   `v_k` advance past the model the resync just delivered);
-/// * [`Self::applied`] (the reconnect handshake's counter) blocks until
-///   the in-flight apply finishes and only ever reports *completed*
-///   applies.
+/// Bitwise equivalence with the in-process sharded server: a span's
+/// server is built by the same `ServerTunables::build` as one
+/// `ShardedMdtServer` shard, every update visits every span — possibly
+/// with empty chunks — so under lockstep replay each span's own clock
+/// equals the global clock, and the damping scale it derives matches the
+/// one the sharded front computes.
+impl UpdateHandler for MdtServer {
+    fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        MdtServer::handle_update(self, usize::from(worker), &up)
+    }
+
+    fn on_resync(&mut self, worker: u16) -> DownMsg {
+        self.resync_worker(usize::from(worker))
+    }
+}
+
+const UNKNOWN_WORKER: &str = "unknown worker id";
+
+/// Any server logic behind the [`SharedUpdateHandler`] seam: the logic,
+/// how many updates of each worker it has completely applied — the count
+/// the handshake and duplicate suppression are built on — and a latch that
+/// refuses everything once an apply has panicked.
 ///
-/// Cross-worker concurrency — the point of the sharding — is untouched:
-/// different workers hold different locks and fan out to the shard locks
-/// underneath in parallel.
+/// The worker's count is guarded across the whole
+/// sequence-check → apply/resync → publish span of [`sequenced_apply`]:
 ///
-/// Training-state panics (a poisoned shard lock, a bug in an apply) are
-/// caught at this boundary and surfaced to peers as error frames, keeping
-/// the transport's no-panic promise without putting the whole logic
-/// behind a lock. `guard` catches the unwind *inside* the per-worker
-/// critical section, so a panicking apply cannot poison the worker lock.
-pub struct ShardedLogicHandler {
-    logic: ShardedServerLogic,
+/// * `Mutex<LogicHandler<L>>` for a `&mut` logic: the one handler lock
+///   guards everything, and the per-worker slots are reached through
+///   `get_mut` (no second acquisition).
+/// * bare `LogicHandler<L>` for a `&self` logic: each worker's slot is its
+///   own lock, so a retransmit racing its own apply blocks and then takes
+///   the duplicate path, a reconnecting worker's resync can never overlap
+///   that worker's in-flight apply, and [`SharedUpdateHandler::applied`]
+///   reports only *completed* applies — while different workers hold
+///   different locks and fan out to the shard locks in parallel.
+pub struct LogicHandler<L = AsyncServerLogic> {
+    logic: L,
     applied: Vec<Mutex<u64>>,
+    poisoned: AtomicBool,
 }
 
-impl ShardedLogicHandler {
-    /// Wraps sharded server logic for `workers` workers.
-    pub fn new(logic: ShardedServerLogic, workers: usize) -> Self {
-        ShardedLogicHandler { logic, applied: (0..workers).map(|_| Mutex::new(0)).collect() }
+impl<L> LogicHandler<L> {
+    /// Wraps server logic for `workers` workers.
+    pub fn new(logic: L, workers: usize) -> Self {
+        LogicHandler {
+            logic,
+            applied: (0..workers).map(|_| Mutex::new(0)).collect(),
+            poisoned: AtomicBool::new(false),
+        }
     }
 
     /// The wrapped logic (read access).
-    pub fn logic(&self) -> &ShardedServerLogic {
+    pub fn logic(&self) -> &L {
         &self.logic
     }
 
     /// Unwraps the logic for result finalisation.
-    pub fn into_logic(self) -> ShardedServerLogic {
+    pub fn into_logic(self) -> L {
         self.logic
-    }
-
-    /// Runs `f` with the poisoned-state check and panic containment the
-    /// wire path requires: once any apply has panicked, every subsequent
-    /// call answers with the poisoned reason instead of panicking the
-    /// connection thread.
-    fn guard<T>(&self, f: impl FnOnce() -> T) -> Result<T, &'static str> {
-        if self.logic.server().poisoned() {
-            return Err(POISONED_REASON);
-        }
-        catch_unwind(AssertUnwindSafe(f)).map_err(|_| POISONED_REASON)
     }
 }
 
-impl SharedUpdateHandler for ShardedLogicHandler {
+/// Refuses once poisoned, and latches the first contained panic: the
+/// training state cannot be trusted after one, so every later call answers
+/// with the poisoned reason instead of serving torn state.
+fn latched<T>(
+    poisoned: &AtomicBool,
+    f: impl FnOnce() -> Result<T, &'static str>,
+) -> Result<T, &'static str> {
+    // Release on the store pairs with this Acquire: a thread that sees the
+    // latch also sees whatever the panicking apply wrote before unwinding.
+    if poisoned.load(Ordering::Acquire) {
+        return Err(POISONED_REASON);
+    }
+    let out = f();
+    if out.is_err() {
+        poisoned.store(true, Ordering::Release);
+    }
+    out
+}
+
+impl<L: UpdateHandler + Send> SharedUpdateHandler for Mutex<LogicHandler<L>> {
     fn handle_sequenced(
         &self,
         worker: u16,
         seq: u32,
-        up: dgs_core::protocol::UpMsg,
+        up: UpMsg,
     ) -> Result<Sequenced, &'static str> {
-        let w = usize::from(worker);
-        let slot = self.applied.get(w).ok_or("unknown worker id")?;
-        // Hold this worker's lock across check + apply + publish, so the
-        // counter only ever reflects completed applies and a duplicate's
-        // resync cannot overlap its own in-flight apply. The lock cannot
-        // poison: `guard` contains any apply panic inside the section.
-        let mut applied = slot.lock().map_err(|_| POISONED_REASON)?;
-        if u64::from(seq) <= *applied {
-            return self.guard(|| self.logic.resync(w)).map(Sequenced::Duplicate);
-        }
-        if u64::from(seq) > *applied + 1 {
-            return Ok(Sequenced::Gap { applied: *applied });
-        }
-        let reply = self.guard(|| self.logic.process(w, up))?;
-        *applied += 1;
-        Ok(Sequenced::Applied(reply))
+        let mut guard = self.lock().map_err(|_| POISONED_REASON)?;
+        let h = &mut *guard;
+        let slot = h.applied.get_mut(usize::from(worker)).ok_or(UNKNOWN_WORKER)?;
+        let applied = slot.get_mut().map_err(|_| POISONED_REASON)?;
+        latched(&h.poisoned, || sequenced_apply(&mut h.logic, applied, worker, seq, up))
     }
 
-    fn handle_resync(&self, worker: u16) -> Result<dgs_core::protocol::DownMsg, &'static str> {
-        let w = usize::from(worker);
-        let slot = self.applied.get(w).ok_or("unknown worker id")?;
+    fn handle_resync(&self, worker: u16) -> Result<DownMsg, &'static str> {
+        let mut guard = self.lock().map_err(|_| POISONED_REASON)?;
+        let h = &mut *guard;
+        h.applied.get(usize::from(worker)).ok_or(UNKNOWN_WORKER)?;
+        latched(&h.poisoned, || contain(|| h.logic.on_resync(worker)))
+    }
+
+    fn applied(&self, worker: u16) -> Result<u64, &'static str> {
+        let mut guard = self.lock().map_err(|_| POISONED_REASON)?;
+        let h = &mut *guard;
+        let slot = h.applied.get_mut(usize::from(worker)).ok_or(UNKNOWN_WORKER)?;
+        latched(&h.poisoned, || slot.get_mut().map(|a| *a).map_err(|_| POISONED_REASON))
+    }
+}
+
+impl<L: Send + Sync> SharedUpdateHandler for LogicHandler<L>
+where
+    for<'a> &'a L: UpdateHandler,
+{
+    fn handle_sequenced(
+        &self,
+        worker: u16,
+        seq: u32,
+        up: UpMsg,
+    ) -> Result<Sequenced, &'static str> {
+        let slot = self.applied.get(usize::from(worker)).ok_or(UNKNOWN_WORKER)?;
+        // The lock cannot poison: `sequenced_apply` contains any apply
+        // panic inside the section.
+        let mut applied = slot.lock().map_err(|_| POISONED_REASON)?;
+        latched(&self.poisoned, || sequenced_apply(&mut &self.logic, &mut applied, worker, seq, up))
+    }
+
+    fn handle_resync(&self, worker: u16) -> Result<DownMsg, &'static str> {
+        let slot = self.applied.get(usize::from(worker)).ok_or(UNKNOWN_WORKER)?;
         // Serialize with this worker's own applies: a resync racing an
         // in-flight apply would hand back a model the tail of that apply
         // then silently advances v_k past.
         let _applied = slot.lock().map_err(|_| POISONED_REASON)?;
-        self.guard(|| self.logic.resync(w))
+        let mut logic = &self.logic;
+        latched(&self.poisoned, || contain(|| logic.on_resync(worker)))
     }
 
     fn applied(&self, worker: u16) -> Result<u64, &'static str> {
-        self.applied
-            .get(usize::from(worker))
-            .ok_or("unknown worker id")?
-            .lock()
-            .map(|a| *a)
-            .map_err(|_| POISONED_REASON)
+        let slot = self.applied.get(usize::from(worker)).ok_or(UNKNOWN_WORKER)?;
+        latched(&self.poisoned, || slot.lock().map(|a| *a).map_err(|_| POISONED_REASON))
     }
 }
 
@@ -279,6 +295,228 @@ pub fn serve_with_io<H: SharedUpdateHandler + 'static>(
     }
 }
 
+/// A whole-model server logic [`serve_training_io`] can host. The two
+/// implementations differ in exactly one decision — how the logic is shared
+/// between connections.
+pub trait ServeLogic: Sized + Send + 'static {
+    /// The handler connections share: `Mutex<LogicHandler<Self>>` for a
+    /// `&mut` logic, bare `LogicHandler<Self>` for a `&self` one.
+    type Shared: SharedUpdateHandler + From<LogicHandler<Self>> + 'static;
+
+    /// Takes the handler back once the server is done with it.
+    fn unshare(shared: Self::Shared) -> NetResult<LogicHandler<Self>>;
+
+    /// Model dimension and `θ_0` fingerprint for the handshake.
+    fn fingerprint(&self) -> (u64, u32);
+
+    /// The final global model and the finalised run record.
+    fn finish(self, wall_secs: f64) -> (Vec<f32>, RunResult);
+}
+
+impl ServeLogic for AsyncServerLogic {
+    type Shared = Mutex<LogicHandler<Self>>;
+
+    fn unshare(shared: Self::Shared) -> NetResult<LogicHandler<Self>> {
+        shared.into_inner().map_err(|_| NetError::Protocol("server handler mutex poisoned".into()))
+    }
+
+    fn fingerprint(&self) -> (u64, u32) {
+        (self.server().dim() as u64, theta0_crc(self.server().theta0()))
+    }
+
+    fn finish(self, wall_secs: f64) -> (Vec<f32>, RunResult) {
+        (self.server().current_model(), self.into_result(wall_secs))
+    }
+}
+
+impl ServeLogic for ShardedServerLogic {
+    type Shared = LogicHandler<Self>;
+
+    fn unshare(shared: Self::Shared) -> NetResult<LogicHandler<Self>> {
+        Ok(shared)
+    }
+
+    fn fingerprint(&self) -> (u64, u32) {
+        (self.server().dim() as u64, theta0_crc(&self.server().theta0()))
+    }
+
+    fn finish(self, wall_secs: f64) -> (Vec<f32>, RunResult) {
+        (self.server().current_model(), self.into_result(wall_secs))
+    }
+}
+
+/// Takes the logic back out of a handler no connection holds any more.
+fn reclaim<L: ServeLogic>(handler: Arc<L::Shared>) -> NetResult<L> {
+    let shared = Arc::try_unwrap(handler)
+        .map_err(|_| NetError::Protocol("server still holds the handler".into()))?;
+    Ok(L::unshare(shared)?.into_logic())
+}
+
+/// Serves a training run over TCP on `io`'s backend until all `workers`
+/// have gracefully shut down (or `deadline` expires). Returns the logic
+/// (for result reporting) and the server-side byte counters. Byte for byte
+/// the wire traffic is the same for either logic on either backend, given
+/// the same update order.
+pub fn serve_training_io<L: ServeLogic>(
+    listener: TcpListener,
+    logic: L,
+    workers: usize,
+    deadline: Option<Duration>,
+    io: &IoConfig,
+) -> NetResult<(L, WireStats)> {
+    let (dim, crc) = logic.fingerprint();
+    let handler = Arc::new(L::Shared::from(LogicHandler::new(logic, workers)));
+    let mut opts = ServerOpts::new(workers, dim, crc);
+    opts.deadline = deadline;
+    let stats = serve_with_io(listener, Arc::clone(&handler), opts, io)?;
+    Ok((reclaim(handler)?, stats))
+}
+
+/// A worker's link to its server side, and the one place a reply meets a
+/// worker's model.
+pub enum Link {
+    /// In-process through the codec, straight onto the single-lock handler.
+    Loopback(Loopback<Mutex<LogicHandler>>),
+    /// One TCP connection: a whole-model server, or an edge aggregator.
+    Tcp(TcpWorkerTransport),
+    /// One TCP connection per span server of a cluster.
+    Spans(ClusterTransport),
+}
+
+impl Link {
+    /// Options for a TCP link of `worker_id`, fingerprinted from the
+    /// worker's parameters — call before any local training has happened.
+    pub fn tcp_opts(addr: &str, worker_id: usize, worker: &TrainWorker) -> TcpOpts {
+        let params = worker.model_params();
+        TcpOpts::new(addr, worker_id as u16, params.len() as u64, theta0_crc(params))
+    }
+
+    /// One training round over the link: local step, exchange, apply the
+    /// reply (one per span on a cluster). Returns the update that was sent
+    /// and the downlink bytes to account.
+    pub fn round(&mut self, worker: &mut TrainWorker) -> NetResult<(UpMsg, u64)> {
+        let up = worker.local_step();
+        let reply = match self {
+            Link::Loopback(t) => t.exchange(&up)?,
+            Link::Tcp(t) => t.exchange(&up)?,
+            Link::Spans(t) => {
+                let replies = t.exchange(&up)?;
+                return Ok((up, apply_span_replies(worker, t.layout(), replies)));
+            }
+        };
+        Ok((up, apply_reply(worker, reply)))
+    }
+
+    /// Full-model resynchronisation of `worker`, like a recovering
+    /// straggler; returns the downlink bytes to account.
+    fn recover(&mut self, worker: &mut TrainWorker) -> NetResult<u64> {
+        let reply = match self {
+            Link::Loopback(t) => t.resync()?,
+            Link::Tcp(t) => t.resync()?,
+            Link::Spans(t) => {
+                let replies = t.resync()?;
+                return Ok(apply_span_replies(worker, t.layout(), replies));
+            }
+        };
+        Ok(apply_reply(worker, reply))
+    }
+
+    /// Drops every connection of the link without telling the server; the
+    /// next exchange reconnects through the handshake.
+    fn reconnect(&mut self) -> NetResult<()> {
+        match self {
+            Link::Loopback(_) => Err(NetError::Protocol("loopback has no connection".into())),
+            Link::Tcp(t) => {
+                t.force_reconnect();
+                Ok(())
+            }
+            Link::Spans(t) => (0..t.num_spans()).try_for_each(|j| t.drop_span_conn(j)),
+        }
+    }
+
+    /// Gracefully ends the run on this link; returns the worker-side byte
+    /// counters.
+    pub fn finish(&mut self) -> NetResult<WireStats> {
+        match self {
+            Link::Loopback(t) => t.shutdown().map(|()| t.stats()),
+            Link::Tcp(t) => t.shutdown().map(|()| t.stats()),
+            Link::Spans(t) => t.shutdown().map(|()| t.stats()),
+        }
+    }
+}
+
+fn apply_reply(worker: &mut TrainWorker, reply: DownMsg) -> u64 {
+    let bytes = reply.wire_bytes() as u64;
+    worker.apply_reply(reply);
+    bytes
+}
+
+/// Runs one worker's training loop over `link`: `iters` local steps, each
+/// exchanged and applied, then a graceful shutdown.
+pub fn run_worker(
+    mut link: Link,
+    mut worker: TrainWorker,
+    iters: usize,
+) -> NetResult<(TrainWorker, WireStats)> {
+    for _ in 0..iters {
+        link.round(&mut worker)?;
+    }
+    Ok((worker, link.finish()?))
+}
+
+/// Builds the cluster partition map for `theta0` striped over at most
+/// `max_spans` span servers: the spans come from
+/// [`Partition::shard_spans`] (the same greedy whole-segment fill the
+/// in-process sharded server uses), each fingerprinted with the CRC-32
+/// of its slice of θ0 so a span server and its clients agree on both the
+/// geometry and the initial model at handshake time.
+pub fn cluster_layout(theta0: &[f32], partition: &Partition, max_spans: usize) -> ClusterLayout {
+    let spans = partition.shard_spans(max_spans);
+    let crcs: Vec<u32> = spans.iter().map(|s| theta0_crc(&theta0[s.range()])).collect();
+    ClusterLayout::from_spans(theta0.len() as u64, &spans, &crcs)
+}
+
+/// The handler of span `k` of `layout`, and the [`ServerOpts`] its server
+/// announces (span dimension and θ0 CRC, cluster handshake coordinates)
+/// for `clients` direct clients — workers, or edge aggregators.
+pub fn span_server(
+    cfg: &TrainConfig,
+    theta0: &[f32],
+    partition: &Partition,
+    layout: &ClusterLayout,
+    k: usize,
+    clients: usize,
+) -> (Mutex<LogicHandler<MdtServer>>, ServerOpts) {
+    let spans = layout_spans(layout);
+    let server = ServerTunables::from_config(cfg).build(theta0, partition, cfg.workers, &spans, k);
+    let mut opts = ServerOpts::new(cfg.workers, layout.spans[k].len, layout.spans[k].theta0_crc);
+    opts.done_target = clients;
+    opts.span = Some(SpanOpts {
+        index: k as u32,
+        num_spans: layout.num_spans() as u32,
+        layout_hash: layout.layout_hash(),
+        layout_bytes: layout.encode(),
+    });
+    (Mutex::new(LogicHandler::new(server, cfg.workers)), opts)
+}
+
+fn layout_spans(layout: &ClusterLayout) -> Vec<ShardSpan> {
+    layout.spans.iter().map(|s| s.shard_span()).collect()
+}
+
+/// How long an edge member may wait for the rest of its round before the
+/// group is torn down.
+pub const EDGE_ROUND_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Safety net for in-process server threads: far beyond any test's
+/// runtime, just low enough that a wedged run fails instead of hanging.
+const SERVE_SAFETY_DEADLINE: Duration = Duration::from_secs(120);
+
+/// Lockstep replies arrive immediately; a long timeout keeps idle-probe
+/// heartbeats out of the byte counters so runs are deterministic across
+/// backends.
+const LOCKSTEP_READ_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// A finished transport-mode run: the usual record plus final model
 /// states and both endpoints' byte counters.
 pub struct TransportRun {
@@ -298,158 +536,13 @@ pub struct TransportRun {
     pub edge_stats: Vec<WireStats>,
 }
 
-/// Replays `schedule` with every message encoded to bytes and decoded
-/// back — `train_scheduled` seen through the wire. Because the codec is
-/// lossless, the result is bitwise identical to the direct-struct run;
-/// the `transport_equivalence` test asserts exactly that.
-pub fn train_loopback(
-    cfg: &TrainConfig,
-    build_model: ModelBuilder<'_>,
-    train: Arc<dyn Dataset>,
-    val: Arc<dyn Dataset>,
-    schedule: &Schedule,
-) -> NetResult<TransportRun> {
-    assert_eq!(schedule.workers(), cfg.workers, "schedule/config worker count mismatch");
-    let (logic, mut workers) = build_participants(cfg, build_model, &train, &val, 50.0);
-    let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
-    let handler = Rc::new(RefCell::new(LogicHandler::new(logic, cfg.workers)));
-    let mut transports: Vec<Loopback<LogicHandler>> =
-        (0..cfg.workers).map(|k| Loopback::new(k as u16, Rc::clone(&handler))).collect();
-
-    let start = Instant::now();
-    for &k in schedule.order() {
-        let up = workers[k].local_step();
-        let reply = transports[k].exchange(&up)?;
-        workers[k].apply_reply(reply);
-    }
-    let mut worker_stats = Vec::with_capacity(cfg.workers);
-    let mut server_stats = WireStats::default();
-    for t in &mut transports {
-        t.shutdown()?;
-    }
-    for t in &transports {
-        worker_stats.push(t.stats());
-        server_stats.merge(&t.server_stats());
-    }
-    drop(transports);
-
-    let handler = Rc::try_unwrap(handler)
-        .map_err(|_| NetError::Protocol("loopback handler still shared".into()))?
-        .into_inner();
-    let logic = handler.into_logic();
-    let server_model = logic.server().current_model();
-    let worker_models = workers.iter().map(|w| w.model_params().to_vec()).collect();
-    let result = logic.into_result(cfg.clone(), start.elapsed().as_secs_f64(), worker_aux);
-    Ok(TransportRun {
-        result,
-        server_model,
-        worker_models,
-        worker_stats,
-        server_stats,
-        edge_stats: Vec::new(),
-    })
-}
-
-/// Replays `schedule` over **real TCP** against an in-process server
-/// running on `io`'s backend: the server thread accepts every worker
-/// connection while a single driver thread owns all the
-/// [`TcpWorkerTransport`]s and replays the pinned schedule in lockstep
-/// (one exchange at a time). Lockstep makes the server-side arrival order
-/// exactly the schedule order, so for an empty `reconnect_at` the run is
-/// bitwise comparable to [`train_loopback`] / `train_scheduled` — and two
-/// runs on different I/O backends are *always* bitwise comparable to each
-/// other, including byte counters on both endpoints.
-///
-/// `faults` injects deterministic mid-run recovery scenarios (reconnects
-/// and resyncs, see [`Fault`]); because they fire at fixed schedule steps
-/// from the single driver thread, a faulted run is still bitwise
-/// reproducible — and still backend-independent.
-pub fn train_tcp(
-    cfg: &TrainConfig,
-    build_model: ModelBuilder<'_>,
-    train: Arc<dyn Dataset>,
-    val: Arc<dyn Dataset>,
-    schedule: &Schedule,
-    io: &IoConfig,
-    faults: &[Fault],
-) -> NetResult<TransportRun> {
-    assert_eq!(schedule.workers(), cfg.workers, "schedule/config worker count mismatch");
-    let (logic, workers) = build_participants(cfg, build_model, &train, &val, 50.0);
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
-    let workers_n = cfg.workers;
-    let io_cfg = io.clone();
-    let start = Instant::now();
-    let server = std::thread::spawn(move || {
-        serve_training_io(listener, logic, workers_n, Some(SERVE_SAFETY_DEADLINE), &io_cfg)
-    });
-    let (workers, worker_stats) = drive_schedule(&addr, workers, schedule, faults)?;
-    let (logic, server_stats) = server
-        .join()
-        .map_err(|_| NetError::Protocol("server thread panicked".into()))??;
-    let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
-    let server_model = logic.server().current_model();
-    let worker_models = workers.iter().map(|w| w.model_params().to_vec()).collect();
-    let result = logic.into_result(cfg.clone(), start.elapsed().as_secs_f64(), worker_aux);
-    Ok(TransportRun {
-        result,
-        server_model,
-        worker_models,
-        worker_stats,
-        server_stats,
-        edge_stats: Vec::new(),
-    })
-}
-
-/// [`train_tcp`] over the lock-striped server logic (`shards` stripes).
-pub fn train_tcp_sharded(
-    cfg: &TrainConfig,
-    build_model: ModelBuilder<'_>,
-    train: Arc<dyn Dataset>,
-    val: Arc<dyn Dataset>,
-    schedule: &Schedule,
-    shards: usize,
-    io: &IoConfig,
-    faults: &[Fault],
-) -> NetResult<TransportRun> {
-    assert_eq!(schedule.workers(), cfg.workers, "schedule/config worker count mismatch");
-    let (logic, workers) =
-        dgs_core::trainer::sharded::build_sharded_participants(cfg, build_model, &train, &val, 50.0, shards);
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
-    let workers_n = cfg.workers;
-    let io_cfg = io.clone();
-    let start = Instant::now();
-    let server = std::thread::spawn(move || {
-        serve_training_sharded_io(listener, logic, workers_n, Some(SERVE_SAFETY_DEADLINE), &io_cfg)
-    });
-    let (workers, worker_stats) = drive_schedule(&addr, workers, schedule, faults)?;
-    let (logic, server_stats) = server
-        .join()
-        .map_err(|_| NetError::Protocol("server thread panicked".into()))??;
-    let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
-    let server_model = logic.server().current_model();
-    let worker_models = workers.iter().map(|w| w.model_params().to_vec()).collect();
-    let result = logic.into_result(cfg.clone(), start.elapsed().as_secs_f64(), worker_aux);
-    Ok(TransportRun {
-        result,
-        server_model,
-        worker_models,
-        worker_stats,
-        server_stats,
-        edge_stats: Vec::new(),
-    })
-}
-
-/// Safety net for the in-process server thread: far beyond any test's
-/// runtime, just low enough that a wedged run fails instead of hanging.
-const SERVE_SAFETY_DEADLINE: Duration = Duration::from_secs(120);
-
-/// A deterministic fault injected during [`train_tcp`]'s schedule replay,
-/// fired just before the named worker's exchange at the named step.
+/// A deterministic fault injected during [`train`]'s schedule replay, fired
+/// just before the named worker's exchange at the named step. Because
+/// faults fire at fixed schedule steps from the single driver thread, a
+/// faulted run is still bitwise reproducible — and backend-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Drop the worker's TCP connection; the next exchange reconnects
+    /// Drop the worker's TCP connection(s); the next exchange reconnects
     /// (handshake + applied-count realignment, resyncing if needed).
     Reconnect {
         /// Schedule step index the fault fires at.
@@ -465,12 +558,12 @@ pub enum Fault {
         /// Worker that requests the resync.
         worker: usize,
     },
-    /// Cluster runs only ([`train_cluster`]): crash-restart one span
-    /// server from its own checkpoint and drop **every** worker's
-    /// connection to it. The restarted span rebuilds its dirty sets from
-    /// `M − v_k` and each worker's next exchange re-handshakes against
-    /// the same layout hash — per-span recovery with no double apply,
-    /// while the other spans keep training undisturbed.
+    /// Cluster runs only: crash-restart one span server from its own
+    /// checkpoint and drop **every** worker's connection to it. The
+    /// restarted span rebuilds its dirty sets from `M − v_k` and each
+    /// worker's next exchange re-handshakes against the same layout hash —
+    /// per-span recovery with no double apply, while the other spans keep
+    /// training undisturbed.
     KillSpan {
         /// Schedule step index the fault fires at.
         step: usize,
@@ -491,739 +584,423 @@ pub enum Fault {
     },
 }
 
-/// The worker half of [`train_tcp`]: connects every worker, replays the
-/// schedule in lockstep, shuts down gracefully, and returns the stepped
-/// workers plus their transport counters.
-fn drive_schedule(
-    addr: &str,
-    mut workers: Vec<TrainWorker>,
-    schedule: &Schedule,
-    faults: &[Fault],
-) -> NetResult<(Vec<TrainWorker>, Vec<WireStats>)> {
-    let mut transports: Vec<TcpWorkerTransport> = workers
-        .iter()
-        .enumerate()
-        .map(|(k, w)| {
-            let dim = w.model_params().len() as u64;
-            let mut t_opts = TcpOpts::new(addr, k as u16, dim, theta0_crc(w.model_params()));
-            // Lockstep replies arrive immediately; a long timeout keeps
-            // idle-probe heartbeats out of the byte counters so runs are
-            // deterministic across backends.
-            t_opts.read_timeout = Duration::from_secs(5);
-            TcpWorkerTransport::new(t_opts)
-        })
-        .collect();
-    for (i, &k) in schedule.order().iter().enumerate() {
+/// Where [`train`] puts the server side of a run, and how workers reach it.
+#[derive(Debug, Clone)]
+pub enum Topology {
+    /// In-process: every message encoded to bytes and decoded back, over
+    /// the single-lock server — `train_scheduled` seen through the wire.
+    Loopback,
+    /// Real TCP against one in-process server thread on `io`'s backend:
+    /// the single-lock server for `shards == 1`, the lock-striped one
+    /// (`shards` stripes) otherwise.
+    Tcp {
+        /// Lock stripes of the server.
+        shards: usize,
+        /// Server I/O backend.
+        io: IoConfig,
+    },
+    /// A span-server cluster: one in-process server thread per
+    /// [`Partition::shard_spans`] span, workers fanning uplinks out per
+    /// span over a [`ClusterTransport`]. With `edge`, every worker instead
+    /// talks the plain single-server protocol to its own [`EdgeHandler`]
+    /// (singleton group), which forwards the payload verbatim upstream —
+    /// every uplink crosses two tiers with exact per-tier byte accounting
+    /// ([`TransportRun::edge_stats`]).
+    Cluster {
+        /// Upper bound on the number of span servers.
+        max_spans: usize,
+        /// Span servers' I/O backend. Member-facing edge listeners always
+        /// run thread-per-connection: edge members block on the group
+        /// round barrier (see [`crate::edge`]).
+        io: IoConfig,
+        /// Put an edge aggregator between each worker and the spans.
+        edge: bool,
+    },
+}
+
+impl Topology {
+    /// A fault this topology has no way to inject would silently not
+    /// fire; refuse the run instead.
+    fn check_faults(&self, faults: &[Fault]) -> NetResult<()> {
         for fault in faults {
-            match *fault {
-                Fault::Reconnect { step, worker } if step == i && worker == k => {
-                    transports[k].force_reconnect();
-                }
-                Fault::Resync { step, worker } if step == i && worker == k => {
-                    let model = transports[k].resync()?;
-                    workers[k].apply_reply(model);
-                }
-                _ => {}
+            let span_fault = matches!(fault, Fault::KillSpan { .. } | Fault::ResyncSpan { .. });
+            let injectable = match self {
+                Topology::Loopback => matches!(fault, Fault::Resync { .. }),
+                Topology::Tcp { .. } => !span_fault,
+                Topology::Cluster { edge, .. } => !edge,
+            };
+            if !injectable {
+                return Err(NetError::Protocol(format!(
+                    "{fault:?} cannot be injected into {self:?}"
+                )));
             }
         }
-        let up = workers[k].local_step();
-        let reply = transports[k].exchange(&up)?;
-        workers[k].apply_reply(reply);
+        Ok(())
     }
-    for t in &mut transports {
-        t.shutdown()?;
-    }
-    Ok((workers, transports.iter().map(|t| t.stats()).collect()))
 }
 
-/// Serves a training run over TCP until all `workers` have gracefully
-/// shut down (or `deadline` expires). Returns the finalised logic (for
-/// result reporting) and the server-side byte counters.
-pub fn serve_training(
-    listener: TcpListener,
-    logic: AsyncServerLogic,
-    workers: usize,
-    deadline: Option<Duration>,
-) -> NetResult<(AsyncServerLogic, WireStats)> {
-    serve_training_io(listener, logic, workers, deadline, &IoConfig::default())
+/// What ends a run whose server side keeps its own record: the final
+/// model, the run record, the server-side counters.
+type Finish = Box<dyn FnOnce(f64) -> NetResult<(Vec<f32>, RunResult, WireStats)>>;
+
+fn join<T>(handle: JoinHandle<NetResult<T>>, what: &str) -> NetResult<T> {
+    handle.join().map_err(|_| NetError::Protocol(format!("{what} thread panicked")))?
 }
 
-/// [`serve_training`] with an explicit I/O backend selection.
-pub fn serve_training_io(
-    listener: TcpListener,
-    logic: AsyncServerLogic,
+fn bind_local() -> NetResult<(TcpListener, String)> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?.to_string();
+    Ok((listener, addr))
+}
+
+/// Starts `logic` on an in-process server thread; returns its address and
+/// what to call once every worker has shut down.
+fn spawn_server<L: ServeLogic>(
+    logic: L,
     workers: usize,
-    deadline: Option<Duration>,
     io: &IoConfig,
-) -> NetResult<(AsyncServerLogic, WireStats)> {
-    let dim = logic.server().dim() as u64;
-    let crc = theta0_crc(logic.server().theta0());
-    let handler = Arc::new(Mutex::new(LogicHandler::new(logic, workers)));
-    let mut opts = ServerOpts::new(workers, dim, crc);
-    opts.deadline = deadline;
-    let stats = serve_with_io(listener, Arc::clone(&handler), opts, io)?;
-    let handler = Arc::try_unwrap(handler)
-        .map_err(|_| NetError::Protocol("server threads still hold the handler".into()))?
-        .into_inner()
-        .map_err(|_| NetError::Protocol("server handler mutex poisoned".into()))?;
-    Ok((handler.into_logic(), stats))
+) -> NetResult<(String, Finish)> {
+    let (listener, addr) = bind_local()?;
+    let io = io.clone();
+    let server = std::thread::spawn(move || {
+        serve_training_io(listener, logic, workers, Some(SERVE_SAFETY_DEADLINE), &io)
+    });
+    let finish = move |wall_secs| {
+        let (logic, stats) = join(server, "server")?;
+        let (model, result) = logic.finish(wall_secs);
+        Ok((model, result, stats))
+    };
+    Ok((addr, Box::new(finish)))
 }
 
-/// [`serve_training`] over the lock-striped server: same accept loop and
-/// protocol, but updates from different workers are applied concurrently
-/// through [`ShardedLogicHandler`] instead of taking turns on one mutex.
-/// Byte-for-byte the wire traffic is what the single-lock server would
-/// produce for the same update schedule.
-pub fn serve_training_sharded(
-    listener: TcpListener,
-    logic: ShardedServerLogic,
-    workers: usize,
-    deadline: Option<Duration>,
-) -> NetResult<(ShardedServerLogic, WireStats)> {
-    serve_training_sharded_io(listener, logic, workers, deadline, &IoConfig::default())
+fn lockstep_tcp(mut opts: TcpOpts) -> TcpWorkerTransport {
+    opts.read_timeout = LOCKSTEP_READ_TIMEOUT;
+    TcpWorkerTransport::new(opts)
 }
 
-/// [`serve_training_sharded`] with an explicit I/O backend selection.
-pub fn serve_training_sharded_io(
-    listener: TcpListener,
-    logic: ShardedServerLogic,
-    workers: usize,
-    deadline: Option<Duration>,
-    io: &IoConfig,
-) -> NetResult<(ShardedServerLogic, WireStats)> {
-    let dim = logic.server().dim() as u64;
-    let crc = theta0_crc(&logic.server().theta0());
-    let handler = Arc::new(ShardedLogicHandler::new(logic, workers));
-    let mut opts = ServerOpts::new(workers, dim, crc);
-    opts.deadline = deadline;
-    let stats = serve_with_io(listener, Arc::clone(&handler), opts, io)?;
-    let handler = Arc::try_unwrap(handler)
-        .map_err(|_| NetError::Protocol("server threads still hold the handler".into()))?;
-    Ok((handler.into_logic(), stats))
-}
-
-/// Runs one worker's training loop against a remote server: `iters`
-/// local steps, each exchanged over TCP, then a graceful shutdown.
-/// `hello` for the handshake is fingerprinted from the worker's initial
-/// parameters, so call this before any local training has happened.
-pub fn run_worker(
-    addr: &str,
-    worker_id: u16,
-    mut worker: TrainWorker,
-    iters: usize,
-) -> NetResult<(TrainWorker, WireStats)> {
-    let dim = worker.model_params().len() as u64;
-    let crc = theta0_crc(worker.model_params());
-    let mut transport = TcpWorkerTransport::new(TcpOpts::new(addr, worker_id, dim, crc));
-    for _ in 0..iters {
-        let up = worker.local_step();
-        let reply = transport.exchange(&up)?;
-        worker.apply_reply(reply);
-    }
-    transport.shutdown()?;
-    Ok((worker, transport.stats()))
-}
-
-/// Convenience: the [`Hello`] a server with this model would send.
-pub fn hello_for(params: &[f32], applied: u64) -> Hello {
-    Hello { dim: params.len() as u64, applied, theta0_crc: theta0_crc(params) }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-process span-server cluster (and the two-level edge tier on top).
-// ---------------------------------------------------------------------------
-
-/// One span server's training-side state: a plain [`MdtServer`] over the
-/// span's sub-partition, plus the per-worker applied counters the
-/// reconnect handshake needs. Wrap in `Arc<Mutex<_>>` and hand to
-/// [`serve_cluster`] / [`serve_cluster_evented`] (the blanket
-/// [`SharedUpdateHandler`] impl over `Mutex<H: UpdateHandler>` holds one
-/// lock across the sequence-check + apply, so a retransmit can never
-/// double-apply).
-///
-/// Bitwise equivalence with the in-process sharded server: a span's
-/// `MdtServer` is constructed exactly like one `ShardedMdtServer` shard
-/// (same θ0 slice, same sub-partition, same downlink), every update
-/// visits every span — possibly with empty chunks — so under lockstep
-/// replay each span's own clock equals the global clock, and the damping
-/// scale it derives matches the one the sharded front computes.
-pub struct SpanLogic {
-    server: MdtServer,
-    applied: Vec<u64>,
-}
-
-impl SpanLogic {
-    /// Wraps a span server for `workers` workers.
-    pub fn new(server: MdtServer, workers: usize) -> Self {
-        SpanLogic { server, applied: vec![0; workers] }
-    }
-
-    /// The wrapped span server (read access).
-    pub fn server(&self) -> &MdtServer {
-        &self.server
-    }
-
-    /// Per-worker applied counts (indexed by worker id).
-    pub fn applied_counts(&self) -> &[u64] {
-        &self.applied
-    }
-}
-
-impl UpdateHandler for SpanLogic {
-    fn handle_update(
-        &mut self,
-        worker: u16,
-        up: dgs_core::protocol::UpMsg,
-    ) -> dgs_core::protocol::DownMsg {
-        self.applied[usize::from(worker)] += 1;
-        self.server.handle_update(usize::from(worker), &up)
-    }
-
-    fn handle_resync(&mut self, worker: u16) -> dgs_core::protocol::DownMsg {
-        self.server.resync_worker(usize::from(worker))
-    }
-
-    fn applied(&self, worker: u16) -> u64 {
-        self.applied[usize::from(worker)]
-    }
-}
-
-/// Builds the cluster partition map for `theta0` striped over at most
-/// `max_spans` span servers: the spans come from
-/// [`Partition::shard_spans`] (the same greedy whole-segment fill the
-/// in-process sharded server uses), each fingerprinted with the CRC-32
-/// of its slice of θ0 so a span server and its clients agree on both the
-/// geometry and the initial model at handshake time.
-pub fn cluster_layout(theta0: &[f32], partition: &Partition, max_spans: usize) -> ClusterLayout {
-    let spans = partition.shard_spans(max_spans);
-    let crcs: Vec<u32> = spans.iter().map(|s| theta0_crc(&theta0[s.range()])).collect();
-    ClusterLayout::from_spans(theta0.len() as u64, &spans, &crcs)
-}
-
-/// Builds one span's [`SpanLogic`] from the full initial model and the
-/// training config. The log-capacity share is proportional by span
-/// length; log budget is payload-invariant (it only moves work between
-/// the merge and dense-scan paths), so exact apportionment is not needed
-/// for bitwise equivalence.
-pub fn build_span_logic(
-    cfg: &TrainConfig,
-    theta0: &[f32],
-    partition: &Partition,
-    span: &ShardSpan,
-    downlink: Downlink,
-) -> SpanLogic {
-    let sub = partition.subpartition(span);
-    let mut server = MdtServer::new(theta0[span.range()].to_vec(), sub, cfg.workers, downlink);
-    if cfg.staleness_damping > 0.0 {
-        server.set_damping(StalenessDamping { alpha: cfg.staleness_damping });
-    }
-    if cfg.server_log_nnz > 0 {
-        server.set_log_capacity(((cfg.server_log_nnz * span.len) / theta0.len().max(1)).max(1));
-    }
-    if cfg.server_dense_scan {
-        server.set_diff_strategy(DiffStrategy::DenseScan);
-    }
-    SpanLogic::new(server, cfg.workers)
-}
-
-/// The in-process span tier: per-span addresses, shared handlers (the
-/// driver reads models/counters through them), and the serve threads.
-struct SpanTier {
-    addrs: Vec<String>,
-    handlers: Vec<Arc<Mutex<SpanLogic>>>,
-    joins: Vec<std::thread::JoinHandle<NetResult<WireStats>>>,
-}
-
-/// Binds and serves one span server per layout entry on `io`'s backend.
-/// `expected_workers` is the id bound for the tier's direct clients —
-/// the workers for a plain cluster, the edge aggregators for a two-level
-/// topology.
-fn spawn_span_tier(
-    cfg: &TrainConfig,
-    theta0: &[f32],
-    partition: &Partition,
+fn lockstep_spans(
     layout: &ClusterLayout,
-    downlink: Downlink,
-    io: &IoConfig,
-    expected_workers: usize,
-) -> NetResult<SpanTier> {
-    let hash = layout.layout_hash();
-    let bytes = layout.encode();
-    let mut addrs = Vec::with_capacity(layout.num_spans());
-    let mut handlers = Vec::with_capacity(layout.num_spans());
-    let mut joins = Vec::with_capacity(layout.num_spans());
-    for (k, info) in layout.spans.iter().enumerate() {
-        let span = layout.shard_span(k);
-        let handler =
-            Arc::new(Mutex::new(build_span_logic(cfg, theta0, partition, &span, downlink)));
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        addrs.push(listener.local_addr()?.to_string());
-        let mut opts = ServerOpts::new(expected_workers, info.len, info.theta0_crc);
-        opts.deadline = Some(SERVE_SAFETY_DEADLINE);
-        opts.span = Some(SpanOpts {
-            index: k as u32,
-            num_spans: layout.num_spans() as u32,
-            layout_hash: hash,
-            layout_bytes: bytes.clone(),
-        });
-        let h = Arc::clone(&handler);
-        let io_cfg = io.clone();
-        joins.push(std::thread::spawn(move || serve_with_io(listener, h, opts, &io_cfg)));
-        handlers.push(handler);
-    }
-    Ok(SpanTier { addrs, handlers, joins })
-}
-
-/// Concatenation of the spans' current models in shard order — the
-/// cluster's global `θ_t`, read at lockstep-quiescent points (evals and
-/// run finalisation), exactly like `ShardedMdtServer::current_model`.
-fn span_models(handlers: &[Arc<Mutex<SpanLogic>>]) -> NetResult<Vec<f32>> {
-    let mut out = Vec::new();
-    for h in handlers {
-        let guard =
-            h.lock().map_err(|_| NetError::Protocol("span handler poisoned".to_string()))?;
-        out.extend(guard.server.current_model());
-    }
-    Ok(out)
-}
-
-/// Σ over spans of the per-worker tracking bytes (`v_k` slices) — sums
-/// to exactly the single-process server's `tracking_bytes`.
-fn span_tracking_bytes(handlers: &[Arc<Mutex<SpanLogic>>]) -> NetResult<usize> {
-    let mut total = 0usize;
-    for h in handlers {
-        let guard =
-            h.lock().map_err(|_| NetError::Protocol("span handler poisoned".to_string()))?;
-        total += guard.server.memory_report().tracking_bytes;
-    }
-    Ok(total)
-}
-
-/// Simulates a span-server crash/restart: checkpoint the span's MDT
-/// state, rebuild a fresh server from it (update log empty, dirty sets
-/// recomputed from `M − v_k` — replies stay bitwise identical, see
-/// [`MdtServer::restore`]), and swap it in under the handler lock.
-/// Applied counters survive (they are derived state the real process
-/// would persist with the checkpoint). Dropping the workers' connections
-/// is the caller's job.
-fn restart_span(
-    handler: &Arc<Mutex<SpanLogic>>,
-    cfg: &TrainConfig,
-    dim: usize,
-    partition: &Partition,
-    span: &ShardSpan,
-    downlink: Downlink,
-) -> NetResult<()> {
-    let sub = partition.subpartition(span);
-    let mut guard =
-        handler.lock().map_err(|_| NetError::Protocol("span handler poisoned".to_string()))?;
-    let ckpt = guard.server.checkpoint();
-    let mut restored = MdtServer::restore(ckpt, sub, downlink);
-    // `restore` resets the tunables to defaults — re-apply the same
-    // settings `build_span_logic` chose (payload-invariant, but the
-    // restarted process must match the crashed one's configuration).
-    if cfg.staleness_damping > 0.0 {
-        restored.set_damping(StalenessDamping { alpha: cfg.staleness_damping });
-    }
-    if cfg.server_log_nnz > 0 {
-        restored.set_log_capacity(((cfg.server_log_nnz * span.len) / dim.max(1)).max(1));
-    }
-    if cfg.server_dense_scan {
-        restored.set_diff_strategy(DiffStrategy::DenseScan);
-    }
-    guard.server = restored;
-    Ok(())
-}
-
-/// Driver-side telemetry for cluster runs: the global clock, staleness,
-/// loss/byte counters and the eval cadence that `AsyncServerLogic` /
-/// `ShardedServerLogic` keep server-side. No single span owns the full
-/// model, so the lockstep driver — which sees every assembled update and
-/// reply — owns the run record instead, with identical accounting rules
-/// (the bitwise curve equality in `tests/cluster_equivalence.rs` rests
-/// on this).
-struct DriverTelemetry {
-    eval_net: Network,
-    val: Arc<dyn Dataset>,
-    eval_batch: usize,
-    eval_every: u64,
-    total_updates: u64,
-    updates_per_epoch: u64,
-    curve: Vec<CurvePoint>,
-    loss_sum: f64,
-    loss_n: u64,
-    bytes_up: u64,
-    bytes_down: u64,
-    t: u64,
-    prev: Vec<u64>,
-    stale_sum: u64,
-    stale_max: u64,
-    stale_n: u64,
-}
-
-impl DriverTelemetry {
-    fn new(cfg: &TrainConfig, eval_net: Network, val: Arc<dyn Dataset>, total_updates: u64) -> Self {
-        DriverTelemetry {
-            eval_net,
-            val,
-            eval_batch: cfg.eval_batch,
-            eval_every: (total_updates / cfg.evals.max(1) as u64).max(1),
-            total_updates,
-            updates_per_epoch: (total_updates / cfg.epochs.max(1) as u64).max(1),
-            curve: Vec::new(),
-            loss_sum: 0.0,
-            loss_n: 0,
-            bytes_up: 0,
-            bytes_down: 0,
-            t: 0,
-            prev: vec![0; cfg.workers],
-            stale_sum: 0,
-            stale_max: 0,
-            stale_n: 0,
-        }
-    }
-
-    /// Stamps one applied update on the global clock and accounts its
-    /// bytes/loss; returns `true` when an eval is due at this tick.
-    fn record(&mut self, worker: usize, up_bytes: u64, down_bytes: u64, train_loss: f64) -> bool {
-        let staleness = self.t - self.prev[worker];
-        self.stale_sum += staleness;
-        self.stale_max = self.stale_max.max(staleness);
-        self.stale_n += 1;
-        self.t += 1;
-        self.prev[worker] = self.t;
-        self.bytes_up += up_bytes;
-        self.bytes_down += down_bytes;
-        self.loss_sum += train_loss;
-        self.loss_n += 1;
-        self.t.is_multiple_of(self.eval_every) || self.t == self.total_updates
-    }
-
-    /// Evaluates `model` and appends the curve point for the current tick.
-    fn eval(&mut self, model: &[f32]) {
-        self.eval_net.params_mut().load_data(model);
-        let res = evaluate(&mut self.eval_net, self.val.as_ref(), self.eval_batch);
-        self.curve.push(CurvePoint {
-            epoch: (self.t / self.updates_per_epoch) as usize,
-            updates: self.t,
-            train_loss: if self.loss_n > 0 { self.loss_sum / self.loss_n as f64 } else { 0.0 },
-            val_loss: res.loss,
-            val_acc: res.top1,
-            virtual_time: 0.0,
-            bytes_up: self.bytes_up,
-            bytes_down: self.bytes_down,
-        });
-        self.loss_sum = 0.0;
-        self.loss_n = 0;
-    }
-
-    fn into_result(
-        self,
-        cfg: TrainConfig,
-        wall_secs: f64,
-        server_tracking_bytes: usize,
-        worker_aux_bytes: usize,
-    ) -> RunResult {
-        let last = self.curve.last().copied();
-        RunResult {
-            config: cfg,
-            final_acc: last.map(|p| p.val_acc).unwrap_or(0.0),
-            final_loss: last.map(|p| p.val_loss).unwrap_or(0.0),
-            bytes_up: self.bytes_up,
-            bytes_down: self.bytes_down,
-            virtual_time: 0.0,
-            wall_secs,
-            mean_staleness: if self.stale_n > 0 {
-                self.stale_sum as f64 / self.stale_n as f64
-            } else {
-                0.0
-            },
-            max_staleness: self.stale_max,
-            server_tracking_bytes,
-            worker_aux_bytes,
-            curve: self.curve,
-        }
-    }
-}
-
-/// Builds the cluster run's worker fleet; every worker must start from
-/// the same θ0 the span tier was built from.
-fn build_cluster_workers(
-    cfg: &TrainConfig,
-    build_model: ModelBuilder<'_>,
-    train: &Arc<dyn Dataset>,
-    theta0: &[f32],
-) -> Vec<TrainWorker> {
-    (0..cfg.workers)
-        .map(|k| {
-            let net = build_model();
-            assert_eq!(net.params().data(), theta0, "builder must be deterministic");
-            TrainWorker::new(k, net, Arc::clone(train), cfg.clone(), 50.0)
-        })
-        .collect()
-}
-
-/// Joins the span serve threads, folding their counters into one
-/// server-side [`WireStats`] with a `Tier::Root` link per span.
-fn join_span_tier(joins: Vec<std::thread::JoinHandle<NetResult<WireStats>>>) -> NetResult<WireStats> {
-    let mut server_stats = WireStats::default();
-    for (k, join) in joins.into_iter().enumerate() {
-        let s = join
-            .join()
-            .map_err(|_| NetError::Protocol("span server thread panicked".to_string()))??;
-        server_stats.add_link(Tier::Root, k as u16, s.data_up, s.data_down);
-        server_stats.merge(&s);
-    }
-    Ok(server_stats)
-}
-
-/// How long an edge member may wait for the rest of its round before the
-/// group is torn down.
-pub const EDGE_ROUND_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Replays `schedule` against a **K-process span-server cluster**: one
-/// in-process server (thread) per [`Partition::shard_spans`] span, each
-/// owning its slice of the model behind the cluster handshake, with every
-/// worker fanning uplinks out per span over a [`ClusterTransport`] and
-/// reassembling downlink diffs in shard order.
-///
-/// For an empty fault list the run is **bitwise identical** to
-/// [`train_tcp_sharded`] with `shards = max_spans` (and to
-/// `train_scheduled`): same models, same curves, same staleness, same
-/// assembled byte accounting — the in-process sharding seam lifted onto
-/// the wire. `faults` adds the cluster-specific recovery scenarios
-/// ([`Fault::KillSpan`], [`Fault::ResyncSpan`]) on top of the existing
-/// per-worker ones; faulted runs remain bitwise reproducible and
-/// backend-independent.
-#[allow(clippy::too_many_arguments)]
-pub fn train_cluster(
-    cfg: &TrainConfig,
-    build_model: ModelBuilder<'_>,
-    train: Arc<dyn Dataset>,
-    val: Arc<dyn Dataset>,
-    schedule: &Schedule,
-    max_spans: usize,
-    io: &IoConfig,
-    faults: &[Fault],
-) -> NetResult<TransportRun> {
-    assert_eq!(schedule.workers(), cfg.workers, "schedule/config worker count mismatch");
-    let net0 = build_model();
-    let partition = net0.params().partition().clone();
-    let theta0 = net0.params().data().to_vec();
-    let layout = cluster_layout(&theta0, &partition, max_spans);
-    let secondary = if cfg.secondary_compression { Some(cfg.sparsity_ratio) } else { None };
-    let downlink = Downlink::for_method(cfg.method, secondary);
-    let start = Instant::now();
-    let tier = spawn_span_tier(cfg, &theta0, &partition, &layout, downlink, io, cfg.workers)?;
-    let mut workers = build_cluster_workers(cfg, build_model, &train, &theta0);
-    let mut transports = (0..cfg.workers)
-        .map(|k| {
-            ClusterTransport::with_opts(layout.clone(), &tier.addrs, k as u16, |o| {
-                o.read_timeout = Duration::from_secs(5);
-            })
-        })
-        .collect::<NetResult<Vec<_>>>()?;
-    let total_updates = (cfg.iters_per_worker(train.len()) * cfg.workers) as u64;
-    let mut tel = DriverTelemetry::new(cfg, build_model(), Arc::clone(&val), total_updates);
-
-    for (i, &k) in schedule.order().iter().enumerate() {
-        for fault in faults {
-            match *fault {
-                Fault::Reconnect { step, worker } if step == i && worker == k => {
-                    for j in 0..layout.num_spans() {
-                        transports[k].drop_span_conn(j)?;
-                    }
-                }
-                Fault::Resync { step, worker } if step == i && worker == k => {
-                    let replies = transports[k].resync()?;
-                    match assemble_replies(&replies) {
-                        Some(reply) => {
-                            tel.bytes_down += reply.wire_bytes() as u64;
-                            workers[k].apply_reply(reply);
-                        }
-                        None => {
-                            return Err(NetError::Protocol(
-                                "cluster resync replies must all be dense".to_string(),
-                            ))
-                        }
-                    }
-                }
-                Fault::KillSpan { step, span } if step == i => {
-                    restart_span(
-                        &tier.handlers[span],
-                        cfg,
-                        theta0.len(),
-                        &partition,
-                        &layout.shard_span(span),
-                        downlink,
-                    )?;
-                    for t in transports.iter_mut() {
-                        t.drop_span_conn(span)?;
-                    }
-                }
-                Fault::ResyncSpan { step, worker, span } if step == i && worker == k => {
-                    let reply = transports[k].resync_span(span)?;
-                    tel.bytes_down += reply.wire_bytes() as u64;
-                    workers[k].apply_span_reply(&layout.shard_span(span), reply);
-                }
-                _ => {}
-            }
-        }
-        let up = workers[k].local_step();
-        let up_bytes = up.wire_bytes() as u64;
-        let train_loss = up.train_loss;
-        let replies = transports[k].exchange(&up)?;
-        // Clean rounds assemble into exactly the single-process reply (and
-        // its byte count); mixed per-span replies — possible only right
-        // after a span-level fault — are applied spanwise and accounted as
-        // the sum of their parts.
-        let down_bytes = match assemble_replies(&replies) {
-            Some(reply) => {
-                let b = reply.wire_bytes() as u64;
-                workers[k].apply_reply(reply);
-                b
-            }
-            None => {
-                let mut b = 0u64;
-                for (j, r) in replies.into_iter().enumerate() {
-                    b += r.wire_bytes() as u64;
-                    workers[k].apply_span_reply(&layout.shard_span(j), r);
-                }
-                b
-            }
-        };
-        if tel.record(k, up_bytes, down_bytes, train_loss) {
-            let model = span_models(&tier.handlers)?;
-            tel.eval(&model);
-        }
-    }
-
-    for t in &mut transports {
-        t.shutdown()?;
-    }
-    let worker_stats: Vec<WireStats> = transports.iter().map(|t| t.stats()).collect();
-    let server_stats = join_span_tier(tier.joins)?;
-    let server_model = span_models(&tier.handlers)?;
-    let tracking = span_tracking_bytes(&tier.handlers)?;
-    let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
-    let worker_models = workers.iter().map(|w| w.model_params().to_vec()).collect();
-    let result = tel.into_result(cfg.clone(), start.elapsed().as_secs_f64(), tracking, worker_aux);
-    Ok(TransportRun {
-        result,
-        server_model,
-        worker_models,
-        worker_stats,
-        server_stats,
-        edge_stats: Vec::new(),
+    addrs: &[String],
+    id: usize,
+) -> NetResult<ClusterTransport> {
+    ClusterTransport::with_opts(layout.clone(), addrs, id as u16, |o| {
+        o.read_timeout = LOCKSTEP_READ_TIMEOUT;
     })
 }
 
-/// [`train_cluster`] with a two-level **edge aggregation tier**: every
-/// worker talks the plain single-server protocol to its own
-/// [`EdgeHandler`] (singleton group, `G = 1`), which forwards the payload
-/// verbatim upstream over a per-edge [`ClusterTransport`] and fans the
-/// assembled reply back — so the run replays the plain cluster schedule
-/// (and therefore the single-process sharded schedule) **bitwise**, while
-/// every uplink crosses two tiers with exact per-tier byte accounting
-/// ([`TransportRun::edge_stats`]).
+type SpanHandler = Arc<Mutex<LogicHandler<MdtServer>>>;
+
+/// The in-process span tier (and optional edge tier) of a cluster run, plus
+/// the run record: no single span owns the full model, so the lockstep
+/// driver — which sees every assembled update and reply — keeps the
+/// recorder and the global clock, with the accounting rules the server
+/// logics apply (the bitwise curve equality in
+/// `tests/cluster_equivalence.rs` rests on this).
+struct ClusterSide {
+    cfg: TrainConfig,
+    partition: Partition,
+    layout: ClusterLayout,
+    handlers: Vec<SpanHandler>,
+    spans: Vec<JoinHandle<NetResult<WireStats>>>,
+    edges: Vec<(Arc<EdgeHandler>, JoinHandle<NetResult<WireStats>>)>,
+    recorder: RunRecorder,
+    t: u64,
+    prev: Vec<u64>,
+    staleness: StalenessStats,
+}
+
+fn lock_span(h: &SpanHandler) -> NetResult<std::sync::MutexGuard<'_, LogicHandler<MdtServer>>> {
+    h.lock().map_err(|_| NetError::Protocol("span handler poisoned".to_string()))
+}
+
+impl ClusterSide {
+    /// Binds and serves one span server per layout entry on `io`'s
+    /// backend, then (with `edge`) one singleton-group edge aggregator per
+    /// worker. Returns the side and the address(es) each worker connects to.
+    fn start(
+        cfg: &TrainConfig,
+        recorder: RunRecorder,
+        max_spans: usize,
+        io: &IoConfig,
+        edge: bool,
+    ) -> NetResult<(Self, Vec<String>)> {
+        let params = recorder.eval_net().params();
+        let (theta0, partition) = (params.data().to_vec(), params.partition().clone());
+        let layout = cluster_layout(&theta0, &partition, max_spans);
+        let mut addrs = Vec::new();
+        let mut handlers = Vec::new();
+        let mut spans = Vec::new();
+        for k in 0..layout.num_spans() {
+            // The tier's direct clients are the workers, or — one logical
+            // worker per singleton group — the edges: `cfg.workers` both ways.
+            let (handler, mut opts) =
+                span_server(cfg, &theta0, &partition, &layout, k, cfg.workers);
+            opts.deadline = Some(SERVE_SAFETY_DEADLINE);
+            let handler = Arc::new(handler);
+            let (listener, addr) = bind_local()?;
+            let (h, io) = (Arc::clone(&handler), io.clone());
+            spans.push(std::thread::spawn(move || serve_with_io(listener, h, opts, &io)));
+            addrs.push(addr);
+            handlers.push(handler);
+        }
+        let mut edges = Vec::new();
+        if edge {
+            let (dim, crc) = (theta0.len() as u64, theta0_crc(&theta0));
+            let mut edge_addrs = Vec::new();
+            for w in 0..cfg.workers {
+                let upstream = lockstep_spans(&layout, &addrs, w)?;
+                let handler = EdgeHandler::new(
+                    upstream,
+                    partition.clone(),
+                    theta0.clone(),
+                    w as u16,
+                    1,
+                    EDGE_ROUND_TIMEOUT,
+                )?;
+                let (listener, addr) = bind_local()?;
+                let mut opts = ServerOpts::new(w + 1, dim, crc);
+                opts.deadline = Some(SERVE_SAFETY_DEADLINE);
+                opts.done_target = 1;
+                let h = Arc::clone(&handler);
+                edges.push((handler, std::thread::spawn(move || serve_cluster(listener, h, opts))));
+                edge_addrs.push(addr);
+            }
+            addrs = edge_addrs;
+        }
+        let side = ClusterSide {
+            cfg: cfg.clone(),
+            partition,
+            layout,
+            handlers,
+            spans,
+            edges,
+            recorder,
+            t: 0,
+            prev: vec![0; cfg.workers],
+            staleness: StalenessStats::new(),
+        };
+        Ok((side, addrs))
+    }
+
+    /// Concatenation of the spans' current models in span order — the
+    /// cluster's global `θ_t`, read at lockstep-quiescent points (evals and
+    /// run finalisation), exactly like `ShardedMdtServer::current_model`.
+    fn model(&self) -> NetResult<Vec<f32>> {
+        let mut out = Vec::with_capacity(self.layout.dim as usize);
+        for h in &self.handlers {
+            out.extend(lock_span(h)?.logic().current_model());
+        }
+        Ok(out)
+    }
+
+    /// Stamps one applied update on the global clock and accounts it,
+    /// evaluating when the cadence says so.
+    fn account(&mut self, worker: usize, up: &UpMsg, down_bytes: u64) -> NetResult<()> {
+        self.staleness.record(self.t - self.prev[worker]);
+        self.t += 1;
+        self.prev[worker] = self.t;
+        if self.recorder.record(self.t, up.wire_bytes() as u64, down_bytes, up.train_loss) {
+            let model = self.model()?;
+            self.recorder.eval(self.t, 0.0, &model);
+        }
+        Ok(())
+    }
+
+    /// Simulates a span-server crash/restart: checkpoint the span's MDT
+    /// state, rebuild a fresh server from it (update log empty, dirty sets
+    /// recomputed from `M − v_k` — replies stay bitwise identical, see
+    /// [`MdtServer::restore`]) with the tunables the crashed one had, and
+    /// swap it in under the handler lock. Applied counters survive (they
+    /// are derived state the real process would persist with the
+    /// checkpoint). Dropping the workers' connections is the caller's job.
+    fn restart_span(&self, k: usize) -> NetResult<()> {
+        let mut handler = lock_span(&self.handlers[k])?;
+        let ckpt = handler.logic.checkpoint();
+        handler.logic = ServerTunables::from_config(&self.cfg).restore(
+            ckpt,
+            &self.partition,
+            &layout_spans(&self.layout),
+            k,
+        );
+        Ok(())
+    }
+
+    /// Joins every tier and finalises the run record. The server-side
+    /// counters carry one `Tier::Root` link per span; each edge's carry its
+    /// member side as a `Tier::Edge` link plus its upstream links.
+    fn finish(
+        mut self,
+        wall_secs: f64,
+    ) -> NetResult<(Vec<f32>, RunResult, WireStats, Vec<WireStats>)> {
+        let mut edge_stats = Vec::with_capacity(self.edges.len());
+        for (w, (edge, serve)) in std::mem::take(&mut self.edges).into_iter().enumerate() {
+            let member_side = join(serve, "edge aggregator")?;
+            let mut s = WireStats::default();
+            s.add_link(Tier::Edge, w as u16, member_side.data_up, member_side.data_down);
+            s.merge(&member_side);
+            s.merge(&edge.finish().map_err(|e| NetError::Protocol(e.to_string()))?);
+            edge_stats.push(s);
+        }
+        let mut server_stats = WireStats::default();
+        for (k, serve) in std::mem::take(&mut self.spans).into_iter().enumerate() {
+            let s = join(serve, "span server")?;
+            server_stats.add_link(Tier::Root, k as u16, s.data_up, s.data_down);
+            server_stats.merge(&s);
+        }
+        let model = self.model()?;
+        let mut tracking = 0;
+        for h in &self.handlers {
+            tracking += lock_span(h)?.logic().memory_report().tracking_bytes;
+        }
+        let result = self.recorder.finish(wall_secs, &self.staleness, tracking);
+        Ok((model, result, server_stats, edge_stats))
+    }
+}
+
+/// The server side of a lockstep run.
+enum ServerSide {
+    /// One server logic that keeps the run record itself.
+    Logic(Finish),
+    /// A span tier; the driver keeps the record.
+    Cluster(Box<ClusterSide>),
+}
+
+impl Topology {
+    /// Starts the server side and connects one [`Link`] per worker.
+    fn start(
+        &self,
+        cfg: &TrainConfig,
+        build_model: ModelBuilder<'_>,
+        train_len: usize,
+        val: &Arc<dyn Dataset>,
+        workers: &[TrainWorker],
+    ) -> NetResult<(ServerSide, Vec<Link>)> {
+        let tcp =
+            |k: usize, addr: &str| Link::Tcp(lockstep_tcp(Link::tcp_opts(addr, k, &workers[k])));
+        match self {
+            Topology::Loopback => {
+                let logic = build_server(cfg, build_model, train_len, val);
+                let handler = Arc::new(Mutex::new(LogicHandler::new(logic, cfg.workers)));
+                let link = |k| Link::Loopback(Loopback::new(k as u16, Arc::clone(&handler)));
+                let links = (0..cfg.workers).map(link).collect();
+                let finish = move |wall_secs| {
+                    let (model, result) = reclaim::<AsyncServerLogic>(handler)?.finish(wall_secs);
+                    Ok((model, result, WireStats::default()))
+                };
+                Ok((ServerSide::Logic(Box::new(finish)), links))
+            }
+            Topology::Tcp { shards, io } => {
+                let (addr, finish) = if *shards > 1 {
+                    let logic = build_sharded_server(cfg, build_model, train_len, val, *shards);
+                    spawn_server(logic, cfg.workers, io)?
+                } else {
+                    spawn_server(build_server(cfg, build_model, train_len, val), cfg.workers, io)?
+                };
+                let links = (0..cfg.workers).map(|k| tcp(k, &addr)).collect();
+                Ok((ServerSide::Logic(finish), links))
+            }
+            Topology::Cluster { max_spans, io, edge } => {
+                let recorder = RunRecorder::new(cfg, build_model(), Arc::clone(val), train_len);
+                let (side, addrs) = ClusterSide::start(cfg, recorder, *max_spans, io, *edge)?;
+                let links = if *edge {
+                    addrs.iter().enumerate().map(|(k, addr)| tcp(k, addr)).collect()
+                } else {
+                    let spans = |k| lockstep_spans(&side.layout, &addrs, k).map(Link::Spans);
+                    (0..cfg.workers).map(spans).collect::<NetResult<_>>()?
+                };
+                Ok((ServerSide::Cluster(Box::new(side)), links))
+            }
+        }
+    }
+}
+
+/// Replays `schedule` in lockstep over `topology`: a single driver thread
+/// owns every worker and its [`Link`] and runs one exchange at a time, so
+/// the server-side arrival order is exactly the schedule order. For an
+/// empty fault list every topology is therefore **bitwise identical** to
+/// `train_scheduled` — same models, same curves, same staleness, same
+/// assembled byte accounting — and two runs that differ only in the I/O
+/// backend are bitwise identical including both endpoints' byte counters,
+/// faults or not.
 ///
-/// `io` selects the root tier's backend; the member-facing edge listeners
-/// always run thread-per-connection, because edge members block on the
-/// group round barrier (see [`crate::edge`]).
-pub fn train_cluster_edge(
+/// `faults` injects deterministic mid-run recovery scenarios. A fault the
+/// topology cannot inject is an error before the first step, not a fault
+/// that silently never fires.
+pub fn train(
     cfg: &TrainConfig,
     build_model: ModelBuilder<'_>,
     train: Arc<dyn Dataset>,
     val: Arc<dyn Dataset>,
     schedule: &Schedule,
-    max_spans: usize,
-    io: &IoConfig,
+    topology: &Topology,
+    faults: &[Fault],
 ) -> NetResult<TransportRun> {
     assert_eq!(schedule.workers(), cfg.workers, "schedule/config worker count mismatch");
-    let net0 = build_model();
-    let partition = net0.params().partition().clone();
-    let theta0 = net0.params().data().to_vec();
-    let layout = cluster_layout(&theta0, &partition, max_spans);
-    let secondary = if cfg.secondary_compression { Some(cfg.sparsity_ratio) } else { None };
-    let downlink = Downlink::for_method(cfg.method, secondary);
-    let dim = theta0.len() as u64;
-    let full_crc = theta0_crc(&theta0);
+    topology.check_faults(faults)?;
     let start = Instant::now();
-    // Root tier: the edges connect as one logical worker per group, and
-    // with singleton groups the group index IS the worker id.
-    let tier = spawn_span_tier(cfg, &theta0, &partition, &layout, downlink, io, cfg.workers)?;
+    let theta0 = build_model().params().data().to_vec();
+    let mut workers = build_workers(cfg, build_model, &train, 50.0, &theta0);
+    let (mut server, mut links) = topology.start(cfg, build_model, train.len(), &val, &workers)?;
 
-    let mut edge_addrs = Vec::with_capacity(cfg.workers);
-    let mut edges: Vec<Arc<EdgeHandler>> = Vec::with_capacity(cfg.workers);
-    let mut edge_joins = Vec::with_capacity(cfg.workers);
-    for w in 0..cfg.workers {
-        let upstream = ClusterTransport::with_opts(layout.clone(), &tier.addrs, w as u16, |o| {
-            o.read_timeout = Duration::from_secs(5);
-        })?;
-        let edge = EdgeHandler::new(
-            upstream,
-            partition.clone(),
-            theta0.clone(),
-            w as u16,
-            1,
-            EDGE_ROUND_TIMEOUT,
-        )?;
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        edge_addrs.push(listener.local_addr()?.to_string());
-        let mut opts = ServerOpts::new(w + 1, dim, full_crc);
-        opts.deadline = Some(SERVE_SAFETY_DEADLINE);
-        opts.done_target = 1;
-        let h = Arc::clone(&edge);
-        edge_joins.push(std::thread::spawn(move || serve_cluster(listener, h, opts)));
-        edges.push(edge);
-    }
-
-    let mut workers = build_cluster_workers(cfg, build_model, &train, &theta0);
-    let mut transports: Vec<TcpWorkerTransport> = (0..cfg.workers)
-        .map(|w| {
-            let mut o = TcpOpts::new(edge_addrs[w].clone(), w as u16, dim, full_crc);
-            o.read_timeout = Duration::from_secs(5);
-            TcpWorkerTransport::new(o)
-        })
-        .collect();
-    let total_updates = (cfg.iters_per_worker(train.len()) * cfg.workers) as u64;
-    let mut tel = DriverTelemetry::new(cfg, build_model(), Arc::clone(&val), total_updates);
-
-    for &k in schedule.order() {
-        let up = workers[k].local_step();
-        let up_bytes = up.wire_bytes() as u64;
-        let train_loss = up.train_loss;
-        let reply = transports[k].exchange(&up)?;
-        let down_bytes = reply.wire_bytes() as u64;
-        workers[k].apply_reply(reply);
-        if tel.record(k, up_bytes, down_bytes, train_loss) {
-            let model = span_models(&tier.handlers)?;
-            tel.eval(&model);
+    for (i, &k) in schedule.order().iter().enumerate() {
+        for fault in faults {
+            // Downlink bytes of a recovery reply. Server logics charge
+            // those themselves; in a cluster the driver keeps the record.
+            let recovered = match *fault {
+                Fault::Reconnect { step, worker } if (step, worker) == (i, k) => {
+                    links[k].reconnect()?;
+                    0
+                }
+                Fault::Resync { step, worker } if (step, worker) == (i, k) => {
+                    links[k].recover(&mut workers[k])?
+                }
+                Fault::KillSpan { step, span } if step == i => {
+                    if let ServerSide::Cluster(side) = &server {
+                        side.restart_span(span)?;
+                    }
+                    for link in &mut links {
+                        if let Link::Spans(t) = link {
+                            t.drop_span_conn(span)?;
+                        }
+                    }
+                    0
+                }
+                Fault::ResyncSpan { step, worker, span } if (step, worker) == (i, k) => {
+                    let Link::Spans(t) = &mut links[k] else { continue };
+                    let reply = t.resync_span(span)?;
+                    let bytes = reply.wire_bytes() as u64;
+                    workers[k].apply_span_reply(&t.layout().shard_span(span), reply);
+                    bytes
+                }
+                _ => 0,
+            };
+            if let ServerSide::Cluster(side) = &mut server {
+                side.recorder.add_down(recovered);
+            }
+        }
+        let (up, down_bytes) = links[k].round(&mut workers[k])?;
+        if let ServerSide::Cluster(side) = &mut server {
+            side.account(k, &up, down_bytes)?;
         }
     }
 
-    for t in &mut transports {
-        t.shutdown()?;
+    let worker_stats = links.iter_mut().map(Link::finish).collect::<NetResult<_>>()?;
+    let mut loopback_stats = WireStats::default();
+    for link in links {
+        if let Link::Loopback(t) = link {
+            loopback_stats.merge(&t.server_stats());
+        }
     }
-    let worker_stats: Vec<WireStats> = transports.iter().map(|t| t.stats()).collect();
-    let mut edge_stats = Vec::with_capacity(cfg.workers);
-    for (w, join) in edge_joins.into_iter().enumerate() {
-        let member_side = join
-            .join()
-            .map_err(|_| NetError::Protocol("edge aggregator thread panicked".to_string()))??;
-        let mut s = WireStats::default();
-        s.add_link(Tier::Edge, w as u16, member_side.data_up, member_side.data_down);
-        s.merge(&member_side);
-        let upstream = edges[w].finish().map_err(|e| NetError::Protocol(e.to_string()))?;
-        s.merge(&upstream);
-        edge_stats.push(s);
-    }
-    let server_stats = join_span_tier(tier.joins)?;
-    let server_model = span_models(&tier.handlers)?;
-    let tracking = span_tracking_bytes(&tier.handlers)?;
-    let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
+    let wall_secs = start.elapsed().as_secs_f64();
+    let (server_model, result, server_stats, edge_stats) = match server {
+        ServerSide::Cluster(side) => side.finish(wall_secs)?,
+        ServerSide::Logic(finish) => {
+            let (model, result, mut stats) = finish(wall_secs)?;
+            stats.merge(&loopback_stats);
+            (model, result, stats, Vec::new())
+        }
+    };
     let worker_models = workers.iter().map(|w| w.model_params().to_vec()).collect();
-    let result = tel.into_result(cfg.clone(), start.elapsed().as_secs_f64(), tracking, worker_aux);
     Ok(TransportRun { result, server_model, worker_models, worker_stats, server_stats, edge_stats })
 }
 
@@ -1239,7 +1016,7 @@ mod tests {
 
     /// A small sharded logic + its workers, for driving the handler the
     /// way connection threads do.
-    fn sharded_fixture(workers: usize) -> (ShardedLogicHandler, Vec<TrainWorker>) {
+    fn sharded_fixture(workers: usize) -> (LogicHandler<ShardedServerLogic>, Vec<TrainWorker>) {
         let blobs = GaussianBlobs::new(128, 8, 4, 0.3, 1);
         let val: Arc<dyn Dataset> = Arc::new(blobs.validation(64));
         let train: Arc<dyn Dataset> = Arc::new(blobs);
@@ -1249,7 +1026,7 @@ mod tests {
         cfg.evals = 1;
         let build = || mlp(8, &[16], 4, 7);
         let (logic, w) = build_sharded_participants(&cfg, &build, &train, &val, 50.0, 3);
-        (ShardedLogicHandler::new(logic, workers), w)
+        (LogicHandler::new(logic, workers), w)
     }
 
     /// The per-worker critical section's sequential contract: in-order
@@ -1363,6 +1140,117 @@ mod tests {
         assert!(!handler.logic().server().poisoned());
     }
 
+    /// The exclusive handler's contract is the striped one's: same
+    /// sequence rule through the same function, and the first contained
+    /// panic latches — every later call, from any worker, is refused.
+    #[test]
+    fn exclusive_handler_sequences_and_latches_a_panic() {
+        struct Fragile {
+            applies: u64,
+        }
+        impl UpdateHandler for Fragile {
+            fn on_update(&mut self, _worker: u16, up: UpMsg) -> DownMsg {
+                assert!(up.train_loss >= 0.0, "negative loss blows the apply up");
+                self.applies += 1;
+                DownMsg::DenseModel(Arc::new(vec![self.applies as f32]))
+            }
+            fn on_resync(&mut self, worker: u16) -> DownMsg {
+                DownMsg::DenseModel(Arc::new(vec![f32::from(worker); 2]))
+            }
+        }
+        let up = |loss: f64| UpMsg {
+            payload: dgs_core::protocol::UpPayload::Dense(vec![0.0]),
+            train_loss: loss,
+        };
+        let handler = Mutex::new(LogicHandler::new(Fragile { applies: 0 }, 2));
+        assert!(matches!(handler.handle_sequenced(0, 1, up(0.0)), Ok(Sequenced::Applied(_))));
+        assert!(matches!(handler.handle_sequenced(0, 1, up(0.0)), Ok(Sequenced::Duplicate(_))));
+        assert!(matches!(
+            handler.handle_sequenced(0, 3, up(0.0)),
+            Ok(Sequenced::Gap { applied: 1 })
+        ));
+        assert_eq!((handler.applied(0), handler.applied(1)), (Ok(1), Ok(0)));
+        assert_eq!(handler.lock().unwrap().logic().applies, 1, "duplicate and gap did not apply");
+        assert_eq!(handler.handle_sequenced(9, 1, up(0.0)).unwrap_err(), UNKNOWN_WORKER);
+        assert_eq!(handler.handle_resync(9).unwrap_err(), UNKNOWN_WORKER);
+        assert_eq!(handler.applied(9).unwrap_err(), UNKNOWN_WORKER);
+        // Worker 1's apply panics: contained, never published, latched.
+        assert_eq!(handler.handle_sequenced(1, 1, up(-1.0)).unwrap_err(), POISONED_REASON);
+        assert_eq!(handler.handle_sequenced(0, 2, up(0.0)).unwrap_err(), POISONED_REASON);
+        assert_eq!(handler.handle_resync(0).unwrap_err(), POISONED_REASON);
+        assert_eq!(handler.applied(1).unwrap_err(), POISONED_REASON);
+        assert_eq!(handler.lock().unwrap().logic().applies, 1, "nothing applied after the latch");
+    }
+
+    /// A 3-span cluster fixture: config with every server tunable set, the
+    /// model, and its layout.
+    fn span_fixture() -> (TrainConfig, Vec<f32>, Partition, ClusterLayout) {
+        let mut cfg = TrainConfig::paper_default(Method::Dgs, 2, 2);
+        cfg.secondary_compression = true;
+        cfg.staleness_damping = 0.5;
+        cfg.server_log_nnz = 101; // does not divide over the spans
+        cfg.server_dense_scan = true;
+        let net = mlp(8, &[16], 4, 7);
+        let (theta0, partition) = (net.params().data().to_vec(), net.params().partition().clone());
+        let layout = cluster_layout(&theta0, &partition, 3);
+        assert_eq!(layout.num_spans(), 3);
+        (cfg, theta0, partition, layout)
+    }
+
+    /// Span servers and in-process shards split `server_log_nnz` by the
+    /// same apportionment: both sum to exactly the configured budget.
+    #[test]
+    fn span_log_budgets_sum_to_the_configured_total_like_the_sharded_server() {
+        let (cfg, theta0, partition, layout) = span_fixture();
+        let tunables = ServerTunables::from_config(&cfg);
+        let mut span_total = 0;
+        let mut floor_total = 0;
+        for k in 0..layout.num_spans() {
+            let (handler, _) = span_server(&cfg, &theta0, &partition, &layout, k, cfg.workers);
+            let got = handler.lock().unwrap().logic().tunables();
+            assert_eq!(
+                (got.downlink, got.damping, got.strategy),
+                (tunables.downlink, tunables.damping, tunables.strategy)
+            );
+            span_total += got.log_capacity;
+            floor_total += cfg.server_log_nnz * layout.spans[k].len as usize / theta0.len();
+        }
+        assert!(floor_total < cfg.server_log_nnz, "fixture must make per-span flooring lose slots");
+        assert_eq!(span_total, cfg.server_log_nnz);
+        let mut sharded =
+            dgs_core::ShardedMdtServer::new(theta0, partition, cfg.workers, tunables.downlink, 3);
+        sharded.configure(&tunables);
+        assert_eq!(sharded.log_capacity(), cfg.server_log_nnz);
+    }
+
+    /// A crash-restarted span runs with exactly the tunables it had
+    /// (`MdtServer::restore` alone resets them) and keeps its state.
+    #[test]
+    fn restarted_span_reports_the_tunables_it_had_before_the_crash() {
+        let (mut cfg, _, _, _) = span_fixture();
+        cfg.workers = 1;
+        let blobs = GaussianBlobs::new(64, 8, 4, 0.3, 1);
+        let val: Arc<dyn Dataset> = Arc::new(blobs.validation(32));
+        let recorder = RunRecorder::new(&cfg, mlp(8, &[16], 4, 7), val, blobs.len());
+        let (side, addrs) =
+            ClusterSide::start(&cfg, recorder, 3, &IoConfig::default(), false).unwrap();
+        let mut link = lockstep_spans(&side.layout, &addrs, 0).unwrap();
+        let train: Arc<dyn Dataset> = Arc::new(blobs);
+        let mut worker = TrainWorker::new(0, mlp(8, &[16], 4, 7), train, cfg.clone(), 50.0);
+        link.exchange(&worker.local_step()).unwrap();
+        let probe = |k: usize| {
+            let span = lock_span(&side.handlers[k]).unwrap();
+            (span.logic().tunables(), span.logic().timestamp(), span.logic().current_model())
+        };
+        let before = probe(1);
+        assert_eq!(before.0.strategy, dgs_core::server::DiffStrategy::DenseScan);
+        assert!(before.0.damping.alpha > 0.0 && before.0.log_capacity > 0);
+        side.restart_span(1).unwrap();
+        assert_eq!(probe(1), before, "restart changed the span's tunables or state");
+        link.shutdown().unwrap();
+        side.finish(0.0).unwrap();
+    }
+
     #[test]
     fn theta0_crc_matches_oneshot_and_detects_drift() {
         let params = [0.5f32, -1.25, 3.0, f32::MIN_POSITIVE, 0.0];
@@ -1381,14 +1269,5 @@ mod tests {
             big_bytes.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(theta0_crc(&big), crc32(&big_bytes));
-    }
-
-    #[test]
-    fn hello_for_fingerprints_model() {
-        let params = vec![1.0f32; 10];
-        let h = hello_for(&params, 3);
-        assert_eq!(h.dim, 10);
-        assert_eq!(h.applied, 3);
-        assert_eq!(h.theta0_crc, theta0_crc(&params));
     }
 }

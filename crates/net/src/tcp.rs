@@ -20,7 +20,7 @@
 //! * server `applied >= seq` — it was applied but the reply was lost: the
 //!   worker's model no longer matches the server's `v_k`, so it requests a
 //!   [`MsgType::Resync`] and receives a fresh dense model (the server
-//!   resets its per-worker tracking in [`UpdateHandler::handle_resync`]).
+//!   resets its per-worker tracking in [`UpdateHandler::on_resync`]).
 //!
 //! Server side — [`serve_cluster`]: one blocking connection thread per
 //! worker, updates serialized through a shared `Mutex<H>`. Duplicate
@@ -36,9 +36,7 @@ use crate::conn::{protocol_step, ConnPhase, Outgoing};
 use crate::error::{NetError, NetResult};
 use crate::frame::MsgType;
 use crate::msg::{DownMsg, UpMsg};
-use crate::transport::{
-    Event, SharedUpdateHandler, Transport, WireConn, WireStats, MAX_PAYLOAD,
-};
+use crate::transport::{Event, SharedUpdateHandler, Transport, WireConn, WireStats, MAX_PAYLOAD};
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -484,12 +482,12 @@ impl ServerOpts {
 }
 
 /// Runs the accept loop until every expected worker has sent a graceful
-/// shutdown. Updates go through the shared `handler` — pass an
-/// `Arc<Mutex<H>>` to serialize them through one lock (the
-/// [`crate::transport::UpdateHandler`] blanket impl), or a natively
-/// concurrent [`SharedUpdateHandler`] such as the sharded runtime handler
-/// to let connection threads apply updates in parallel. Returns the
-/// aggregated server-side byte counters.
+/// shutdown. Updates go through the shared `handler` — a
+/// `Mutex<LogicHandler<L>>` serializes a `&mut` logic through one lock, a
+/// bare `LogicHandler<L>` over a `&self` logic (or the edge aggregator)
+/// lets connection threads apply updates in parallel; see
+/// [`crate::runtime::LogicHandler`]. Returns the aggregated server-side
+/// byte counters.
 pub fn serve_cluster<H: SharedUpdateHandler + 'static>(
     listener: TcpListener,
     handler: Arc<H>,
@@ -625,6 +623,7 @@ mod tests {
     use super::*;
     use crate::frame::{write_frame, HEADER_LEN};
     use crate::msg::{SparseUpdate, SparseVec, UpPayload};
+    use crate::runtime::LogicHandler;
     use crate::transport::UpdateHandler;
 
     /// Same toy handler as the transport tests: dense reply tagging the
@@ -635,13 +634,14 @@ mod tests {
     }
 
     impl ToyHandler {
-        fn shared(workers: usize) -> Arc<Mutex<ToyHandler>> {
-            Arc::new(Mutex::new(ToyHandler { applied: vec![0; workers], resyncs: 0 }))
+        fn shared(workers: usize) -> Arc<Mutex<LogicHandler<ToyHandler>>> {
+            let toy = ToyHandler { applied: vec![0; workers], resyncs: 0 };
+            Arc::new(Mutex::new(LogicHandler::new(toy, workers)))
         }
     }
 
     impl UpdateHandler for ToyHandler {
-        fn handle_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
             self.applied[worker as usize] += 1;
             let tag = self.applied[worker as usize] as f32 + up.train_loss as f32;
             DownMsg::SparseDiff(SparseUpdate {
@@ -649,13 +649,9 @@ mod tests {
             })
         }
 
-        fn handle_resync(&mut self, worker: u16) -> DownMsg {
+        fn on_resync(&mut self, worker: u16) -> DownMsg {
             self.resyncs += 1;
             DownMsg::DenseModel(std::sync::Arc::new(vec![f32::from(worker); 3]))
-        }
-
-        fn applied(&self, worker: u16) -> u64 {
-            self.applied[worker as usize]
         }
     }
 
@@ -664,7 +660,8 @@ mod tests {
 
     fn spawn_server(
         workers: usize,
-    ) -> (String, Arc<Mutex<ToyHandler>>, thread::JoinHandle<NetResult<WireStats>>) {
+    ) -> (String, Arc<Mutex<LogicHandler<ToyHandler>>>, thread::JoinHandle<NetResult<WireStats>>)
+    {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handler = ToyHandler::shared(workers);
@@ -734,6 +731,7 @@ mod tests {
         assert_eq!(server_stats.data_down, total_down);
         assert_eq!(server_stats.frames_up, 10);
         let h = handler.lock().unwrap();
+        let h = h.logic();
         assert_eq!(h.applied, vec![5, 5]);
         assert_eq!(h.resyncs, 0);
     }
@@ -757,7 +755,7 @@ mod tests {
         t.exchange(&up(1.0)).unwrap();
         t.shutdown().unwrap();
         join.join().unwrap().unwrap();
-        assert_eq!(handler.lock().unwrap().applied, vec![1]);
+        assert_eq!(handler.lock().unwrap().logic().applied, vec![1]);
     }
 
     #[test]
@@ -806,6 +804,7 @@ mod tests {
         }
         {
             let h = handler.lock().unwrap();
+            let h = h.logic();
             assert_eq!(h.applied, vec![1], "duplicate must not re-apply");
             assert_eq!(h.resyncs, 1);
         }
@@ -861,6 +860,7 @@ mod tests {
         t.shutdown().unwrap();
         join.join().unwrap().unwrap();
         let h = handler.lock().unwrap();
+        let h = h.logic();
         assert_eq!(h.applied, vec![2]);
     }
 
@@ -905,7 +905,7 @@ mod tests {
         t.exchange(&up(1.0)).unwrap();
         t.shutdown().unwrap();
         join.join().unwrap().unwrap();
-        assert_eq!(handler.lock().unwrap().applied, vec![1]);
+        assert_eq!(handler.lock().unwrap().logic().applied, vec![1]);
     }
 
     #[test]

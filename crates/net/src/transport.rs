@@ -22,10 +22,9 @@ use crate::codec::{
 use crate::error::{NetError, NetResult};
 use crate::frame::{read_frame, write_frame_buffered, FrameHeader, MsgType, HEADER_LEN};
 use crate::msg::{DownMsg, UpMsg};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::rc::Rc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 /// Hard ceiling on a single payload this endpoint will accept. Models in
@@ -258,48 +257,38 @@ impl<S: Read + Write> WireConn<S> {
         &mut self.stream
     }
 
+    /// Writes one frame and counts it — the only place this endpoint's
+    /// sent bytes are accounted. Returns the frame length.
+    fn send(&mut self, ty: MsgType, worker: u16, seq: u32, payload: &[u8]) -> NetResult<usize> {
+        let n = write_frame_buffered(&mut self.stream, &mut self.wbuf, ty, worker, seq, payload)?;
+        self.stats.record(ty, n);
+        Ok(n)
+    }
+
     /// Sends a worker→server update. The frame length is `msg.wire_bytes()`.
     pub fn send_update(&mut self, worker: u16, seq: u32, msg: &UpMsg) -> NetResult<()> {
-        let ty = up_msg_type(&msg.payload);
-        let payload = encode_up_payload(msg)?;
-        let n = write_frame_buffered(&mut self.stream, &mut self.wbuf, ty, worker, seq, &payload)?;
+        let n = self.send(up_msg_type(&msg.payload), worker, seq, &encode_up_payload(msg)?)?;
         debug_assert_eq!(n, msg.wire_bytes());
-        self.stats.record(ty, n);
         Ok(())
     }
 
     /// Sends a server→worker reply. The frame length is `msg.wire_bytes()`.
     pub fn send_reply(&mut self, worker: u16, seq: u32, msg: &DownMsg) -> NetResult<()> {
-        let ty = down_msg_type(msg);
-        let payload = encode_down_payload(msg)?;
-        let n = write_frame_buffered(&mut self.stream, &mut self.wbuf, ty, worker, seq, &payload)?;
+        let n = self.send(down_msg_type(msg), worker, seq, &encode_down_payload(msg)?)?;
         debug_assert_eq!(n, msg.wire_bytes());
-        self.stats.record(ty, n);
         Ok(())
     }
 
     /// Sends a resync request (control traffic — its dense-model reply is
     /// what shows up in the data counters).
     pub fn send_resync(&mut self, worker: u16, applied: u32) -> NetResult<()> {
-        let n = write_frame_buffered(
-            &mut self.stream,
-            &mut self.wbuf,
-            MsgType::Resync,
-            worker,
-            applied,
-            &[],
-        )?;
-        self.stats.record(MsgType::Resync, n);
-        Ok(())
+        self.send(MsgType::Resync, worker, applied, &[]).map(drop)
     }
 
     /// Sends a control frame with a [`Hello`] payload.
     pub fn send_hello(&mut self, ty: MsgType, worker: u16, hello: &Hello) -> NetResult<()> {
         debug_assert!(matches!(ty, MsgType::Hello | MsgType::HelloAck));
-        let payload = hello.encode();
-        let n = write_frame_buffered(&mut self.stream, &mut self.wbuf, ty, worker, 0, &payload)?;
-        self.stats.record(ty, n);
-        Ok(())
+        self.send(ty, worker, 0, &hello.encode()).map(drop)
     }
 
     /// Sends a control frame with a [`ClusterHello`] payload. `layout` is
@@ -312,10 +301,7 @@ impl<S: Read + Write> WireConn<S> {
         layout: &[u8],
     ) -> NetResult<()> {
         debug_assert!(matches!(ty, MsgType::ClusterHello | MsgType::ClusterHelloAck));
-        let payload = hello.encode(layout);
-        let n = write_frame_buffered(&mut self.stream, &mut self.wbuf, ty, worker, 0, &payload)?;
-        self.stats.record(ty, n);
-        Ok(())
+        self.send(ty, worker, 0, &hello.encode(layout)).map(drop)
     }
 
     /// Sends an empty-payload control frame (heartbeats, shutdown).
@@ -330,23 +316,12 @@ impl<S: Read + Write> WireConn<S> {
                         | MsgType::ClusterHelloAck
                 )
         );
-        let n = write_frame_buffered(&mut self.stream, &mut self.wbuf, ty, worker, 0, &[])?;
-        self.stats.record(ty, n);
-        Ok(())
+        self.send(ty, worker, 0, &[]).map(drop)
     }
 
     /// Sends an error frame with a UTF-8 reason.
     pub fn send_error(&mut self, worker: u16, reason: &str) -> NetResult<()> {
-        let n = write_frame_buffered(
-            &mut self.stream,
-            &mut self.wbuf,
-            MsgType::Error,
-            worker,
-            0,
-            reason.as_bytes(),
-        )?;
-        self.stats.record(MsgType::Error, n);
-        Ok(())
+        self.send(MsgType::Error, worker, 0, reason.as_bytes()).map(drop)
     }
 
     /// Reads and fully decodes the next frame.
@@ -515,19 +490,18 @@ pub fn loopback_pair() -> (LoopbackStream, LoopbackStream) {
 
 /// Server-side update handler: the seam between the transport layer and
 /// the training logic. `dgs-net` itself has no opinion about what happens
-/// to an update; `AsyncServerLogic` (via `runtime::LogicHandler`) plugs in
-/// here.
+/// to an update; the server logics plug in here (`AsyncServerLogic`, a span
+/// server's `MdtServer`, and — through `&self` — `ShardedServerLogic`).
+/// Sequencing is *not* the handler's business: `runtime::LogicHandler`
+/// keeps the per-worker applied counts and runs every update through
+/// [`sequenced_apply`].
 pub trait UpdateHandler {
     /// Processes one in-order update from `worker` and produces the reply.
-    fn handle_update(&mut self, worker: u16, up: UpMsg) -> DownMsg;
+    fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg;
 
     /// Produces a full-model recovery reply for `worker` and resets the
     /// server's tracking state for it (v_k ← M, pending cleared).
-    fn handle_resync(&mut self, worker: u16) -> DownMsg;
-
-    /// Number of updates from `worker` folded into the model so far —
-    /// drives duplicate suppression after a reconnect.
-    fn applied(&self, worker: u16) -> u64;
+    fn on_resync(&mut self, worker: u16) -> DownMsg;
 }
 
 /// Reason string sent to peers when the server's training state can no
@@ -551,21 +525,59 @@ pub enum Sequenced {
     },
 }
 
-/// Concurrent server-side handler: the seam the TCP server actually
-/// drives. Unlike [`UpdateHandler`] it takes `&self`, so implementations
-/// choose their own locking — a single `Mutex` (the blanket impl below,
-/// which every existing `Arc<Mutex<H>>` call site goes through) or
-/// internal striping (`ShardedMdtServer` via `runtime::ShardedLogicHandler`),
-/// where connection threads for different workers proceed in parallel.
+/// Runs `f` with the wire path's panic containment: a panicking apply
+/// surfaces as the poisoned reason (an error frame for the peer), never as
+/// an unwind through a connection thread.
+pub(crate) fn contain<T>(f: impl FnOnce() -> T) -> Result<T, &'static str> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|_| POISONED_REASON)
+}
+
+/// The one sequence rule of the protocol. `applied` is the worker's count
+/// of completed applies, and the caller must hold whatever lock guards it
+/// across this call, so the decision is atomic with the apply:
+///
+/// * `seq == applied + 1` — apply, then publish `applied + 1`. The count
+///   moves only *after* the apply returned, so a reconnect handshake can
+///   never see an update that is still in flight (or that panicked).
+/// * `seq <= applied` — a retransmit whose reply was lost: answer with a
+///   resync instead of folding the update in twice.
+/// * `seq > applied + 1` — a gap: report how far the server actually got.
+///
+/// A panic inside the handler is [`contain`]ed.
+pub(crate) fn sequenced_apply<H: UpdateHandler + ?Sized>(
+    handler: &mut H,
+    applied: &mut u64,
+    worker: u16,
+    seq: u32,
+    up: UpMsg,
+) -> Result<Sequenced, &'static str> {
+    let (seq, done) = (u64::from(seq), *applied);
+    if seq > done + 1 {
+        return Ok(Sequenced::Gap { applied: done });
+    }
+    if seq <= done {
+        return contain(|| handler.on_resync(worker)).map(Sequenced::Duplicate);
+    }
+    let reply = contain(|| handler.on_update(worker, up))?;
+    *applied = done + 1;
+    Ok(Sequenced::Applied(reply))
+}
+
+/// Concurrent server-side handler: the seam every server loop drives —
+/// both TCP backends and [`Loopback`]. It takes `&self`, so implementations
+/// choose their own locking: `runtime::LogicHandler` behind one `Mutex`
+/// for `&mut` logics, bare (one small lock per worker) over the lock-striped
+/// logic, where connection threads for different workers proceed in
+/// parallel; the edge aggregator brings its own round barrier.
 ///
 /// The sequence check lives *inside* [`Self::handle_sequenced`] so the
-/// duplicate/gap decision is atomic with the apply, exactly as it was when
-/// the whole exchange ran under one connection-shared `Mutex`. Errors are
-/// reason strings for the peer (an `Error` frame), never panics.
+/// duplicate/gap decision is atomic with the apply. Errors are reason
+/// strings for the peer (an `Error` frame), never panics.
 pub trait SharedUpdateHandler: Send + Sync {
     /// Checks `seq` against the worker's applied count and, when in
     /// order, applies the update.
-    fn handle_sequenced(&self, worker: u16, seq: u32, up: UpMsg) -> Result<Sequenced, &'static str>;
+    fn handle_sequenced(&self, worker: u16, seq: u32, up: UpMsg)
+        -> Result<Sequenced, &'static str>;
 
     /// Produces a full-model recovery reply for `worker` and resets the
     /// server's tracking state for it.
@@ -575,61 +587,24 @@ pub trait SharedUpdateHandler: Send + Sync {
     fn applied(&self, worker: u16) -> Result<u64, &'static str>;
 }
 
-impl<H: UpdateHandler + Send> SharedUpdateHandler for Mutex<H> {
-    fn handle_sequenced(&self, worker: u16, seq: u32, up: UpMsg) -> Result<Sequenced, &'static str> {
-        // One lock for check + apply: a poisoned lock means another
-        // connection's thread panicked mid-update and the training state
-        // cannot be trusted. The lock is taken *inside* the containment,
-        // so a panicking apply still poisons it (every later caller gets
-        // the reason string) while this connection answers with an error
-        // frame instead of unwinding its thread — the contract above.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut h = self.lock().map_err(|_| POISONED_REASON)?;
-            let applied = h.applied(worker);
-            Ok(if u64::from(seq) == applied + 1 {
-                Sequenced::Applied(h.handle_update(worker, up))
-            } else if u64::from(seq) <= applied {
-                Sequenced::Duplicate(h.handle_resync(worker))
-            } else {
-                Sequenced::Gap { applied }
-            })
-        }))
-        .unwrap_or(Err(POISONED_REASON))
-    }
-
-    fn handle_resync(&self, worker: u16) -> Result<DownMsg, &'static str> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.lock().map_err(|_| POISONED_REASON).map(|mut h| h.handle_resync(worker))
-        }))
-        .unwrap_or(Err(POISONED_REASON))
-    }
-
-    fn applied(&self, worker: u16) -> Result<u64, &'static str> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.lock().map_err(|_| POISONED_REASON).map(|h| h.applied(worker))
-        }))
-        .unwrap_or(Err(POISONED_REASON))
-    }
-}
-
 /// In-process transport that still round-trips every byte through the
 /// codec: update frames are written into one [`ByteQueue`], decoded on the
-/// "server" side, handled, and the reply frames travel back through the
-/// other queue. Sequence numbers are checked on both sides. The handler is
-/// shared (`Rc<RefCell<_>>`) so one server logic can serve a per-worker
-/// transport per training participant, exactly like the TCP server shares
-/// its logic across connection threads.
-pub struct Loopback<H: UpdateHandler> {
+/// "server" side, dispatched through the same [`SharedUpdateHandler`] seam
+/// the TCP servers drive, and the reply frames travel back through the
+/// other queue. The handler is shared (`Arc`) so one server logic can serve
+/// a per-worker transport per training participant, exactly like the TCP
+/// server shares its logic across connections.
+pub struct Loopback<H: SharedUpdateHandler> {
     worker: u16,
     seq: u32,
     worker_conn: WireConn<LoopbackStream>,
     server_conn: WireConn<LoopbackStream>,
-    handler: Rc<RefCell<H>>,
+    handler: Arc<H>,
 }
 
-impl<H: UpdateHandler> Loopback<H> {
+impl<H: SharedUpdateHandler> Loopback<H> {
     /// Builds a loopback transport for `worker` over the shared `handler`.
-    pub fn new(worker: u16, handler: Rc<RefCell<H>>) -> Self {
+    pub fn new(worker: u16, handler: Arc<H>) -> Self {
         let (worker_side, server_side) = loopback_pair();
         Loopback {
             worker,
@@ -645,39 +620,38 @@ impl<H: UpdateHandler> Loopback<H> {
         self.server_conn.stats()
     }
 
-    /// Pumps one frame through the server side and pushes the reply back.
-    /// Handler dispatch is contained like the TCP path's: a panicking
-    /// apply (or a poisoned `RefCell` borrow) comes back as a protocol
-    /// error, never an unwind through the transport.
+    /// A frame naming another worker on this worker's connection.
+    fn check_worker(&self, worker: u16) -> NetResult<()> {
+        if worker == self.worker {
+            return Ok(());
+        }
+        Err(NetError::Protocol(format!(
+            "loopback worker id mismatch: conn {} frame {worker}",
+            self.worker
+        )))
+    }
+
+    /// Pumps one frame through the server side and pushes the reply back,
+    /// decision for decision what `conn::protocol_step` does for a running
+    /// TCP connection (a refusal is a protocol error instead of an error
+    /// frame — there is no peer process to tell).
     fn serve_one(&mut self) -> NetResult<()> {
+        let refused = |reason: &'static str| NetError::Protocol(reason.to_string());
         match self.server_conn.read_event()? {
             Event::Update { worker, seq, msg } => {
-                if worker != self.worker {
-                    return Err(NetError::Protocol(format!(
-                        "loopback worker id mismatch: conn {} frame {worker}",
-                        self.worker
-                    )));
-                }
-                let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut handler = self.handler.borrow_mut();
-                    let applied = handler.applied(worker);
-                    if u64::from(seq) != applied + 1 {
-                        return Err(NetError::Protocol(format!(
-                            "out-of-order update: seq {seq}, applied {applied}"
-                        )));
+                self.check_worker(worker)?;
+                match self.handler.handle_sequenced(worker, seq, *msg).map_err(refused)? {
+                    Sequenced::Applied(reply) | Sequenced::Duplicate(reply) => {
+                        self.server_conn.send_reply(worker, seq, &reply)
                     }
-                    Ok(handler.handle_update(worker, *msg))
-                }))
-                .unwrap_or_else(|_| {
-                    Err(NetError::Protocol("loopback handler panicked".into()))
-                })?;
-                self.server_conn.send_reply(worker, seq, &reply)
+                    Sequenced::Gap { applied } => Err(NetError::Protocol(format!(
+                        "sequence gap: got {seq}, applied {applied}"
+                    ))),
+                }
             }
             Event::Resync { worker, .. } => {
-                let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.handler.borrow_mut().handle_resync(worker)
-                }))
-                .map_err(|_| NetError::Protocol("loopback handler panicked".into()))?;
+                self.check_worker(worker)?;
+                let reply = self.handler.handle_resync(worker).map_err(refused)?;
                 self.server_conn.send_reply(worker, self.seq, &reply)
             }
             Event::Shutdown { worker } => {
@@ -704,7 +678,7 @@ impl<H: UpdateHandler> Loopback<H> {
     }
 }
 
-impl<H: UpdateHandler> Transport for Loopback<H> {
+impl<H: SharedUpdateHandler> Transport for Loopback<H> {
     fn exchange(&mut self, up: &UpMsg) -> NetResult<DownMsg> {
         self.seq += 1;
         self.worker_conn.send_update(self.worker, self.seq, up)?;
@@ -736,7 +710,7 @@ impl<H: UpdateHandler> Transport for Loopback<H> {
 mod tests {
     use super::*;
     use crate::msg::{SparseUpdate, SparseVec, UpPayload};
-    use std::sync::Arc as StdArc;
+    use crate::runtime::LogicHandler;
 
     /// Echo-style handler: replies with a dense "model" encoding the call
     /// count, tracks applied counts per worker.
@@ -746,13 +720,14 @@ mod tests {
     }
 
     impl ToyHandler {
-        fn new(workers: usize) -> Self {
-            ToyHandler { applied: vec![0; workers], resyncs: 0 }
+        fn shared(workers: usize) -> Arc<Mutex<LogicHandler<ToyHandler>>> {
+            let toy = ToyHandler { applied: vec![0; workers], resyncs: 0 };
+            Arc::new(Mutex::new(LogicHandler::new(toy, workers)))
         }
     }
 
     impl UpdateHandler for ToyHandler {
-        fn handle_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+        fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
             self.applied[worker as usize] += 1;
             let tag = self.applied[worker as usize] as f32;
             DownMsg::SparseDiff(SparseUpdate {
@@ -763,13 +738,9 @@ mod tests {
             })
         }
 
-        fn handle_resync(&mut self, worker: u16) -> DownMsg {
+        fn on_resync(&mut self, worker: u16) -> DownMsg {
             self.resyncs += 1;
-            DownMsg::DenseModel(StdArc::new(vec![worker as f32; 4]))
-        }
-
-        fn applied(&self, worker: u16) -> u64 {
-            self.applied[worker as usize]
+            DownMsg::DenseModel(Arc::new(vec![worker as f32; 4]))
         }
     }
 
@@ -801,7 +772,7 @@ mod tests {
 
     #[test]
     fn loopback_exchange_and_counters() {
-        let handler = Rc::new(RefCell::new(ToyHandler::new(1)));
+        let handler = ToyHandler::shared(1);
         let mut t = Loopback::new(0, handler);
         let msg = up(0.5);
         let expect_up = msg.wire_bytes() as u64;
@@ -825,9 +796,9 @@ mod tests {
 
     #[test]
     fn loopback_sequences_and_shutdown() {
-        let handler = Rc::new(RefCell::new(ToyHandler::new(2)));
+        let handler = ToyHandler::shared(2);
         {
-            let mut t = Loopback::new(1, Rc::clone(&handler));
+            let mut t = Loopback::new(1, Arc::clone(&handler));
             for i in 1..=3 {
                 let reply = t.exchange(&up(i as f64)).unwrap();
                 match reply {
@@ -844,35 +815,114 @@ mod tests {
             // Shutdown + ack are control bytes, not data.
             assert_eq!(w.control, 2 * HEADER_LEN as u64);
         }
-        assert_eq!(handler.borrow().applied(1), 3);
-        assert_eq!(handler.borrow().applied(0), 0);
+        assert_eq!(handler.applied(1), Ok(3));
+        assert_eq!(handler.applied(0), Ok(0));
     }
 
     #[test]
     fn loopback_resync_resets_nothing_but_replies_dense() {
-        let handler = Rc::new(RefCell::new(ToyHandler::new(1)));
-        let mut t = Loopback::new(0, Rc::clone(&handler));
+        let handler = ToyHandler::shared(1);
+        let mut t = Loopback::new(0, Arc::clone(&handler));
         t.exchange(&up(1.0)).unwrap();
         match t.resync().unwrap() {
             DownMsg::DenseModel(m) => assert_eq!(m.len(), 4),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(handler.borrow().resyncs, 1);
+        assert_eq!(handler.lock().unwrap().logic().resyncs, 1);
     }
 
     #[test]
     fn loopback_handler_shared_across_workers() {
         // One handler, one transport per worker — the same sharing shape
         // the cross-process runtime uses.
-        let handler = Rc::new(RefCell::new(ToyHandler::new(3)));
+        let handler = ToyHandler::shared(3);
         let mut transports: Vec<_> =
-            (0..3u16).map(|w| Loopback::new(w, Rc::clone(&handler))).collect();
+            (0..3u16).map(|w| Loopback::new(w, Arc::clone(&handler))).collect();
         for round in 0..4 {
             for t in &mut transports {
                 t.exchange(&up(round as f64)).unwrap();
             }
         }
-        assert_eq!(handler.borrow().applied, vec![4, 4, 4]);
+        assert_eq!(handler.lock().unwrap().logic().applied, vec![4, 4, 4]);
+    }
+
+    /// The sequence rule on its own: in order applies and publishes the
+    /// count after the apply, a retransmit resyncs without applying, a gap
+    /// reports the count, and a panicking apply is contained with the
+    /// count unmoved.
+    #[test]
+    fn sequenced_apply_contract() {
+        struct Panicky(ToyHandler);
+        impl UpdateHandler for Panicky {
+            fn on_update(&mut self, worker: u16, up: UpMsg) -> DownMsg {
+                assert!(up.train_loss >= 0.0, "negative loss blows the apply up");
+                self.0.on_update(worker, up)
+            }
+            fn on_resync(&mut self, worker: u16) -> DownMsg {
+                self.0.on_resync(worker)
+            }
+        }
+        let mut h = Panicky(ToyHandler { applied: vec![0], resyncs: 0 });
+        let mut applied = 0u64;
+        assert!(matches!(
+            sequenced_apply(&mut h, &mut applied, 0, 1, up(0.0)),
+            Ok(Sequenced::Applied(_))
+        ));
+        assert_eq!((applied, h.0.applied[0]), (1, 1));
+        assert!(matches!(
+            sequenced_apply(&mut h, &mut applied, 0, 1, up(0.0)),
+            Ok(Sequenced::Duplicate(_))
+        ));
+        assert_eq!((applied, h.0.applied[0], h.0.resyncs), (1, 1, 1), "duplicate must not apply");
+        assert!(matches!(
+            sequenced_apply(&mut h, &mut applied, 0, 3, up(0.0)),
+            Ok(Sequenced::Gap { applied: 1 })
+        ));
+        assert_eq!(
+            sequenced_apply(&mut h, &mut applied, 0, 2, up(-1.0)).unwrap_err(),
+            POISONED_REASON
+        );
+        assert_eq!(applied, 1, "a panicked apply is never published");
+    }
+
+    /// Loopback speaks the TCP servers' protocol: a retransmitted seq gets
+    /// the duplicate-resync reply and does not advance the applied count.
+    #[test]
+    fn loopback_retransmit_is_answered_with_a_resync() {
+        let handler = ToyHandler::shared(1);
+        let mut t = Loopback::new(0, Arc::clone(&handler));
+        t.exchange(&up(1.0)).unwrap();
+        t.seq -= 1; // the reply was "lost": send seq 1 again
+        match t.exchange(&up(1.0)).unwrap() {
+            DownMsg::DenseModel(m) => assert_eq!(m.len(), 4),
+            other => panic!("retransmit must resync, got {other:?}"),
+        }
+        assert_eq!(handler.applied(0), Ok(1), "duplicate must not advance applied");
+        let h = handler.lock().unwrap();
+        assert_eq!((h.logic().applied[0], h.logic().resyncs), (1, 1));
+    }
+
+    #[test]
+    fn loopback_gap_reports_the_applied_count() {
+        let handler = ToyHandler::shared(1);
+        let mut t = Loopback::new(0, Arc::clone(&handler));
+        t.exchange(&up(1.0)).unwrap();
+        t.seq += 1; // skip seq 2
+        let err = t.exchange(&up(1.0)).unwrap_err().to_string();
+        assert!(err.contains("sequence gap: got 3, applied 1"), "{err}");
+        assert_eq!(handler.applied(0), Ok(1));
+    }
+
+    #[test]
+    fn loopback_resync_with_a_foreign_worker_id_is_a_protocol_error() {
+        let handler = ToyHandler::shared(2);
+        let mut t = Loopback::new(0, Arc::clone(&handler));
+        t.exchange(&up(1.0)).unwrap();
+        // A resync frame claiming to be worker 1 on worker 0's connection.
+        t.worker_conn.send_resync(1, 1).unwrap();
+        let err = t.serve_one().unwrap_err().to_string();
+        assert!(err.contains("worker id mismatch"), "{err}");
+        assert_eq!(handler.lock().unwrap().logic().resyncs, 0, "nothing was resynced");
     }
 
     #[test]

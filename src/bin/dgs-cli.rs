@@ -61,29 +61,31 @@
 //! }
 //! ```
 
+use dgs::core::cluster::ClusterLayout;
 use dgs::core::config::{LrSchedule, TrainConfig};
 use dgs::core::curves::RunResult;
 use dgs::core::method::Method;
-use dgs::core::server::Downlink;
 use dgs::core::trainer::des::{train_des, DesParams};
+use dgs::core::trainer::sharded::build_sharded_server;
 use dgs::core::trainer::single::train_msgd;
-use dgs::core::trainer::sharded::build_sharded_participants;
-use dgs::core::trainer::threaded::{build_participants, train_async};
+use dgs::core::trainer::threaded::{build_server, train_async};
 use dgs::core::worker::TrainWorker;
 use dgs::net::runtime::{
-    build_span_logic, cluster_layout, run_worker, serve_training_io, serve_training_sharded_io,
-    serve_with_io, theta0_crc, IoConfig, IoMode, EDGE_ROUND_TIMEOUT,
+    cluster_layout, run_worker, serve_training_io, serve_with_io, span_server, theta0_crc,
+    IoConfig, IoMode, Link, ServeLogic, EDGE_ROUND_TIMEOUT,
 };
-use dgs::net::tcp::{serve_cluster, ServerOpts, SpanOpts};
+use dgs::net::tcp::{serve_cluster, ServerOpts, TcpWorkerTransport};
 use dgs::net::transport::Tier;
-use dgs::net::{assemble_replies, ClusterTransport, EdgeHandler, WireStats};
+use dgs::net::{ClusterTransport, EdgeHandler, WireStats};
 use dgs::nn::data::{Dataset, GaussianBlobs, SyntheticVision};
 use dgs::nn::model::Network;
 use dgs::nn::models::{mlp, mlp_on_images, resnet_lite, tiny_cnn};
 use dgs::psim::NetworkModel;
+use dgs::sparsify::Partition;
 use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Workload section of the config file.
@@ -271,16 +273,8 @@ fn main() {
                          [--out results.json] [--deadline-secs N] [--shards S] \
                          [--span K/N] [--clients N] [--io threads|evented] [--max-conns N]";
             let path = args.get(1).unwrap_or_else(|| fail(usage));
-            let listen = flag_value(&args, "--listen").unwrap_or_else(|| fail(usage));
-            let out = flag_value(&args, "--out");
-            let deadline = flag_value(&args, "--deadline-secs").map(|s| {
-                Duration::from_secs(
-                    s.parse().unwrap_or_else(|_| fail("--deadline-secs must be an integer")),
-                )
-            });
-            let shards: usize = flag_value(&args, "--shards")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("--shards must be an integer")))
-                .unwrap_or(1);
+            let endpoint = Endpoint::from_flags(&args, usage);
+            let shards: usize = flag_parsed(&args, "--shards", "an integer").unwrap_or(1);
             if shards == 0 {
                 fail("--shards must be at least 1");
             }
@@ -288,9 +282,8 @@ fn main() {
             if let Some(mode) = flag_value(&args, "--io") {
                 io.mode = mode.parse().unwrap_or_else(|e: String| fail(&e));
             }
-            if let Some(mc) = flag_value(&args, "--max-conns") {
-                io.evented.max_conns =
-                    mc.parse().unwrap_or_else(|_| fail("--max-conns must be a positive integer"));
+            if let Some(mc) = flag_parsed(&args, "--max-conns", "a positive integer") {
+                io.evented.max_conns = mc;
                 if io.evented.max_conns == 0 {
                     fail("--max-conns must be a positive integer");
                 }
@@ -299,9 +292,7 @@ fn main() {
                 }
             }
             let span = flag_value(&args, "--span").map(|s| parse_span(&s));
-            let clients = flag_value(&args, "--clients").map(|s| {
-                s.parse().unwrap_or_else(|_| fail("--clients must be a positive integer"))
-            });
+            let clients: Option<usize> = flag_parsed(&args, "--clients", "a positive integer");
             if span.is_some() && shards > 1 {
                 fail("--shards and --span are mutually exclusive");
             }
@@ -312,10 +303,8 @@ fn main() {
                 fail("--clients must be a positive integer");
             }
             match span {
-                Some((k, n)) => {
-                    serve_span(&load_config(path), &listen, out.as_deref(), deadline, k, n, clients, &io)
-                }
-                None => serve(&load_config(path), &listen, out.as_deref(), deadline, shards, &io),
+                Some(span) => serve_span(&load_config(path), endpoint, span, clients, &io),
+                None => serve(&load_config(path), endpoint, shards, &io),
             }
         }
         Some("edge") => {
@@ -323,24 +312,14 @@ fn main() {
                          --group G [--base B] [--out stats.json] [--deadline-secs N]";
             let path = args.get(1).unwrap_or_else(|| fail(usage));
             let connect = flag_value(&args, "--connect").unwrap_or_else(|| fail(usage));
-            let listen = flag_value(&args, "--listen").unwrap_or_else(|| fail(usage));
-            let group: usize = flag_value(&args, "--group")
-                .unwrap_or_else(|| fail(usage))
-                .parse()
-                .unwrap_or_else(|_| fail("--group must be a positive integer"));
+            let endpoint = Endpoint::from_flags(&args, usage);
+            let group: usize =
+                flag_parsed(&args, "--group", "a positive integer").unwrap_or_else(|| fail(usage));
             if group == 0 {
                 fail("--group must be a positive integer");
             }
-            let base: usize = flag_value(&args, "--base")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("--base must be an integer")))
-                .unwrap_or(0);
-            let out = flag_value(&args, "--out");
-            let deadline = flag_value(&args, "--deadline-secs").map(|s| {
-                Duration::from_secs(
-                    s.parse().unwrap_or_else(|_| fail("--deadline-secs must be an integer")),
-                )
-            });
-            edge(&load_config(path), &connect, &listen, group, base, out.as_deref(), deadline);
+            let base: usize = flag_parsed(&args, "--base", "an integer").unwrap_or(0);
+            edge(&load_config(path), endpoint, &connect, group, base);
         }
         Some("work") => {
             let usage = "usage: dgs-cli work <config.json> \
@@ -348,13 +327,11 @@ fn main() {
             let path = args.get(1).unwrap_or_else(|| fail(usage));
             let connect = flag_value(&args, "--connect");
             let cluster = flag_value(&args, "--connect-cluster");
-            let worker: usize = flag_value(&args, "--worker")
-                .unwrap_or_else(|| fail(usage))
-                .parse()
-                .unwrap_or_else(|_| fail("--worker must be an integer"));
+            let worker: usize =
+                flag_parsed(&args, "--worker", "an integer").unwrap_or_else(|| fail(usage));
             match (connect, cluster) {
-                (Some(addr), None) => work(&load_config(path), &addr, worker),
-                (None, Some(addrs)) => work_cluster(&load_config(path), &addrs, worker),
+                (Some(addr), None) => work(&load_config(path), Server::Single(&addr), worker),
+                (None, Some(addrs)) => work(&load_config(path), Server::Cluster(&addrs), worker),
                 _ => fail(usage),
             }
         }
@@ -375,6 +352,13 @@ fn parse_span(s: &str) -> (usize, usize) {
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+}
+
+/// `--flag VALUE` parsed, or exit saying what it must be.
+fn flag_parsed<T: std::str::FromStr>(args: &[String], flag: &str, must_be: &str) -> Option<T> {
+    let parse =
+        |s: String| s.parse().unwrap_or_else(|_| fail(&format!("{flag} must be {must_be}")));
+    flag_value(args, flag).map(parse)
 }
 
 fn load_config(path: &str) -> CliConfig {
@@ -457,81 +441,146 @@ fn run(config: &CliConfig) -> RunResult {
     }
 }
 
-/// `dgs-cli serve`: host the parameter server over TCP until every worker
-/// process has finished and shut down gracefully. `shards > 1` hosts the
-/// lock-striped server.
-fn serve(
-    config: &CliConfig,
-    listen: &str,
-    out: Option<&str>,
-    deadline: Option<Duration>,
-    shards: usize,
-    io: &IoConfig,
-) {
+/// The async-method [`TrainConfig`] of a distributed subcommand.
+fn distributed_config(config: &CliConfig) -> TrainConfig {
     let cfg = train_config(config);
     if cfg.method == Method::Msgd {
         fail("msgd is single-node; use `dgs-cli run`");
     }
-    let (train_ds, val_ds) = datasets(config);
-    let builder = model_builder(config);
+    cfg
+}
 
-    let listener = TcpListener::bind(listen)
-        .unwrap_or_else(|e| fail(&format!("cannot listen on {listen}: {e}")));
-    let local = listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| listen.into());
-    // Bind-time discovery: with `--listen 127.0.0.1:0` a launcher learns
-    // the real port by polling this file (rewritten with results at exit).
-    if let Some(out) = out {
-        let doc = serde_json::json!({ "listen": local });
-        std::fs::write(out, serde_json::to_string_pretty(&doc).unwrap())
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+/// The initial model, and its span layout over the `servers` span servers
+/// that `flag` named. Every process derives the same one from the config.
+fn span_cluster(
+    config: &CliConfig,
+    servers: usize,
+    flag: &str,
+) -> (Vec<f32>, Partition, ClusterLayout) {
+    let net0 = model_builder(config)();
+    let theta0 = net0.params().data().to_vec();
+    let partition = net0.params().partition().clone();
+    let layout = cluster_layout(&theta0, &partition, servers);
+    if layout.num_spans() != servers {
+        fail(&format!(
+            "model splits into {} spans but {flag} names {servers} servers",
+            layout.num_spans()
+        ));
     }
-    let iters = cfg.iters_per_worker(train_ds.len());
-    let backend = match io.mode {
+    (theta0, partition, layout)
+}
+
+/// Where a `serve`/`edge` process listens and reports.
+struct Endpoint {
+    listen: String,
+    out: Option<String>,
+    deadline: Option<Duration>,
+}
+
+/// A bound [`Endpoint`]: the actual address and the `--out` document.
+struct Bound {
+    local: String,
+    out: Option<String>,
+    doc: Vec<(&'static str, Value)>,
+}
+
+impl Endpoint {
+    /// `--listen ADDR [--out FILE] [--deadline-secs N]`.
+    fn from_flags(args: &[String], usage: &str) -> Endpoint {
+        Endpoint {
+            listen: flag_value(args, "--listen").unwrap_or_else(|| fail(usage)),
+            out: flag_value(args, "--out"),
+            deadline: flag_parsed(args, "--deadline-secs", "an integer").map(Duration::from_secs),
+        }
+    }
+
+    /// Binds the listener. With `--listen 127.0.0.1:0` a launcher learns
+    /// the real port by polling `--out`, which is written here — at bind
+    /// time — with the address and `identity`, and rewritten with the
+    /// results by [`Bound::finish`].
+    fn bind(&self, identity: Vec<(&'static str, Value)>) -> (TcpListener, Bound) {
+        let listener = TcpListener::bind(&self.listen)
+            .unwrap_or_else(|e| fail(&format!("cannot listen on {}: {e}", self.listen)));
+        let local =
+            listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| self.listen.clone());
+        let mut doc = vec![("listen", json!(local))];
+        doc.extend(identity);
+        let bound = Bound { local, out: self.out.clone(), doc };
+        bound.write();
+        (listener, bound)
+    }
+}
+
+impl Bound {
+    fn write(&self) {
+        if let Some(out) = &self.out {
+            let doc: Value =
+                Value::Object(self.doc.iter().map(|(k, v)| (k.to_string(), v.clone())).collect());
+            std::fs::write(out, serde_json::to_string_pretty(&doc).unwrap())
+                .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+        }
+    }
+
+    /// Rewrites `--out` with the finished run's `results` added.
+    fn finish(mut self, results: Vec<(&'static str, Value)>) {
+        self.doc.extend(results);
+        self.write();
+        if let Some(out) = &self.out {
+            println!("wrote {out}");
+        }
+    }
+}
+
+fn backend_tag(io: &IoConfig) -> String {
+    match io.mode {
         IoMode::Threads => "thread-per-connection".to_string(),
         IoMode::Evented => format!("evented (max {} conns)", io.evented.max_conns),
-    };
+    }
+}
+
+/// `dgs-cli serve`: host the parameter server over TCP until every worker
+/// process has finished and shut down gracefully. `shards > 1` hosts the
+/// lock-striped server. Only the server side is built — no worker.
+fn serve(config: &CliConfig, endpoint: Endpoint, shards: usize, io: &IoConfig) {
+    let cfg = distributed_config(config);
+    let (train_ds, val_ds) = datasets(config);
+    let builder = model_builder(config);
+    let (listener, bound) = endpoint.bind(Vec::new());
     // NOTE: process_mode tests parse the address out of this banner via
     // `" on "` / `": waiting"` — keep the backend tag after the colon.
     println!(
-        "serving {} on {local}: waiting for {} workers x {iters} iterations [{backend}]",
+        "serving {} on {}: waiting for {} workers x {} iterations [{}]",
         cfg.method.name(),
-        cfg.workers
+        bound.local,
+        cfg.workers,
+        cfg.iters_per_worker(train_ds.len()),
+        backend_tag(io)
     );
-    let start = Instant::now();
     let (result, stats) = if shards > 1 {
-        let (logic, workers) = build_sharded_participants(
-            &cfg,
-            &builder,
-            &train_ds,
-            &val_ds,
-            config.engine.worker_gflops,
-            shards,
-        );
-        let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
-        drop(workers); // serve-side workers are only built to size the run
+        let logic = build_sharded_server(&cfg, &builder, train_ds.len(), &val_ds, shards);
         println!("server state striped across {} shards", logic.server().num_shards());
-        let (logic, stats) = serve_training_sharded_io(listener, logic, cfg.workers, deadline, io)
-            .unwrap_or_else(|e| fail(&format!("serve failed: {e}")));
-        (logic.into_result(cfg.clone(), start.elapsed().as_secs_f64(), worker_aux), stats)
+        host(listener, logic, cfg.workers, endpoint.deadline, io)
     } else {
-        let (logic, workers) =
-            build_participants(&cfg, &builder, &train_ds, &val_ds, config.engine.worker_gflops);
-        let worker_aux = workers.first().map(|w| w.aux_bytes()).unwrap_or(0);
-        drop(workers);
-        let (logic, stats) = serve_training_io(listener, logic, cfg.workers, deadline, io)
-            .unwrap_or_else(|e| fail(&format!("serve failed: {e}")));
-        (logic.into_result(cfg.clone(), start.elapsed().as_secs_f64(), worker_aux), stats)
+        let logic = build_server(&cfg, &builder, train_ds.len(), &val_ds);
+        host(listener, logic, cfg.workers, endpoint.deadline, io)
     };
-
     print_summary(&result);
     print_wire_stats("server", &stats);
-    if let Some(out) = out {
-        let doc =
-            serde_json::json!({ "listen": local, "result": result, "wire": wire_json(&stats) });
-        std::fs::write(out, serde_json::to_string_pretty(&doc).unwrap())
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        println!("wrote {out}");
-    }
+    bound.finish(vec![("result", json!(result)), ("wire", wire_json(&stats))]);
+}
+
+/// Serves `logic` until the run completes and finalises its record.
+fn host<L: ServeLogic>(
+    listener: TcpListener,
+    logic: L,
+    workers: usize,
+    deadline: Option<Duration>,
+    io: &IoConfig,
+) -> (RunResult, WireStats) {
+    let start = Instant::now();
+    let (logic, stats) = serve_training_io(listener, logic, workers, deadline, io)
+        .unwrap_or_else(|e| fail(&format!("serve failed: {e}")));
+    (logic.finish(start.elapsed().as_secs_f64()).1, stats)
 }
 
 /// `dgs-cli serve --span K/N`: host ONE span of an N-process span-sharded
@@ -539,109 +588,46 @@ fn serve(
 /// the wire. Every process (spans, edges, workers) must load the same
 /// config file; the cluster handshake checks the partition-map hash and
 /// this span's θ0 CRC on top of the usual dim check.
-#[allow(clippy::too_many_arguments)]
 fn serve_span(
     config: &CliConfig,
-    listen: &str,
-    out: Option<&str>,
-    deadline: Option<Duration>,
-    span_index: usize,
-    num_spans: usize,
+    endpoint: Endpoint,
+    (span_index, num_spans): (usize, usize),
     clients: Option<usize>,
     io: &IoConfig,
 ) {
-    let cfg = train_config(config);
-    if cfg.method == Method::Msgd {
-        fail("msgd is single-node; use `dgs-cli run`");
-    }
+    let cfg = distributed_config(config);
     let (train_ds, _val_ds) = datasets(config);
-    let builder = model_builder(config);
-    let net0 = builder();
-    let theta0 = net0.params().data().to_vec();
-    let partition = net0.params().partition().clone();
-    let layout = cluster_layout(&theta0, &partition, num_spans);
-    if layout.num_spans() != num_spans {
-        fail(&format!(
-            "model splits into {} spans, not {num_spans}; use --span K/{}",
-            layout.num_spans(),
-            layout.num_spans()
-        ));
-    }
-    let secondary = if cfg.secondary_compression { Some(cfg.sparsity_ratio) } else { None };
-    let downlink = Downlink::for_method(cfg.method, secondary);
-    let span = layout.shard_span(span_index);
-    let handler =
-        Arc::new(Mutex::new(build_span_logic(&cfg, &theta0, &partition, &span, downlink)));
-    let listener = TcpListener::bind(listen)
-        .unwrap_or_else(|e| fail(&format!("cannot listen on {listen}: {e}")));
-    let local = listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| listen.into());
-    if let Some(out) = out {
-        let bind_doc = serde_json::json!({
-            "listen": local,
-            "span": span_index,
-            "spans": num_spans,
-            "layout_hash": layout.layout_hash(),
-        });
-        std::fs::write(out, serde_json::to_string_pretty(&bind_doc).unwrap())
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-    }
-    let iters = cfg.iters_per_worker(train_ds.len());
-    let backend = match io.mode {
-        IoMode::Threads => "thread-per-connection".to_string(),
-        IoMode::Evented => format!("evented (max {} conns)", io.evented.max_conns),
-    };
+    let (theta0, partition, layout) = span_cluster(config, num_spans, "--span");
     let expected = clients.unwrap_or(cfg.workers);
+    let (handler, mut opts) = span_server(&cfg, &theta0, &partition, &layout, span_index, expected);
+    opts.deadline = endpoint.deadline;
+    let (listener, bound) = endpoint.bind(vec![
+        ("span", json!(span_index)),
+        ("spans", json!(num_spans)),
+        ("layout_hash", json!(layout.layout_hash())),
+    ]);
     println!(
-        "serving {} span {span_index}/{num_spans} ({} of {} coords) on {local}: \
-         waiting for {expected} clients x {iters} iterations [{backend}]",
+        "serving {} span {span_index}/{num_spans} ({} of {} coords) on {}: \
+         waiting for {expected} clients x {} iterations [{}]",
         cfg.method.name(),
-        span.len,
-        theta0.len()
+        layout.spans[span_index].len,
+        theta0.len(),
+        bound.local,
+        cfg.iters_per_worker(train_ds.len()),
+        backend_tag(io)
     );
-    let mut opts =
-        ServerOpts::new(cfg.workers, span.len as u64, layout.spans[span_index].theta0_crc);
-    opts.deadline = deadline;
-    opts.done_target = expected;
-    opts.span = Some(SpanOpts {
-        index: span_index as u32,
-        num_spans: num_spans as u32,
-        layout_hash: layout.layout_hash(),
-        layout_bytes: layout.encode(),
-    });
-    let stats = serve_with_io(listener, handler, opts, io)
+    let stats = serve_with_io(listener, Arc::new(handler), opts, io)
         .unwrap_or_else(|e| fail(&format!("span serve failed: {e}")));
     print_wire_stats(&format!("span {span_index}"), &stats);
-    if let Some(out) = out {
-        let doc = serde_json::json!({
-            "listen": local,
-            "span": span_index,
-            "spans": num_spans,
-            "layout_hash": layout.layout_hash(),
-            "wire": wire_json(&stats),
-        });
-        std::fs::write(out, serde_json::to_string_pretty(&doc).unwrap())
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        println!("wrote {out}");
-    }
+    bound.finish(vec![("wire", wire_json(&stats))]);
 }
 
 /// `dgs-cli edge`: the two-level aggregation tier. G member workers see
 /// an ordinary full-model server; their uplinks are merged per round and
 /// forwarded to the root span servers as one logical worker, so root
 /// ingress scales with the number of groups rather than workers.
-fn edge(
-    config: &CliConfig,
-    connect: &str,
-    listen: &str,
-    group: usize,
-    base: usize,
-    out: Option<&str>,
-    deadline: Option<Duration>,
-) {
-    let cfg = train_config(config);
-    if cfg.method == Method::Msgd {
-        fail("msgd is single-node; use `dgs-cli run`");
-    }
+fn edge(config: &CliConfig, endpoint: Endpoint, connect: &str, group: usize, base: usize) {
+    let cfg = distributed_config(config);
     if base + group > cfg.workers {
         fail(&format!(
             "group [{base}, {}) exceeds the config's {} workers",
@@ -649,152 +635,86 @@ fn edge(
             cfg.workers
         ));
     }
-    let builder = model_builder(config);
-    let net0 = builder();
-    let theta0 = net0.params().data().to_vec();
-    let partition = net0.params().partition().clone();
     let addrs: Vec<String> = connect.split(',').map(str::to_string).collect();
-    let layout = cluster_layout(&theta0, &partition, addrs.len());
-    if layout.num_spans() != addrs.len() {
-        fail(&format!(
-            "model splits into {} spans but --connect lists {} servers",
-            layout.num_spans(),
-            addrs.len()
-        ));
-    }
+    let (theta0, partition, layout) = span_cluster(config, addrs.len(), "--connect");
     let layout_hash = layout.layout_hash();
-    let crc = theta0_crc(&theta0);
-    let dim = theta0.len() as u64;
+    // Members block on the round barrier, so the member-facing listener
+    // must be thread-per-connection (an evented single thread would
+    // deadlock); the root tier's backend is the span servers' choice.
+    let mut opts = ServerOpts::new(base + group, theta0.len() as u64, theta0_crc(&theta0));
+    opts.deadline = endpoint.deadline;
+    opts.done_target = group;
     let upstream = ClusterTransport::new(layout, &addrs, base as u16)
         .unwrap_or_else(|e| fail(&format!("cannot reach root spans: {e}")));
     let handler =
         EdgeHandler::new(upstream, partition, theta0, base as u16, group, EDGE_ROUND_TIMEOUT)
             .unwrap_or_else(|e| fail(&format!("bad edge config: {e}")));
-    let listener = TcpListener::bind(listen)
-        .unwrap_or_else(|e| fail(&format!("cannot listen on {listen}: {e}")));
-    let local = listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| listen.into());
-    if let Some(out) = out {
-        let bind_doc = serde_json::json!({
-            "listen": local,
-            "base": base,
-            "group": group,
-            "layout_hash": layout_hash,
-        });
-        std::fs::write(out, serde_json::to_string_pretty(&bind_doc).unwrap())
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-    }
+    let (listener, bound) = endpoint.bind(vec![
+        ("base", json!(base)),
+        ("group", json!(group)),
+        ("layout_hash", json!(layout_hash)),
+    ]);
     println!(
-        "edge on {local}: merging group [{base}, {}) toward {} root spans: \
+        "edge on {}: merging group [{base}, {}) toward {} root spans: \
          waiting for {group} members",
+        bound.local,
         base + group,
         addrs.len()
     );
-    // Members block on the round barrier, so the member-facing listener
-    // must be thread-per-connection (an evented single thread would
-    // deadlock); the root tier's backend is the span servers' choice.
-    let mut opts = ServerOpts::new(base + group, dim, crc);
-    opts.deadline = deadline;
-    opts.done_target = group;
-    let h = Arc::clone(&handler);
-    let member_side =
-        serve_cluster(listener, h, opts).unwrap_or_else(|e| fail(&format!("edge serve failed: {e}")));
+    let member_side = serve_cluster(listener, Arc::clone(&handler), opts)
+        .unwrap_or_else(|e| fail(&format!("edge serve failed: {e}")));
     let upstream_side =
         handler.finish().unwrap_or_else(|e| fail(&format!("edge shutdown failed: {e}")));
     print_wire_stats("edge members", &member_side);
     print_wire_stats("edge upstream", &upstream_side);
-    if let Some(out) = out {
-        let doc = serde_json::json!({
-            "listen": local,
-            "base": base,
-            "group": group,
-            "layout_hash": layout_hash,
-            "member_wire": wire_json(&member_side),
-            "upstream_wire": wire_json(&upstream_side),
-        });
-        std::fs::write(out, serde_json::to_string_pretty(&doc).unwrap())
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        println!("wrote {out}");
-    }
+    bound.finish(vec![
+        ("member_wire", wire_json(&member_side)),
+        ("upstream_wire", wire_json(&upstream_side)),
+    ]);
 }
 
-/// `dgs-cli work --connect-cluster`: one worker against an N-process span
-/// cluster — every uplink fans out per span, every downlink reassembles
-/// in shard order (mixed per-span replies are applied spanwise).
-fn work_cluster(config: &CliConfig, connect: &str, worker_id: usize) {
-    let cfg = train_config(config);
-    if cfg.method == Method::Msgd {
-        fail("msgd is single-node; use `dgs-cli run`");
-    }
-    if worker_id >= cfg.workers {
-        fail(&format!("--worker {worker_id} out of range (config has {} workers)", cfg.workers));
-    }
-    let (train_ds, _val_ds) = datasets(config);
-    let builder = model_builder(config);
-    let net0 = builder();
-    let theta0 = net0.params().data().to_vec();
-    let partition = net0.params().partition().clone();
-    let addrs: Vec<String> = connect.split(',').map(str::to_string).collect();
-    let layout = cluster_layout(&theta0, &partition, addrs.len());
-    if layout.num_spans() != addrs.len() {
-        fail(&format!(
-            "model splits into {} spans but --connect-cluster lists {} servers",
-            layout.num_spans(),
-            addrs.len()
-        ));
-    }
-    let iters = cfg.iters_per_worker(train_ds.len());
-    let mut worker = TrainWorker::new(
-        worker_id,
-        builder(),
-        Arc::clone(&train_ds),
-        cfg.clone(),
-        config.engine.worker_gflops,
-    );
-    println!("worker {worker_id}: {iters} iterations against {} span servers", addrs.len());
-    let mut transport = ClusterTransport::new(layout, &addrs, worker_id as u16)
-        .unwrap_or_else(|e| fail(&format!("worker {worker_id} cannot reach the cluster: {e}")));
-    for _ in 0..iters {
-        let up = worker.local_step();
-        let replies = transport
-            .exchange(&up)
-            .unwrap_or_else(|e| fail(&format!("worker {worker_id} exchange failed: {e}")));
-        match assemble_replies(&replies) {
-            Some(reply) => worker.apply_reply(reply),
-            None => {
-                for (j, reply) in replies.into_iter().enumerate() {
-                    worker.apply_span_reply(&transport.layout().shard_span(j), reply);
-                }
-            }
-        }
-    }
-    transport
-        .shutdown()
-        .unwrap_or_else(|e| fail(&format!("worker {worker_id} shutdown failed: {e}")));
-    println!("worker {worker_id}: done after {iters} iterations");
-    print_wire_stats(&format!("worker {worker_id}"), &transport.stats());
+/// What a `work` process trains against.
+enum Server<'a> {
+    /// `--connect ADDR`: one whole-model server (or an edge aggregator).
+    Single(&'a str),
+    /// `--connect-cluster A1,A2,...`: one span server per address — every
+    /// uplink fans out per span, every downlink reassembles in shard order
+    /// (mixed per-span replies are applied spanwise).
+    Cluster(&'a str),
 }
 
 /// `dgs-cli work`: run one worker's training loop against a remote server.
-fn work(config: &CliConfig, connect: &str, worker_id: usize) {
-    let cfg = train_config(config);
-    if cfg.method == Method::Msgd {
-        fail("msgd is single-node; use `dgs-cli run`");
-    }
+fn work(config: &CliConfig, server: Server<'_>, worker_id: usize) {
+    let cfg = distributed_config(config);
     if worker_id >= cfg.workers {
         fail(&format!("--worker {worker_id} out of range (config has {} workers)", cfg.workers));
     }
     let (train_ds, _val_ds) = datasets(config);
-    let builder = model_builder(config);
     let iters = cfg.iters_per_worker(train_ds.len());
     let worker = TrainWorker::new(
         worker_id,
-        builder(),
-        Arc::clone(&train_ds),
-        cfg.clone(),
+        model_builder(config)(),
+        train_ds,
+        cfg,
         config.engine.worker_gflops,
     );
-    println!("worker {worker_id}: {iters} iterations against {connect}");
-    let (worker, stats) = run_worker(connect, worker_id as u16, worker, iters)
+    let (link, target) = match server {
+        Server::Single(addr) => {
+            let opts = Link::tcp_opts(addr, worker_id, &worker);
+            (Link::Tcp(TcpWorkerTransport::new(opts)), addr.to_string())
+        }
+        Server::Cluster(addrs) => {
+            let addrs: Vec<String> = addrs.split(',').map(str::to_string).collect();
+            let (_, _, layout) = span_cluster(config, addrs.len(), "--connect-cluster");
+            let spans =
+                ClusterTransport::new(layout, &addrs, worker_id as u16).unwrap_or_else(|e| {
+                    fail(&format!("worker {worker_id} cannot reach the cluster: {e}"))
+                });
+            (Link::Spans(spans), format!("{} span servers", addrs.len()))
+        }
+    };
+    println!("worker {worker_id}: {iters} iterations against {target}");
+    let (worker, stats) = run_worker(link, worker, iters)
         .unwrap_or_else(|e| fail(&format!("worker {worker_id} failed: {e}")));
     println!("worker {worker_id}: done after {} iterations", worker.iterations());
     print_wire_stats(&format!("worker {worker_id}"), &stats);
@@ -813,12 +733,12 @@ fn print_wire_stats(who: &str, stats: &WireStats) {
     );
 }
 
-fn wire_json(stats: &WireStats) -> serde_json::Value {
-    let links: Vec<serde_json::Value> = stats
+fn wire_json(stats: &WireStats) -> Value {
+    let links: Vec<Value> = stats
         .links
         .iter()
         .map(|l| {
-            serde_json::json!({
+            json!({
                 "tier": match l.tier { Tier::Root => "root", Tier::Edge => "edge" },
                 "span": l.span,
                 "uplink_bytes": l.uplink_bytes,
@@ -826,7 +746,7 @@ fn wire_json(stats: &WireStats) -> serde_json::Value {
             })
         })
         .collect();
-    serde_json::json!({
+    json!({
         "data_up": stats.data_up,
         "data_down": stats.data_down,
         "control": stats.control,

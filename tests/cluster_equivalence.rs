@@ -6,12 +6,12 @@
 //! topologies —
 //!
 //! 1. one process hosting the lock-striped `ShardedMdtServer` over TCP
-//!    (`train_tcp_sharded`, the oracle since PR 5/6),
+//!    (`Topology::Tcp { shards: 3, .. }`, the oracle since PR 5/6),
 //! 2. a K-process cluster: one span server per shard span, workers
-//!    fanning out per span over `ClusterTransport` (`train_cluster`),
+//!    fanning out per span over `ClusterTransport` (`Topology::Cluster`),
 //! 3. the same cluster behind per-worker edge aggregators with G = 1
-//!    (`train_cluster_edge`), where members speak the plain single-server
-//!    protocol and payloads are forwarded verbatim —
+//!    (`Topology::Cluster { edge: true, .. }`), where members speak the plain
+//!    single-server protocol and payloads are forwarded verbatim —
 //!
 //! and asserts bitwise identity of the server model, every worker model,
 //! the training curves (val-acc, train-loss, and the byte accounting
@@ -27,63 +27,13 @@
 //! exactly once — the MDT invariant makes a double apply visible in the
 //! final model).
 
-use dgs::core::config::{LrSchedule, TrainConfig};
+mod common;
+
+use common::{assert_same_training, interleaved, quick_cfg, run, span_cluster, tcp, SPANS};
+use dgs::core::config::TrainConfig;
 use dgs::core::method::Method;
-use dgs::core::trainer::schedule_for;
-use dgs::net::runtime::{
-    train_cluster, train_cluster_edge, train_tcp_sharded, Fault, IoConfig, TransportRun,
-};
+use dgs::net::runtime::{Fault, IoConfig, TransportRun};
 use dgs::net::transport::Tier;
-use dgs::nn::data::{Dataset, GaussianBlobs};
-use dgs::nn::models::mlp;
-use std::sync::Arc;
-
-/// Span count for every cluster in this suite (the 6-/12-/3-unit MLP
-/// partition splits into exactly 3 whole-segment spans).
-const SPANS: usize = 3;
-
-fn datasets() -> (Arc<dyn Dataset>, Arc<dyn Dataset>) {
-    let blobs = GaussianBlobs::new(96, 6, 3, 0.4, 5);
-    let val = Arc::new(blobs.validation(48));
-    (Arc::new(blobs), val)
-}
-
-fn quick_cfg(method: Method) -> TrainConfig {
-    let mut cfg = TrainConfig::paper_default(method, 3, 2);
-    cfg.batch_per_worker = 8;
-    cfg.lr = LrSchedule::paper_default(0.05, 2);
-    cfg.momentum = 0.4;
-    cfg.sparsity_ratio = 0.25;
-    cfg.clip_norm = 0.0;
-    cfg.seed = 11;
-    cfg.evals = 2;
-    cfg
-}
-
-/// The cross-topology identity: models, curves, accounting, staleness.
-/// Raw wire counters are *not* compared here — a cluster worker sends K
-/// framed sub-updates where the single server sees one frame, so only
-/// the assembled accounting (what the curves carry) is comparable.
-fn assert_same_training(a: &TransportRun, b: &TransportRun, what: &str) {
-    assert_eq!(a.server_model, b.server_model, "{what}: server model diverged");
-    assert_eq!(a.worker_models, b.worker_models, "{what}: a worker model diverged");
-    assert_eq!(a.result.bytes_up, b.result.bytes_up, "{what}: uplink accounting diverged");
-    assert_eq!(a.result.bytes_down, b.result.bytes_down, "{what}: downlink accounting diverged");
-    assert_eq!(
-        a.result.mean_staleness, b.result.mean_staleness,
-        "{what}: staleness telemetry diverged"
-    );
-    assert_eq!(a.result.max_staleness, b.result.max_staleness, "{what}: max staleness diverged");
-    assert_eq!(a.result.curve.len(), b.result.curve.len(), "{what}: curve lengths diverged");
-    for (x, y) in a.result.curve.iter().zip(&b.result.curve) {
-        assert_eq!(x.updates, y.updates, "{what}: eval cadence diverged");
-        assert_eq!(x.val_acc, y.val_acc, "{what}: curves diverged");
-        assert_eq!(x.val_loss, y.val_loss, "{what}: curves diverged");
-        assert_eq!(x.train_loss, y.train_loss, "{what}: curves diverged");
-        assert_eq!(x.bytes_up, y.bytes_up, "{what}: per-point uplink accounting diverged");
-        assert_eq!(x.bytes_down, y.bytes_down, "{what}: per-point downlink accounting diverged");
-    }
-}
 
 /// Per-tier byte bookkeeping inside one cluster run must balance: every
 /// worker carries one `Root` link per span, the server side aggregates
@@ -118,46 +68,15 @@ fn assert_cluster_links_balance(run: &TransportRun, what: &str) {
 
 /// Clean-run triple: sharded single process vs cluster vs cluster+edge.
 fn assert_topologies_agree(cfg: &TrainConfig) {
-    let (train, val) = datasets();
-    let builder = || mlp(6, &[12], 3, cfg.seed);
-    let schedule = schedule_for(cfg, train.len(), Some(0xD6A1));
+    let schedule = interleaved(cfg);
 
-    let sharded = train_tcp_sharded(
-        cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::default(),
-        &[],
-    )
-    .expect("single-process sharded run");
-    let cluster = train_cluster(
-        cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::default(),
-        &[],
-    )
-    .expect("cluster run");
+    let sharded = run(cfg, &schedule, &tcp(SPANS, IoConfig::default()), &[]);
+    let cluster = run(cfg, &schedule, &span_cluster(IoConfig::default(), false), &[]);
     let what = format!("{:?}", cfg.method);
     assert_same_training(&sharded, &cluster, &what);
     assert_cluster_links_balance(&cluster, &what);
 
-    let edged = train_cluster_edge(
-        cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::default(),
-    )
-    .expect("cluster+edge run");
+    let edged = run(cfg, &schedule, &span_cluster(IoConfig::default(), true), &[]);
     assert_same_training(&cluster, &edged, &format!("{what} edge"));
 
     // G = 1 forwards verbatim: a member's data frames are bitwise the
@@ -185,10 +104,7 @@ fn assert_topologies_agree(cfg: &TrainConfig) {
         let direct = cluster.server_stats.link(Tier::Root, k).expect("cluster span link");
         let via_edge = edged.server_stats.link(Tier::Root, k).expect("edge-run span link");
         assert_eq!(direct.uplink_bytes, via_edge.uplink_bytes, "{what}: span {k} root ingress");
-        assert_eq!(
-            direct.downlink_bytes, via_edge.downlink_bytes,
-            "{what}: span {k} root egress"
-        );
+        assert_eq!(direct.downlink_bytes, via_edge.downlink_bytes, "{what}: span {k} root egress");
     }
 }
 
@@ -228,32 +144,10 @@ fn dgs_with_ternary_uplink_cluster_replays_sharded_bitwise() {
 fn cluster_backends_are_bitwise_identical() {
     let mut cfg = quick_cfg(Method::Dgs);
     cfg.secondary_compression = true;
-    let (train, val) = datasets();
-    let builder = || mlp(6, &[12], 3, cfg.seed);
-    let schedule = schedule_for(&cfg, train.len(), Some(0xD6A1));
+    let schedule = interleaved(&cfg);
 
-    let threaded = train_cluster(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::default(),
-        &[],
-    )
-    .expect("threaded cluster run");
-    let evented = train_cluster(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::evented(64),
-        &[],
-    )
-    .expect("evented cluster run");
+    let threaded = run(&cfg, &schedule, &span_cluster(IoConfig::default(), false), &[]);
+    let evented = run(&cfg, &schedule, &span_cluster(IoConfig::evented(64), false), &[]);
     assert_same_training(&threaded, &evented, "cluster io backends");
     assert_eq!(threaded.server_stats, evented.server_stats, "server wire counters diverged");
     assert_eq!(threaded.worker_stats, evented.worker_stats, "worker wire counters diverged");
@@ -268,35 +162,13 @@ fn cluster_backends_are_bitwise_identical() {
 #[test]
 fn killed_span_server_recovers_without_double_apply() {
     let cfg = quick_cfg(Method::Dgs);
-    let (train, val) = datasets();
-    let builder = || mlp(6, &[12], 3, cfg.seed);
-    let schedule = schedule_for(&cfg, train.len(), Some(0xD6A1));
+    let schedule = interleaved(&cfg);
     let len = schedule.len();
     assert!(len >= 6, "schedule too short to place mid-run faults");
     let kill_only = [Fault::KillSpan { step: len / 3, span: 1 }];
 
-    let clean = train_cluster(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::default(),
-        &[],
-    )
-    .expect("clean cluster run");
-    let killed = train_cluster(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::default(),
-        &kill_only,
-    )
-    .expect("killed-span cluster run");
+    let clean = run(&cfg, &schedule, &span_cluster(IoConfig::default(), false), &[]);
+    let killed = run(&cfg, &schedule, &span_cluster(IoConfig::default(), false), &kill_only);
 
     // The kill/restart must be invisible in the training bits: same
     // models, same curves, same data accounting — the recovery costs
@@ -318,32 +190,12 @@ fn killed_span_server_recovers_without_double_apply() {
         Fault::KillSpan { step: len / 3, span: 1 },
         Fault::ResyncSpan { step: 2 * len / 3, worker: schedule.order()[2 * len / 3], span: 1 },
     ];
-    let faulted = train_cluster(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::default(),
-        &mixed,
-    )
-    .expect("faulted cluster run");
+    let faulted = run(&cfg, &schedule, &span_cluster(IoConfig::default(), false), &mixed);
     assert!(
         faulted.result.bytes_down > clean.result.bytes_down,
         "span resync should add accounted downlink bytes"
     );
-    let faulted_evented = train_cluster(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        SPANS,
-        &IoConfig::evented(64),
-        &mixed,
-    )
-    .expect("evented faulted cluster run");
+    let faulted_evented = run(&cfg, &schedule, &span_cluster(IoConfig::evented(64), false), &mixed);
     assert_same_training(&faulted, &faulted_evented, "faulted cluster io backends");
     assert_eq!(faulted.server_stats, faulted_evented.server_stats);
     assert_eq!(faulted.worker_stats, faulted_evented.worker_stats);

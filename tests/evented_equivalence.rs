@@ -13,83 +13,26 @@
 //! to the in-process loopback oracle, which `transport_equivalence`
 //! already proves bitwise equal to struct-passing training.
 
-use dgs::core::config::{LrSchedule, TrainConfig};
+mod common;
+
+use common::{assert_runs_identical, interleaved, quick_cfg, run, tcp};
+use dgs::core::config::TrainConfig;
 use dgs::core::method::Method;
-use dgs::core::trainer::schedule_for;
-use dgs::net::runtime::{train_loopback, train_tcp, train_tcp_sharded, Fault, IoConfig, TransportRun};
-use dgs::nn::data::{Dataset, GaussianBlobs};
-use dgs::nn::models::mlp;
-use std::sync::Arc;
-
-fn datasets() -> (Arc<dyn Dataset>, Arc<dyn Dataset>) {
-    let blobs = GaussianBlobs::new(96, 6, 3, 0.4, 5);
-    let val = Arc::new(blobs.validation(48));
-    (Arc::new(blobs), val)
-}
-
-fn quick_cfg(method: Method) -> TrainConfig {
-    let mut cfg = TrainConfig::paper_default(method, 3, 2);
-    cfg.batch_per_worker = 8;
-    cfg.lr = LrSchedule::paper_default(0.05, 2);
-    cfg.momentum = 0.4;
-    cfg.sparsity_ratio = 0.25;
-    cfg.clip_norm = 0.0;
-    cfg.seed = 11;
-    cfg.evals = 2;
-    cfg
-}
-
-/// Bitwise identity between two transport runs, including exact wire
-/// counters on both endpoints. `WireStats` is `PartialEq` over every
-/// counter, so one assert per endpoint covers data/control/frame/reject
-/// counts down to the byte.
-fn assert_runs_identical(a: &TransportRun, b: &TransportRun, what: &str) {
-    assert_eq!(a.server_model, b.server_model, "{what}: server model diverged");
-    assert_eq!(a.worker_models, b.worker_models, "{what}: a worker model diverged");
-    assert_eq!(a.result.bytes_up, b.result.bytes_up, "{what}: uplink accounting diverged");
-    assert_eq!(a.result.bytes_down, b.result.bytes_down, "{what}: downlink accounting diverged");
-    assert_eq!(a.result.curve.len(), b.result.curve.len(), "{what}: curve lengths diverged");
-    for (x, y) in a.result.curve.iter().zip(&b.result.curve) {
-        assert_eq!(x.val_acc, y.val_acc, "{what}: curves diverged");
-        assert_eq!(x.train_loss, y.train_loss, "{what}: curves diverged");
-    }
-    assert_eq!(a.server_stats, b.server_stats, "{what}: server wire counters diverged");
-    assert_eq!(a.worker_stats, b.worker_stats, "{what}: worker wire counters diverged");
-}
+use dgs::net::runtime::{Fault, IoConfig, Topology};
 
 /// Clean run (no faults): threaded vs evented, anchored to loopback.
 fn assert_backends_agree(cfg: &TrainConfig) {
-    let (train, val) = datasets();
-    let builder = || mlp(6, &[12], 3, cfg.seed);
-    let schedule = schedule_for(cfg, train.len(), Some(0xD6A1));
+    let schedule = interleaved(cfg);
 
-    let threaded = train_tcp(
-        cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        &IoConfig::default(),
-        &[],
-    )
-    .expect("threaded tcp run");
-    let evented = train_tcp(
-        cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        &IoConfig::evented(64),
-        &[],
-    )
-    .expect("evented tcp run");
+    let threaded = run(cfg, &schedule, &tcp(1, IoConfig::default()), &[]);
+    let evented = run(cfg, &schedule, &tcp(1, IoConfig::evented(64)), &[]);
     assert_runs_identical(&threaded, &evented, &format!("{:?}", cfg.method));
     assert_eq!(evented.server_stats.rejected_conns, 0);
 
     // Anchor to the loopback oracle: identical models, and the data-frame
     // byte counters match exactly (control traffic differs by design —
     // TCP adds hello/ack/shutdown frames that loopback doesn't need).
-    let wired = train_loopback(cfg, &builder, train, val, &schedule).expect("loopback run");
+    let wired = run(cfg, &schedule, &Topology::Loopback, &[]);
     assert_eq!(evented.server_model, wired.server_model, "evented drifted from loopback");
     assert_eq!(evented.worker_models, wired.worker_models, "evented drifted from loopback");
     assert_eq!(evented.server_stats.data_up, wired.server_stats.data_up);
@@ -137,9 +80,7 @@ fn dgs_with_ternary_uplink_backends_are_bitwise_identical() {
 #[test]
 fn reconnect_and_resync_mid_run_are_bitwise_identical() {
     let cfg = quick_cfg(Method::Dgs);
-    let (train, val) = datasets();
-    let builder = || mlp(6, &[12], 3, cfg.seed);
-    let schedule = schedule_for(&cfg, train.len(), Some(0xD6A1));
+    let schedule = interleaved(&cfg);
     let len = schedule.len();
     assert!(len >= 6, "schedule too short to place mid-run faults");
     let order = schedule.order();
@@ -150,40 +91,13 @@ fn reconnect_and_resync_mid_run_are_bitwise_identical() {
         Fault::Resync { step: 2 * len / 3, worker: order[2 * len / 3] },
     ];
 
-    let threaded = train_tcp(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        &IoConfig::default(),
-        &faults,
-    )
-    .expect("threaded faulted run");
-    let evented = train_tcp(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        &IoConfig::evented(64),
-        &faults,
-    )
-    .expect("evented faulted run");
+    let threaded = run(&cfg, &schedule, &tcp(1, IoConfig::default()), &faults);
+    let evented = run(&cfg, &schedule, &tcp(1, IoConfig::evented(64)), &faults);
     assert_runs_identical(&threaded, &evented, "faulted dgs");
     // The faults actually happened: a resync is a control frame on top of
     // the clean run's traffic, so control bytes must exceed a no-fault
     // run's on the same schedule.
-    let clean = train_tcp(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        &IoConfig::default(),
-        &[],
-    )
-    .expect("clean reference run");
+    let clean = run(&cfg, &schedule, &tcp(1, IoConfig::default()), &[]);
     assert!(
         threaded.server_stats.control > clean.server_stats.control,
         "faults produced no extra control traffic — did they fire?"
@@ -197,32 +111,13 @@ fn reconnect_and_resync_mid_run_are_bitwise_identical() {
 fn sharded_server_backends_are_bitwise_identical() {
     let mut cfg = quick_cfg(Method::Dgs);
     cfg.secondary_compression = true;
-    let (train, val) = datasets();
-    let builder = || mlp(6, &[12], 3, cfg.seed);
-    let schedule = schedule_for(&cfg, train.len(), Some(0xD6A1));
-    let faults = [Fault::Reconnect { step: schedule.len() / 2, worker: schedule.order()[schedule.len() / 2] }];
+    let schedule = interleaved(&cfg);
+    let faults = [Fault::Reconnect {
+        step: schedule.len() / 2,
+        worker: schedule.order()[schedule.len() / 2],
+    }];
 
-    let threaded = train_tcp_sharded(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        3,
-        &IoConfig::default(),
-        &faults,
-    )
-    .expect("threaded sharded run");
-    let evented = train_tcp_sharded(
-        &cfg,
-        &builder,
-        Arc::clone(&train),
-        Arc::clone(&val),
-        &schedule,
-        3,
-        &IoConfig::evented(64),
-        &faults,
-    )
-    .expect("evented sharded run");
+    let threaded = run(&cfg, &schedule, &tcp(3, IoConfig::default()), &faults);
+    let evented = run(&cfg, &schedule, &tcp(3, IoConfig::evented(64)), &faults);
     assert_runs_identical(&threaded, &evented, "sharded dgs");
 }

@@ -1,68 +1,35 @@
 //! Differential test: the transport stack is invisible to training.
 //!
 //! `train_scheduled` hands `UpMsg`/`DownMsg` structs straight to the
-//! server logic; `train_loopback` replays the *same* arrival schedule but
-//! pushes every message through the `dgs-net` codec (encode → bytes →
+//! server logic; `train(.., &Topology::Loopback, ..)` replays the *same*
+//! arrival schedule but pushes every message through the `dgs-net` codec
+//! (encode → bytes →
 //! decode, both directions). Because the codec is lossless on every
 //! payload variant, the two runs must be **bitwise identical** — same
 //! server model, same worker models, same curves — for every training
 //! method. This is the proof that moving to a real transport (TCP)
 //! changes nothing about the learning dynamics.
 
-use dgs::core::config::{LrSchedule, TrainConfig};
+mod common;
+
+use common::{assert_same_training, builder, datasets, interleaved, quick_cfg, run};
+use dgs::core::config::TrainConfig;
 use dgs::core::method::Method;
 use dgs::core::trainer::{schedule_for, train_scheduled};
-use dgs::net::runtime::train_loopback;
-use dgs::nn::data::{Dataset, GaussianBlobs};
-use dgs::nn::models::mlp;
-use std::sync::Arc;
-
-fn datasets() -> (Arc<dyn Dataset>, Arc<dyn Dataset>) {
-    let blobs = GaussianBlobs::new(96, 6, 3, 0.4, 5);
-    let val = Arc::new(blobs.validation(48));
-    (Arc::new(blobs), val)
-}
-
-fn quick_cfg(method: Method) -> TrainConfig {
-    let mut cfg = TrainConfig::paper_default(method, 3, 2);
-    cfg.batch_per_worker = 8;
-    cfg.lr = LrSchedule::paper_default(0.05, 2);
-    cfg.momentum = 0.4;
-    cfg.sparsity_ratio = 0.25;
-    cfg.clip_norm = 0.0;
-    cfg.seed = 11;
-    cfg.evals = 2;
-    cfg
-}
+use dgs::net::runtime::Topology;
 
 /// Runs both drivers on an interleaved (seeded, non-trivial) schedule and
 /// asserts bitwise model equality plus byte-counter agreement between the
 /// server logic's accounting and the transport's frame counters.
 fn assert_transport_invisible(cfg: &TrainConfig) {
     let (train, val) = datasets();
-    let builder = || mlp(6, &[12], 3, cfg.seed);
-    let schedule = schedule_for(cfg, train.len(), Some(0xD6A1));
+    let schedule = interleaved(cfg);
 
-    let direct = train_scheduled(cfg, &builder, Arc::clone(&train), Arc::clone(&val), &schedule);
-    let wired = train_loopback(cfg, &builder, train, val, &schedule).expect("loopback run");
+    let direct = train_scheduled(cfg, &builder(cfg), train, val, &schedule);
+    let wired = run(cfg, &schedule, &Topology::Loopback, &[]);
 
-    assert_eq!(
-        direct.server_model, wired.server_model,
-        "{:?}: server model drifted through the codec",
-        cfg.method
-    );
-    assert_eq!(
-        direct.worker_models, wired.worker_models,
-        "{:?}: a worker model drifted through the codec",
-        cfg.method
-    );
-    assert_eq!(direct.result.bytes_up, wired.result.bytes_up);
-    assert_eq!(direct.result.bytes_down, wired.result.bytes_down);
-    assert_eq!(direct.result.curve.len(), wired.result.curve.len());
-    for (d, w) in direct.result.curve.iter().zip(&wired.result.curve) {
-        assert_eq!(d.val_acc, w.val_acc, "{:?}: curves diverged", cfg.method);
-        assert_eq!(d.train_loss, w.train_loss, "{:?}: curves diverged", cfg.method);
-    }
+    // Models, accounting, staleness and every curve point, bitwise.
+    assert_same_training(&direct, &wired, &format!("{:?} through the codec", cfg.method));
 
     // The transport counted real encoded frames; the logic counted
     // `wire_bytes()`. In a clean run (no resyncs) they must agree exactly,
@@ -115,10 +82,9 @@ fn dgs_with_ternary_uplink_is_transport_invariant() {
 fn round_robin_schedule_also_matches() {
     let cfg = quick_cfg(Method::Dgs);
     let (train, val) = datasets();
-    let builder = || mlp(6, &[12], 3, cfg.seed);
     let schedule = schedule_for(&cfg, train.len(), None);
-    let direct = train_scheduled(&cfg, &builder, Arc::clone(&train), Arc::clone(&val), &schedule);
-    let wired = train_loopback(&cfg, &builder, train, val, &schedule).expect("loopback run");
+    let direct = train_scheduled(&cfg, &builder(&cfg), train, val, &schedule);
+    let wired = run(&cfg, &schedule, &Topology::Loopback, &[]);
     assert_eq!(direct.server_model, wired.server_model);
     assert_eq!(direct.worker_models, wired.worker_models);
 }
