@@ -611,7 +611,10 @@ mod wire_bytes {
             let mut enc: Option<(&ParsedFile, &str, u32, Vec<Arm>)> = None;
             for pf in &scoped {
                 for f in &pf.fns {
-                    if f.in_test || !f.name.starts_with("encode_") {
+                    // `encode_*` builds a message's bytes; `write_*` is the
+                    // in-place form appending them to a caller's buffer.
+                    if f.in_test || !(f.name.starts_with("encode_") || f.name.starts_with("write_"))
+                    {
                         continue;
                     }
                     let Some((open, close)) = f.body else { continue };
@@ -632,7 +635,7 @@ mod wire_bytes {
                     1,
                     format!(
                         "`{}::wire_bytes` has no encoder match to cross-check against \
-                         (no `encode_*` fn matches on `{}`)",
+                         (no `encode_*`/`write_*` fn matches on `{}`)",
                         w.enum_name, w.enum_name
                     ),
                 ));

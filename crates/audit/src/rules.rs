@@ -215,8 +215,9 @@ fn unsafe_budget(path: &str, toks: &[Tok], lexed: &Lexed, cfg: &Config, out: &mu
 
 /// paired-symbols: the codec's symmetry is the invariant
 /// `encode(msg).len() == msg.wire_bytes()` rests on — every `encode_*`
-/// must have a `decode_*` counterpart (stems normalized: `_payload` and
-/// `_frame` suffixes stripped), every `put_*` a `take_*`, and every
+/// must have a `decode_*` counterpart (stems normalized: `_payload`,
+/// `_frame` and the in-place `_into` suffixes stripped), every `put_*` a
+/// `take_*`, and every
 /// variant of a `*Msg`/`*Payload` enum must appear in a `wire_bytes`
 /// body so new variants cannot ship without a size law.
 fn paired_symbols(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
@@ -233,7 +234,7 @@ fn paired_symbols(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
     }
     let has_fn = |want: &str| fns.iter().any(|(n, _, _)| n == want);
     let stem = |name: &str, prefix: &str| -> String {
-        let s = name.trim_start_matches(prefix);
+        let s = name.trim_start_matches(prefix).trim_end_matches("_into");
         s.trim_end_matches("_payload").trim_end_matches("_frame").to_string()
     };
     for (name, line, col) in &fns {
@@ -411,6 +412,7 @@ mod tests {
     #[test]
     fn paired_symbols_matches_codec_shape() {
         let good = "pub fn encode_up_payload(u: &U) -> Vec<u8> { vec![] }\n\
+                    pub fn encode_up_frame_into(b: &mut Vec<u8>, u: &U) {}\n\
                     pub fn decode_up(p: &[u8]) -> U { U }\n\
                     fn put_sparse(b: &mut Vec<u8>) {}\n\
                     fn take_sparse(r: &mut R) {}\n";

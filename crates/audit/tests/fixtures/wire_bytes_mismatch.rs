@@ -16,7 +16,7 @@ impl Pkt {
         }
     }
 }
-pub fn encode_pkt(p: &Pkt, w: &mut Wire) {
+pub fn write_pkt_body(p: &Pkt, w: &mut Wire) {
     match p {
         Pkt::Ping => {
             w.put_u8(0);

@@ -560,29 +560,7 @@ impl MdtServer {
         // M_{t+1} = M_t − scale·g (Eq. 1; scale = 1 without damping).
         // Updates arrive lr-scaled.
         match payload {
-            UpPayloadView::Dense(g) => {
-                // Our own workers always send exactly `dim` values; a
-                // mis-sized update can only come from a non-conforming
-                // peer, and a connection thread must not panic on its
-                // behalf. Apply nothing (the clock still ticks, so the
-                // peer's sequence stays coherent) — debug builds assert.
-                debug_assert_eq!(g.len(), self.m.len(), "dense update size");
-                if g.len() == self.m.len() {
-                    for (m, &gi) in self.m.iter_mut().zip(g.iter()) {
-                        *m -= scale * gi;
-                    }
-                    if let Some(cache) = &mut self.model_cache {
-                        for (c, &gi) in Arc::make_mut(cache).iter_mut().zip(g.iter()) {
-                            *c -= scale * gi;
-                        }
-                    }
-                    if track_log {
-                        // A dense update touches everything; cursors older
-                        // than it cannot be log-served.
-                        self.log.mark_dense(t_next);
-                    }
-                }
-            }
+            UpPayloadView::Dense(g) => self.apply_dense(g, scale, track_log, t_next),
             UpPayloadView::Sparse(chunks) => self.apply_sparse(chunks, scale, track_log, t_next),
             UpPayloadView::TernarySparse(chunks) => {
                 // Per-chunk dequantization is exactly what
@@ -606,6 +584,40 @@ impl MdtServer {
             Downlink::ModelDifference { secondary_ratio } => {
                 DownMsg::SparseDiff(self.make_diff(worker, since, secondary_ratio))
             }
+        }
+    }
+
+    /// Applies a dense update to `M` and, when the downlink is dense, to the
+    /// cached model in the same pass: the update is read once, and each
+    /// element sees the expression it would in a pass of its own.
+    fn apply_dense(&mut self, g: &[f32], scale: f32, track_log: bool, t_next: u64) {
+        // Our own workers always send exactly `dim` values; a mis-sized
+        // update can only come from a non-conforming peer, and a
+        // connection thread must not panic on its behalf. Apply nothing
+        // (the clock still ticks, so the peer's sequence stays coherent) —
+        // debug builds assert.
+        debug_assert_eq!(g.len(), self.m.len(), "dense update size");
+        if g.len() != self.m.len() {
+            return;
+        }
+        match &mut self.model_cache {
+            Some(cache) => {
+                let cache = Arc::make_mut(cache).iter_mut();
+                for ((m, c), &gi) in self.m.iter_mut().zip(cache).zip(g) {
+                    *m -= scale * gi;
+                    *c -= scale * gi;
+                }
+            }
+            None => {
+                for (m, &gi) in self.m.iter_mut().zip(g) {
+                    *m -= scale * gi;
+                }
+            }
+        }
+        if track_log {
+            // A dense update touches everything; cursors older than it
+            // cannot be log-served.
+            self.log.mark_dense(t_next);
         }
     }
 
@@ -1097,6 +1109,26 @@ mod tests {
                 _ => panic!("expected dense model"),
             }
             assert_eq!(s.current_model(), reply_model(&s));
+        }
+        // Dense updates fold into `M` and the cache in one pass; the result
+        // is bit for bit what a pass over each would give.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let (mut m_ref, mut cache_ref) = (s.m().to_vec(), reply_model(&s));
+        for (step, scale) in [(0usize, 0.7f32), (1, 1.0), (2, -0.3)].into_iter() {
+            let g: Vec<f32> =
+                (0..6).map(|i| (0.1 + i as f32) * 1e-3 * (step as f32 - 1.5)).collect();
+            for (m, &gi) in m_ref.iter_mut().zip(&g) {
+                *m -= scale * gi;
+            }
+            for (c, &gi) in cache_ref.iter_mut().zip(&g) {
+                *c -= scale * gi;
+            }
+            let payload = UpPayload::Dense(g);
+            match s.handle_scaled(step % 2, payload.view(), scale) {
+                DownMsg::DenseModel(model) => assert_eq!(bits(&model), bits(&cache_ref)),
+                _ => panic!("expected dense model"),
+            }
+            assert_eq!(bits(s.m()), bits(&m_ref));
         }
     }
 

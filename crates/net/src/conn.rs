@@ -26,12 +26,13 @@
 //! same [`WireStats::record`] call the blocking path uses, so clean runs
 //! produce *identical* counters on both backends.
 
-use crate::codec::{down_msg_type, encode_down_payload, ClusterHello, Hello};
+use crate::codec::{down_msg_type, encode_down_frame_into, ClusterHello, Hello};
 use crate::error::{NetError, NetResult};
-use crate::frame::{encode_frame, FrameDecoder, MsgType, HEADER_LEN};
+use crate::frame::{encode_frame_into, FrameDecoder, MsgType, HEADER_LEN};
 use crate::msg::DownMsg;
 use crate::tcp::ServerOpts;
 use crate::transport::{decode_event, Event, Sequenced, SharedUpdateHandler, WireStats};
+use dgs_tensor::BufferPool;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -311,26 +312,38 @@ pub(crate) fn protocol_step<H: SharedUpdateHandler + ?Sized>(
     }
 }
 
-/// Encodes an [`Outgoing`] into a complete wire frame, returning the
-/// message type (for byte accounting) alongside the bytes.
-fn encode_outgoing(out: &Outgoing) -> NetResult<(MsgType, Vec<u8>)> {
-    Ok(match out {
+/// Encodes an [`Outgoing`] as a complete wire frame in `buf` (the buffer it
+/// will be queued and written from), returning the message type for byte
+/// accounting.
+fn encode_outgoing(buf: &mut Vec<u8>, out: &Outgoing) -> NetResult<MsgType> {
+    let control = |buf: &mut Vec<u8>, ty, worker, payload: &[u8]| {
+        encode_frame_into(buf, ty, worker, 0, payload).map(|()| ty)
+    };
+    match out {
         Outgoing::HelloAck { worker, hello } => {
-            (MsgType::HelloAck, encode_frame(MsgType::HelloAck, *worker, 0, &hello.encode())?)
+            control(buf, MsgType::HelloAck, *worker, &hello.encode())
         }
-        Outgoing::ClusterHelloAck { worker, hello, layout } => (
-            MsgType::ClusterHelloAck,
-            encode_frame(MsgType::ClusterHelloAck, *worker, 0, &hello.encode(layout))?,
-        ),
+        Outgoing::ClusterHelloAck { worker, hello, layout } => {
+            control(buf, MsgType::ClusterHelloAck, *worker, &hello.encode(layout))
+        }
         Outgoing::Reply { worker, seq, msg } => {
-            let ty = down_msg_type(msg);
-            (ty, encode_frame(ty, *worker, *seq, &encode_down_payload(msg)?)?)
+            encode_down_frame_into(buf, *worker, *seq, msg).map(|()| down_msg_type(msg))
         }
-        Outgoing::Control { ty, worker } => (*ty, encode_frame(*ty, *worker, 0, &[])?),
+        Outgoing::Control { ty, worker } => control(buf, *ty, *worker, &[]),
         Outgoing::Error { worker, reason } => {
-            (MsgType::Error, encode_frame(MsgType::Error, *worker, 0, reason.as_bytes())?)
+            control(buf, MsgType::Error, *worker, reason.as_bytes())
         }
-    })
+    }
+}
+
+/// Hands a drained frame or a decoded payload back to the loop's pool
+/// (which truncates it to length 0). Empty-payload control frames never
+/// took a buffer, so they return none — an idle slot is worth more than a
+/// capacity-less `Vec`.
+fn recycle(pool: &mut BufferPool<u8>, buf: Vec<u8>) {
+    if buf.capacity() > 0 {
+        pool.release(buf);
+    }
 }
 
 /// At most this many queued frames go into one `writev`.
@@ -408,9 +421,12 @@ impl<S: Read + Write> Conn<S> {
     /// would exceed the budget, so a single frame larger than the budget
     /// still goes out on an otherwise-drained connection. Counted into
     /// [`WireStats`] at enqueue time — the frame is committed to the wire
-    /// from here on.
-    fn enqueue(&mut self, out: &Outgoing) -> NetResult<()> {
-        let (ty, frame) = encode_outgoing(out)?;
+    /// from here on. The frame is encoded in a pooled buffer that goes back
+    /// once the socket has taken all of it; a refused frame's buffer is
+    /// dropped with the connection it belonged to.
+    fn enqueue(&mut self, out: &Outgoing, pool: &mut BufferPool<u8>) -> NetResult<()> {
+        let mut frame = pool.acquire();
+        let ty = encode_outgoing(&mut frame, out)?;
         if self.wq_bytes > 0 && self.wq_bytes + frame.len() > self.budget {
             return Err(NetError::Backpressure { queued: self.wq_bytes, budget: self.budget });
         }
@@ -424,15 +440,25 @@ impl<S: Read + Write> Conn<S> {
     /// the incremental decoder, feeds each frame to [`protocol_step`], and
     /// opportunistically flushes the replies (most sockets are writable,
     /// so the common case never waits for a writable wakeup).
+    ///
+    /// Headers — and whatever small frames arrive in the same segment — are
+    /// read through the loop's `scratch`; once a header has been parsed the
+    /// rest of its payload is read from the socket straight into the
+    /// frame's pooled buffer.
     pub fn handle_readable<H: SharedUpdateHandler + ?Sized>(
         &mut self,
         handler: &H,
         opts: &ServerOpts,
         scratch: &mut [u8],
+        pool: &mut BufferPool<u8>,
     ) -> DriveOutcome {
         let mut outcome = DriveOutcome::default();
         while !self.closing && !self.dead {
-            let n = match self.stream.read(scratch) {
+            let (read, direct) = match self.decoder.fill_from(&mut self.stream) {
+                Some(read) => (read, true),
+                None => (self.stream.read(scratch), false),
+            };
+            let n = match read {
                 // Peer closed. Like the blocking server, whatever was
                 // mid-decode is abandoned; queued replies still drain.
                 Ok(0) => {
@@ -447,9 +473,12 @@ impl<S: Read + Write> Conn<S> {
                     return outcome;
                 }
             };
-            self.feed(scratch.get(..n).unwrap_or_default(), handler, opts, &mut outcome);
+            // A direct fill already stored its bytes; the empty feed only
+            // completes the frame.
+            let fresh: &[u8] = if direct { &[] } else { scratch.get(..n).unwrap_or_default() };
+            self.feed(fresh, handler, opts, pool, &mut outcome);
         }
-        self.flush_ready();
+        self.flush_ready(pool);
         outcome
     }
 
@@ -459,12 +488,13 @@ impl<S: Read + Write> Conn<S> {
         mut input: &[u8],
         handler: &H,
         opts: &ServerOpts,
+        pool: &mut BufferPool<u8>,
         outcome: &mut DriveOutcome,
     ) {
         // Once a step closes the connection, the rest of the buffer is
         // discarded — the blocking server's `break` does the same.
-        while !input.is_empty() && !self.closing && !self.dead {
-            let (used, frame) = match self.decoder.advance(input) {
+        while !self.closing && !self.dead {
+            let (used, frame) = match self.decoder.advance(input, pool) {
                 Ok(step) => step,
                 // Malformed framing (bad magic/version/crc/length): the
                 // blocking server closes silently; so do we.
@@ -476,9 +506,17 @@ impl<S: Read + Write> Conn<S> {
             // `used <= input.len()` per the decoder contract; a checked
             // slice (empty on violation) keeps the wire path panic-free.
             input = input.get(used..).unwrap_or_default();
-            let Some((header, payload)) = frame else { continue };
+            let Some((header, payload)) = frame else {
+                if input.is_empty() {
+                    return;
+                }
+                continue;
+            };
             self.stats.record(header.msg_type, HEADER_LEN + payload.len());
-            let event = match decode_event(header, payload) {
+            let event = decode_event(header, &payload);
+            // CRC-valid, and fully copied out by the decode: back to the pool.
+            recycle(pool, payload);
+            let event = match event {
                 Ok(ev) => ev,
                 // Undecodable payload: silent close, like the oracle.
                 Err(_) => {
@@ -489,7 +527,7 @@ impl<S: Read + Write> Conn<S> {
             let step = protocol_step(&mut self.phase, event, handler, opts);
             outcome.finished += usize::from(step.done);
             for out in &step.send {
-                if self.enqueue(out).is_err() {
+                if self.enqueue(out, pool).is_err() {
                     // Backpressure (or an encode refusal): hard disconnect.
                     // The peer is not draining, so flushing is pointless;
                     // its reconnect/resync path recovers the stream.
@@ -506,19 +544,21 @@ impl<S: Read + Write> Conn<S> {
     /// Writes as much of the queue as the socket will take, coalescing up
     /// to [`WRITEV_BATCH`] frames per `writev`. `WouldBlock` leaves the
     /// remainder queued for the next writable wakeup.
-    pub fn flush_ready(&mut self) {
+    pub fn flush_ready(&mut self, pool: &mut BufferPool<u8>) {
         while self.wq_bytes > 0 && !self.dead {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.wq.len().min(WRITEV_BATCH));
-            for (i, seg) in self.wq.iter().take(WRITEV_BATCH).enumerate() {
-                let start = if i == 0 { self.front_off } else { 0 };
-                slices.push(IoSlice::new(seg.get(start..).unwrap_or_default()));
+            let mut slices = [IoSlice::new(&[]); WRITEV_BATCH];
+            let mut batch = 0;
+            for (slot, seg) in slices.iter_mut().zip(&self.wq) {
+                let start = if batch == 0 { self.front_off } else { 0 };
+                *slot = IoSlice::new(seg.get(start..).unwrap_or_default());
+                batch += 1;
             }
-            match self.stream.write_vectored(&slices) {
+            match self.stream.write_vectored(slices.get(..batch).unwrap_or_default()) {
                 Ok(0) => {
                     self.dead = true;
                     return;
                 }
-                Ok(n) => self.consume_written(n),
+                Ok(n) => self.consume_written(n, pool),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -534,25 +574,26 @@ impl<S: Read + Write> Conn<S> {
     /// the loop is exiting: the caller has switched the stream to blocking
     /// with a write timeout, so this terminates even against a slow peer.
     /// Errors are swallowed — teardown must not fail.
-    pub fn flush_remaining(&mut self) {
+    pub fn flush_remaining(&mut self, pool: &mut BufferPool<u8>) {
         if self.dead {
             return;
         }
-        while let Some(front) = self.wq.front() {
-            let len = front.len().saturating_sub(self.front_off);
-            if self.stream.write_all(front.get(self.front_off..).unwrap_or_default()).is_err() {
+        while let Some(front) = self.wq.pop_front() {
+            let rest = front.get(self.front_off..).unwrap_or_default();
+            if self.stream.write_all(rest).is_err() {
                 self.dead = true;
                 return;
             }
             self.front_off = 0;
-            self.wq_bytes = self.wq_bytes.saturating_sub(len);
-            self.wq.pop_front();
+            self.wq_bytes = self.wq_bytes.saturating_sub(rest.len());
+            recycle(pool, front);
         }
         let _ = self.stream.flush();
     }
 
-    /// Retires `n` accepted bytes from the front of the queue.
-    fn consume_written(&mut self, mut n: usize) {
+    /// Retires `n` accepted bytes from the front of the queue; fully
+    /// written frames go back to the pool.
+    fn consume_written(&mut self, mut n: usize, pool: &mut BufferPool<u8>) {
         self.wq_bytes = self.wq_bytes.saturating_sub(n);
         while n > 0 {
             let Some(front) = self.wq.front() else { return };
@@ -560,7 +601,9 @@ impl<S: Read + Write> Conn<S> {
             if n >= remaining {
                 n -= remaining;
                 self.front_off = 0;
-                self.wq.pop_front();
+                if let Some(done) = self.wq.pop_front() {
+                    recycle(pool, done);
+                }
             } else {
                 self.front_off += n;
                 return;
@@ -572,6 +615,7 @@ impl<S: Read + Write> Conn<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
     use crate::msg::{SparseUpdate, SparseVec, UpMsg, UpPayload};
     use crate::runtime::LogicHandler;
     use crate::transport::{loopback_pair, LoopbackStream, UpdateHandler, WireConn};
@@ -628,8 +672,17 @@ mod tests {
         h: &Mutex<LogicHandler<ToyHandler>>,
         o: &ServerOpts,
     ) -> DriveOutcome {
+        drive_pooled(conn, h, o, &mut BufferPool::new(4))
+    }
+
+    fn drive_pooled<S: Read + Write, L: UpdateHandler + Send>(
+        conn: &mut Conn<S>,
+        h: &Mutex<LogicHandler<L>>,
+        o: &ServerOpts,
+        pool: &mut BufferPool<u8>,
+    ) -> DriveOutcome {
         let mut scratch = [0u8; 4096];
-        conn.handle_readable(h, o, &mut scratch)
+        conn.handle_readable(h, o, &mut scratch, pool)
     }
 
     #[test]
@@ -757,9 +810,10 @@ mod tests {
         // First frame exceeds the budget alone but the queue is empty, so
         // it is accepted (a connection must always be able to make
         // progress on one frame).
-        conn.enqueue(&reply).unwrap();
+        let mut pool = BufferPool::new(4);
+        conn.enqueue(&reply, &mut pool).unwrap();
         let before = conn.stats();
-        let err = conn.enqueue(&reply).unwrap_err();
+        let err = conn.enqueue(&reply, &mut pool).unwrap_err();
         match err {
             NetError::Backpressure { queued, budget } => {
                 assert!(queued > budget, "queued {queued} vs budget {budget}");
@@ -770,6 +824,10 @@ mod tests {
         // frames committed to the wire.
         assert_eq!(conn.stats(), before);
         assert_eq!(conn.wq.len(), 1);
+        // Nor did its buffer go back to the pool; the queued frame's goes
+        // down with the connection.
+        drop(conn);
+        assert_eq!(pool.idle(), 0);
     }
 
     #[test]
@@ -801,15 +859,113 @@ mod tests {
 
         let mut conn: Conn<Trickle> =
             Conn::new(Trickle { out: Vec::new(), cap: 7 }, 1 << 20, 1 << 20);
+        let mut pool = BufferPool::new(4);
         let mut want = Vec::new();
         for _ in 0..5 {
             let out = Outgoing::Control { ty: MsgType::HeartbeatAck, worker: 0 };
-            let (_, frame) = encode_outgoing(&out).unwrap();
+            let mut frame = Vec::new();
+            encode_outgoing(&mut frame, &out).unwrap();
             want.extend_from_slice(&frame);
-            conn.enqueue(&out).unwrap();
+            conn.enqueue(&out, &mut pool).unwrap();
         }
-        conn.flush_ready();
+        conn.flush_ready(&mut pool);
         assert!(!conn.wants_write(), "everything drained");
         assert_eq!(conn.stream_mut().out, want, "bytes survive 7-byte write slices in order");
+        assert_eq!(pool.idle(), 4, "drained frames went back, up to the pool's bound");
+    }
+
+    /// Replies with the dense update it was sent: the largest-message shape
+    /// (dense both ways) at whatever size the test picks.
+    struct Echo;
+
+    impl UpdateHandler for Echo {
+        fn on_update(&mut self, _worker: u16, up: UpMsg) -> DownMsg {
+            match up.payload {
+                UpPayload::Dense(v) => DownMsg::DenseModel(std::sync::Arc::new(v)),
+                other => panic!("echo handler got {other:?}"),
+            }
+        }
+
+        fn on_resync(&mut self, _worker: u16) -> DownMsg {
+            DownMsg::DenseModel(std::sync::Arc::new(Vec::new()))
+        }
+    }
+
+    #[test]
+    fn dense_exchanges_reach_a_pool_steady_state() {
+        let (mut conn, mut peer, o) = rig(1, 64 << 20);
+        let h = Mutex::new(LogicHandler::new(Echo, 1));
+        let mut pool = BufferPool::new(4);
+        peer.send_hello(MsgType::Hello, 0, &Hello { dim: 3, applied: 0, theta0_crc: 0xABCD })
+            .unwrap();
+        drive_pooled(&mut conn, &h, &o, &mut pool);
+        assert!(matches!(peer.read_event().unwrap(), Event::HelloAck { .. }));
+        let grad: Vec<f32> = (0..20_000).map(|i| i as f32 * 0.25 - 7.0).collect();
+        let up = UpMsg { payload: UpPayload::Dense(grad.clone()), train_loss: 0.5 };
+        let mut warm = None;
+        for seq in 1..=34u32 {
+            peer.send_update(0, seq, &up).unwrap();
+            drive_pooled(&mut conn, &h, &o, &mut pool);
+            match peer.read_event().unwrap() {
+                Event::Reply { seq: got, msg: DownMsg::DenseModel(m), .. } => {
+                    assert_eq!((got, m.as_slice()), (seq, grad.as_slice()));
+                }
+                other => panic!("expected a dense reply, got {other:?}"),
+            }
+            assert!(!conn.wants_write());
+            // Two warm-up exchanges, then nothing may move: the received
+            // payload and the reply travel in buffers the pool already has.
+            let state = (pool.idle(), pool.retained_bytes());
+            if seq > 2 {
+                assert_eq!(Some(state), warm, "exchange {seq}");
+            }
+            warm = Some(state);
+        }
+        assert_eq!(conn.stats(), peer.stats());
+    }
+
+    /// Yields its bytes, then end-of-stream; swallows writes.
+    struct Script(io::Cursor<Vec<u8>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn hostile_length_then_eof_leaves_the_pool_unchanged() {
+        let o = opts(1);
+        let h = handler(1);
+        let mut pool = BufferPool::new(4);
+        pool.release(Vec::with_capacity(4096));
+        let before = (pool.idle(), pool.retained_bytes());
+        // A valid header declaring the largest payload the server accepts,
+        // a few bytes of it, then the peer hangs up.
+        let mut hostile = encode_frame(MsgType::UpDense, 0, 1, &[]).unwrap();
+        hostile[12..16].copy_from_slice(&u32::try_from(o.max_payload).unwrap().to_le_bytes());
+        hostile.extend_from_slice(&[0x55; 100]);
+        let mut conn = Conn::new(Script(io::Cursor::new(hostile)), o.max_payload, 1 << 20);
+        drive_pooled(&mut conn, &h, &o, &mut pool);
+        assert!(conn.should_teardown(), "eof mid-payload closes the connection");
+        drop(conn);
+        assert_eq!((pool.idle(), pool.retained_bytes()), before);
+        // One byte more is refused at the header, before any buffer exists.
+        let mut oversized = encode_frame(MsgType::UpDense, 0, 1, &[]).unwrap();
+        oversized[12..16].copy_from_slice(&u32::try_from(o.max_payload + 1).unwrap().to_le_bytes());
+        let mut conn = Conn::new(Script(io::Cursor::new(oversized)), o.max_payload, 1 << 20);
+        drive_pooled(&mut conn, &h, &o, &mut pool);
+        assert!(conn.should_teardown());
+        assert_eq!((pool.idle(), pool.retained_bytes()), before);
     }
 }

@@ -32,6 +32,7 @@ use crate::error::{NetError, NetResult};
 use crate::poll::{Fd, Interest, PollEvent, Poller};
 use crate::tcp::ServerOpts;
 use crate::transport::{SharedUpdateHandler, WireConn, WireStats};
+use dgs_tensor::BufferPool;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -95,6 +96,14 @@ const LISTENER: usize = 0;
 
 /// How long the final blocking drain may spend per write.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Idle frame buffers the loop's pool retains. The pool is shared by every
+/// connection of the loop, so idle memory is at most this many buffers of
+/// the largest frame carried so far (itself ≤ `max_payload`) however many
+/// connections are open; a release beyond it frees the buffer. Four covers
+/// a payload being received, its reply being drained and one more pair
+/// overlapping them.
+const POOL_BUFFERS: usize = 4;
 
 /// Deregisters and retires connection `slot`, folding its counters in.
 fn teardown(
@@ -188,6 +197,22 @@ pub fn serve_cluster_evented<H: SharedUpdateHandler>(
     opts: ServerOpts,
     ev_opts: EventedOpts,
 ) -> NetResult<WireStats> {
+    let mut pool = BufferPool::new(POOL_BUFFERS);
+    // dgs::allow(no-blocking-under-lock): serve_pooled is this event loop, split off only so a test can own the pool; the one parking call it reaches is its own allowed `poller.wait`
+    serve_pooled(listener, handler, opts, ev_opts, &mut pool)
+}
+
+/// [`serve_cluster_evented`] over a caller-owned frame-buffer pool: every
+/// received payload and every queued frame of every connection lives in a
+/// buffer taken from `pool` and handed back when the frame is done with.
+/// Loop-local by construction (`&mut`, never behind a lock).
+fn serve_pooled<H: SharedUpdateHandler>(
+    listener: TcpListener,
+    handler: Arc<H>,
+    opts: ServerOpts,
+    ev_opts: EventedOpts,
+    pool: &mut BufferPool<u8>,
+) -> NetResult<WireStats> {
     listener.set_nonblocking(true)?;
     let mut poller = Poller::new()?;
     poller.register(raw_fd_listener(&listener), LISTENER, Interest::READ)?;
@@ -229,12 +254,13 @@ pub fn serve_cluster_evented<H: SharedUpdateHandler>(
             let slot = ev.token - 1;
             let Some(entry) = entries.get_mut(slot).and_then(Option::as_mut) else { continue };
             if ev.readable {
+                let conn = &mut entry.conn;
                 // dgs::allow(no-blocking-under-lock): the blocking chain is edge-only (run_round's upstream exchange); edge tiers are served by the thread backend per the edge module contract, never by this event loop
-                let outcome = entry.conn.handle_readable(handler.as_ref(), &opts, &mut scratch);
+                let outcome = conn.handle_readable(handler.as_ref(), &opts, &mut scratch, pool);
                 finished += outcome.finished;
             }
             if ev.writable {
-                entry.conn.flush_ready();
+                entry.conn.flush_ready(pool);
             }
             if entry.conn.should_teardown() {
                 teardown(&mut poller, &mut entries, &mut free, &mut live, &mut stats, slot);
@@ -260,7 +286,7 @@ pub fn serve_cluster_evented<H: SharedUpdateHandler>(
         let stream = entry.conn.stream_mut();
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_write_timeout(Some(DRAIN_TIMEOUT));
-        entry.conn.flush_remaining();
+        entry.conn.flush_remaining(pool);
     }
     for entry in entries.into_iter().flatten() {
         stats.merge(&entry.conn.stats());
@@ -396,6 +422,46 @@ mod tests {
         let h = h.logic();
         assert_eq!(h.applied, vec![5, 5]);
         assert_eq!(h.resyncs, 0);
+    }
+
+    /// Two server sessions over one pool: whatever the first (warm-up)
+    /// session left pooled is all the second — 32 dense exchanges with
+    /// frames far larger than a socket buffer, so partial reads, direct
+    /// fill and partial writes all happen — ever needs.
+    #[test]
+    fn dense_sessions_grow_no_pooled_buffer() {
+        const LEN: usize = 1 << 16;
+        fn session(pool: &mut BufferPool<u8>, rounds: u32) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let worker = thread::spawn(move || {
+                let mut o = worker_opts(&addr, 0);
+                // No heartbeats: an ack queued beside a reply would take a
+                // second buffer only on a slow host.
+                o.read_timeout = Duration::from_secs(20);
+                let mut t = TcpWorkerTransport::new(o);
+                for i in 1..=rounds {
+                    let dense = UpMsg {
+                        payload: UpPayload::Dense(vec![i as f32; LEN]),
+                        train_loss: f64::from(i),
+                    };
+                    match t.exchange(&dense).unwrap() {
+                        DownMsg::DenseModel(m) => assert_eq!(*m, vec![i as f32; LEN]),
+                        other => panic!("expected a dense reply, got {other:?}"),
+                    }
+                }
+                t.shutdown().unwrap();
+            });
+            let handler = ToyHandler::shared(1, LEN);
+            serve_pooled(listener, handler, server_opts(1), EventedOpts::default(), pool).unwrap();
+            worker.join().unwrap();
+        }
+        let mut pool = BufferPool::new(POOL_BUFFERS);
+        session(&mut pool, 4);
+        let warm = (pool.idle(), pool.retained_bytes());
+        assert!(warm.1 >= 4 * LEN, "the dense frames' buffer is retained: {warm:?}");
+        session(&mut pool, 32);
+        assert_eq!((pool.idle(), pool.retained_bytes()), warm);
     }
 
     #[test]

@@ -20,13 +20,21 @@
 //! byte counts can never drift.
 //!
 //! Reading is strictly bounded: the declared payload length is validated
-//! against the caller's maximum *before* any allocation, the body is read
-//! with `read_exact` (never past the frame), and a CRC mismatch or bad
-//! magic is an error, never a panic.
+//! against the caller's maximum *before* any buffer is sized by it, the
+//! body is read through a `Take` of exactly that length (never past the
+//! frame), and a CRC mismatch or bad magic is an error, never a panic.
+//!
+//! A frame lives in one buffer per hop. Sending: [`begin_frame`] leaves a
+//! header placeholder, the codec appends the body, [`finish_frame`] CRCs
+//! the body where it lies and patches the header in — the buffer handed to
+//! the socket is the one the body was encoded into. Receiving:
+//! [`read_frame_into`] and [`FrameDecoder::fill_from`] read the payload
+//! straight from the socket into the buffer the decoder then parses.
 
 use crate::crc::crc32;
 use crate::error::{NetError, NetResult};
 use crate::msg::HEADER_BYTES;
+use dgs_tensor::BufferPool;
 use std::io::{ErrorKind, Read, Write};
 
 /// First four bytes of every frame.
@@ -157,13 +165,47 @@ pub struct FrameHeader {
     pub crc: u32,
 }
 
-/// Encodes a complete frame (header + payload) into a caller-owned
-/// buffer, clearing it first. Connections reuse one scratch buffer across
-/// sends, so the steady state allocates nothing: the buffer grows to the
-/// largest frame ever sent and stays there. The encoded length is exactly
-/// `HEADER_LEN + payload.len()`; a payload whose length does not fit the
-/// u32 header field is refused with [`NetError::TooLarge`] rather than
-/// silently truncated.
+/// A received frame: its header and its CRC-checked payload.
+pub type Frame = (FrameHeader, Vec<u8>);
+
+/// Starts a frame in the buffer it will travel in: clears `buf` and leaves
+/// the header's [`HEADER_LEN`] bytes as a placeholder. The caller appends
+/// the body behind it and [`finish_frame`] fills the header in, so a frame
+/// is written once — never assembled in one buffer and copied into another.
+/// Connections reuse one buffer across sends: it grows to the largest frame
+/// ever sent and stays there, and nothing of an earlier frame survives the
+/// `clear`.
+pub fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0; HEADER_LEN]);
+}
+
+/// Completes a frame begun by [`begin_frame`]: CRCs the body
+/// (`buf[HEADER_LEN..]`) where it lies and writes the header in front of
+/// it. A body whose length does not fit the u32 header field is refused
+/// with [`NetError::TooLarge`] rather than silently truncated.
+pub fn finish_frame(buf: &mut [u8], msg_type: MsgType, worker: u16, seq: u32) -> NetResult<()> {
+    let Some((head, body)) = buf.split_first_chunk_mut::<HEADER_LEN>() else {
+        return Err(NetError::Malformed("frame buffer shorter than its header"));
+    };
+    let len = u32::try_from(body.len())
+        .map_err(|_| NetError::TooLarge { what: "frame payload", len: body.len() })?;
+    // One array literal, mirroring `parse_header`'s destructure: the field
+    // offsets live in one pattern and no byte is reached by indexing.
+    let [m0, m1, m2, m3] = MAGIC;
+    let [w0, w1] = worker.to_le_bytes();
+    let [s0, s1, s2, s3] = seq.to_le_bytes();
+    let [l0, l1, l2, l3] = len.to_le_bytes();
+    let [c0, c1, c2, c3] = crc32(body).to_le_bytes();
+    // dgs::allow(no-truncating-cast): repr(u8) enum discriminant, value-preserving by construction
+    let ty = msg_type as u8;
+    *head = [m0, m1, m2, m3, VERSION, ty, w0, w1, s0, s1, s2, s3, l0, l1, l2, l3, c0, c1, c2, c3];
+    Ok(())
+}
+
+/// Encodes a complete frame around an already-encoded `payload` (control
+/// frames: handshakes, error reasons, the empty payload). The encoded
+/// length is exactly `HEADER_LEN + payload.len()`.
 pub fn encode_frame_into(
     buf: &mut Vec<u8>,
     msg_type: MsgType,
@@ -171,20 +213,9 @@ pub fn encode_frame_into(
     seq: u32,
     payload: &[u8],
 ) -> NetResult<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| NetError::TooLarge { what: "frame payload", len: payload.len() })?;
-    buf.clear();
-    buf.reserve(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION);
-    // dgs::allow(no-truncating-cast): repr(u8) enum discriminant, value-preserving by construction
-    buf.push(msg_type as u8);
-    buf.extend_from_slice(&worker.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    begin_frame(buf);
     buf.extend_from_slice(payload);
-    Ok(())
+    finish_frame(buf, msg_type, worker, seq)
 }
 
 /// Encodes a complete frame (header + payload) into a fresh buffer.
@@ -215,23 +246,6 @@ pub fn write_frame<W: Write>(
     Ok(frame.len())
 }
 
-/// [`write_frame`] through a caller-owned scratch buffer: same bytes on
-/// the wire, same return value, no per-send allocation. `WireConn` routes
-/// every send through this with its connection-local buffer.
-pub fn write_frame_buffered<W: Write>(
-    w: &mut W,
-    buf: &mut Vec<u8>,
-    msg_type: MsgType,
-    worker: u16,
-    seq: u32,
-    payload: &[u8],
-) -> NetResult<usize> {
-    encode_frame_into(buf, msg_type, worker, seq, payload)?;
-    w.write_all(buf)?;
-    w.flush()?;
-    Ok(buf.len())
-}
-
 /// Parses a 20-byte header buffer (magic/version/type validation only —
 /// the CRC is checked against the body by [`read_frame`]).
 pub fn parse_header(raw: &[u8; HEADER_LEN]) -> NetResult<FrameHeader> {
@@ -257,10 +271,22 @@ pub fn parse_header(raw: &[u8; HEADER_LEN]) -> NetResult<FrameHeader> {
     })
 }
 
-/// Reads one frame. `max_payload` bounds the declared length *before* any
-/// allocation. A clean EOF at a frame boundary is [`NetError::Closed`];
-/// EOF mid-frame is an I/O error (truncation).
-pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> NetResult<(FrameHeader, Vec<u8>)> {
+/// Reads one frame's payload into a caller-owned buffer (cleared first)
+/// and returns its header. `max_payload` bounds the declared length
+/// *before* the buffer is grown to hold it. A clean EOF at a frame
+/// boundary is [`NetError::Closed`]; EOF mid-frame is an I/O error
+/// (truncation). After any error `payload` holds no usable bytes.
+///
+/// The payload is read straight into the buffer's spare capacity
+/// (`Take::read_to_end`: never past the frame's end, no zero-fill of
+/// memory the socket is about to overwrite), so a connection that keeps
+/// its buffer across frames neither allocates nor touches a byte twice.
+pub fn read_frame_into<R: Read>(
+    r: &mut R,
+    max_payload: usize,
+    payload: &mut Vec<u8>,
+) -> NetResult<FrameHeader> {
+    payload.clear();
     let mut raw = [0u8; HEADER_LEN];
     // First byte distinguishes clean close from truncation.
     let mut got = 0usize;
@@ -292,38 +318,55 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> NetResult<(FrameHea
         }
     }
     let header = parse_header(&raw)?;
+    let len = checked_len(&header, max_payload)?;
+    payload.reserve(len);
+    // `read_to_end` retries `Interrupted` itself and stops at the limit or
+    // at EOF, whichever comes first.
+    match r.by_ref().take(u64::from(header.len)).read_to_end(payload) {
+        Ok(n) if n == len => {}
+        Ok(_) => {
+            return Err(NetError::Io(std::io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "eof inside frame payload",
+            )))
+        }
+        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            return Err(NetError::Io(std::io::Error::new(
+                ErrorKind::TimedOut,
+                "peer stalled inside frame payload",
+            )))
+        }
+        Err(e) => return Err(NetError::Io(e)),
+    }
+    check_crc(&header, payload)?;
+    Ok(header)
+}
+
+/// [`read_frame_into`] a fresh buffer.
+pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> NetResult<Frame> {
+    let mut payload = Vec::new();
+    let header = read_frame_into(r, max_payload, &mut payload)?;
+    Ok((header, payload))
+}
+
+/// The declared payload length as a `usize`, refused when it exceeds the
+/// receiver's ceiling — checked before any buffer is sized by it.
+fn checked_len(header: &FrameHeader, max_payload: usize) -> NetResult<usize> {
     let len = usize::try_from(header.len)
         .map_err(|_| NetError::Malformed("declared length exceeds address space"))?;
     if len > max_payload {
         return Err(NetError::Oversized { len, max: max_payload });
     }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        let Some(dst) = payload.get_mut(got..) else { break };
-        match r.read(dst) {
-            Ok(0) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "eof inside frame payload",
-                )))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err(NetError::Io(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    "peer stalled inside frame payload",
-                )))
-            }
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-    let actual = crc32(&payload);
+    Ok(len)
+}
+
+/// CRC gate shared by every completion path (the empty payload included).
+fn check_crc(header: &FrameHeader, payload: &[u8]) -> NetResult<()> {
+    let actual = crc32(payload);
     if actual != header.crc {
         return Err(NetError::BadCrc { expected: header.crc, actual });
     }
-    Ok((header, payload))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +388,7 @@ enum DecodeState {
         header: FrameHeader,
         /// `header.len` as a checked `usize` (validated ≤ `max_payload`).
         len: usize,
-        /// Payload bytes received so far.
+        /// Payload bytes received so far, in a buffer taken from the pool.
         buf: Vec<u8>,
     },
     /// A previous `advance` returned an error. The stream offset is no
@@ -359,10 +402,15 @@ enum DecodeState {
 /// complete frames. Decoding decisions are identical to [`read_frame`] —
 /// magic/version/type validated as soon as the header completes, the
 /// declared length checked against `max_payload` *before* the payload
-/// buffer is allocated, and the CRC verified over the full payload
+/// buffer is sized by it, and the CRC verified over the full payload
 /// (including the empty one). Errors, never panics, on hostile input;
 /// after an error the decoder is poisoned and refuses further bytes, so a
 /// desynchronised stream cannot be misparsed as fresh frames.
+///
+/// Payload buffers come from the caller's [`BufferPool`] and leave the
+/// decoder only inside a CRC-valid frame; the caller hands them back once
+/// the frame is decoded. A buffer held when the decoder is poisoned or
+/// dropped mid-frame is freed, never pooled.
 pub struct FrameDecoder {
     max_payload: usize,
     state: DecodeState,
@@ -384,8 +432,26 @@ impl FrameDecoder {
     /// non-empty `input` always consumes at least one byte (or errors),
     /// so draining a buffer with a `while` loop over the unconsumed tail
     /// terminates. At most one frame is returned per call; call again
-    /// with the remaining bytes for the next one.
-    pub fn advance(&mut self, input: &[u8]) -> NetResult<(usize, Option<(FrameHeader, Vec<u8>)>)> {
+    /// with the remaining bytes for the next one. An empty `input`
+    /// completes a payload that [`Self::fill_from`] has just filled.
+    pub fn advance(
+        &mut self,
+        input: &[u8],
+        pool: &mut BufferPool<u8>,
+    ) -> NetResult<(usize, Option<Frame>)> {
+        let step = self.step(input, pool);
+        if step.is_err() {
+            self.state = DecodeState::Poisoned;
+        }
+        step
+    }
+
+    /// One [`Self::advance`] step; the caller poisons the decoder on `Err`.
+    fn step(
+        &mut self,
+        input: &[u8],
+        pool: &mut BufferPool<u8>,
+    ) -> NetResult<(usize, Option<Frame>)> {
         match &mut self.state {
             DecodeState::Poisoned => {
                 Err(NetError::Malformed("frame decoder poisoned by an earlier error"))
@@ -403,79 +469,54 @@ impl FrameDecoder {
                 if *got < HEADER_LEN {
                     return Ok((take, None));
                 }
-                let (header, len) = match self.validate_header() {
-                    Ok(h) => h,
-                    Err(e) => {
-                        self.state = DecodeState::Poisoned;
-                        return Err(e);
-                    }
-                };
+                let header = parse_header(buf)?;
+                let len = checked_len(&header, self.max_payload)?;
                 if len == 0 {
                     // Zero-payload frames complete with the header; the
                     // CRC still has to cover the empty payload.
-                    let frame = match finish_payload(header, Vec::new()) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            self.state = DecodeState::Poisoned;
-                            return Err(e);
-                        }
-                    };
+                    check_crc(&header, &[])?;
                     self.state = DecodeState::Header { buf: [0; HEADER_LEN], got: 0 };
-                    return Ok((take, Some(frame)));
+                    return Ok((take, Some((header, Vec::new()))));
                 }
-                self.state = DecodeState::Payload {
-                    header,
-                    len,
-                    // The length was just checked against max_payload, so
-                    // this allocation is bounded by the caller's ceiling.
-                    buf: Vec::with_capacity(len),
-                };
+                // Best fit, so a small frame does not take (and a hostile
+                // length does not grow) the buffer a large frame will want
+                // next; `len` was just checked against `max_payload`, so a
+                // fresh allocation is bounded by the caller's ceiling.
+                let buf = pool.acquire_fit(len).unwrap_or_else(|| Vec::with_capacity(len));
+                self.state = DecodeState::Payload { header, len, buf };
                 Ok((take, None))
             }
             DecodeState::Payload { header, len, buf } => {
-                let need = *len - buf.len();
-                let take = input.len().min(need);
+                let take = input.len().min(len.saturating_sub(buf.len()));
                 buf.extend_from_slice(input.get(..take).unwrap_or_default());
                 if buf.len() < *len {
                     return Ok((take, None));
                 }
-                let header = *header;
-                let payload = std::mem::take(buf);
-                let frame = match finish_payload(header, payload) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        self.state = DecodeState::Poisoned;
-                        return Err(e);
-                    }
-                };
+                check_crc(header, buf)?;
+                let frame = (*header, std::mem::take(buf));
                 self.state = DecodeState::Header { buf: [0; HEADER_LEN], got: 0 };
                 Ok((take, Some(frame)))
             }
         }
     }
 
-    /// Parses and bounds-checks a completed header buffer.
-    fn validate_header(&self) -> NetResult<(FrameHeader, usize)> {
-        let DecodeState::Header { buf, .. } = &self.state else {
-            return Err(NetError::Malformed("decoder state desynchronised"));
-        };
-        let header = parse_header(buf)?;
-        let len = usize::try_from(header.len)
-            .map_err(|_| NetError::Malformed("declared length exceeds address space"))?;
-        if len > self.max_payload {
-            return Err(NetError::Oversized { len, max: self.max_payload });
+    /// Direct fill: while a payload is incomplete, reads from `r` straight
+    /// into the payload buffer's unfilled tail — never past the frame's
+    /// end, with no scratch buffer in between — and returns what `read`
+    /// would (`Ok(0)` is EOF; a nonblocking `r` may report `WouldBlock`
+    /// after part of what it had was stored, which is kept). Returns
+    /// `None` when no payload bytes are wanted: between frames, inside a
+    /// header, after poisoning. Once this returns `Ok`, `advance(&[], ..)`
+    /// yields the frame if it is complete.
+    pub fn fill_from<R: Read>(&mut self, r: &mut R) -> Option<std::io::Result<usize>> {
+        let DecodeState::Payload { len, buf, .. } = &mut self.state else { return None };
+        let need = len.saturating_sub(buf.len());
+        if need == 0 {
+            return None;
         }
-        Ok((header, len))
+        let need = u64::try_from(need).unwrap_or(u64::MAX);
+        Some(r.by_ref().take(need).read_to_end(buf))
     }
-}
-
-/// CRC gate shared by both completion paths.
-fn finish_payload(header: FrameHeader, payload: Vec<u8>) -> NetResult<(FrameHeader, Vec<u8>)> {
-    let actual = crc32(&payload);
-    if actual != header.crc {
-        return Err(NetError::BadCrc { expected: header.crc, actual });
-    }
-    Ok((header, payload))
 }
 
 #[cfg(test)]
@@ -521,28 +562,52 @@ mod tests {
     }
 
     #[test]
-    fn buffered_write_is_byte_identical_and_reuses_the_buffer() {
-        let payload = b"reused scratch".to_vec();
+    fn in_place_encode_reuses_a_dirty_buffer_without_leaking_it() {
+        let payload = b"a payload longer than the next frame's".to_vec();
+        let mut buf = vec![0xAA; 4096];
+        encode_frame_into(&mut buf, MsgType::UpSparse, 3, 17, &payload).unwrap();
         let mut plain = Vec::new();
-        let n_plain = write_frame(&mut plain, MsgType::UpSparse, 3, 17, &payload).unwrap();
+        let n = write_frame(&mut plain, MsgType::UpSparse, 3, 17, &payload).unwrap();
+        assert_eq!((n, &plain), (buf.len(), &buf));
 
-        let mut scratch = Vec::new();
-        let mut buffered = Vec::new();
-        let n_buf =
-            write_frame_buffered(&mut buffered, &mut scratch, MsgType::UpSparse, 3, 17, &payload)
-                .unwrap();
-        assert_eq!(n_plain, n_buf);
-        assert_eq!(plain, buffered);
+        // A second, smaller frame in the same buffer carries nothing of the
+        // first and does not move the allocation.
+        let cap = buf.capacity();
+        encode_frame_into(&mut buf, MsgType::Heartbeat, 0, 0, &[]).unwrap();
+        assert_eq!(buf, encode_frame(MsgType::Heartbeat, 0, 0, &[]).unwrap());
+        assert_eq!(buf.len(), HEADER_LEN);
+        assert_eq!(buf.capacity(), cap);
 
-        // A second, smaller send through the same scratch buffer must not
-        // leak bytes from the first and must not grow the allocation.
-        let cap = scratch.capacity();
-        let mut second = Vec::new();
-        let n2 = write_frame_buffered(&mut second, &mut scratch, MsgType::Heartbeat, 0, 0, &[])
-            .unwrap();
-        assert_eq!(n2, HEADER_LEN);
-        assert_eq!(second, encode_frame(MsgType::Heartbeat, 0, 0, &[]).unwrap());
-        assert_eq!(scratch.capacity(), cap);
+        // The split form: placeholder, body appended by the caller, header
+        // patched over the placeholder last.
+        begin_frame(&mut buf);
+        buf.extend_from_slice(&payload);
+        finish_frame(&mut buf, MsgType::UpSparse, 3, 17).unwrap();
+        assert_eq!(buf, plain);
+        // Without its placeholder a buffer is refused, not indexed into.
+        assert!(finish_frame(&mut [0u8; HEADER_LEN - 1], MsgType::Heartbeat, 0, 0).is_err());
+    }
+
+    #[test]
+    fn read_frame_into_reuses_the_callers_buffer() {
+        let big = encode_frame(MsgType::DownDense, 1, 1, &[7u8; 1000]).unwrap();
+        let small = encode_frame(MsgType::UpSparse, 1, 2, b"tiny").unwrap();
+        let stream = [big, small].concat();
+        let mut cursor = Cursor::new(&stream);
+        let mut payload = vec![0xAA; 16];
+        let h = read_frame_into(&mut cursor, 1024, &mut payload).unwrap();
+        assert_eq!((h.msg_type, payload.as_slice()), (MsgType::DownDense, &[7u8; 1000][..]));
+        let cap = payload.capacity();
+        let h = read_frame_into(&mut cursor, 1024, &mut payload).unwrap();
+        assert_eq!((h.msg_type, payload.as_slice()), (MsgType::UpSparse, &b"tiny"[..]));
+        assert_eq!(payload.capacity(), cap, "the small frame lands in the big frame's buffer");
+        assert!(matches!(read_frame_into(&mut cursor, 1024, &mut payload), Err(NetError::Closed)));
+        // An oversized declaration is refused before the buffer grows.
+        let mut forged = encode_frame(MsgType::UpDense, 0, 1, &[0u8; 8]).unwrap();
+        forged[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = read_frame_into(&mut Cursor::new(&forged), 1 << 20, &mut payload).unwrap_err();
+        assert!(matches!(err, NetError::Oversized { .. }), "{err}");
+        assert_eq!(payload.capacity(), cap);
     }
 
     #[test]
@@ -652,36 +717,86 @@ mod tests {
         (stream, specs)
     }
 
+    type Frames = Vec<Frame>;
+
     /// Drains `input` through the decoder in chunks produced by `next`,
-    /// returning the decoded frames.
+    /// returning the decoded frames. Payload buffers are kept (not handed
+    /// back to `pool`) so the caller can inspect them.
     fn drain_chunked(
         dec: &mut FrameDecoder,
+        pool: &mut BufferPool<u8>,
         input: &[u8],
         mut next: impl FnMut(usize) -> usize,
-    ) -> NetResult<Vec<(FrameHeader, Vec<u8>)>> {
+    ) -> NetResult<Frames> {
         let mut frames = Vec::new();
         let mut off = 0;
         while off < input.len() {
             let chunk_end = (off + next(off).max(1)).min(input.len());
             let mut chunk = &input[off..chunk_end];
             while !chunk.is_empty() {
-                let (n, frame) = dec.advance(chunk)?;
+                let (n, frame) = dec.advance(chunk, pool)?;
                 assert!(n > 0, "non-empty input must consume bytes");
                 chunk = &chunk[n..];
-                if let Some(f) = frame {
-                    frames.push(f);
-                }
+                frames.extend(frame);
             }
             off = chunk_end;
         }
         Ok(frames)
     }
 
+    /// The evented connection's read loop in miniature: the first `split`
+    /// bytes arrive through `advance`; from there on, whenever a payload is
+    /// pending the reader fills it directly and otherwise `scratch`-sized
+    /// reads go through `advance`. Each frame's payload goes back to
+    /// `pool` after being copied out, as `Conn::feed` does.
+    fn drain_direct(
+        dec: &mut FrameDecoder,
+        pool: &mut BufferPool<u8>,
+        input: &[u8],
+        split: usize,
+        scratch: usize,
+    ) -> NetResult<Frames> {
+        fn keep(frames: &mut Frames, pool: &mut BufferPool<u8>, frame: Option<Frame>) {
+            if let Some((h, payload)) = frame {
+                frames.push((h, payload.clone()));
+                pool.release(payload);
+            }
+        }
+        let mut frames = Vec::new();
+        let (mut head, mut rest) = input.split_at(split.min(input.len()));
+        while !head.is_empty() {
+            let (n, frame) = dec.advance(head, pool)?;
+            head = &head[n..];
+            keep(&mut frames, pool, frame);
+        }
+        let mut buf = vec![0u8; scratch];
+        loop {
+            let (read, direct) = match dec.fill_from(&mut rest) {
+                Some(read) => (read.unwrap(), true),
+                None => (rest.read(&mut buf).unwrap(), false),
+            };
+            if read == 0 {
+                return Ok(frames);
+            }
+            let mut fresh = if direct { &[][..] } else { &buf[..read] };
+            loop {
+                let (n, frame) = dec.advance(fresh, pool)?;
+                fresh = &fresh[n..];
+                let done = frame.is_none();
+                keep(&mut frames, pool, frame);
+                if done && fresh.is_empty() {
+                    break;
+                }
+            }
+        }
+    }
+
     #[test]
     fn decoder_byte_at_a_time_matches_read_frame() {
         let (stream, specs) = sample_stream();
+        let mut pool = BufferPool::new(2);
         let mut dec = FrameDecoder::new(MAX_TEST_PAYLOAD);
-        let frames = drain_chunked(&mut dec, &stream, |_| 1).unwrap();
+        let frames = drain_chunked(&mut dec, &mut pool, &stream, |_| 1).unwrap();
         assert!(dec.is_idle());
         assert_eq!(frames.len(), specs.len());
         let mut cursor = Cursor::new(&stream);
@@ -706,25 +821,94 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..50 {
-            let mut dec = FrameDecoder::new(MAX_TEST_PAYLOAD);
-            let frames =
-                drain_chunked(&mut dec, &stream, |_| (rng() % 977) as usize + 1).unwrap();
-            assert!(dec.is_idle());
+        let check = |frames: &Frames| {
             assert_eq!(frames.len(), specs.len());
             for (frame, (ty, payload)) in frames.iter().zip(&specs) {
                 assert_eq!(frame.0.msg_type, *ty);
                 assert_eq!(&frame.1, payload);
             }
+        };
+        let mut pool = BufferPool::new(2);
+        for _ in 0..50 {
+            let mut dec = FrameDecoder::new(MAX_TEST_PAYLOAD);
+            let frames =
+                drain_chunked(&mut dec, &mut pool, &stream, |_| (rng() % 977) as usize + 1)
+                    .unwrap();
+            assert!(dec.is_idle());
+            check(&frames);
+            // The same stream with the tail read by direct fill, through a
+            // pool whose buffers have already carried other frames.
+            let split = (rng() % stream.len() as u64) as usize;
+            let frames =
+                drain_direct(&mut dec, &mut pool, &stream, split, (rng() % 61) as usize + 1)
+                    .unwrap();
+            assert!(dec.is_idle());
+            check(&frames);
         }
+    }
+
+    /// Direct fill against the one-shot reader at *every* split offset:
+    /// wherever the hand-over from pushed bytes to direct reads falls —
+    /// inside a header, on a frame boundary, inside a payload — the frames
+    /// are the ones `read_frame` yields, and a read never runs past the
+    /// end of its frame into the next one.
+    #[test]
+    fn direct_fill_matches_read_frame_at_every_split() {
+        let (stream, _) = sample_stream();
+        let mut want = Vec::new();
+        let mut cursor = Cursor::new(&stream);
+        while let Ok(frame) = read_frame(&mut cursor, MAX_TEST_PAYLOAD) {
+            want.push(frame);
+        }
+        assert_eq!(want.len(), 3);
+        let mut pool = BufferPool::new(2);
+        for split in 0..=stream.len() {
+            let mut dec = FrameDecoder::new(MAX_TEST_PAYLOAD);
+            let got = drain_direct(&mut dec, &mut pool, &stream, split, 64).unwrap();
+            assert!(dec.is_idle(), "split {split}");
+            assert_eq!(got, want, "split {split}");
+        }
+    }
+
+    /// A big frame's buffer, back in the pool, carries the next (small)
+    /// frame: same allocation, and not one byte of the big payload shows.
+    #[test]
+    fn pooled_buffer_carries_a_small_frame_after_a_big_one() {
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let stream = [
+            encode_frame(MsgType::DownDense, 0, 1, &big).unwrap(),
+            encode_frame(MsgType::UpSparse, 0, 2, b"small").unwrap(),
+        ]
+        .concat();
+        let mut pool = BufferPool::new(2);
+        let mut dec = FrameDecoder::new(MAX_TEST_PAYLOAD);
+        let mut used = 0;
+        let payload = loop {
+            let (n, frame) = dec.advance(&stream[used..], &mut pool).unwrap();
+            used += n;
+            if let Some((_, payload)) = frame {
+                break payload;
+            }
+        };
+        assert_eq!(payload, big);
+        let (ptr, cap) = (payload.as_ptr(), payload.capacity());
+        pool.release(payload);
+        let retained = pool.retained_bytes();
+        let frames = drain_direct(&mut dec, &mut pool, &stream[used..], HEADER_LEN, 8).unwrap();
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].1, b"small");
+        assert_eq!(pool.retained_bytes(), retained, "the pool neither grew nor lost the buffer");
+        let again = pool.acquire();
+        assert_eq!((again.as_ptr(), again.capacity(), again.len()), (ptr, cap, 0));
     }
 
     #[test]
     fn decoder_mid_header_truncation_is_not_idle() {
         let frame = encode_frame(MsgType::UpSparse, 1, 1, b"abc").unwrap();
+        let mut pool = BufferPool::new(2);
         for cut in 1..frame.len() {
             let mut dec = FrameDecoder::new(64);
-            let got = drain_chunked(&mut dec, &frame[..cut], |_| 7).unwrap();
+            let got = drain_chunked(&mut dec, &mut pool, &frame[..cut], |_| 7).unwrap();
             assert!(got.is_empty(), "cut {cut} must not yield a frame");
             assert!(!dec.is_idle(), "cut {cut} leaves the decoder mid-frame");
         }
@@ -733,7 +917,9 @@ mod tests {
     /// Flip one bit at every offset of an encoded frame. The decoder must
     /// never panic; payload- or CRC-byte corruption must fail the CRC;
     /// frames that do decode may differ from the original only in the
-    /// fields the CRC does not cover (worker, seq).
+    /// fields the CRC does not cover (worker, seq). Pushed bytes and
+    /// direct fill must agree on all of it, and neither may hand a buffer
+    /// that carried a corrupt payload back to the pool.
     #[test]
     fn decoder_survives_corruption_at_every_offset() {
         let payload = b"corruptible payload bytes".to_vec();
@@ -741,34 +927,45 @@ mod tests {
         for offset in 0..clean.len() {
             let mut bad = clean.clone();
             bad[offset] ^= 0x40;
-            let mut dec = FrameDecoder::new(64);
-            match drain_chunked(&mut dec, &bad, |_| 3) {
-                Ok(frames) => {
-                    for (_h, body) in frames {
-                        // The CRC covers only the payload, so a frame that
-                        // still decodes may differ in type/worker/seq — but
-                        // its payload must be untouched, and magic/version/
-                        // len corruption can never slip through (it errors
-                        // or starves the payload instead).
-                        assert_eq!(body, payload, "offset {offset}");
-                        assert!(
-                            (5..12).contains(&offset),
-                            "offset {offset} decoded despite covered-byte corruption"
-                        );
+            for direct in [false, true] {
+                let mut pool = BufferPool::new(2);
+                let mut dec = FrameDecoder::new(64);
+                let drained = if direct {
+                    drain_direct(&mut dec, &mut pool, &bad, HEADER_LEN, 3)
+                } else {
+                    drain_chunked(&mut dec, &mut pool, &bad, |_| 3)
+                };
+                match drained {
+                    Ok(frames) => {
+                        for (_h, body) in frames {
+                            // The CRC covers only the payload, so a frame that
+                            // still decodes may differ in type/worker/seq — but
+                            // its payload must be untouched, and magic/version/
+                            // len corruption can never slip through (it errors
+                            // or starves the payload instead).
+                            assert_eq!(body, payload, "offset {offset}");
+                            assert!(
+                                (5..12).contains(&offset),
+                                "offset {offset} decoded despite covered-byte corruption"
+                            );
+                        }
                     }
-                }
-                Err(e) => {
-                    // Payload and CRC corruption must be caught as a CRC
-                    // mismatch specifically.
-                    if offset >= HEADER_LEN || (16..20).contains(&offset) {
-                        assert!(
-                            matches!(e, NetError::BadCrc { .. }),
-                            "offset {offset}: expected BadCrc, got {e}"
-                        );
+                    Err(e) => {
+                        // Payload and CRC corruption must be caught as a CRC
+                        // mismatch specifically.
+                        if offset >= HEADER_LEN || (16..20).contains(&offset) {
+                            assert!(
+                                matches!(e, NetError::BadCrc { .. }),
+                                "offset {offset}: expected BadCrc, got {e}"
+                            );
+                        }
+                        // Poisoned: further feeding errors instead of
+                        // resynchronising on garbage, direct fill wants
+                        // nothing, and the corrupt buffer was freed.
+                        assert!(dec.advance(&clean, &mut pool).is_err());
+                        assert!(dec.fill_from(&mut &clean[..]).is_none());
+                        assert_eq!(pool.idle(), 0, "offset {offset}");
                     }
-                    // Poisoned: further feeding errors instead of
-                    // resynchronising on garbage.
-                    assert!(dec.advance(&clean).is_err());
                 }
             }
         }
@@ -778,20 +975,25 @@ mod tests {
     fn decoder_rejects_oversized_length_before_allocation() {
         let mut frame = encode_frame(MsgType::UpDense, 0, 1, &[0u8; 8]).unwrap();
         frame[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut pool = BufferPool::new(2);
+        pool.release(Vec::with_capacity(64));
+        let retained = pool.retained_bytes();
         let mut dec = FrameDecoder::new(1 << 20);
-        let err = drain_chunked(&mut dec, &frame, |_| 5).unwrap_err();
+        let err = drain_chunked(&mut dec, &mut pool, &frame, |_| 5).unwrap_err();
         assert!(matches!(err, NetError::Oversized { .. }), "{err}");
+        assert_eq!(pool.retained_bytes(), retained, "no pooled buffer was taken for it");
         // And the poisoned decoder refuses clean bytes afterwards.
         let clean = encode_frame(MsgType::Heartbeat, 0, 0, &[]).unwrap();
-        assert!(dec.advance(&clean).is_err());
+        assert!(dec.advance(&clean, &mut pool).is_err());
     }
 
     #[test]
     fn decoder_zero_payload_frames_complete_on_header() {
         let mut stream = encode_frame(MsgType::Heartbeat, 2, 0, &[]).unwrap();
         stream.extend_from_slice(&encode_frame(MsgType::Shutdown, 2, 0, &[]).unwrap());
+        let mut pool = BufferPool::new(2);
         let mut dec = FrameDecoder::new(0);
-        let frames = drain_chunked(&mut dec, &stream, |_| 2).unwrap();
+        let frames = drain_chunked(&mut dec, &mut pool, &stream, |_| 2).unwrap();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].0.msg_type, MsgType::Heartbeat);
         assert_eq!(frames[1].0.msg_type, MsgType::Shutdown);

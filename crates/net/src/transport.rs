@@ -16,11 +16,11 @@
 //! byte accounting is defined in exactly one place.
 
 use crate::codec::{
-    decode_down, decode_up, down_msg_type, encode_down_payload, encode_up_payload, up_msg_type,
-    ClusterHello, Hello,
+    decode_down, decode_up, down_msg_type, encode_down_frame_into, encode_up_frame_into,
+    up_msg_type, ClusterHello, Hello,
 };
 use crate::error::{NetError, NetResult};
-use crate::frame::{read_frame, write_frame_buffered, FrameHeader, MsgType, HEADER_LEN};
+use crate::frame::{encode_frame_into, read_frame_into, FrameHeader, MsgType, HEADER_LEN};
 use crate::msg::{DownMsg, UpMsg};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -221,30 +221,32 @@ pub enum Event {
 /// Framed connection over any byte stream. Owns the per-endpoint
 /// [`WireStats`]; every send and receive is counted here and nowhere else.
 ///
-/// Sends go through a connection-local scratch buffer
-/// ([`write_frame_buffered`]): header and payload land on the wire in one
-/// `write_all`, and after the first few sends the buffer has grown to the
-/// connection's largest frame, so the steady-state send path allocates
-/// nothing. The bytes — and therefore every [`WireStats`] counter — are
-/// identical to the unbuffered path.
+/// One connection-local buffer carries every frame in both directions: a
+/// send encodes the frame in it (header placeholder, body, header patched
+/// in — see [`crate::frame::begin_frame`]) and writes it out in a single
+/// `write_all`; a receive reads the payload into it and decodes from
+/// there. The protocol on a blocking connection is strictly one frame at a
+/// time, so the two never overlap, and after the first few frames the
+/// buffer has grown to the connection's largest frame: the steady state
+/// allocates nothing and copies each byte once.
 pub struct WireConn<S> {
     stream: S,
     stats: WireStats,
     max_payload: usize,
-    /// Reusable frame-encoding scratch; see [`write_frame_buffered`].
-    wbuf: Vec<u8>,
+    /// The frame being sent, or the payload being received.
+    frame: Vec<u8>,
 }
 
 impl<S: Read + Write> WireConn<S> {
     /// Wraps a stream with the default payload ceiling.
     pub fn new(stream: S) -> Self {
-        WireConn { stream, stats: WireStats::default(), max_payload: MAX_PAYLOAD, wbuf: Vec::new() }
+        Self::with_max_payload(stream, MAX_PAYLOAD)
     }
 
     /// Wraps a stream with an explicit payload ceiling (tests use small
     /// caps to exercise the oversize rejection).
     pub fn with_max_payload(stream: S, max_payload: usize) -> Self {
-        WireConn { stream, stats: WireStats::default(), max_payload, wbuf: Vec::new() }
+        WireConn { stream, stats: WireStats::default(), max_payload, frame: Vec::new() }
     }
 
     /// Byte counters accumulated so far.
@@ -257,38 +259,44 @@ impl<S: Read + Write> WireConn<S> {
         &mut self.stream
     }
 
-    /// Writes one frame and counts it — the only place this endpoint's
-    /// sent bytes are accounted. Returns the frame length.
-    fn send(&mut self, ty: MsgType, worker: u16, seq: u32, payload: &[u8]) -> NetResult<usize> {
-        let n = write_frame_buffered(&mut self.stream, &mut self.wbuf, ty, worker, seq, payload)?;
-        self.stats.record(ty, n);
-        Ok(n)
+    /// Writes out the frame encoded in `self.frame` and counts it — the
+    /// only place this endpoint's sent bytes are accounted. One `write_all`,
+    /// so a frame is never split across two syscalls by this layer.
+    fn write_out(&mut self, ty: MsgType) -> NetResult<()> {
+        self.stream.write_all(&self.frame)?;
+        self.stream.flush()?;
+        self.stats.record(ty, self.frame.len());
+        Ok(())
+    }
+
+    /// Frames an already-encoded (control) payload and sends it.
+    fn send(&mut self, ty: MsgType, worker: u16, seq: u32, payload: &[u8]) -> NetResult<()> {
+        encode_frame_into(&mut self.frame, ty, worker, seq, payload)?;
+        self.write_out(ty)
     }
 
     /// Sends a worker→server update. The frame length is `msg.wire_bytes()`.
     pub fn send_update(&mut self, worker: u16, seq: u32, msg: &UpMsg) -> NetResult<()> {
-        let n = self.send(up_msg_type(&msg.payload), worker, seq, &encode_up_payload(msg)?)?;
-        debug_assert_eq!(n, msg.wire_bytes());
-        Ok(())
+        encode_up_frame_into(&mut self.frame, worker, seq, msg)?;
+        self.write_out(up_msg_type(&msg.payload))
     }
 
     /// Sends a server→worker reply. The frame length is `msg.wire_bytes()`.
     pub fn send_reply(&mut self, worker: u16, seq: u32, msg: &DownMsg) -> NetResult<()> {
-        let n = self.send(down_msg_type(msg), worker, seq, &encode_down_payload(msg)?)?;
-        debug_assert_eq!(n, msg.wire_bytes());
-        Ok(())
+        encode_down_frame_into(&mut self.frame, worker, seq, msg)?;
+        self.write_out(down_msg_type(msg))
     }
 
     /// Sends a resync request (control traffic — its dense-model reply is
     /// what shows up in the data counters).
     pub fn send_resync(&mut self, worker: u16, applied: u32) -> NetResult<()> {
-        self.send(MsgType::Resync, worker, applied, &[]).map(drop)
+        self.send(MsgType::Resync, worker, applied, &[])
     }
 
     /// Sends a control frame with a [`Hello`] payload.
     pub fn send_hello(&mut self, ty: MsgType, worker: u16, hello: &Hello) -> NetResult<()> {
         debug_assert!(matches!(ty, MsgType::Hello | MsgType::HelloAck));
-        self.send(ty, worker, 0, &hello.encode()).map(drop)
+        self.send(ty, worker, 0, &hello.encode())
     }
 
     /// Sends a control frame with a [`ClusterHello`] payload. `layout` is
@@ -301,7 +309,7 @@ impl<S: Read + Write> WireConn<S> {
         layout: &[u8],
     ) -> NetResult<()> {
         debug_assert!(matches!(ty, MsgType::ClusterHello | MsgType::ClusterHelloAck));
-        self.send(ty, worker, 0, &hello.encode(layout)).map(drop)
+        self.send(ty, worker, 0, &hello.encode(layout))
     }
 
     /// Sends an empty-payload control frame (heartbeats, shutdown).
@@ -316,70 +324,71 @@ impl<S: Read + Write> WireConn<S> {
                         | MsgType::ClusterHelloAck
                 )
         );
-        self.send(ty, worker, 0, &[]).map(drop)
+        self.send(ty, worker, 0, &[])
     }
 
     /// Sends an error frame with a UTF-8 reason.
     pub fn send_error(&mut self, worker: u16, reason: &str) -> NetResult<()> {
-        self.send(MsgType::Error, worker, 0, reason.as_bytes()).map(drop)
+        self.send(MsgType::Error, worker, 0, reason.as_bytes())
     }
 
     /// Reads and fully decodes the next frame.
     pub fn read_event(&mut self) -> NetResult<Event> {
-        let (header, payload) = read_frame(&mut self.stream, self.max_payload)?;
-        self.stats.record(header.msg_type, HEADER_LEN + payload.len());
-        decode_event(header, payload)
+        let header = read_frame_into(&mut self.stream, self.max_payload, &mut self.frame)?;
+        self.stats.record(header.msg_type, HEADER_LEN + self.frame.len());
+        decode_event(header, &self.frame)
     }
 }
 
 /// Classifies a decoded frame into an [`Event`]. Shared with the evented
 /// server's connection state machine (`conn.rs`), which decodes frames
 /// incrementally instead of through [`WireConn::read_event`].
-pub(crate) fn decode_event(header: FrameHeader, payload: Vec<u8>) -> NetResult<Event> {
+pub(crate) fn decode_event(header: FrameHeader, payload: &[u8]) -> NetResult<Event> {
     let FrameHeader { msg_type, worker, seq, .. } = header;
     Ok(match msg_type {
         MsgType::UpDense | MsgType::UpSparse | MsgType::UpTernary => {
-            Event::Update { worker, seq, msg: Box::new(decode_up(msg_type, &payload)?) }
+            Event::Update { worker, seq, msg: Box::new(decode_up(msg_type, payload)?) }
         }
         MsgType::DownDense | MsgType::DownSparse => {
-            Event::Reply { worker, seq, msg: decode_down(msg_type, &payload)? }
+            Event::Reply { worker, seq, msg: decode_down(msg_type, payload)? }
         }
         MsgType::Resync => {
-            expect_empty(&payload, "resync")?;
+            expect_empty(payload, "resync")?;
             Event::Resync { worker, seq }
         }
-        MsgType::Hello => Event::Hello { worker, hello: Hello::decode(&payload)? },
-        MsgType::HelloAck => Event::HelloAck { hello: Hello::decode(&payload)? },
+        MsgType::Hello => Event::Hello { worker, hello: Hello::decode(payload)? },
+        MsgType::HelloAck => Event::HelloAck { hello: Hello::decode(payload)? },
         MsgType::ClusterHello => {
-            let (hello, layout) = ClusterHello::decode(&payload)?;
+            let (hello, layout) = ClusterHello::decode(payload)?;
             if !layout.is_empty() {
                 return Err(NetError::Malformed("layout bytes on a worker cluster hello"));
             }
             Event::ClusterHello { worker, hello }
         }
         MsgType::ClusterHelloAck => {
-            let (hello, layout) = ClusterHello::decode(&payload)?;
+            let (hello, layout) = ClusterHello::decode(payload)?;
             Event::ClusterHelloAck { hello, layout }
         }
         MsgType::Heartbeat => {
-            expect_empty(&payload, "heartbeat")?;
+            expect_empty(payload, "heartbeat")?;
             Event::Heartbeat { worker }
         }
         MsgType::HeartbeatAck => {
-            expect_empty(&payload, "heartbeat ack")?;
+            expect_empty(payload, "heartbeat ack")?;
             Event::HeartbeatAck
         }
         MsgType::Shutdown => {
-            expect_empty(&payload, "shutdown")?;
+            expect_empty(payload, "shutdown")?;
             Event::Shutdown { worker }
         }
         MsgType::ShutdownAck => {
-            expect_empty(&payload, "shutdown ack")?;
+            expect_empty(payload, "shutdown ack")?;
             Event::ShutdownAck
         }
         MsgType::Error => Event::Error {
-            reason: String::from_utf8(payload)
-                .map_err(|_| NetError::Malformed("error frame not utf-8"))?,
+            reason: std::str::from_utf8(payload)
+                .map_err(|_| NetError::Malformed("error frame not utf-8"))?
+                .to_owned(),
         },
     })
 }
@@ -976,6 +985,6 @@ mod tests {
             len: 1,
             crc: 0,
         };
-        assert!(decode_event(header, vec![9]).is_err());
+        assert!(decode_event(header, &[9]).is_err());
     }
 }

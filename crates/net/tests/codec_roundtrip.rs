@@ -4,8 +4,8 @@
 
 use dgs_core::protocol::{DownMsg, UpMsg, UpPayload};
 use dgs_net::codec::{
-    decode_down, decode_up, down_msg_type, encode_down_frame, encode_down_payload, encode_up_frame,
-    encode_up_payload, up_msg_type,
+    decode_down, decode_up, down_msg_type, encode_down_frame, encode_down_frame_into,
+    encode_down_payload, encode_up_frame, encode_up_frame_into, encode_up_payload, up_msg_type,
 };
 use dgs_net::frame::read_frame;
 use dgs_net::{HEADER_LEN, MAGIC};
@@ -113,6 +113,13 @@ proptest! {
         prop_assert_eq!(header.worker, worker);
         prop_assert_eq!(header.seq, seq);
         assert_up_eq(&up, &decode_up(header.msg_type, &body).unwrap());
+        prop_assert_eq!(&body, &payload);
+
+        // Encoded in place into a dirty, longer buffer (a connection's
+        // reused frame buffer): the very same bytes.
+        let mut dirty = vec![0x5A; frame.len() + 97];
+        encode_up_frame_into(&mut dirty, worker, seq, &up).unwrap();
+        prop_assert_eq!(&dirty, &frame);
     }
 
     #[test]
@@ -128,6 +135,13 @@ proptest! {
         }
         let frame = encode_down_frame(worker, seq, &down).unwrap();
         prop_assert_eq!(frame.len(), down.wire_bytes());
+        let (header, body) = read_frame(&mut Cursor::new(&frame), MAX_PAYLOAD).unwrap();
+        prop_assert_eq!((header.worker, header.seq), (worker, seq));
+        prop_assert_eq!(header.msg_type, down_msg_type(&down));
+        prop_assert_eq!(&body, &payload);
+        let mut dirty = vec![0x5A; frame.len() + 97];
+        encode_down_frame_into(&mut dirty, worker, seq, &down).unwrap();
+        prop_assert_eq!(&dirty, &frame);
     }
 
     /// Body layouts are identical to dgs-sparsify's own `encode()` — the
