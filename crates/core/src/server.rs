@@ -31,29 +31,31 @@
 //! since the cursor" alone is not a superset of the diff's support).
 //! [`MdtServer::make_diff`] then visits only
 //! `pending[k] ∪ touched-since-prev[k]` coordinates, computing each value
-//! as the same `m[i] − v[i]` subtraction the dense scan performs — which is
-//! why the two strategies ([`DiffStrategy`]) produce bitwise-identical
-//! payloads. When a straggler's cursor has fallen off the bounded log the
-//! server falls back to the dense scan for that one reply (graceful
-//! degradation, never a wrong answer) and rebuilds the dirty set in the
-//! process. See `DESIGN.md` §"Server hot path".
+//! as the same `m[i] − v[i]` subtraction a dense scan of `M` and `v_k`
+//! performs — which is why the log merge and the dense scan produce
+//! bitwise-identical payloads. The dense scan is the merge's fallback:
+//! when a straggler's cursor has fallen off the bounded log, or the merge
+//! would cost more than the scan, the server scans for that one reply
+//! (graceful degradation, never a wrong answer) and rebuilds the dirty set
+//! in the process. See `DESIGN.md` §"Server hot path".
 
 use crate::config::TrainConfig;
 use crate::method::Method;
 use crate::protocol::{DownMsg, UpMsg, UpPayloadView};
+use crate::segments::SegmentDriver;
 use crate::update_log::UpdateLog;
 use crate::PAR_THRESHOLD;
 use dgs_psim::StalenessStats;
 use dgs_sparsify::merge::{
-    diff_pairs_at, retain_dirty, scatter_pairs, scatter_track_dirty, send_all_at,
-    send_all_dense_with, send_topk_dense, sort_dedup, sort_dedup_pooled, topk_pairs_with,
+    diff_pairs_at, retain_dirty, scatter_track_dirty, send_all_at, send_all_dense_with,
+    send_topk_dense, sort_dedup, sort_dedup_pooled,
 };
 use dgs_sparsify::{
-    k_for_ratio, scatter_add, Partition, SelectScratch, SelectStrategy, ShardSpan, SparseUpdate,
-    SparseVec,
+    k_for_ratio, radix_topk_pairs, scatter_add, Partition, Segment, SelectScratch, ShardSpan,
+    SparseUpdate, SparseVec,
 };
 use dgs_tensor::{BufferPool, Kernel};
-use rayon::prelude::*;
+use std::iter::repeat;
 use std::sync::Arc;
 
 /// Staleness mitigation applied by the server when folding updates into
@@ -112,18 +114,6 @@ impl Downlink {
     }
 }
 
-/// How `make_diff` reconstructs `G = M − v_k`. Both strategies produce
-/// bitwise-identical payloads; they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiffStrategy {
-    /// Reference O(dim) scan of `M` and `v_k` per reply.
-    DenseScan,
-    /// O(nnz since last pull) merge of the applied-update log with the
-    /// worker's dirty set; falls back to [`DiffStrategy::DenseScan`] per
-    /// reply when the log no longer covers the worker's cursor.
-    LogMerge,
-}
-
 /// Everything a [`TrainConfig`] decides about a server. [`Self::from_config`]
 /// is the one place those config fields are read; every server face — the
 /// single-lock server, each stripe of the sharded server, each span server
@@ -140,8 +130,6 @@ pub struct ServerTunables {
     /// of one index per owned coordinate. In [`Self::from_config`] this is
     /// the whole model's budget, in [`MdtServer::tunables`] that server's own.
     pub log_capacity: usize,
-    /// How `M − v_k` is reconstructed.
-    pub strategy: DiffStrategy,
 }
 
 impl ServerTunables {
@@ -152,11 +140,6 @@ impl ServerTunables {
             downlink: Downlink::for_method(cfg.method, secondary),
             damping: StalenessDamping { alpha: cfg.staleness_damping },
             log_capacity: cfg.server_log_nnz,
-            strategy: if cfg.server_dense_scan {
-                DiffStrategy::DenseScan
-            } else {
-                DiffStrategy::LogMerge
-            },
         }
     }
 
@@ -201,7 +184,6 @@ impl ServerTunables {
         if self.log_capacity > 0 {
             server.set_log_capacity(apportion_log_capacity(self.log_capacity, spans)[k]);
         }
-        server.set_diff_strategy(self.strategy);
     }
 }
 
@@ -273,12 +255,6 @@ pub struct MdtServer {
     prev: Vec<u64>,
     staleness: StalenessStats,
     damping: StalenessDamping,
-    /// Diff construction strategy (MDT downlink only).
-    strategy: DiffStrategy,
-    /// Top-k selection engine for secondary compression (both diff
-    /// strategies funnel through it; payloads are bitwise independent of
-    /// the choice).
-    select: SelectStrategy,
     /// Coordinates touched by each applied sparse update, bounded.
     log: UpdateLog,
     /// Per-worker dirty set: sorted global coordinates where `M − v_k` was
@@ -290,18 +266,17 @@ pub struct MdtServer {
     /// reply is a refcount bump; `Arc::make_mut` clones only while a
     /// worker still holds the previous snapshot.
     model_cache: Option<Arc<Vec<f32>>>,
-    /// Recycled scratch for candidate index lists.
-    scratch: BufferPool<u32>,
+    /// The per-segment pass behind reply construction: its pool also
+    /// recycles the candidate and dirty-set lists, its kernel runs the
+    /// dense merge kernels (diff materialisation, gather, histogram fill),
+    /// and its fan-out switch is what [`MdtServer::set_par_segments`] sets.
+    driver: SegmentDriver,
     /// Pool holding the zeroed-at-rest bitmap over the coordinate domain,
     /// used to merge candidate runs in O(n) instead of comparison-sorting
     /// them (`dim/8` bytes once warm; nothing for the dense-model
     /// downlink). Returned via `release_unchanged` — the merge restores it
     /// to all-zero, so reuse skips the O(dim/8) re-zero per reply.
     mask_pool: BufferPool<u64>,
-    /// Compute backend for the dense merge kernels (diff materialisation,
-    /// gather, histogram fill). Payload-invariant: backends are bitwise
-    /// identical, so this changes cost only, never the wire bytes.
-    kernel: Kernel,
     /// Per-worker: is `pending[k]` a trustworthy dirty-set superset? A
     /// degenerate dense fallback that skips tracking clears this; the log
     /// path requires it and the next tracked scan re-establishes it.
@@ -313,12 +288,6 @@ pub struct MdtServer {
     /// the guard would reject the rebuilt set anyway — at pure dense-scan
     /// cost. Small models (`dim < PAR_THRESHOLD`) always track.
     retrack: Vec<bool>,
-    /// May reply construction fan segments out to rayon? The sharded
-    /// server turns this off per shard: there the shard is the unit of
-    /// parallelism, and a thread holding a shard lock must never reach a
-    /// rayon join point (work-stealing could hand it a sibling task that
-    /// blocks on the same lock). Payload-invariant — cost only.
-    par_segments: bool,
 }
 
 impl MdtServer {
@@ -351,21 +320,15 @@ impl MdtServer {
             prev: vec![0; workers],
             staleness: StalenessStats::new(),
             damping: StalenessDamping::off(),
-            strategy: DiffStrategy::LogMerge,
-            select: SelectStrategy::default(),
             log,
             pending,
             model_cache,
-            // Sized for the steady state: one candidate list plus two radix
-            // scratch buffers per segment in flight at once.
-            scratch: BufferPool::new(64),
+            driver: SegmentDriver::new(),
             // One bitmap: the candidate merge runs at most once per reply,
             // under `&mut self`.
             mask_pool: BufferPool::new(1),
-            kernel: Kernel::runtime(),
             pending_valid: vec![true; workers],
             retrack: vec![true; workers],
-            par_segments: true,
         }
     }
 
@@ -374,51 +337,17 @@ impl MdtServer {
         self.damping = damping;
     }
 
-    /// Selects the secondary-compression Top-k engine (default:
-    /// [`SelectStrategy::Radix`]). Safe to switch at any time — both
-    /// engines produce bitwise-identical payloads, so this changes cost
-    /// only, never the wire bytes.
-    pub fn set_select_strategy(&mut self, select: SelectStrategy) {
-        self.select = select;
-    }
-
-    /// The active Top-k selection engine.
-    pub fn select_strategy(&self) -> SelectStrategy {
-        self.select
-    }
-
     /// Selects the compute backend for the dense merge kernels (default:
     /// [`Kernel::runtime`], which honours `DGS_KERNEL`). Safe to switch at
     /// any time — backends are bitwise identical, so this changes cost
     /// only, never the wire bytes.
     pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
+        self.driver.kernel = kernel;
     }
 
     /// The active compute backend.
     pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Selects how `G = M − v_k` is reconstructed (default:
-    /// [`DiffStrategy::LogMerge`]). Switching to the log strategy mid-run
-    /// invalidates the log up to the current timestamp: dense-scan mode
-    /// does not maintain dirty sets, so every worker takes one dense
-    /// fallback to rebuild its set before being log-served again.
-    pub fn set_diff_strategy(&mut self, strategy: DiffStrategy) {
-        if self.strategy == DiffStrategy::DenseScan && strategy == DiffStrategy::LogMerge {
-            self.log.forget_through(self.t.saturating_add(1));
-            // Dense-scan mode left the dirty sets stale; distrust them
-            // until the forced fallback rebuilds each one.
-            self.pending_valid.fill(false);
-            self.retrack.fill(true);
-        }
-        self.strategy = strategy;
-    }
-
-    /// The active diff strategy.
-    pub fn diff_strategy(&self) -> DiffStrategy {
-        self.strategy
+        self.driver.kernel
     }
 
     /// The tunables this server currently runs with (`log_capacity` is its
@@ -428,15 +357,14 @@ impl MdtServer {
             downlink: self.downlink,
             damping: self.damping,
             log_capacity: self.log.capacity(),
-            strategy: self.strategy,
         }
     }
 
     /// Enables/disables the per-segment rayon fan-out inside reply
-    /// construction (see the `par_segments` field docs). On by default;
-    /// [`crate::shard::ShardedMdtServer`] turns it off for its shards.
+    /// construction. On by default; [`crate::shard::ShardedMdtServer`]
+    /// turns it off for its shards, whose lock holders must stay off rayon.
     pub fn set_par_segments(&mut self, on: bool) {
-        self.par_segments = on;
+        self.driver.par = on;
     }
 
     /// Replaces the update-log budget, counted in total logged indices
@@ -490,7 +418,7 @@ impl MdtServer {
             },
             Downlink::ModelDifference { .. } => {
                 self.v[worker].copy_from_slice(&self.m);
-                self.scratch.release(std::mem::take(&mut self.pending[worker]));
+                self.driver.pool.release(std::mem::take(&mut self.pending[worker]));
                 self.pending_valid[worker] = true;
                 self.retrack[worker] = true;
                 Arc::new(self.current_model())
@@ -554,8 +482,7 @@ impl MdtServer {
         scale: f32,
     ) -> DownMsg {
         let since = self.prev[worker];
-        let track_log = matches!(self.downlink, Downlink::ModelDifference { .. })
-            && self.strategy == DiffStrategy::LogMerge;
+        let track_log = matches!(self.downlink, Downlink::ModelDifference { .. });
         let t_next = self.t + 1;
         // M_{t+1} = M_t − scale·g (Eq. 1; scale = 1 without damping).
         // Updates arrive lr-scaled.
@@ -652,17 +579,23 @@ impl MdtServer {
 
     /// Builds `G = M − v_k`, optionally secondary-compressed, and advances
     /// `v_k` by exactly what is sent. `since` is the worker's cursor at the
-    /// time its update arrived. Strategy dispatch: the log merge serves any
-    /// cursor the log still covers; everything else takes the dense scan.
+    /// time its update arrived. The log merge serves a cursor the log still
+    /// covers; everything else takes the dense scan.
     fn make_diff(
         &mut self,
         worker: usize,
         since: u64,
         secondary_ratio: Option<f64>,
     ) -> SparseUpdate {
-        if self.strategy == DiffStrategy::LogMerge
-            && self.pending_valid[worker]
+        // Degenerate-merge guard: under heavy secondary compression the
+        // undelivered dirty set can grow toward `dim`, at which point
+        // merging the candidates costs more than the scan (O(C) merge +
+        // gather traffic vs O(dim) streaming). Both paths emit
+        // bitwise-identical payloads, so take the cheaper one — sized from
+        // lengths alone, before copying a single candidate.
+        if self.pending_valid[worker]
             && self.log.covers(since)
+            && self.pending[worker].len() + self.log.count_since(since) <= self.m.len() / 4
         {
             self.make_diff_log(worker, since, secondary_ratio)
         } else {
@@ -681,16 +614,7 @@ impl MdtServer {
         since: u64,
         secondary_ratio: Option<f64>,
     ) -> SparseUpdate {
-        // Degenerate-merge guard: under heavy secondary compression the
-        // undelivered dirty set can grow toward `dim`, at which point
-        // merging the candidates costs more than the reference scan
-        // (O(C) merge + gather traffic vs O(dim) streaming). Both paths
-        // emit bitwise-identical payloads, so take the cheaper one — sized
-        // from lengths alone, before copying a single candidate.
-        if self.pending[worker].len() + self.log.count_since(since) > self.m.len() / 4 {
-            return self.make_diff_dense(worker, secondary_ratio);
-        }
-        let mut cand = self.scratch.acquire();
+        let mut cand = self.driver.pool.acquire();
         cand.extend_from_slice(&self.pending[worker]);
         self.log.collect_since(since, &mut cand);
         // Candidates are a concatenation of sorted runs (dirty set + log
@@ -703,46 +627,25 @@ impl MdtServer {
             sort_dedup(&mut cand);
         }
 
-        // Per-segment candidate ranges, then map global → segment-local
-        // indices in place (no per-segment allocation).
+        // Cut the candidates at the segment boundaries and map them global
+        // → segment-local in place (no per-segment allocation).
         let segments = self.partition.segments();
-        let mut bounds = Vec::with_capacity(segments.len());
-        let mut start = 0usize;
-        for seg in segments {
-            let end = seg.offset + seg.len;
-            let cut = start + cand[start..].partition_point(|&g| (g as usize) < end);
-            bounds.push((start, cut));
-            start = cut;
-        }
-        for (seg, &(a, b)) in segments.iter().zip(&bounds) {
-            let off = seg.offset as u32;
-            for g in &mut cand[a..b] {
-                *g -= off;
+        let work = cand.len();
+        let mut rest: &mut [u32] = &mut cand;
+        let c_segs = segments.iter().map(move |seg| {
+            let cut = rest.partition_point(|&g| (g as usize) < seg.offset + seg.len);
+            let (c_seg, tail) = std::mem::take(&mut rest).split_at_mut(cut);
+            rest = tail;
+            for g in c_seg.iter_mut() {
+                *g -= seg.offset as u32;
             }
-        }
+            &*c_seg
+        });
 
         let m = &self.m;
-        let select = self.select;
-        let kernel = self.kernel;
-        let mut jobs: Vec<(usize, &mut [f32], &[u32], SelectScratch)> =
-            Vec::with_capacity(segments.len());
-        let mut rest: &mut [f32] = &mut self.v[worker];
-        for (si, seg) in segments.iter().enumerate() {
-            let (v_seg, tail) = rest.split_at_mut(seg.len);
-            rest = tail;
-            let (a, b) = bounds[si];
-            let sel = SelectScratch::from_buffers(
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-            )
-            .with_kernel(kernel);
-            jobs.push((si, v_seg, &cand[a..b], sel));
-        }
-        let run = |(si, v_seg, c_seg, mut sel): (usize, &mut [f32], &[u32], SelectScratch)| {
-            let seg = &segments[si];
+        let job = |seg: &Segment, v_seg: &mut [f32], c_seg: &[u32], sel: &mut SelectScratch| {
             let m_seg = &m[seg.range()];
-            let (sv, mut dirty) = match secondary_ratio {
+            match secondary_ratio {
                 // No Top-k: everything goes out — one fused pass.
                 None => {
                     let mut dirty = Vec::new();
@@ -750,139 +653,86 @@ impl MdtServer {
                     (SparseVec { idx, val }, dirty)
                 }
                 Some(r) => {
-                    let k = k_for_ratio(m_seg.len(), r);
                     let (idx, val) = diff_pairs_at(m_seg, v_seg, c_seg);
-                    send_segment(m_seg, v_seg, idx, val, k, true, select, &mut sel)
+                    send_segment(m_seg, v_seg, idx, val, k_for_ratio(m_seg.len(), r), sel)
                 }
-            };
-            let off = seg.offset as u32;
-            for g in &mut dirty {
-                *g += off;
             }
-            (sv, dirty, sel)
         };
-        let results: Vec<(SparseVec, Vec<u32>, SelectScratch)> =
-            if self.par_segments && cand.len() >= PAR_THRESHOLD && jobs.len() > 1 {
-                jobs.into_par_iter().map(run).collect()
-            } else {
-                jobs.into_iter().map(run).collect()
-            };
-
-        let mut chunks = Vec::with_capacity(results.len());
-        let mut pending = Vec::new();
-        for (sv, dirty, sel) in results {
-            pending.extend_from_slice(&dirty);
-            chunks.push(sv);
-            let (ka, kb, kc) = sel.into_buffers();
-            self.scratch.release(ka);
-            self.scratch.release(kb);
-            self.scratch.release(kc);
-        }
-        self.scratch.release(std::mem::replace(&mut self.pending[worker], pending));
-        self.scratch.release(cand);
-        SparseUpdate { chunks }
+        let results = self.driver.run(segments, &mut self.v[worker], work, c_segs, job);
+        self.driver.pool.release(cand);
+        self.finish_reply(worker, results)
     }
 
-    /// Reference O(dim) scan — also the fallback that re-establishes the
-    /// dirty-set invariant when a straggler's cursor fell off the log.
+    /// O(dim) scan of `M` and `v_k` — the fallback that re-establishes the
+    /// dirty-set invariant when a straggler's cursor fell off the log, and
+    /// the cheaper path when the merge would be degenerate.
     ///
-    /// Tracking policy under the log strategy: the no-secondary pass always
-    /// rebuilds `pending[k]` (the residue check is fused into the scan and
-    /// effectively free), but under secondary compression the dirty pass is
-    /// a separate O(nnz) walk, so it is skipped while the worker's diff
-    /// density sits in the degenerate regime where the merge guard would
-    /// reject the rebuilt set anyway (`retrack` hysteresis: tracking resumes
-    /// once nnz drops to `dim/8`, below the guard's `dim/4`). Small models
-    /// always track — the absolute cost is negligible and it keeps the log
-    /// path live for small-dimension tests.
+    /// Tracking policy: the no-secondary pass always rebuilds `pending[k]`
+    /// (the residue check is fused into the scan and effectively free), but
+    /// under secondary compression the dirty pass is a separate O(nnz) walk,
+    /// so it is skipped while the worker's diff density sits in the
+    /// degenerate regime where the merge guard would reject the rebuilt set
+    /// anyway (`retrack` hysteresis: tracking resumes once nnz drops to
+    /// `dim/8`, below the guard's `dim/4`). Small models always track — the
+    /// absolute cost is negligible and it keeps the log path live for
+    /// small-dimension tests.
     fn make_diff_dense(&mut self, worker: usize, secondary_ratio: Option<f64>) -> SparseUpdate {
-        let log_mode = self.strategy == DiffStrategy::LogMerge;
         let small = self.m.len() < PAR_THRESHOLD;
-        let track = log_mode && (secondary_ratio.is_none() || small || self.retrack[worker]);
+        let track = secondary_ratio.is_none() || small || self.retrack[worker];
         let segments = self.partition.segments();
         let m = &self.m;
-        let select = self.select;
-        let kernel = self.kernel;
-        let mut jobs: Vec<(usize, &mut [f32], SelectScratch)> = Vec::with_capacity(segments.len());
-        let mut rest: &mut [f32] = &mut self.v[worker];
-        for (si, seg) in segments.iter().enumerate() {
-            let (v_seg, tail) = rest.split_at_mut(seg.len);
-            rest = tail;
-            let sel = SelectScratch::from_buffers(
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-                self.scratch.acquire(),
-            )
-            .with_kernel(kernel);
-            jobs.push((si, v_seg, sel));
-        }
-        let run = |(si, v_seg, mut sel): (usize, &mut [f32], SelectScratch)| {
-            let seg = &segments[si];
+        let job = |seg: &Segment, v_seg: &mut [f32], (), sel: &mut SelectScratch| {
             let m_seg = &m[seg.range()];
-            let (sv, mut dirty, nnz) = match secondary_ratio {
+            let mut dirty = Vec::new();
+            let (idx, val, nnz) = match secondary_ratio {
                 None => {
-                    let mut dirty = Vec::new();
-                    let (idx, val) = send_all_dense_with(kernel, m_seg, v_seg, &mut dirty);
-                    if !track {
-                        dirty.clear();
-                    }
+                    let (idx, val) = send_all_dense_with(sel.kernel(), m_seg, v_seg, &mut dirty);
                     let nnz = idx.len();
-                    (SparseVec { idx, val }, dirty, nnz)
+                    (idx, val, nnz)
                 }
+                // Dense-diff Top-k: selecting on the materialised diff
+                // buffer skips the (index, value) pair vectors that the
+                // candidate-restricted path needs — under secondary
+                // compression the diff here is nearly dense, and pair
+                // materialisation would dominate.
                 Some(r) => {
-                    // Dense-diff Top-k: selecting on the materialised diff
-                    // buffer skips the (index, value) pair vectors that the
-                    // candidate-restricted path needs — under secondary
-                    // compression the diff here is nearly dense, and pair
-                    // materialisation would dominate.
                     let k = k_for_ratio(m_seg.len(), r);
-                    let mut dirty = Vec::new();
-                    let (idx, val, nnz) =
-                        send_topk_dense(m_seg, v_seg, k, track, &mut dirty, select, &mut sel);
-                    (SparseVec { idx, val }, dirty, nnz)
+                    send_topk_dense(m_seg, v_seg, k, track, &mut dirty, sel)
                 }
             };
-            let off = seg.offset as u32;
-            for g in &mut dirty {
-                *g += off;
-            }
-            (sv, dirty, nnz, sel)
+            ((SparseVec { idx, val }, dirty), nnz)
         };
-        let results: Vec<(SparseVec, Vec<u32>, usize, SelectScratch)> =
-            if self.par_segments && m.len() >= PAR_THRESHOLD && jobs.len() > 1 {
-                jobs.into_par_iter().map(run).collect()
-            } else {
-                jobs.into_iter().map(run).collect()
-            };
+        let results = self.driver.run(segments, &mut self.v[worker], m.len(), repeat(()), job);
+        let nnz_total: usize = results.iter().map(|(_, nnz)| nnz).sum();
+        self.pending_valid[worker] = track;
+        // Hysteresis: resume paying the dirty pass once the observed
+        // density clears the guard threshold with margin.
+        self.retrack[worker] = small || nnz_total <= self.m.len() / 8;
+        // An untracked scan leaves an empty dirty set: the stale one would
+        // only mislead a future merge.
+        self.finish_reply(worker, results.into_iter().map(|(sent, _)| sent))
+    }
 
-        let mut chunks = Vec::with_capacity(results.len());
-        let mut nnz_total = 0usize;
-        let mut pending = track.then(Vec::new);
-        for (sv, dirty, nnz, sel) in results {
-            nnz_total += nnz;
-            if let Some(p) = &mut pending {
-                p.extend_from_slice(&dirty);
+    /// Reassembles one reply from its per-segment parts — the chunk to send
+    /// and the segment-local coordinates still dirty after the send — into
+    /// the chunk list in segment order, and installs the dirty set, in
+    /// global coordinates, as `pending[worker]`.
+    fn finish_reply(
+        &mut self,
+        worker: usize,
+        parts: impl IntoIterator<Item = (SparseVec, Vec<u32>)>,
+    ) -> SparseUpdate {
+        let segments = self.partition.segments();
+        let mut chunks = Vec::with_capacity(segments.len());
+        let mut pending = Vec::new();
+        for (seg, (chunk, mut dirty)) in segments.iter().zip(parts) {
+            for i in &mut dirty {
+                *i += seg.offset as u32;
             }
-            chunks.push(sv);
-            let (ka, kb, kc) = sel.into_buffers();
-            self.scratch.release(ka);
-            self.scratch.release(kb);
-            self.scratch.release(kc);
+            pending.extend_from_slice(&dirty);
+            chunks.push(chunk);
         }
-        if let Some(pending) = pending {
-            self.scratch.release(std::mem::replace(&mut self.pending[worker], pending));
-        }
-        if log_mode {
-            self.pending_valid[worker] = track;
-            if !track {
-                // The stale set would only mislead a future merge; return
-                // its buffer to the pool.
-                self.scratch.release(std::mem::take(&mut self.pending[worker]));
-            }
-            // Hysteresis: resume paying the dirty pass once the observed
-            // density clears the guard threshold with margin.
-            self.retrack[worker] = small || nnz_total <= self.m.len() / 8;
-        }
+        self.driver.pool.release(std::mem::replace(&mut self.pending[worker], pending));
         SparseUpdate { chunks }
     }
 
@@ -904,43 +754,27 @@ impl MdtServer {
 }
 
 /// Applies secondary Top-k to the nonzero diff pairs of one segment,
-/// advances `v_seg` by exactly what is sent, and (when `track_dirty`)
-/// recomputes the segment's dirty set: held-back pairs keep their nonzero
-/// difference and stay dirty without another memory pass, while sent
-/// coordinates are rescanned because f32 rounding can leave a one-ulp
-/// remainder.
-///
-/// Shared by both [`DiffStrategy`] paths: this single selection/advance
-/// code path is what makes their payloads bitwise identical. The
-/// [`SelectStrategy`] engines are bitwise-identical too, so `select`
-/// changes cost only (`sel` is radix scratch).
+/// advances `v_seg` by exactly what is sent, and recomputes the segment's
+/// dirty set: held-back pairs keep their nonzero difference and stay dirty
+/// without another memory pass, while sent coordinates are rescanned
+/// because f32 rounding can leave a one-ulp remainder.
 fn send_segment(
     m_seg: &[f32],
     v_seg: &mut [f32],
     all_idx: Vec<u32>,
     all_val: Vec<f32>,
     k: usize,
-    track_dirty: bool,
-    select: SelectStrategy,
     sel: &mut SelectScratch,
 ) -> (SparseVec, Vec<u32>) {
     let mut dirty = Vec::new();
     // Secondary compression bites only when the diff is denser than the
     // budget (Alg. 2 lines 5-11); at or under budget everything goes.
     let sv = if all_idx.len() > k {
-        let (idx, val) = topk_pairs_with(select, &all_idx, &all_val, k, sel);
-        if track_dirty {
-            scatter_track_dirty(m_seg, v_seg, &idx, &val, &all_idx, &mut dirty);
-        } else {
-            scatter_pairs(v_seg, &idx, &val);
-        }
+        let (idx, val) = radix_topk_pairs(&all_idx, &all_val, k, sel);
+        scatter_track_dirty(m_seg, v_seg, &idx, &val, &all_idx, &mut dirty);
         SparseVec { idx, val }
     } else {
-        if track_dirty {
-            scatter_track_dirty(m_seg, v_seg, &all_idx, &all_val, &all_idx, &mut dirty);
-        } else {
-            scatter_pairs(v_seg, &all_idx, &all_val);
-        }
+        scatter_track_dirty(m_seg, v_seg, &all_idx, &all_val, &all_idx, &mut dirty);
         SparseVec { idx: all_idx, val: all_val }
     };
     (sv, dirty)
@@ -1021,17 +855,13 @@ impl MdtServer {
             prev: ckpt.prev,
             staleness: StalenessStats::new(),
             damping: StalenessDamping::off(),
-            strategy: DiffStrategy::LogMerge,
-            select: SelectStrategy::default(),
             log,
             pending,
             model_cache,
-            scratch: BufferPool::new(64),
+            driver: SegmentDriver::new(),
             mask_pool: BufferPool::new(1),
-            kernel: Kernel::runtime(),
             pending_valid: vec![true; workers],
             retrack: vec![true; workers],
-            par_segments: true,
         }
     }
 }
@@ -1266,10 +1096,11 @@ mod tests {
         }
     }
 
-    /// Drives two identically configured servers — one per strategy —
-    /// through the same update schedule and asserts every reply is
-    /// bitwise identical on the wire.
-    fn assert_strategies_bitwise_equal(
+    /// Drives two servers — one log-served, one whose one-index log budget
+    /// never covers a cursor of this traffic, so every reply takes the
+    /// dense scan — through the same update schedule and asserts every
+    /// reply is bitwise identical on the wire.
+    fn assert_log_merge_equals_dense_scan(
         secondary_ratio: Option<f64>,
         log_capacity: Option<usize>,
         schedule: impl Iterator<Item = usize>,
@@ -1283,7 +1114,7 @@ mod tests {
             log_srv.set_log_capacity(cap);
         }
         let mut dense_srv = MdtServer::new(theta0, part.clone(), 3, downlink);
-        dense_srv.set_diff_strategy(DiffStrategy::DenseScan);
+        dense_srv.set_log_capacity(1);
         for (step, w) in schedule.enumerate() {
             let mut g = vec![0.0f32; dim];
             for j in 0..4 {
@@ -1311,25 +1142,20 @@ mod tests {
     }
 
     #[test]
-    fn select_strategies_bitwise_equal_on_the_wire() {
-        // Eight servers spanning {LogMerge, DenseScan} × {Comparator,
-        // Radix} × {Scalar, Simd} through identical secondary-compressed
-        // traffic: every reply must be byte-identical regardless of the
-        // selection engine or compute backend.
+    fn log_budgets_and_kernels_bitwise_equal_on_the_wire() {
+        // Four servers spanning {log merge, dense scan} × {Scalar, Simd}
+        // through identical secondary-compressed traffic: every reply must
+        // be byte-identical regardless of the path or compute backend.
         let part = Partition::from_layer_sizes([("a", 13), ("b", 7), ("c", 20)]);
         let dim = 40;
         let downlink = Downlink::ModelDifference { secondary_ratio: Some(0.1) };
-        let mut servers: Vec<MdtServer> = (0..8)
+        let mut servers: Vec<MdtServer> = (0..4)
             .map(|i| {
                 let mut s = MdtServer::new(vec![0.0f32; dim], part.clone(), 3, downlink);
-                if i % 4 >= 2 {
-                    s.set_diff_strategy(DiffStrategy::DenseScan);
+                if i % 2 == 1 {
+                    s.set_log_capacity(1);
                 }
-                let select =
-                    if i % 2 == 0 { SelectStrategy::Comparator } else { SelectStrategy::Radix };
-                s.set_select_strategy(select);
-                assert_eq!(s.select_strategy(), select);
-                let kernel = if i < 4 { Kernel::Scalar } else { Kernel::Simd };
+                let kernel = if i < 2 { Kernel::Scalar } else { Kernel::Simd };
                 s.set_kernel(kernel);
                 assert_eq!(s.kernel(), kernel);
                 s
@@ -1360,13 +1186,13 @@ mod tests {
     }
 
     #[test]
-    fn log_and_dense_strategies_bitwise_equal_plain() {
-        assert_strategies_bitwise_equal(None, None, (0..60).map(|s| s % 3));
+    fn log_merge_and_dense_scan_bitwise_equal_plain() {
+        assert_log_merge_equals_dense_scan(None, None, (0..60).map(|s| s % 3));
     }
 
     #[test]
-    fn log_and_dense_strategies_bitwise_equal_secondary() {
-        assert_strategies_bitwise_equal(Some(0.1), None, (0..60).map(|s| (s * 2) % 3));
+    fn log_merge_and_dense_scan_bitwise_equal_secondary() {
+        assert_log_merge_equals_dense_scan(Some(0.1), None, (0..60).map(|s| (s * 2) % 3));
     }
 
     #[test]
@@ -1375,25 +1201,21 @@ mod tests {
         // stragglers keep falling off the log and exercising the dense
         // fallback — which must be invisible on the wire.
         let skewed = (0..80).map(|s: usize| if s % 8 == 7 { 2 } else { s % 2 });
-        assert_strategies_bitwise_equal(Some(0.15), Some(6), skewed);
+        assert_log_merge_equals_dense_scan(Some(0.15), Some(6), skewed);
     }
 
     #[test]
-    fn strategy_switch_midrun_stays_bitwise_equal() {
+    fn log_budget_change_midrun_stays_bitwise_equal() {
         let part = Partition::single(30);
         let downlink = Downlink::ModelDifference { secondary_ratio: Some(0.2) };
         let mut a = MdtServer::new(vec![0.0; 30], part.clone(), 2, downlink);
         let mut b = MdtServer::new(vec![0.0; 30], part.clone(), 2, downlink);
         for step in 0..40 {
-            // Server `a` flips strategy every 10 steps; `b` stays on the
+            // Server `a` flips between a one-index log (every reply a dense
+            // scan) and the default budget every 10 steps; `b` stays on the
             // default. Payloads must never diverge.
             if step % 10 == 0 {
-                let next = if (step / 10) % 2 == 0 {
-                    DiffStrategy::DenseScan
-                } else {
-                    DiffStrategy::LogMerge
-                };
-                a.set_diff_strategy(next);
+                a.set_log_capacity(if (step / 10) % 2 == 0 { 1 } else { 0 });
             }
             let mut g = vec![0.0f32; 30];
             g[(step * 7) % 30] = 1.0 + step as f32;
@@ -1412,7 +1234,7 @@ mod tests {
     #[test]
     fn degenerate_density_hysteresis_stays_bitwise_equal() {
         // Above PAR_THRESHOLD the density hysteresis is live: flooding the
-        // model under tight secondary compression must drive the log-strategy
+        // model under tight secondary compression must drive the log-served
         // server into untracked dense scans (pending invalidated, retrack
         // off) without ever changing the wire payload.
         let dim = 2 * PAR_THRESHOLD;
@@ -1420,7 +1242,7 @@ mod tests {
         let downlink = Downlink::ModelDifference { secondary_ratio: Some(0.001) };
         let mut log_srv = MdtServer::new(vec![0.0; dim], part.clone(), 2, downlink);
         let mut dense_srv = MdtServer::new(vec![0.0; dim], part.clone(), 2, downlink);
-        dense_srv.set_diff_strategy(DiffStrategy::DenseScan);
+        dense_srv.set_log_capacity(1);
         for step in 0..24 {
             // Each update touches dim/16 coordinates while the downlink
             // returns only ~dim/1000, so nnz(M − v_k) quickly outgrows the

@@ -31,10 +31,10 @@
 //!   each shard clock equals the global clock and per-shard staleness
 //!   bookkeeping (log coverage, cursor math) matches the global server's.
 //! * Every remaining per-shard decision (log merge vs dense fallback,
-//!   selection engine, density hysteresis) is payload-invariant, so
-//!   shards diverging from the global server's *cost* choices cannot
-//!   change the wire bytes. `tests/shard_equivalence.rs` proves all of
-//!   this by differential replay.
+//!   density hysteresis) is payload-invariant, so shards diverging from
+//!   the global server's *cost* choices cannot change the wire bytes.
+//!   `tests/shard_equivalence.rs` proves all of this by differential
+//!   replay.
 //!
 //! Under real concurrency the interleaving of updates is nondeterministic
 //! (as it already is for the single-lock server), but each shard still
@@ -54,12 +54,12 @@
 use crate::cluster::{assemble_replies, span_view};
 use crate::protocol::{DownMsg, UpMsg, UpPayload};
 use crate::server::{
-    apportion_log_capacity, DiffStrategy, Downlink, MdtServer, ServerMemoryReport, ServerTunables,
+    apportion_log_capacity, Downlink, MdtServer, ServerMemoryReport, ServerTunables,
     StalenessDamping,
 };
 use crate::PAR_THRESHOLD;
 use dgs_psim::StalenessStats;
-use dgs_sparsify::{Kernel, Partition, SelectStrategy, ShardSpan, SparseUpdate};
+use dgs_sparsify::{Kernel, Partition, ShardSpan, SparseUpdate};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -174,18 +174,6 @@ impl ShardedMdtServer {
         for (k, shard) in self.shards.iter_mut().enumerate() {
             f(k, shard.get_mut().expect("shard lock poisoned"));
         }
-    }
-
-    /// Selects the secondary-compression Top-k engine on every shard
-    /// (payload-invariant, see [`MdtServer::set_select_strategy`]).
-    pub fn set_select_strategy(&mut self, select: SelectStrategy) {
-        self.each_shard(|_, shard| shard.set_select_strategy(select));
-    }
-
-    /// Selects the diff-construction strategy on every shard
-    /// (payload-invariant, see [`MdtServer::set_diff_strategy`]).
-    pub fn set_diff_strategy(&mut self, strategy: DiffStrategy) {
-        self.each_shard(|_, shard| shard.set_diff_strategy(strategy));
     }
 
     /// Selects the compute backend on every shard (payload-invariant, see
@@ -619,8 +607,6 @@ mod tests {
         s.set_log_capacity(10);
         s.set_log_capacity(0);
         s.set_damping(StalenessDamping { alpha: 0.5 });
-        s.set_select_strategy(SelectStrategy::Comparator);
-        s.set_diff_strategy(DiffStrategy::DenseScan);
         assert!(!s.poisoned());
     }
 

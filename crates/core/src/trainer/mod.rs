@@ -1,4 +1,4 @@
-//! Training orchestration over the three execution modes.
+//! Training orchestration over the six execution modes.
 //!
 //! * [`single`] — single-node momentum SGD (the paper's MSGD baseline).
 //! * [`threaded`] — real-thread asynchronous parameter-server training

@@ -14,7 +14,7 @@ use dgs_nn::data::Dataset;
 use dgs_nn::loader::BatchLoader;
 use dgs_nn::model::Network;
 use dgs_psim::StragglerModel;
-use dgs_sparsify::{Kernel, SelectStrategy, ShardSpan, TernaryUpdate};
+use dgs_sparsify::{Kernel, ShardSpan, TernaryUpdate};
 use dgs_tensor::rng::derive_seed;
 use std::sync::Arc;
 
@@ -96,13 +96,6 @@ impl TrainWorker {
         self.compressor.aux_floats() * std::mem::size_of::<f32>()
     }
 
-    /// Selects the uplink Top-k engine (see
-    /// [`Compressor::set_select_strategy`]). Both engines are
-    /// bitwise-identical, so this never changes a trajectory.
-    pub fn set_select_strategy(&mut self, select: SelectStrategy) {
-        self.compressor.set_select_strategy(select);
-    }
-
     /// Selects the compute backend for the uplink selection kernels *and*
     /// the training network's GEMM/conv/pool tier (see
     /// [`Compressor::set_kernel`] and `Network::set_kernel`). Backends are
@@ -132,8 +125,8 @@ impl TrainWorker {
         };
         self.iter += 1;
         let ctx = StepCtx { lr, ratio };
-        let partition = self.net.params().partition().clone();
-        let mut payload = self.compressor.compress(self.net.params().grad(), &partition, ctx);
+        let params = self.net.params();
+        let mut payload = self.compressor.compress(params.grad(), params.partition(), ctx);
         // Optional extension: ternary-quantize the sparse uplink (§6).
         if self.cfg.quantize_uplink {
             if let crate::protocol::UpPayload::Sparse(s) = &payload {
@@ -173,8 +166,8 @@ impl TrainWorker {
                 self.net.params_mut().load_data(&model);
             }
             DownMsg::SparseDiff(diff) => {
-                let partition = self.net.params().partition().clone();
-                diff.apply_add(self.net.params_mut().data_mut(), &partition, 1.0);
+                let (data, partition) = self.net.params_mut().data_mut_and_partition();
+                diff.apply_add(data, partition, 1.0);
             }
         }
     }

@@ -79,6 +79,12 @@ impl ParamSet {
         (&self.data, &mut self.grad)
     }
 
+    /// Simultaneous access to the mutable parameters and the partition they
+    /// are laid out by (e.g. applying a per-segment sparse reply in place).
+    pub fn data_mut_and_partition(&mut self) -> (&mut [f32], &Partition) {
+        (&mut self.data, &self.partition)
+    }
+
     /// Zeroes all gradients (start of a fresh backward pass).
     pub fn zero_grad(&mut self) {
         self.grad.fill(0.0);

@@ -7,8 +7,9 @@
 //! traits so the algorithms in `dgs-core` run unchanged on both:
 //!
 //! * [`thread_engine`] — one OS thread per worker plus a server thread over
-//!   crossbeam channels. Real asynchrony: workers race, updates interleave
-//!   nondeterministically, exactly like the paper's PyTorch/gloo cluster.
+//!   `std::sync::mpsc` channels. Real asynchrony: workers race, updates
+//!   interleave nondeterministically, exactly like the paper's PyTorch/gloo
+//!   cluster.
 //!   Used for the accuracy experiments.
 //! * [`des`] — a deterministic discrete-event simulator with a virtual
 //!   clock and a bandwidth/latency [`network::NetworkModel`]. Used for the

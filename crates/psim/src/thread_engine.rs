@@ -1,13 +1,14 @@
 //! Real-thread cluster engine: one OS thread per worker, one server thread.
 //!
-//! Workers send requests through a shared MPMC channel; the server replies
-//! through per-worker channels. This is a faithful small-scale analogue of
+//! Workers send requests through one shared `std::sync::mpsc` channel (the
+//! server thread is its single consumer); the server replies through
+//! per-worker channels. This is a faithful small-scale analogue of
 //! the paper's parameter-server deployment: workers genuinely race, the
 //! interleaving of updates at the server is nondeterministic, and gradient
 //! staleness arises for real rather than being injected.
 
 use crate::stats::TrafficStats;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// Server side of a parameter-server algorithm.
@@ -86,14 +87,14 @@ where
     let start = std::time::Instant::now();
     let n = workers.len();
     let traffic = Arc::new(TrafficStats::new());
-    let (req_tx, req_rx): ReqChannel<S::Request> = unbounded();
+    let (req_tx, req_rx): ReqChannel<S::Request> = channel();
 
     // Per-worker reply channels; capacity 1 suffices for the round-trip
     // protocol but a little slack is harmless.
     let mut reply_txs = Vec::with_capacity(n);
     let mut reply_rxs = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = bounded::<S::Reply>(2);
+        let (tx, rx) = sync_channel::<S::Reply>(2);
         reply_txs.push(tx);
         reply_rxs.push(rx);
     }
@@ -156,8 +157,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// Toy protocol: workers send `+1`, server accumulates into a counter
     /// and replies with the current total.
@@ -204,7 +204,7 @@ mod tests {
             // Replies must be monotone from this worker's perspective.
             assert!(reply > self.last_seen, "replies should be increasing");
             self.last_seen = reply;
-            self.observed.lock().push(reply);
+            self.observed.lock().expect("observer lock").push(reply);
         }
     }
 
@@ -235,7 +235,7 @@ mod tests {
         let report = run_cluster(server, workers, 10);
         assert_eq!(report.server.total, 10);
         // With one worker the observed totals are exactly 1..=10.
-        assert_eq!(*observed.lock(), (1..=10).collect::<Vec<u64>>());
+        assert_eq!(*observed.lock().expect("observer lock"), (1..=10).collect::<Vec<u64>>());
     }
 
     #[test]

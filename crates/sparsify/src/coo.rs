@@ -16,7 +16,6 @@
 use crate::partition::Partition;
 use crate::topk::{gather, scatter_add, topk_indices};
 use crate::{k_for_ratio, CompressionStats};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dgs_tensor::Kernel;
 
 /// Sparse content of one partition segment: parallel index/value arrays.
@@ -84,7 +83,7 @@ impl SparseVec {
 /// let update = SparseUpdate::from_topk(&grads, &part, 0.01);
 /// assert_eq!(update.nnz(), 2);
 /// let wire = update.encode();
-/// let back = SparseUpdate::decode(wire).unwrap();
+/// let back = SparseUpdate::decode(&wire).unwrap();
 /// assert_eq!(back.to_dense(&part), vec![0.0, -9.0, 0.0, 0.0, 5.0, 0.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -158,7 +157,7 @@ impl SparseUpdate {
     }
 
     /// Encodes to the binary wire format. Runtime kernel.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         self.encode_with(Kernel::runtime())
     }
 
@@ -166,56 +165,36 @@ impl SparseUpdate {
     /// arrays are appended as single bulk little-endian byte copies when
     /// the backend offers a reinterpret view (x86-64 is little-endian, so
     /// the in-memory `u32`/`f32` arrays *are* the wire bytes), falling
-    /// back to the per-element `put_u32_le`/`put_f32_le` loops otherwise.
-    /// Both paths emit identical bytes — f32 values are copied bit-for-bit
-    /// either way, so NaN payloads survive unchanged.
-    pub fn encode_with(&self, kernel: Kernel) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_bytes());
-        buf.put_u32_le(self.chunks.len() as u32);
+    /// back to per-element `to_le_bytes` loops otherwise. Both paths emit
+    /// identical bytes — f32 values are copied bit-for-bit either way, so
+    /// NaN payloads survive unchanged.
+    pub fn encode_with(&self, kernel: Kernel) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_bytes());
+        put_u32(&mut buf, self.chunks.len() as u32);
         for chunk in &self.chunks {
-            buf.put_u32_le(chunk.nnz() as u32);
-            if let Some(le) = kernel.u32s_le(&chunk.idx) {
-                buf.put_slice(le);
-            } else {
-                for &i in &chunk.idx {
-                    buf.put_u32_le(i);
-                }
-            }
+            put_u32(&mut buf, chunk.nnz() as u32);
+            put_u32s(&mut buf, kernel, &chunk.idx);
             if let Some(le) = kernel.f32s_le(&chunk.val) {
-                buf.put_slice(le);
+                buf.extend_from_slice(le);
             } else {
                 for &v in &chunk.val {
-                    buf.put_f32_le(v);
+                    put_u32(&mut buf, v.to_bits());
                 }
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes from the binary wire format. Returns `None` on truncated or
     /// malformed input.
-    pub fn decode(mut bytes: Bytes) -> Option<Self> {
-        if bytes.remaining() < 4 {
-            return None;
-        }
-        let num_chunks = bytes.get_u32_le() as usize;
-        let mut chunks = Vec::with_capacity(num_chunks);
+    pub fn decode(mut bytes: &[u8]) -> Option<Self> {
+        let num_chunks = take_u32(&mut bytes)? as usize;
+        // Every chunk occupies at least its 4-byte count.
+        let mut chunks = Vec::with_capacity(num_chunks.min(bytes.len() / 4));
         for _ in 0..num_chunks {
-            if bytes.remaining() < 4 {
-                return None;
-            }
-            let nnz = bytes.get_u32_le() as usize;
-            if bytes.remaining() < 8 * nnz {
-                return None;
-            }
-            let mut idx = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                idx.push(bytes.get_u32_le());
-            }
-            let mut val = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                val.push(bytes.get_f32_le());
-            }
+            let nnz = take_u32(&mut bytes)? as usize;
+            let idx = take_u32s(&mut bytes, nnz)?;
+            let val = take_u32s(&mut bytes, nnz)?.into_iter().map(f32::from_bits).collect();
             chunks.push(SparseVec { idx, val });
         }
         Some(SparseUpdate { chunks })
@@ -225,6 +204,44 @@ impl SparseUpdate {
     pub fn stats(&self, dense_len: usize) -> CompressionStats {
         CompressionStats::new(4 * dense_len, self.wire_bytes())
     }
+}
+
+/// Appends `v` little-endian.
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an index array little-endian: one bulk copy when `kernel`
+/// offers a reinterpret view, per element otherwise.
+pub(crate) fn put_u32s(buf: &mut Vec<u8>, kernel: Kernel, xs: &[u32]) {
+    if let Some(le) = kernel.u32s_le(xs) {
+        buf.extend_from_slice(le);
+    } else {
+        for &x in xs {
+            put_u32(buf, x);
+        }
+    }
+}
+
+/// Splits `n` bytes off the front of `bytes`; `None` when it is shorter.
+pub(crate) fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = bytes.split_at_checked(n)?;
+    *bytes = tail;
+    Some(head)
+}
+
+/// Reads one little-endian `u32` off the front of `bytes`.
+pub(crate) fn take_u32(bytes: &mut &[u8]) -> Option<u32> {
+    let (head, tail) = bytes.split_first_chunk::<4>()?;
+    *bytes = tail;
+    Some(u32::from_le_bytes(*head))
+}
+
+/// Reads `n` little-endian `u32`s off the front of `bytes`; `None` (and
+/// no allocation) when fewer than `4 * n` bytes remain.
+pub(crate) fn take_u32s(bytes: &mut &[u8], n: usize) -> Option<Vec<u32>> {
+    let raw = take(bytes, n.checked_mul(4)?)?;
+    Some(raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
 }
 
 /// Sums several partition-aligned sparse updates into one — the edge
@@ -327,7 +344,7 @@ mod tests {
         let up = SparseUpdate::from_topk(&flat, &part_2(), 0.5);
         let encoded = up.encode();
         assert_eq!(encoded.len(), up.wire_bytes());
-        let decoded = SparseUpdate::decode(encoded).unwrap();
+        let decoded = SparseUpdate::decode(&encoded).unwrap();
         assert_eq!(decoded, up);
     }
 
@@ -337,17 +354,14 @@ mod tests {
         let up = SparseUpdate::from_topk(&flat, &part_2(), 0.5);
         let encoded = up.encode();
         for cut in [0, 3, 7, encoded.len() - 1] {
-            assert!(
-                SparseUpdate::decode(encoded.slice(0..cut)).is_none(),
-                "cut at {cut} should fail"
-            );
+            assert!(SparseUpdate::decode(&encoded[..cut]).is_none(), "cut at {cut} should fail");
         }
     }
 
     #[test]
     fn decode_empty_update() {
         let up = SparseUpdate { chunks: vec![] };
-        let decoded = SparseUpdate::decode(up.encode()).unwrap();
+        let decoded = SparseUpdate::decode(&up.encode()).unwrap();
         assert_eq!(decoded.chunks.len(), 0);
         assert_eq!(up.wire_bytes(), 4);
     }
@@ -427,7 +441,7 @@ mod tests {
         let b = up.encode_with(Kernel::Simd);
         assert_eq!(a, b, "backends must emit identical wire bytes");
         // Roundtrip preserves the NaN bit pattern.
-        let back = SparseUpdate::decode(b).unwrap();
+        let back = SparseUpdate::decode(&b).unwrap();
         assert_eq!(back.chunks[0].val[0].to_bits(), 0x7FC0_1234);
     }
 

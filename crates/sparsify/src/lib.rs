@@ -7,25 +7,25 @@
 //! * [`partition`] — [`Partition`]: maps a flat parameter vector onto the
 //!   per-layer segments the paper sparsifies independently ("iterate over
 //!   every layer", Alg. 1/3).
-//! * [`topk`] — exact Top-k threshold/index selection over a segment, plus
-//!   the mask/gather/scatter helpers the worker algorithms are built from
+//! * [`topk`] — the comparator reference for Top-k threshold/index
+//!   selection over a segment (what tests and fixtures call), plus the
+//!   mask/gather/scatter helpers the worker algorithms are built from
 //!   (`sparsify()` / `unsparsify()` in the paper's notation).
-//! * [`radix_select`] — the bit-level O(n) selection engine (histogram
-//!   radix select over `abs(f32).to_bits()` keys) behind the default
-//!   [`SelectStrategy::Radix`]; bitwise-identical to the comparator path.
-//! * [`sampled`] — DGC-style sampled/hierarchical threshold estimation
-//!   (the only selection code with a `rand` dependency).
+//! * [`radix_select`] — the selection engine product code calls: a
+//!   bit-level O(n) histogram radix select over `abs(f32).to_bits()` keys,
+//!   bitwise-identical to the comparator reference.
+//! * [`sampled`] — DGC-style sampled threshold estimation (the only
+//!   selection code with a `rand` dependency).
 //! * [`merge`] — the server-side diff/merge kernels behind the O(nnz)
-//!   downlink construction (dense reference scan, candidate-restricted
-//!   scan, deterministic pair Top-k, dirty-set maintenance). Both server
-//!   strategies bottom out here, which is what makes them bitwise equal.
+//!   downlink construction (dense scan, candidate-restricted scan,
+//!   deterministic pair Top-k, dirty-set maintenance). The log merge and
+//!   its dense fallback both bottom out here, which is what makes them
+//!   bitwise equal.
 //! * [`coo`] — the COO wire format (`encode()` / `decode()` in the paper):
-//!   index+value pairs packed into [`bytes::Bytes`], with exact byte-size
-//!   accounting used by the network simulator.
+//!   index+value pairs packed little-endian into a `Vec<u8>`, with exact
+//!   byte-size accounting used by the network simulator.
 //! * [`quant`] — TernGrad-style ternary quantization of sparse payloads
 //!   (the paper's future-work combination, §6).
-//! * [`random_drop`] — unbiased random coordinate dropping (Wangni et al.),
-//!   the other compression family the paper names for combination.
 //! * [`stats`] — compression-ratio accounting.
 //!
 //! Everything operates on `&[f32]` segments so the same code path serves
@@ -43,7 +43,6 @@ pub mod merge;
 pub mod partition;
 pub mod quant;
 pub mod radix_select;
-pub mod random_drop;
 pub mod sampled;
 pub mod stats;
 pub mod topk;
@@ -54,19 +53,18 @@ pub use merge::{
     diff_pairs_at, diff_pairs_dense, diff_pairs_dense_with, mag_idx_order, merge_sum_pairs,
     retain_dirty, scatter_pairs, scatter_track_dirty, send_all_at, send_all_dense,
     send_all_dense_with, send_topk_dense, sort_dedup, sort_dedup_bitmap, sort_dedup_pooled,
-    topk_pairs, topk_pairs_with,
+    topk_pairs,
 };
 pub use partition::{Partition, Segment, ShardSpan};
 pub use quant::{TernaryUpdate, TernaryVec};
 pub use radix_select::{
-    mag_key, radix_threshold, radix_topk_indices, radix_topk_pairs, SelectScratch, SelectStrategy,
+    mag_key, radix_threshold, radix_topk_indices, radix_topk_pairs, SelectScratch,
 };
-pub use random_drop::{random_unbiased_sparsify, random_unbiased_update};
-pub use sampled::{hierarchical_threshold, sampled_threshold};
+pub use sampled::sampled_threshold;
 pub use stats::CompressionStats;
 pub use topk::{
     gather, gather_and_zero, scale_all_except, scale_all_restore, scatter_add, topk_indices,
-    topk_indices_with, topk_threshold, topk_threshold_with, zero_at,
+    topk_threshold, zero_at,
 };
 
 /// Computes the Top-k element count for a segment of `len` values at

@@ -9,7 +9,9 @@
 //!
 //! * [`diff_pairs_dense`] — the O(dim) reference scan;
 //! * [`diff_pairs_at`]    — the O(candidates) restricted scan;
-//! * [`topk_pairs`]       — secondary Top-k over (index, value) pairs;
+//! * [`topk_pairs`]       — secondary Top-k over (index, value) pairs, the
+//!   comparator reference [`crate::radix_select::radix_topk_pairs`] (what
+//!   the server calls) is proven bitwise-identical against;
 //! * [`scatter_pairs`]    — advance `v_k` by exactly what is sent;
 //! * [`retain_dirty`]     — recompute the dirty set after a send;
 //! * [`send_all_at`] / [`send_all_dense`] — fused single-pass variants of
@@ -37,7 +39,7 @@
 //! compile this module together with the tensor crate's
 //! `kernel.rs`/`simd.rs` (see `.claude/skills/verify/SKILL.md`).
 
-use crate::radix_select::{radix_topk_indices, radix_topk_pairs, SelectScratch, SelectStrategy};
+use crate::radix_select::{radix_topk_indices, SelectScratch};
 use dgs_tensor::{BufferPool, Kernel};
 use std::cmp::Ordering;
 
@@ -186,26 +188,6 @@ pub fn topk_pairs(idx: &[u32], val: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
     pos.truncate(k);
     pos.sort_unstable_by_key(|&p| idx[p as usize]);
     (pos.iter().map(|&p| idx[p as usize]).collect(), pos.iter().map(|&p| val[p as usize]).collect())
-}
-
-/// [`topk_pairs`] behind a [`SelectStrategy`]. Both engines return the same
-/// bits for the ascending-index pair lists every diff producer in this
-/// module emits ([`diff_pairs_dense`] / [`diff_pairs_at`] outputs); the
-/// radix arm additionally requires that ascending order (debug-asserted)
-/// because position order standing in for index order is what makes its
-/// tie-break match [`mag_idx_order`]. `scratch` is only touched by the
-/// radix arm.
-pub fn topk_pairs_with(
-    select: SelectStrategy,
-    idx: &[u32],
-    val: &[f32],
-    k: usize,
-    scratch: &mut SelectScratch,
-) -> (Vec<u32>, Vec<f32>) {
-    match select {
-        SelectStrategy::Comparator => topk_pairs(idx, val, k),
-        SelectStrategy::Radix => radix_topk_pairs(idx, val, k, scratch),
-    }
 }
 
 /// Full-scan reference: every nonzero of `m − v` as (local index, value)
@@ -365,18 +347,12 @@ pub fn send_all_dense_with(
 ///
 /// Also returns the total nonzero count of the diff (the density signal
 /// callers use for tracking hysteresis), which the scan computes anyway.
-///
-/// `select` picks the selection engine for the over-budget case; both
-/// engines rank the dense diff under the identical total order, so the
-/// payload is bitwise independent of the choice (`scratch` is only touched
-/// by the radix arm).
 pub fn send_topk_dense(
     m: &[f32],
     v: &mut [f32],
     k: usize,
     track_dirty: bool,
     dirty: &mut Vec<u32>,
-    select: SelectStrategy,
     scratch: &mut SelectScratch,
 ) -> (Vec<u32>, Vec<f32>, usize) {
     debug_assert_eq!(m.len(), v.len());
@@ -413,18 +389,7 @@ pub fn send_topk_dense(
         }
         return (Vec::new(), Vec::new(), nnz_all);
     }
-    let pos: Vec<u32> = match select {
-        SelectStrategy::Comparator => {
-            let mut pos: Vec<u32> = (0..diff.len() as u32).collect();
-            pos.select_nth_unstable_by(k - 1, |&a, &b| {
-                mag_idx_order(diff[a as usize].abs(), a, diff[b as usize].abs(), b)
-            });
-            pos.truncate(k);
-            pos.sort_unstable();
-            pos
-        }
-        SelectStrategy::Radix => radix_topk_indices(&diff, k, scratch),
-    };
+    let pos = radix_topk_indices(&diff, k, scratch);
     let mut val = Vec::with_capacity(pos.len());
     kernel.gather_into(&diff, &pos, &mut val);
     scatter_pairs(v, &pos, &val);
@@ -707,26 +672,10 @@ mod tests {
                 for k in [0usize, 3, n / 2, n + 7] {
                     let mut vx = v0.clone();
                     let mut dx = Vec::new();
-                    let (xi, xv, xn) = send_topk_dense(
-                        &m,
-                        &mut vx,
-                        k,
-                        true,
-                        &mut dx,
-                        SelectStrategy::Radix,
-                        &mut sc,
-                    );
+                    let (xi, xv, xn) = send_topk_dense(&m, &mut vx, k, true, &mut dx, &mut sc);
                     let mut vy = v0.clone();
                     let mut dy = Vec::new();
-                    let (yi, yv, yn) = send_topk_dense(
-                        &m,
-                        &mut vy,
-                        k,
-                        true,
-                        &mut dy,
-                        SelectStrategy::Radix,
-                        &mut si,
-                    );
+                    let (yi, yv, yn) = send_topk_dense(&m, &mut vy, k, true, &mut dy, &mut si);
                     assert_eq!(xi, yi, "topk idx diverged (n {n} seed {seed} k {k})");
                     assert_eq!(xn, yn);
                     assert_eq!(
@@ -839,66 +788,57 @@ mod tests {
     #[test]
     fn send_topk_dense_matches_pair_pipeline() {
         let mut scratch = SelectScratch::new();
-        for select in [SelectStrategy::Comparator, SelectStrategy::Radix] {
-            for seed in 1..40u64 {
-                for k in [0usize, 1, 3, 8, 64, 100] {
-                    let (m, v0) = random_state(seed * 31337, 64);
-                    // Pair-based reference: diff → topk (or send-all) →
-                    // scatter with fused dirty tracking.
-                    let mut v_ref = v0.clone();
-                    let (ai, av) = diff_pairs_dense(&m, &v_ref);
-                    let nnz_ref = ai.len();
-                    let mut dirty_ref = Vec::new();
-                    let (ri, rv) = if ai.len() > k {
-                        let (si, sv) = topk_pairs(&ai, &av, k);
-                        scatter_track_dirty(&m, &mut v_ref, &si, &sv, &ai, &mut dirty_ref);
-                        (si, sv)
-                    } else {
-                        scatter_track_dirty(&m, &mut v_ref, &ai, &av, &ai, &mut dirty_ref);
-                        (ai, av)
-                    };
-                    // Dense-diff kernel under test.
-                    let mut v_dense = v0.clone();
-                    let mut dirty_dense = Vec::new();
-                    let (di, dv, dn) = send_topk_dense(
-                        &m,
-                        &mut v_dense,
-                        k,
-                        true,
-                        &mut dirty_dense,
-                        select,
-                        &mut scratch,
-                    );
-                    assert_eq!(di, ri, "{select:?} seed {seed} k {k}");
-                    assert_eq!(dn, nnz_ref, "{select:?} seed {seed} k {k}");
-                    assert_eq!(
-                        dv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        rv.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                    );
-                    assert_eq!(dirty_dense, dirty_ref, "{select:?} seed {seed} k {k}");
-                    assert_eq!(
-                        v_dense.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        v_ref.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                    );
-                    // Untracked variant leaves dirty alone, matches payload.
-                    let mut v_u = v0.clone();
-                    let mut dirty_u = Vec::new();
-                    let (ui, uv, un) =
-                        send_topk_dense(&m, &mut v_u, k, false, &mut dirty_u, select, &mut scratch);
-                    assert_eq!(ui, ri);
-                    assert_eq!(un, nnz_ref);
-                    assert_eq!(
-                        uv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        rv.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                    );
-                    assert!(dirty_u.is_empty());
-                }
+        for seed in 1..40u64 {
+            for k in [0usize, 1, 3, 8, 64, 100] {
+                let (m, v0) = random_state(seed * 31337, 64);
+                // Pair-based comparator reference: diff → topk (or
+                // send-all) → scatter with fused dirty tracking.
+                let mut v_ref = v0.clone();
+                let (ai, av) = diff_pairs_dense(&m, &v_ref);
+                let nnz_ref = ai.len();
+                let mut dirty_ref = Vec::new();
+                let (ri, rv) = if ai.len() > k {
+                    let (si, sv) = topk_pairs(&ai, &av, k);
+                    scatter_track_dirty(&m, &mut v_ref, &si, &sv, &ai, &mut dirty_ref);
+                    (si, sv)
+                } else {
+                    scatter_track_dirty(&m, &mut v_ref, &ai, &av, &ai, &mut dirty_ref);
+                    (ai, av)
+                };
+                // Dense-diff kernel under test.
+                let mut v_dense = v0.clone();
+                let mut dirty_dense = Vec::new();
+                let (di, dv, dn) =
+                    send_topk_dense(&m, &mut v_dense, k, true, &mut dirty_dense, &mut scratch);
+                assert_eq!(di, ri, "seed {seed} k {k}");
+                assert_eq!(dn, nnz_ref, "seed {seed} k {k}");
+                assert_eq!(
+                    dv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    rv.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+                assert_eq!(dirty_dense, dirty_ref, "seed {seed} k {k}");
+                assert_eq!(
+                    v_dense.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    v_ref.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+                // Untracked variant leaves dirty alone, matches payload.
+                let mut v_u = v0.clone();
+                let mut dirty_u = Vec::new();
+                let (ui, uv, un) =
+                    send_topk_dense(&m, &mut v_u, k, false, &mut dirty_u, &mut scratch);
+                assert_eq!(ui, ri);
+                assert_eq!(un, nnz_ref);
+                assert_eq!(
+                    uv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    rv.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+                assert!(dirty_u.is_empty());
             }
         }
     }
 
     #[test]
-    fn topk_pairs_with_agrees_across_strategies() {
+    fn radix_topk_pairs_agrees_with_the_reference() {
         let mut scratch = SelectScratch::new();
         let idx: Vec<u32> = (0..48).map(|i| i * 5 + 2).collect();
         let val: Vec<f32> = (0..48)
@@ -912,8 +852,8 @@ mod tests {
             })
             .collect();
         for k in [0usize, 1, 5, 24, 47, 48, 99] {
-            let (ci, cv) = topk_pairs_with(SelectStrategy::Comparator, &idx, &val, k, &mut scratch);
-            let (ri, rv) = topk_pairs_with(SelectStrategy::Radix, &idx, &val, k, &mut scratch);
+            let (ci, cv) = topk_pairs(&idx, &val, k);
+            let (ri, rv) = crate::radix_select::radix_topk_pairs(&idx, &val, k, &mut scratch);
             assert_eq!(ci, ri, "k = {k}");
             assert_eq!(
                 cv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

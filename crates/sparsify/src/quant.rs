@@ -9,8 +9,7 @@
 //! is dropped — quantised to 0 — otherwise). Wire cost drops from 8 bytes
 //! per coordinate (index + f32) to 4 bytes + 1 bit.
 
-use crate::coo::SparseVec;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::coo::{put_u32, put_u32s, take, take_u32, take_u32s, SparseVec};
 use dgs_tensor::Kernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,55 +128,36 @@ impl TernaryUpdate {
     }
 
     /// Encodes to the binary wire format. Runtime kernel.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         self.encode_with(Kernel::runtime())
     }
 
     /// [`TernaryUpdate::encode`] on an explicit [`Kernel`]: index arrays
     /// are appended as one bulk little-endian byte copy when the backend
-    /// offers a reinterpret view, falling back to the per-element
-    /// `put_u32_le` loop otherwise. Both paths emit identical bytes.
-    pub fn encode_with(&self, kernel: Kernel) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_bytes());
-        buf.put_u32_le(self.chunks.len() as u32);
+    /// offers a reinterpret view, falling back to a per-element loop
+    /// otherwise. Both paths emit identical bytes.
+    pub fn encode_with(&self, kernel: Kernel) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_bytes());
+        put_u32(&mut buf, self.chunks.len() as u32);
         for chunk in &self.chunks {
-            buf.put_f32_le(chunk.scale);
-            buf.put_u32_le(chunk.nnz() as u32);
-            if let Some(le) = kernel.u32s_le(&chunk.idx) {
-                buf.put_slice(le);
-            } else {
-                for &i in &chunk.idx {
-                    buf.put_u32_le(i);
-                }
-            }
-            buf.put_slice(&chunk.signs);
+            put_u32(&mut buf, chunk.scale.to_bits());
+            put_u32(&mut buf, chunk.nnz() as u32);
+            put_u32s(&mut buf, kernel, &chunk.idx);
+            buf.extend_from_slice(&chunk.signs);
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes from the binary wire format; `None` on malformed input.
-    pub fn decode(mut bytes: Bytes) -> Option<Self> {
-        if bytes.remaining() < 4 {
-            return None;
-        }
-        let num_chunks = bytes.get_u32_le() as usize;
-        let mut chunks = Vec::with_capacity(num_chunks);
+    pub fn decode(mut bytes: &[u8]) -> Option<Self> {
+        let num_chunks = take_u32(&mut bytes)? as usize;
+        // Every chunk occupies at least its 8-byte scale + count.
+        let mut chunks = Vec::with_capacity(num_chunks.min(bytes.len() / 8));
         for _ in 0..num_chunks {
-            if bytes.remaining() < 8 {
-                return None;
-            }
-            let scale = bytes.get_f32_le();
-            let nnz = bytes.get_u32_le() as usize;
-            let sign_bytes = nnz.div_ceil(8);
-            if bytes.remaining() < 4 * nnz + sign_bytes {
-                return None;
-            }
-            let mut idx = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                idx.push(bytes.get_u32_le());
-            }
-            let mut signs = vec![0u8; sign_bytes];
-            bytes.copy_to_slice(&mut signs);
+            let scale = f32::from_bits(take_u32(&mut bytes)?);
+            let nnz = take_u32(&mut bytes)? as usize;
+            let idx = take_u32s(&mut bytes, nnz)?;
+            let signs = take(&mut bytes, nnz.div_ceil(8))?.to_vec();
             chunks.push(TernaryVec { scale, idx, signs });
         }
         Some(TernaryUpdate { chunks })
@@ -244,7 +224,7 @@ mod tests {
         let q = TernaryUpdate::quantize(&up, 99);
         let encoded = q.encode();
         assert_eq!(encoded.len(), q.wire_bytes());
-        let decoded = TernaryUpdate::decode(encoded).unwrap();
+        let decoded = TernaryUpdate::decode(&encoded).unwrap();
         assert_eq!(decoded, q);
         assert_eq!(decoded.dequantize().nnz(), q.nnz());
     }
@@ -256,7 +236,7 @@ mod tests {
         let q = TernaryUpdate::quantize(&SparseUpdate::from_topk(&flat, &part, 0.5), 3);
         let enc = q.encode();
         for cut in [0usize, 3, 9, enc.len() - 1] {
-            assert!(TernaryUpdate::decode(enc.slice(0..cut)).is_none());
+            assert!(TernaryUpdate::decode(&enc[..cut]).is_none());
         }
     }
 

@@ -80,21 +80,6 @@ pub fn mag_key(v: f32) -> u32 {
     v.to_bits() & MAG_MASK
 }
 
-/// Which Top-k selection engine a call site uses.
-///
-/// Both engines produce bitwise-identical indices, values, and thresholds
-/// (same selection set, same tie resolution, same output order); they
-/// differ only in cost. [`SelectStrategy::Comparator`] is retained as the
-/// differential oracle the radix engine is proven against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectStrategy {
-    /// `select_nth_unstable_by` under `mag_idx_order` — the reference.
-    Comparator,
-    /// Bit-level histogram select (this module) — the default.
-    #[default]
-    Radix,
-}
-
 /// Reusable scratch for the radix select: three `u32` buffers holding the
 /// boundary bucket's candidate keys (`keys`) and positions (`pos`), plus a
 /// dual-use buffer (`spare`) that serves first as the 65,536-entry top
@@ -699,11 +684,6 @@ mod tests {
             a.capacity() >= 64 || b.capacity() >= 32 || c.capacity() >= 16,
             "capacity survives"
         );
-    }
-
-    #[test]
-    fn select_strategy_default_is_radix() {
-        assert_eq!(SelectStrategy::default(), SelectStrategy::Radix);
     }
 
     /// The scalar and SIMD kernel backends must be interchangeable:

@@ -1,13 +1,12 @@
-//! Sampled and hierarchical threshold estimation (DGC-style).
+//! Sampled threshold estimation (DGC-style).
 //!
 //! Deep Gradient Compression (Lin et al., PAPERS.md) avoids a full Top-k
 //! selection on very large tensors by estimating the threshold from a
-//! random sample, optionally refined against the actual kept count. These
-//! estimators live apart from [`crate::topk`] so the exact kernels stay
-//! std-only (standalone offline harnesses compile them directly); this
-//! module is the only selection code with a `rand` dependency.
+//! random sample. The estimator lives apart from [`crate::topk`] so the
+//! exact kernels stay std-only (standalone offline harnesses compile them
+//! directly); this module is the only selection code with a `rand`
+//! dependency.
 
-use crate::radix_select::{radix_threshold, SelectScratch};
 use crate::topk::topk_threshold;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,40 +32,6 @@ pub fn sampled_threshold(seg: &[f32], k: usize, sample: usize, seed: u64) -> f32
     mags[pos - 1]
 }
 
-/// Hierarchical threshold selection — historically the DGC refinement loop:
-/// estimate a threshold from a sample, count how many coordinates it
-/// actually keeps with a full O(n) scan, adjust, repeat up to 8 times.
-///
-/// The radix histogram cascade ([`crate::radix_select`]) made that loop
-/// obsolete: the "kept count at thr" question the loop asked with repeated
-/// O(n) scans is answered *exactly* by one O(n) histogram pass plus O(256)
-/// bucket walks per byte level, and the fixed point the refinement chased —
-/// a threshold whose kept count hits `k` — is precisely the exact k-th
-/// magnitude that cascade pins down. So this now returns the exact
-/// threshold (bitwise equal to [`topk_threshold`]) at roughly the cost of a
-/// *single* iteration of the old loop, instead of an approximation after up
-/// to eight.
-///
-/// `tolerance` and `seed` are retained for API compatibility; the exact
-/// result trivially satisfies any tolerance band. `sample >= seg.len()`
-/// falls back to [`topk_threshold`] exactly as before (same bits either
-/// way).
-pub fn hierarchical_threshold(
-    seg: &[f32],
-    k: usize,
-    sample: usize,
-    tolerance: f64,
-    seed: u64,
-) -> f32 {
-    let n = seg.len();
-    assert!(n > 0 && k >= 1 && k <= n, "hierarchical_threshold bounds");
-    let _ = (tolerance, seed);
-    if sample >= n {
-        return topk_threshold(seg, k);
-    }
-    radix_threshold(seg, k, &mut SelectScratch::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,50 +55,5 @@ mod tests {
     fn sampled_threshold_exact_fallback() {
         let seg = [1.0, -2.0, 3.0];
         assert_eq!(sampled_threshold(&seg, 2, 100, 1), topk_threshold(&seg, 2));
-    }
-
-    #[test]
-    fn hierarchical_threshold_converges_near_k() {
-        let seg: Vec<f32> = (0..50_000)
-            .map(|i| {
-                let x = (i as f64 * 0.7391).sin() * 2.0;
-                (x * x * x) as f32
-            })
-            .collect();
-        let k = 500;
-        let thr = hierarchical_threshold(&seg, k, 1000, 0.1, 7);
-        let kept = seg.iter().filter(|v| v.abs() >= thr).count();
-        assert!(
-            kept as f64 >= 0.8 * k as f64 && kept as f64 <= 1.3 * k as f64,
-            "kept {kept} for k {k}"
-        );
-        // Tighter than the raw sampled estimate on the same budget.
-        let raw = sampled_threshold(&seg, k, 1000, 7);
-        let raw_kept = seg.iter().filter(|v| v.abs() >= raw).count();
-        let miss = |c: usize| ((c as f64 - k as f64) / k as f64).abs();
-        assert!(
-            miss(kept) <= miss(raw_kept) + 1e-9,
-            "refined {kept} should be no worse than raw {raw_kept}"
-        );
-    }
-
-    #[test]
-    fn hierarchical_threshold_is_exact_below_sample_cutoff() {
-        // The radix cascade returns the exact k-th magnitude even on the
-        // "large tensor" path the old loop approximated.
-        let seg: Vec<f32> = (0..4096).map(|i| ((i as f64 * 0.918273).sin() * 3.7) as f32).collect();
-        for k in [1usize, 41, 409, 4096] {
-            assert_eq!(
-                hierarchical_threshold(&seg, k, 64, 0.1, 3).to_bits(),
-                topk_threshold(&seg, k).to_bits(),
-                "k = {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn hierarchical_threshold_exact_fallback() {
-        let seg = [3.0f32, -1.0, 2.0, 0.5];
-        assert_eq!(hierarchical_threshold(&seg, 2, 100, 0.1, 1), topk_threshold(&seg, 2));
     }
 }

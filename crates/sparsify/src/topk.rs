@@ -5,16 +5,13 @@
 //! a segment, gather them for transmission, and manipulate the remainder
 //! (zero it for residual schemes, rescale it for SAMomentum).
 //!
-//! Two selection engines produce bitwise-identical results (see
-//! [`crate::radix_select`]): the comparator engine here is the reference
-//! oracle; the radix engine is the fast default. Call sites pick via
-//! [`SelectStrategy`] through [`topk_indices_with`] / [`topk_threshold_with`].
+//! [`topk_indices`] / [`topk_threshold`] are the comparator reference the
+//! radix engine ([`crate::radix_select`], what product code calls) is
+//! proven bitwise-identical against; tests and fixtures call them directly.
 //! Sampled/approximate thresholding (DGC-style) lives in [`crate::sampled`].
 //!
 //! This module is std-only by design so standalone offline harnesses can
 //! compile it directly (see `.claude/skills/verify/SKILL.md`).
-
-use crate::radix_select::{radix_threshold, radix_topk_indices, SelectScratch, SelectStrategy};
 
 /// Returns the indices of the `k` largest-magnitude values of `seg`,
 /// in ascending index order.
@@ -53,35 +50,6 @@ pub fn topk_threshold(seg: &[f32], k: usize) -> f32 {
     let idx = k - 1;
     mags.select_nth_unstable_by(idx, |a, b| b.total_cmp(a));
     mags[idx]
-}
-
-/// [`topk_indices`] behind a [`SelectStrategy`]: both engines return the
-/// same bits; `Radix` skips the dim-sized index vector and all comparator
-/// calls. `scratch` is only touched by the radix arm.
-pub fn topk_indices_with(
-    select: SelectStrategy,
-    seg: &[f32],
-    k: usize,
-    scratch: &mut SelectScratch,
-) -> Vec<u32> {
-    match select {
-        SelectStrategy::Comparator => topk_indices(seg, k),
-        SelectStrategy::Radix => radix_topk_indices(seg, k, scratch),
-    }
-}
-
-/// [`topk_threshold`] behind a [`SelectStrategy`] — bitwise-identical
-/// engines (NaN payloads included: `|v|` preserves them).
-pub fn topk_threshold_with(
-    select: SelectStrategy,
-    seg: &[f32],
-    k: usize,
-    scratch: &mut SelectScratch,
-) -> f32 {
-    match select {
-        SelectStrategy::Comparator => topk_threshold(seg, k),
-        SelectStrategy::Radix => radix_threshold(seg, k, scratch),
-    }
 }
 
 /// Gathers `seg[idx]` for each index (the values to transmit).
@@ -229,19 +197,20 @@ mod tests {
     }
 
     #[test]
-    fn dispatchers_agree_across_strategies() {
+    fn radix_engine_agrees_with_the_reference() {
+        use crate::radix_select::{radix_threshold, radix_topk_indices, SelectScratch};
         let seg: Vec<f32> = (0..300).map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.37).collect();
         let mut s = SelectScratch::new();
         for k in [0usize, 1, 7, 150, 299, 300] {
             assert_eq!(
-                topk_indices_with(SelectStrategy::Radix, &seg, k, &mut s),
-                topk_indices_with(SelectStrategy::Comparator, &seg, k, &mut s),
+                radix_topk_indices(&seg, k, &mut s),
+                topk_indices(&seg, k),
                 "indices k = {k}"
             );
             if k >= 1 {
                 assert_eq!(
-                    topk_threshold_with(SelectStrategy::Radix, &seg, k, &mut s).to_bits(),
-                    topk_threshold_with(SelectStrategy::Comparator, &seg, k, &mut s).to_bits(),
+                    radix_threshold(&seg, k, &mut s).to_bits(),
+                    topk_threshold(&seg, k).to_bits(),
                     "threshold k = {k}"
                 );
             }

@@ -18,8 +18,8 @@ use dgs_sparsify::merge::{
     diff_pairs_dense_with, send_all_dense_with, send_topk_dense, sort_dedup, sort_dedup_pooled,
 };
 use dgs_sparsify::{
-    radix_threshold, radix_topk_indices, Kernel, SelectScratch, SelectStrategy, SparseUpdate,
-    SparseVec, TernaryUpdate, TernaryVec,
+    radix_threshold, radix_topk_indices, Kernel, SelectScratch, SparseUpdate, SparseVec,
+    TernaryUpdate, TernaryVec,
 };
 use dgs_tensor::BufferPool;
 use proptest::prelude::*;
@@ -69,21 +69,14 @@ fn assert_merge_equivalent(m: &[f32], v: &[f32], k: usize) {
     };
     assert_eq!(run_send_all(Kernel::Scalar), run_send_all(Kernel::Simd), "send_all diverged");
 
-    let run_topk = |kernel: Kernel, select: SelectStrategy| {
+    let run_topk = |kernel: Kernel| {
         let mut vv = v.to_vec();
         let mut dirty = Vec::new();
         let mut scratch = SelectScratch::new().with_kernel(kernel);
-        let (i, val, nnz) =
-            send_topk_dense(m, &mut vv, k, true, &mut dirty, select, &mut scratch);
+        let (i, val, nnz) = send_topk_dense(m, &mut vv, k, true, &mut dirty, &mut scratch);
         (i, bits(&val), nnz, bits(&vv), dirty)
     };
-    for select in [SelectStrategy::Comparator, SelectStrategy::Radix] {
-        assert_eq!(
-            run_topk(Kernel::Scalar, select),
-            run_topk(Kernel::Simd, select),
-            "send_topk diverged under {select:?}"
-        );
-    }
+    assert_eq!(run_topk(Kernel::Scalar), run_topk(Kernel::Simd), "send_topk diverged");
 }
 
 /// Asserts radix selection agrees when only the scratch's kernel differs.

@@ -78,7 +78,7 @@ proptest! {
         ]);
         let up = SparseUpdate::from_topk(&flat, &part, 0.2);
         let once = up.encode();
-        let twice = SparseUpdate::decode(once.clone()).unwrap().encode();
+        let twice = SparseUpdate::decode(&once).unwrap().encode();
         prop_assert_eq!(once, twice);
     }
 

@@ -10,10 +10,10 @@
 //! `u32` bit patterns through `f32::from_bits` so nothing in the float
 //! space is out of scope.
 
-use dgs_sparsify::merge::{topk_pairs, topk_pairs_with};
+use dgs_sparsify::merge::topk_pairs;
 use dgs_sparsify::{
-    radix_threshold, radix_topk_indices, radix_topk_pairs, topk_indices, topk_indices_with,
-    topk_threshold, topk_threshold_with, SelectScratch, SelectStrategy,
+    radix_threshold, radix_topk_indices, radix_topk_pairs, topk_indices, topk_threshold,
+    SelectScratch,
 };
 use proptest::prelude::*;
 
@@ -95,25 +95,6 @@ proptest! {
         assert_equivalent(&seg, k_extra.min(seg.len()));
     }
 
-    /// The strategy dispatchers agree with each other bitwise, so swapping
-    /// `SelectStrategy` can never change a training run.
-    #[test]
-    fn dispatchers_agree(
-        seg in proptest::collection::vec(bitwise_f32(), 1..80),
-        k in 0usize..80,
-    ) {
-        let k = k.min(seg.len());
-        let mut scratch = SelectScratch::new();
-        let a = topk_indices_with(SelectStrategy::Comparator, &seg, k, &mut scratch);
-        let b = topk_indices_with(SelectStrategy::Radix, &seg, k, &mut scratch);
-        prop_assert_eq!(a, b);
-        if k >= 1 {
-            let ta = topk_threshold_with(SelectStrategy::Comparator, &seg, k, &mut scratch);
-            let tb = topk_threshold_with(SelectStrategy::Radix, &seg, k, &mut scratch);
-            prop_assert_eq!(ta.to_bits(), tb.to_bits());
-        }
-    }
-
     /// Pair-form selection (the server's secondary compression) agrees
     /// bitwise, with strictly ascending global indices as on the real path.
     #[test]
@@ -136,11 +117,6 @@ proptest! {
         prop_assert_eq!(&xi, &ri);
         prop_assert_eq!(xv.len(), rv.len());
         for (a, b) in xv.iter().zip(rv.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let (di, dv) = topk_pairs_with(SelectStrategy::Radix, &idx, &val, k, &mut scratch);
-        prop_assert_eq!(di, ri);
-        for (a, b) in dv.iter().zip(rv.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -442,24 +442,38 @@ mod tests {
 
     #[test]
     fn matches_naive_on_finite_inputs() {
-        // Against the textbook ijk loop (same chain, so exactly equal).
-        let (m, k, n) = (7, 11, 13);
-        let a: Vec<f32> = (0..m * k).map(|i| ((i * 7 + 3) % 23) as f32 - 11.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 5 + 1) % 19) as f32 - 9.0).collect();
-        let mut naive = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += a[i * k + p] * b[p * n + j];
+        // Against the textbook ijk loop (same chain, so exactly equal), in
+        // every storage layout, up to the shape that takes the rayon split.
+        for (m, k, n) in shapes() {
+            let a: Vec<f32> = (0..m * k).map(|i| ((i * 7 + 3) % 23) as f32 - 11.0).collect();
+            let b: Vec<f32> = (0..k * n).map(|i| ((i * 5 + 1) % 19) as f32 - 9.0).collect();
+            let mut naive = vec![0.0f32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        acc += a[i * k + p] * b[p * n + j];
+                    }
+                    naive[i * n + j] = acc;
                 }
-                naive[i * n + j] = acc;
             }
-        }
-        for kernel in [Kernel::Scalar, Kernel::Simd] {
-            let mut c = vec![0.0f32; m * n];
-            gemm(kernel, Layout::Nn, &a, &b, &mut c, m, k, n);
-            assert_bits_eq(&c, &naive, kernel.name());
+            let transposed = |x: &[f32], rows: usize, cols: usize| -> Vec<f32> {
+                (0..rows * cols).map(|i| x[(i % rows) * cols + i / rows]).collect()
+            };
+            let (a_t, b_t) = (transposed(&a, m, k), transposed(&b, k, n));
+            for kernel in [Kernel::Scalar, Kernel::Simd] {
+                for (layout, a, b) in
+                    [(Layout::Nn, &a, &b), (Layout::Tn, &a_t, &b), (Layout::Nt, &a, &b_t)]
+                {
+                    let mut c = vec![0.0f32; m * n];
+                    gemm(kernel, layout, a, b, &mut c, m, k, n);
+                    assert_bits_eq(
+                        &c,
+                        &naive,
+                        &format!("{} {layout:?} {m}x{k}x{n}", kernel.name()),
+                    );
+                }
+            }
         }
     }
 

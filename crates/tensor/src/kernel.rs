@@ -3,9 +3,8 @@
 //! [`Kernel`] is the dispatch seam between the portable scalar kernels
 //! (always compiled — they are the differential oracle) and the
 //! explicit-SIMD backend in [`crate::simd`] (x86-64 AVX2 intrinsics,
-//! selected at runtime via CPU feature detection). It mirrors the
-//! `SelectStrategy` pattern in `dgs-sparsify`: both backends are required
-//! to be **bitwise identical** on every input — NaN payloads, ±Inf,
+//! selected at runtime via CPU feature detection). Both backends are
+//! required to be **bitwise identical** on every input — NaN payloads, ±Inf,
 //! denormals, signed zeros, one-ulp tie plateaus included — so backend
 //! choice can never change a payload, only its cost. The differential
 //! suites in `crates/sparsify/tests/kernel_equivalence.rs` and the unit

@@ -13,11 +13,10 @@
 //!
 //! * [`Shape`] / [`Tensor`] — contiguous row-major storage with elementwise
 //!   kernels, BLAS-1 style `axpy`/`scale`, and reductions.
-//! * [`matmul`](matmul::matmul) and transposed variants — thin wrappers
-//!   over the compute tier, used by linear layers and im2col convolution.
-//! * [`gemm`] — the compute tier itself: cache-blocked, register-tiled,
-//!   rayon-parallel GEMM behind the [`Kernel`] seam, bitwise identical
-//!   across backends.
+//! * [`gemm`] — the compute tier: cache-blocked, register-tiled,
+//!   rayon-parallel GEMM (plain and both transposed layouts) behind the
+//!   [`Kernel`] seam, bitwise identical across backends; used by linear
+//!   layers and im2col convolution.
 //! * [`conv`] — im2col + GEMM based 2-D convolution forward/backward.
 //! * [`pool`] — max pooling and global average pooling forward/backward.
 //! * [`ops`] — activation and softmax kernels.
@@ -38,7 +37,6 @@ pub mod bufpool;
 pub mod conv;
 pub mod gemm;
 pub mod kernel;
-pub mod matmul;
 pub mod ops;
 pub mod pool;
 pub mod rng;

@@ -2,13 +2,31 @@
 //! must hold for arbitrary inputs.
 
 use dgs_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
-use dgs_tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
+use dgs_tensor::gemm::{gemm, Layout};
 use dgs_tensor::ops::{log_softmax_rows, softmax_rows};
-use dgs_tensor::Tensor;
+use dgs_tensor::{Kernel, Tensor};
 use proptest::prelude::*;
 
 fn tensor2(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::randn([rows, cols], 1.0, seed)
+}
+
+/// The `m×n` product of `a` and `b` as stored per `layout` (`Tn`: `a` is
+/// `k×m`; `Nt`: `b` is `n×k`).
+fn product(layout: Layout, a: &Tensor, b: &Tensor) -> Tensor {
+    let ((ar, ac), (br, bc)) = (a.shape().as_matrix(), b.shape().as_matrix());
+    let (m, k, n) = match layout {
+        Layout::Nn => (ar, ac, bc),
+        Layout::Tn => (ac, ar, bc),
+        Layout::Nt => (ar, ac, br),
+    };
+    let mut c = Tensor::zeros([m, n]);
+    gemm(Kernel::runtime(), layout, a.data(), b.data(), c.data_mut(), m, k, n);
+    c
+}
+
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    product(Layout::Nn, a, b)
 }
 
 proptest! {
@@ -30,7 +48,7 @@ proptest! {
     }
 
     /// The transposed kernels agree with explicit transposition:
-    /// matmul_at_b(Aᵀ-storage, B) == A·B and matmul_a_bt(A, Bᵀ-storage) == A·B.
+    /// Tn(Aᵀ-storage, B) == A·B and Nt(A, Bᵀ-storage) == A·B.
     #[test]
     fn transposed_kernels_consistent(
         m in 1usize..7, k in 1usize..7, n in 1usize..7, seed in 0u64..100,
@@ -45,7 +63,7 @@ proptest! {
                 *a_t.at_mut(&[j, i]) = a.at(&[i, j]);
             }
         }
-        let via_at = matmul_at_b(&a_t, &b);
+        let via_at = product(Layout::Tn, &a_t, &b);
         // Build Bᵀ stored n×k.
         let mut b_t = Tensor::zeros([n, k]);
         for i in 0..k {
@@ -53,7 +71,7 @@ proptest! {
                 *b_t.at_mut(&[j, i]) = b.at(&[i, j]);
             }
         }
-        let via_bt = matmul_a_bt(&a, &b_t);
+        let via_bt = product(Layout::Nt, &a, &b_t);
         for ((x, y), z) in reference
             .data()
             .iter()

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Prints the size of the serving stack's surface: the code-line sum and the
 # entry-point counts that ISSUE 12 ("one run path through the serving
-# stack") set as acceptance numbers. Informational — CI prints it so the
-# trajectory stays visible; nothing fails on it. Run from any checkout:
+# stack") set as acceptance numbers, then the same for ISSUE 14 ("one
+# selection engine, one diff path, one per-segment driver"). Informational —
+# CI prints it so the trajectory stays visible; nothing fails on it. Run
+# from any checkout:
 #
 #   scripts/surface.sh [REPO_ROOT]
 set -euo pipefail
@@ -36,7 +38,30 @@ row "$(hits '^pub fn serve_training' $RT)" "serve_training* functions"
 row "$(hits '^pub struct (LogicHandler|ShardedLogicHandler|SpanLogic)\b' $RT)" "handler structs over server logic"
 row "$(hits '^[[:space:]]+loss_sum: f64,' "${STACK[@]}")" "run-telemetry implementations (structs accumulating a loss window)"
 row "$(hits 'seq\)? (==|!=|>) \*?(applied|done) \+ 1' $RT $TR)" "seq-vs-applied decision sites (runtime + transport)"
-row "$(hits 'cfg\.server_dense_scan' "${STACK[@]}")" "TrainConfig -> server-tunables sites"
+row "$(hits 'cfg\.server_log_nnz' "${STACK[@]}")" "TrainConfig -> server-tunables sites (readers of the server-only fields)"
 row "$(hits 'Dense\(.*span\.range\(\)' "${STACK[@]}")" "split-by-span implementations"
 row "$(hits 'chunks\.extend\(' crates/core/src/{shard,cluster}.rs crates/net/src/cluster.rs)" "reassemble implementations"
 row "$(hits '\.aux_bytes\(\)|MemoryReport::analytic\(' crates/core/src/curves.rs crates/core/src/trainer/{threaded,sharded,schedule,des}.rs crates/net/src/runtime.rs src/bin/dgs-cli.rs)" "worker_aux_bytes plumbing sites"
+
+# ISSUE 14: selection, downlink construction and the per-segment loop.
+echo
+SPARSIFY=(
+    crates/core/src/{compress,server,shard,worker,config,segments}.rs
+    crates/sparsify/src/{topk,merge,radix_select,random_drop,sampled,lib}.rs
+    crates/tensor/src/matmul.rs
+)
+total=0
+for f in "${SPARSIFY[@]}"; do
+    [ -f "$f" ] || continue
+    n=$(code "$f" | wc -l)
+    printf '%6d  %s\n' "$n" "$f"
+    total=$((total + n))
+done
+printf '%6d  code lines (2341 before ISSUE 14; files a PR adds under crates/*/src count too)\n\n' "$total"
+
+SRC=(crates/*/src/*.rs crates/*/src/*/*.rs src/*.rs src/bin/*.rs)
+row "$(cat "${SRC[@]}" | grep -cE 'SelectStrategy|DiffStrategy' || true)" "SelectStrategy|DiffStrategy occurrences in crates/*/src + src/ (tests and comments included)"
+row "$(hits 'fn set_(select|diff)_strategy' "${SRC[@]}")" "strategy setters"
+row "$(hits 'SelectScratch::from_buffers\(' crates/core/src/*.rs)" "SelectScratch::from_buffers( call sites in crates/core/src (per-segment skeletons)"
+row "$(awk '/^pub struct TrainConfig \{/{on=1;next} on&&/^\}/{exit} on&&/^    pub [a-z_]+:/{n++} END{print n+0}' crates/core/src/config.rs)" "TrainConfig fields"
+row "$(awk '/^\[workspace\.dependencies\]/{on=1;next} /^\[/{on=0} on&&/=/&&!/^#/&&!/path *=/{n++} END{print n+0}' Cargo.toml)" "registry crates in [workspace.dependencies]"

@@ -1,6 +1,7 @@
 //! The one fixture of the transport differential suites
 //! (`transport_`/`evented_`/`cluster_equivalence`, `topology_matrix`): a
-//! small 3-worker run on Gaussian blobs, and the bitwise comparisons.
+//! small 3-worker run on Gaussian blobs, and the bitwise comparisons. Plus
+//! the Alg. 2 oracle `mdt_equivalence` holds the server against.
 #![allow(dead_code)] // each suite uses its own subset
 
 use dgs::core::config::{LrSchedule, TrainConfig};
@@ -11,6 +12,8 @@ use dgs::net::runtime::{train, Fault, IoConfig, Topology, TransportRun};
 use dgs::nn::data::{Dataset, GaussianBlobs};
 use dgs::nn::model::Network;
 use dgs::nn::models::mlp;
+use dgs::sparsify::merge::topk_pairs;
+use dgs::sparsify::{k_for_ratio, Partition, SparseUpdate, SparseVec};
 use std::sync::Arc;
 
 /// Span / shard count of every striped topology in these suites (the
@@ -131,4 +134,34 @@ pub fn assert_runs_identical(a: &TransportRun, b: &TransportRun, what: &str) {
     assert_eq!(a.server_stats, b.server_stats, "{what}: server wire counters diverged");
     assert_eq!(a.worker_stats, b.worker_stats, "{what}: worker wire counters diverged");
     assert_eq!(a.edge_stats, b.edge_stats, "{what}: edge wire counters diverged");
+}
+
+/// One reply of the paper's Alg. 2 (lines 4-11), written naively and
+/// sharing no code with the server under test: `G = M − v_k` by a plain
+/// loop over every coordinate, the comparator Top-k per segment under
+/// secondary compression, then `v_k += sent`.
+pub fn alg2_reply(
+    m: &[f32],
+    v: &mut [f32],
+    part: &Partition,
+    secondary: Option<f64>,
+) -> SparseUpdate {
+    let chunk = |seg: &dgs::sparsify::Segment| {
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        for i in seg.range() {
+            let g = m[i] - v[i];
+            if g != 0.0 {
+                idx.push((i - seg.offset) as u32);
+                val.push(g);
+            }
+        }
+        if let Some(ratio) = secondary {
+            (idx, val) = topk_pairs(&idx, &val, k_for_ratio(seg.len, ratio));
+        }
+        for (&i, &g) in idx.iter().zip(&val) {
+            v[seg.offset + i as usize] += g;
+        }
+        SparseVec { idx, val }
+    };
+    SparseUpdate { chunks: part.segments().iter().map(chunk).collect() }
 }

@@ -8,12 +8,13 @@
 
 use dgs::core::config::{LrSchedule, TrainConfig};
 use dgs::core::method::Method;
-use dgs::core::protocol::DownMsg;
-use dgs::core::server::{DiffStrategy, Downlink, MdtServer};
+mod common;
+
+use dgs::core::protocol::{DownMsg, UpPayload};
+use dgs::core::server::{Downlink, MdtServer};
 use dgs::core::worker::TrainWorker;
 use dgs::nn::data::{Dataset, GaussianBlobs};
 use dgs::nn::models::mlp;
-use dgs::sparsify::SelectStrategy;
 use std::sync::Arc;
 
 fn make_cfg(method: Method) -> TrainConfig {
@@ -108,10 +109,12 @@ fn worker_and_server_agree_after_every_receive() {
     }
 }
 
-/// Drives one set of real training workers against two servers — the
-/// O(nnz) log-merge hot path and the O(dim) dense-scan reference — and
-/// asserts every downlink payload is bitwise identical (compared through
-/// the wire encoding) and the final server states match exactly.
+/// Drives one set of real training workers against two servers — one
+/// log-served, one whose one-index log budget never covers a cursor so
+/// every reply takes the O(dim) dense scan — and the naive Alg. 2 oracle
+/// ([`common::alg2_reply`], which shares no code with either). Asserts
+/// every downlink payload is bitwise identical across all three (compared
+/// through the wire encoding) and the final states match exactly.
 fn run_strategies_against_real_training(
     secondary: Option<f64>,
     log_capacity: Option<usize>,
@@ -130,12 +133,13 @@ fn run_strategies_against_real_training(
     let partition = net0.params().partition().clone();
     let downlink = Downlink::ModelDifference { secondary_ratio: secondary };
     let mut log_srv = MdtServer::new(theta0.clone(), partition.clone(), n_workers, downlink);
-    let mut dense_srv = MdtServer::new(theta0, partition, n_workers, downlink);
-    assert_eq!(log_srv.diff_strategy(), DiffStrategy::LogMerge);
-    dense_srv.set_diff_strategy(DiffStrategy::DenseScan);
+    let mut dense_srv = MdtServer::new(theta0.clone(), partition.clone(), n_workers, downlink);
+    dense_srv.set_log_capacity(1);
     if let Some(cap) = log_capacity {
         log_srv.set_log_capacity(cap);
     }
+    let mut m_ref = vec![0.0f32; theta0.len()];
+    let mut v_ref = vec![m_ref.clone(); n_workers];
     let mut workers: Vec<TrainWorker> = (0..n_workers)
         .map(|k| TrainWorker::new(k, build(), Arc::clone(&train), cfg.clone(), 10.0))
         .collect();
@@ -144,6 +148,12 @@ fn run_strategies_against_real_training(
         let up = workers[k].local_step();
         let reply_log = log_srv.handle_update(k, &up);
         let reply_dense = dense_srv.handle_update(k, &up);
+        // Eq. 1 (undamped), then the oracle's reply from its own M and v_k.
+        match &up.payload {
+            UpPayload::Sparse(g) => g.apply_add(&mut m_ref, &partition, -1.0),
+            other => panic!("DGS sends sparse updates, got {other:?}"),
+        }
+        let reply_ref = common::alg2_reply(&m_ref, &mut v_ref[k], &partition, secondary);
         match (&reply_log, &reply_dense) {
             (DownMsg::SparseDiff(a), DownMsg::SparseDiff(b)) => {
                 assert_eq!(
@@ -151,14 +161,22 @@ fn run_strategies_against_real_training(
                     b.encode(),
                     "downlink payload diverged at step {t} (worker {k})"
                 );
+                assert_eq!(
+                    a.encode(),
+                    reply_ref.encode(),
+                    "downlink payload left the Alg. 2 oracle at step {t} (worker {k})"
+                );
             }
             _ => panic!("expected sparse diff replies"),
         }
         workers[k].apply_reply(reply_log);
     }
+    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     assert_eq!(log_srv.m(), dense_srv.m(), "M diverged");
-    for w in 0..n_workers {
+    assert_eq!(bits(log_srv.m()), bits(&m_ref), "M left the oracle");
+    for (w, v_w) in v_ref.iter().enumerate() {
         assert_eq!(log_srv.v(w), dense_srv.v(w), "v_{w} diverged");
+        assert_eq!(bits(log_srv.v(w)), bits(v_w), "v_{w} left the oracle");
     }
 }
 
@@ -188,43 +206,6 @@ fn oversized_updates_force_fallback_and_stay_bitwise_equal() {
     // flushes the whole log, so *every* pull takes the fallback path while
     // pending-set tracking still has to stay exact.
     run_strategies_against_real_training(None, Some(8), 2, 40, |t| t % 2);
-}
-
-/// Runs a full pinned-schedule training — real models, real gradients,
-/// secondary compression on — with the given Top-k selection engine wired
-/// into *both* ways (worker uplink compressors and server secondary
-/// compression), and returns every final model plus the server state.
-fn run_with_select(select: SelectStrategy) -> (Vec<f32>, Vec<Vec<f32>>) {
-    let blobs = GaussianBlobs::new(128, 8, 4, 0.3, 9);
-    let train: Arc<dyn Dataset> = Arc::new(blobs);
-    let mut cfg = make_cfg(Method::Dgs);
-    cfg.workers = 3;
-    cfg.sparsity_ratio = 0.1;
-    let build = || mlp(8, &[16], 4, 13);
-    let net0 = build();
-    let theta0 = net0.params().data().to_vec();
-    let partition = net0.params().partition().clone();
-    let mut server = MdtServer::new(
-        theta0,
-        partition,
-        3,
-        Downlink::ModelDifference { secondary_ratio: Some(0.1) },
-    );
-    server.set_select_strategy(select);
-    let mut workers: Vec<TrainWorker> = (0..3)
-        .map(|k| {
-            let mut w = TrainWorker::new(k, build(), Arc::clone(&train), cfg.clone(), 10.0);
-            w.set_select_strategy(select);
-            w
-        })
-        .collect();
-    for t in 0..60 {
-        let k = (t * 2) % 3;
-        let up = workers[k].local_step();
-        let reply = server.handle_update(k, &up);
-        workers[k].apply_reply(reply);
-    }
-    (server.current_model(), workers.iter().map(|w| w.model_params().to_vec()).collect())
 }
 
 fn run_with_kernel(kernel: dgs::sparsify::Kernel) -> (Vec<f32>, Vec<Vec<f32>>, Vec<Vec<u8>>) {
@@ -258,15 +239,11 @@ fn run_with_kernel(kernel: dgs::sparsify::Kernel) -> (Vec<f32>, Vec<Vec<f32>>, V
         let up = workers[k].local_step();
         let reply = server.handle_update(k, &up);
         if let DownMsg::SparseDiff(d) = &reply {
-            downlinks.push(SparseUpdate::encode_with(d, kernel).to_vec());
+            downlinks.push(SparseUpdate::encode_with(d, kernel));
         }
         workers[k].apply_reply(reply);
     }
-    (
-        server.current_model(),
-        workers.iter().map(|w| w.model_params().to_vec()).collect(),
-        downlinks,
-    )
+    (server.current_model(), workers.iter().map(|w| w.model_params().to_vec()).collect(), downlinks)
 }
 
 #[test]
@@ -286,20 +263,6 @@ fn kernel_backend_swap_leaves_downlinks_bitwise_unchanged() {
     assert_eq!(srv_s, srv_v, "server model changed under backend swap");
     for (k, (a, b)) in wk_s.iter().zip(wk_v.iter()).enumerate() {
         assert_eq!(a, b, "worker {k} model changed under backend swap");
-    }
-}
-
-#[test]
-fn select_strategy_swap_leaves_training_bitwise_unchanged() {
-    // The radix engine replaces the comparator on every selection site
-    // (worker Top-k, SAMomentum, server secondary compression). Because it
-    // is bitwise-identical, an end-to-end run must produce *exactly* the
-    // same models — not merely close ones.
-    let (srv_cmp, wk_cmp) = run_with_select(SelectStrategy::Comparator);
-    let (srv_rad, wk_rad) = run_with_select(SelectStrategy::Radix);
-    assert_eq!(srv_cmp, srv_rad, "server model changed under strategy swap");
-    for (k, (a, b)) in wk_cmp.iter().zip(wk_rad.iter()).enumerate() {
-        assert_eq!(a, b, "worker {k} model changed under strategy swap");
     }
 }
 

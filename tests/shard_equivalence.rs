@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// close.
 fn down_bits(msg: &DownMsg) -> Vec<u8> {
     match msg {
-        DownMsg::SparseDiff(s) => s.encode().as_ref().to_vec(),
+        DownMsg::SparseDiff(s) => s.encode(),
         DownMsg::DenseModel(v) => v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect(),
     }
 }
