@@ -138,7 +138,7 @@ impl Config {
                 },
             ],
             // SIMD kernels in tensor, the PCLMULQDQ CRC backend, plus the
-            // event loop's poll(2)/epoll FFI shim — the registry is
+            // event loop's poll(2) FFI shim — the registry is
             // offline, so the syscall surface is declared by hand in
             // exactly one file.
             unsafe_allowed: vec![

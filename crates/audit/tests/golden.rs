@@ -258,7 +258,7 @@ fn poller_file_bans_parking_even_without_a_guard() {
         &[("crates/net/src/event_loop.rs", include_str!("fixtures/poller_parking.rs"))],
         &["no-blocking-under-lock"],
     );
-    // `rx.recv()` parks; `poller.wait()` is the allow-listed epoll wait.
+    // `rx.recv()` parks; `poller.wait()` is the allow-listed poll(2) wait.
     assert_eq!(rule_lines(&f), vec![("no-blocking-under-lock", 3)], "{f:?}");
     assert!(f[0].message.contains("parking call `recv`"), "{}", f[0].message);
 }

@@ -376,8 +376,6 @@ fn main() {
             "bounds and cross-backend shape is the signal, not absolute numbers\",\n",
             "      \"localhost TCP: no real network, RTTs measure framing + protocol + scheduling ",
             "cost only\",\n",
-            "      \"evented backend uses the poll(2) poller (net-epoll feature off in the bench ",
-            "profile); epoll lowers wait cost further at high connection counts\",\n",
             "      \"RTT is measured send-to-reply-read under pipelining: a round batch-sends on ",
             "every connection a client thread owns before draining, so tail latencies include ",
             "queueing behind the whole pool -- that is the intended concurrent-load measurement\"\n",

@@ -1,7 +1,8 @@
 //! Discrete-event-simulated asynchronous training.
 //!
-//! Wraps the same [`AsyncServerLogic`] / [`TrainWorker`] pair used by the
-//! thread engine in the [`dgs_psim::des`] traits, adding the cost models
+//! Wraps the same [`AsyncServerLogic`] / [`TrainWorker`] pair
+//! [`train_async`](crate::trainer::train_async) runs in the
+//! [`dgs_psim::des`] traits, adding the cost models
 //! the virtual clock needs: worker compute time (flops / rated GFLOP/s)
 //! and server processing time (per-update base cost plus a per-coordinate
 //! cost). Used for the paper's wall-clock experiments (Figs. 5 and 6),

@@ -1,8 +1,9 @@
 //! Training orchestration over the six execution modes.
 //!
 //! * [`single`] — single-node momentum SGD (the paper's MSGD baseline).
-//! * [`threaded`] — real-thread asynchronous parameter-server training
-//!   (accuracy experiments: Figs. 2-4, Tables 2-4).
+//! * [`threaded`] — real-thread asynchronous parameter-server training:
+//!   scoped worker threads racing over channels to the server logic on
+//!   the calling thread (accuracy experiments: Figs. 2-4, Tables 2-4).
 //! * [`des`] — deterministic discrete-event simulation with a modelled
 //!   network (wall-clock experiments: Figs. 5-6).
 //! * [`sync`] — synchronous SSGD with an explicit barrier and straggler

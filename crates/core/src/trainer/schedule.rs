@@ -9,10 +9,11 @@
 //! A [`Schedule`] pins the arrival order. [`train_scheduled`] then drives
 //! the *same* server logic and workers the threaded engine uses, but
 //! sequentially in schedule order, making the entire run a pure function
-//! of `(config, model seed, schedule)`. `dgs_net::runtime::train_loopback`
-//! replays the identical schedule with every message round-tripped
-//! through the wire codec; bitwise-equal final models prove the encoding
-//! is lossless (the `transport_equivalence` integration test).
+//! of `(config, model seed, schedule)`.
+//! `dgs_net::runtime::train(.., &Topology::Loopback, ..)` replays the
+//! identical schedule with every message round-tripped through the wire
+//! codec; bitwise-equal final models prove the encoding is lossless (the
+//! `transport_equivalence` integration test).
 
 use crate::config::TrainConfig;
 use crate::curves::RunResult;

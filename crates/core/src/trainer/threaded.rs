@@ -1,9 +1,10 @@
 //! Real-thread asynchronous parameter-server training.
 //!
-//! Builds the [`MdtServer`] and one [`TrainWorker`] per worker, runs them on
-//! the [`dgs_psim::thread_engine`], and collects curves/traffic/staleness
-//! into a [`RunResult`]. Evaluation happens on the server thread from the
-//! reconstructed global model `θ_0 + M` — workers never pause for it.
+//! Builds the [`MdtServer`] and one [`TrainWorker`] per worker, runs each
+//! worker on its own OS thread against the server logic on the calling
+//! thread, and collects curves/traffic/staleness into a [`RunResult`].
+//! Evaluation happens on the server thread from the reconstructed global
+//! model `θ_0 + M` — workers never pause for it.
 
 use crate::config::TrainConfig;
 use crate::curves::{RunRecorder, RunResult};
@@ -13,11 +14,11 @@ use crate::server::{MdtServer, ServerTunables};
 use crate::trainer::ModelBuilder;
 use crate::worker::TrainWorker;
 use dgs_nn::data::Dataset;
-use dgs_psim::thread_engine::{run_cluster, ServerLogic, WorkerLogic};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 /// Server logic shared by every execution engine: MDT server plus the run
-/// recorder. The thread engine and the DES drive it in-process; `dgs-net`
+/// recorder. [`train_async`] and the DES drive it in-process; `dgs-net`
 /// serves it to loopback and TCP transports behind its `LogicHandler`.
 pub struct AsyncServerLogic {
     server: MdtServer,
@@ -65,36 +66,6 @@ impl AsyncServerLogic {
     }
 }
 
-impl ServerLogic for AsyncServerLogic {
-    type Request = UpMsg;
-    type Reply = DownMsg;
-
-    fn handle(&mut self, worker: usize, _seq: u64, req: UpMsg) -> DownMsg {
-        self.process(worker, req)
-    }
-
-    fn request_bytes(req: &UpMsg) -> usize {
-        req.wire_bytes()
-    }
-
-    fn reply_bytes(reply: &DownMsg) -> usize {
-        reply.wire_bytes()
-    }
-}
-
-impl WorkerLogic for TrainWorker {
-    type Request = UpMsg;
-    type Reply = DownMsg;
-
-    fn step(&mut self, _iter: usize) -> UpMsg {
-        self.local_step()
-    }
-
-    fn apply(&mut self, reply: DownMsg) {
-        self.apply_reply(reply);
-    }
-}
-
 /// Builds the server side of a run alone — no worker is constructed.
 /// `train_len` (the training-set size) fixes the update count and with it
 /// the evaluation cadence.
@@ -137,7 +108,7 @@ pub fn build_workers(
         .collect()
 }
 
-/// Assembles server + workers for a config. Shared by the thread engine,
+/// Assembles server + workers for a config. Shared by [`train_async`],
 /// the DES, the scheduled driver, and the cross-process runtime.
 pub fn build_participants(
     cfg: &TrainConfig,
@@ -159,8 +130,58 @@ pub fn train_async(
     val: Arc<dyn Dataset>,
 ) -> RunResult {
     let (logic, workers) = build_participants(cfg, build_model, &train, &val, 50.0);
-    let report = run_cluster(logic, workers, cfg.iters_per_worker(train.len()));
-    report.server.into_result(report.wall_secs)
+    let start = std::time::Instant::now();
+    let (logic, _workers) = run_workers(logic, workers, cfg.iters_per_worker(train.len()));
+    logic.into_result(start.elapsed().as_secs_f64())
+}
+
+/// Runs every worker for `iters` round trips on its own scoped thread
+/// (worker `k` is `workers[k]`) while the calling thread plays the server:
+/// updates arrive over one channel and are applied in arrival order, each
+/// answered over its worker's reply channel. Workers genuinely race and
+/// staleness arises for real rather than being injected.
+///
+/// The round trip through the server thread is what keeps the race fair:
+/// every worker sleeps once per update, so with more workers than cores
+/// they still interleave update by update and mean staleness stays at
+/// `workers − 1`. (Workers applying their own update under a shared mutex
+/// never sleep while uncontended; one then runs a whole scheduler slice —
+/// in a test-sized run, all its iterations — before the next gets a core.)
+///
+/// Every channel end lives inside the scope, so a panic on either side
+/// hangs up on the other, which panics in turn: the run fails, never hangs.
+fn run_workers(
+    mut logic: AsyncServerLogic,
+    workers: Vec<TrainWorker>,
+    iters: usize,
+) -> (AsyncServerLogic, Vec<TrainWorker>) {
+    let workers = std::thread::scope(|s| {
+        let (up_tx, up_rx) = channel::<(usize, UpMsg)>();
+        let mut down_txs = Vec::with_capacity(workers.len());
+        let handles: Vec<_> = workers
+            .into_iter()
+            .enumerate()
+            .map(|(k, mut worker)| {
+                let up_tx = up_tx.clone();
+                let (down_tx, down_rx) = channel::<DownMsg>();
+                down_txs.push(down_tx);
+                s.spawn(move || {
+                    for _ in 0..iters {
+                        up_tx.send((k, worker.local_step())).expect("server hung up");
+                        worker.apply_reply(down_rx.recv().expect("server hung up"));
+                    }
+                    worker
+                })
+            })
+            .collect();
+        drop(up_tx);
+        // Ends when the last worker drops its sender.
+        for (k, up) in up_rx {
+            down_txs[k].send(logic.process(k, up)).expect("worker hung up mid-round-trip");
+        }
+        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+    });
+    (logic, workers)
 }
 
 #[cfg(test)]
@@ -168,6 +189,7 @@ mod tests {
     use super::*;
     use dgs_nn::data::GaussianBlobs;
     use dgs_nn::models::mlp;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     fn datasets() -> (Arc<dyn Dataset>, Arc<dyn Dataset>) {
         let blobs = GaussianBlobs::new(256, 8, 4, 0.3, 1);
@@ -182,6 +204,107 @@ mod tests {
         cfg.sparsity_ratio = 0.05;
         cfg.evals = 3;
         cfg
+    }
+
+    /// The four properties the run loop owes its callers, on the returned
+    /// server and workers: every update applied exactly once, each one
+    /// observed by the staleness histogram, uplink bytes accounted to the
+    /// byte, and every worker left on the model the server tracks for it.
+    #[test]
+    fn run_workers_applies_each_update_once_and_balances_the_ledger() {
+        let (train, val) = datasets();
+        let build = || mlp(8, &[16], 4, 99);
+        for (method, w, iters) in [
+            (Method::Dgs, 1usize, 7usize),
+            (Method::Dgs, 3, 7),
+            (Method::Asgd, 1, 7),
+            (Method::Asgd, 3, 7),
+            (Method::Dgs, 2, 0),
+        ] {
+            let cfg = quick_cfg(method, w);
+            let (logic, workers) = build_participants(&cfg, &build, &train, &val, 50.0);
+            let theta0 = logic.server().theta0().to_vec();
+            // Top-R% keeps a fixed count per layer, so every uplink of a
+            // method has the size of the first one.
+            let up_each = build_workers(&cfg, &build, &train, 50.0, &theta0)[0]
+                .local_step()
+                .wire_bytes() as u64;
+            let (logic, workers) = run_workers(logic, workers, iters);
+            let updates = (w * iters) as u64;
+            let server = logic.server();
+            assert_eq!(server.timestamp(), updates, "{method} W={w}");
+            assert_eq!(server.staleness().count(), updates, "{method} W={w}");
+            assert!(workers.iter().all(|wk| wk.iterations() == iters), "{method} W={w}");
+            let (up, down) = logic.traffic();
+            assert_eq!(up, updates * up_each, "{method} W={w}: uplink bytes");
+            if method == Method::Asgd {
+                // Dense replies have one size; the last worker served holds
+                // exactly the final model (v_k = M at delivery).
+                let dense = DownMsg::DenseModel(Arc::new(theta0)).wire_bytes() as u64;
+                assert_eq!(down, updates * dense, "ASGD W={w}: downlink bytes");
+                let model = server.current_model();
+                assert!(workers.iter().any(|wk| wk.model_params() == model), "ASGD W={w}");
+            } else {
+                assert_eq!(down > 0, updates > 0, "DGS W={w}: downlink bytes");
+                // Eq. 5: θ_worker = θ_0 + v_k.
+                for (k, wk) in workers.iter().enumerate() {
+                    let tracked = theta0.iter().zip(server.v(k)).map(|(&t, &v)| t + v);
+                    for (i, (&have, want)) in wk.model_params().iter().zip(tracked).enumerate() {
+                        assert!(
+                            (have - want).abs() < 1e-4,
+                            "DGS W={w}: worker {k} coord {i}: {have} vs θ0+v = {want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Blobs that can be read `reads` times; the next read panics.
+    struct Flaky {
+        inner: GaussianBlobs,
+        reads: AtomicUsize,
+    }
+
+    impl Dataset for Flaky {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn sample_shape(&self) -> dgs_tensor::Shape {
+            self.inner.sample_shape()
+        }
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+        fn fill(&self, index: usize, out: &mut [f32]) -> usize {
+            let left = self.reads.fetch_update(Relaxed, Relaxed, |n| n.checked_sub(1));
+            assert!(left.is_ok(), "dataset unreadable");
+            self.inner.fill(index, out)
+        }
+    }
+
+    // Either side panicking mid-run must fail `train_async`, not hang it:
+    // the other side is blocked on a channel the panic has to close.
+
+    #[test]
+    #[should_panic(expected = "worker thread panicked")]
+    fn a_worker_panicking_mid_run_fails_the_run() {
+        let blobs = GaussianBlobs::new(256, 8, 4, 0.3, 1);
+        let val: Arc<dyn Dataset> = Arc::new(blobs.validation(128));
+        // Ten-odd minibatches across the three workers, then a step panics.
+        let train = Arc::new(Flaky { inner: blobs, reads: AtomicUsize::new(200) });
+        let build = || mlp(8, &[16], 4, 99);
+        train_async(&quick_cfg(Method::Dgs, 3), &build, train, val);
+    }
+
+    #[test]
+    #[should_panic(expected = "dataset unreadable")]
+    fn the_server_panicking_mid_run_fails_the_run() {
+        let blobs = GaussianBlobs::new(256, 8, 4, 0.3, 1);
+        // The first evaluation, a third of the way in, panics in `process`.
+        let val = Arc::new(Flaky { inner: blobs.validation(128), reads: AtomicUsize::new(0) });
+        let build = || mlp(8, &[16], 4, 99);
+        train_async(&quick_cfg(Method::Dgs, 3), &build, Arc::new(blobs), val);
     }
 
     #[test]

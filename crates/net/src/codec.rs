@@ -39,9 +39,7 @@
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{begin_frame, finish_frame, MsgType, HEADER_LEN};
-use crate::msg::{
-    DownMsg, SparseUpdate, SparseVec, TernaryUpdate, TernaryVec, UpMsg, UpPayload, UP_LOSS_BYTES,
-};
+use crate::msg::{DownMsg, SparseUpdate, SparseVec, TernaryUpdate, TernaryVec, UpMsg, UpPayload};
 use std::sync::Arc;
 
 /// Handshake payload, sent as [`MsgType::Hello`] by the worker and echoed
@@ -272,9 +270,6 @@ pub fn decode_down(msg_type: MsgType, payload: &[u8]) -> NetResult<DownMsg> {
     r.finish()?;
     Ok(down)
 }
-
-/// Loss-prefix size re-exported for size arithmetic at call sites.
-pub const LOSS_BYTES: usize = UP_LOSS_BYTES;
 
 // ---------------------------------------------------------------------------
 // body primitives

@@ -171,11 +171,6 @@ impl EdgeHandler {
         Ok(stats)
     }
 
-    /// Upstream byte counters so far, without ending the run.
-    pub fn upstream_stats(&self) -> Result<WireStats, &'static str> {
-        self.upstream.lock().map_err(|_| EDGE_POISONED).map(|up| up.stats())
-    }
-
     /// Maps a global worker id onto its slot in this group.
     fn slot(&self, worker: u16) -> Result<usize, &'static str> {
         let slot = usize::from(worker).checked_sub(usize::from(self.base));
@@ -679,7 +674,7 @@ mod tests {
             assert_eq!(r0.got[0].train_loss, 1.0, "loss forwarded untouched at G=1");
         }
         // Resync is served from the edge cache with no upstream traffic.
-        let upstream_before = edge.upstream_stats().unwrap();
+        let upstream_before = edge.upstream.lock().unwrap().stats();
         match member.resync().unwrap() {
             DownMsg::DenseModel(m) => {
                 // Chunk 1's idx 1 is segment-local: global coord 2 + 1.
@@ -687,7 +682,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(edge.upstream_stats().unwrap(), upstream_before, "resync stayed local");
+        assert_eq!(edge.upstream.lock().unwrap().stats(), upstream_before, "resync stayed local");
         member.shutdown().unwrap();
         let member_side = serve.join().unwrap().unwrap();
         assert!(member_side.data_up > 0);

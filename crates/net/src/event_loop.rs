@@ -13,7 +13,7 @@
 //!
 //! Event-loop shape, per iteration:
 //!
-//! 1. `Poller::wait` (poll(2) by default, epoll behind `net-epoll`).
+//! 1. `Poller::wait` (poll(2)).
 //! 2. Listener readable → accept until `WouldBlock`; connections beyond
 //!    `max_conns` get an explicit error frame before close (counted in
 //!    [`WireStats::rejected_conns`]) instead of a silent drop.

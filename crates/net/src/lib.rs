@@ -23,9 +23,8 @@
 //!   validation, heartbeats, reconnect with backoff, duplicate
 //!   suppression, graceful shutdown.
 //! * [`poll`] / [`event_loop`] — the readiness-driven alternative to the
-//!   thread-per-connection server: a std-only poller (`poll(2)` by
-//!   default, epoll behind the `net-epoll` feature) driving per-connection
-//!   state machines with incremental decoding ([`frame::FrameDecoder`])
+//!   thread-per-connection server: a std-only `poll(2)` poller driving
+//!   per-connection state machines with incremental decoding ([`frame::FrameDecoder`])
 //!   and bounded, `writev`-coalesced write queues. Protocol decisions are
 //!   shared with the threaded server (`conn::protocol_step`), so the two
 //!   backends are bitwise interchangeable.

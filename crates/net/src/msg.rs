@@ -8,7 +8,7 @@
 //! Keep this module to plain re-exports; logic belongs in the other files.
 
 pub use dgs_core::cluster::{assemble_replies, span_view, ClusterLayout, SpanInfo};
-pub use dgs_core::protocol::{DownMsg, UpMsg, UpPayload, HEADER_BYTES, UP_LOSS_BYTES};
+pub use dgs_core::protocol::{DownMsg, UpMsg, UpPayload, HEADER_BYTES};
 pub use dgs_sparsify::{
     merge_sparse_updates, try_merge_sparse_updates, Partition, ShardSpan, SparseUpdate, SparseVec,
     TernaryUpdate, TernaryVec,

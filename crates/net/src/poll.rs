@@ -3,16 +3,14 @@
 //!
 //! The registry is offline in the build container, so there is no `mio`
 //! and no `libc` crate here: the handful of syscalls the event loop needs
-//! are declared directly as a minimal FFI shim. Two interchangeable
-//! backends sit behind [`Poller`]:
+//! are declared directly as a minimal FFI shim. One backend sits behind
+//! [`Poller`]: **`poll(2)`** — portable across unix, O(n) per wakeup. The
+//! registration table is a dense `pollfd` array plus a token→slot map, so
+//! register/reregister/deregister are O(1). (`Poller`'s methods take the
+//! fd as well as the token, so an O(ready) backend fits behind the same
+//! API.)
 //!
-//! * **`poll(2)`** (default) — portable across unix, O(n) per wakeup. The
-//!   registration table is a dense `pollfd` array plus a token→slot map,
-//!   so register/reregister/deregister are O(1).
-//! * **`epoll(7)`** (`net-epoll` feature, linux) — O(ready) per wakeup,
-//!   the right backend for the tens-of-thousands-connection budget.
-//!
-//! Both are level-triggered: a socket with unread bytes (or writable
+//! It is level-triggered: a socket with unread bytes (or writable
 //! space) keeps reporting ready, so the event loop can stop reading
 //! mid-buffer without losing a wakeup. Hangups and errors are folded into
 //! *readability* — the owner's next `read` observes the EOF/error and
@@ -76,15 +74,9 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Opens a poller with the compiled-in backend.
+    /// Opens a poller.
     pub fn new() -> io::Result<Poller> {
         Ok(Poller { imp: imp::Backend::new()? })
-    }
-
-    /// Name of the active backend (`"poll"` or `"epoll"`), for logs and
-    /// bench provenance.
-    pub fn backend_name(&self) -> &'static str {
-        imp::NAME
     }
 
     /// Adds `fd` with `token` and `interest`. One registration per fd.
@@ -123,15 +115,13 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// poll(2) backend — default, portable unix
+// poll(2) backend — portable unix
 
-#[cfg(all(unix, not(feature = "net-epoll")))]
+#[cfg(unix)]
 mod imp {
     use super::{Fd, Interest, PollEvent, Token};
     use std::io;
     use std::os::raw::{c_int, c_ulong};
-
-    pub const NAME: &str = "poll";
 
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
@@ -255,135 +245,6 @@ mod imp {
 }
 
 // ---------------------------------------------------------------------------
-// epoll backend — linux, behind the net-epoll feature
-
-#[cfg(all(unix, feature = "net-epoll"))]
-mod imp {
-    use super::{Fd, Interest, PollEvent, Token};
-    use std::io;
-    use std::os::raw::c_int;
-
-    pub const NAME: &str = "epoll";
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    /// Mirror of `struct epoll_event`; packed on x86-64, exactly as the
-    /// kernel ABI defines it there.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int)
-            -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    fn mask_for(interest: Interest) -> u32 {
-        let mut ev = 0u32;
-        if interest.readable {
-            ev |= EPOLLIN;
-        }
-        if interest.writable {
-            ev |= EPOLLOUT;
-        }
-        ev
-    }
-
-    pub struct Backend {
-        epfd: c_int,
-        /// Scratch buffer handed to `epoll_wait`.
-        buf: Vec<EpollEvent>,
-    }
-
-    impl Backend {
-        pub fn new() -> io::Result<Backend> {
-            // SAFETY: plain syscall with no pointers; the returned fd is
-            // owned by this Backend and closed in Drop.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Backend { epfd, buf: vec![EpollEvent { events: 0, data: 0 }; 1024] })
-        }
-
-        fn ctl(&mut self, op: c_int, fd: Fd, mask: u32, token: Token) -> io::Result<()> {
-            let mut ev = EpollEvent { events: mask, data: token as u64 };
-            // SAFETY: `ev` is a live, properly-laid-out epoll_event for
-            // the duration of the call; the kernel only reads it.
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn register(&mut self, fd: Fd, token: Token, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, mask_for(interest), token)
-        }
-
-        pub fn reregister(&mut self, fd: Fd, token: Token, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, mask_for(interest), token)
-        }
-
-        pub fn deregister(&mut self, fd: Fd, token: Token) {
-            // Teardown must not fail: the fd may already be closed, in
-            // which case the kernel dropped the registration itself.
-            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, token);
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
-            let cap = c_int::try_from(self.buf.len()).unwrap_or(c_int::MAX);
-            // SAFETY: `buf` holds `cap` properly-laid-out epoll_event
-            // slots owned by this Vec; the kernel writes at most `cap`.
-            let n = unsafe { epoll_wait(self.epfd, self.buf.as_mut_ptr(), cap, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            let n = usize::try_from(n).unwrap_or(0).min(self.buf.len());
-            for i in 0..n {
-                // Copy out of the (possibly packed) struct before field use.
-                let ev = self.buf[i];
-                let mask = ev.events;
-                let token = usize::try_from(ev.data).unwrap_or(usize::MAX);
-                out.push(PollEvent {
-                    token,
-                    readable: mask & (EPOLLIN | EPOLLHUP | EPOLLERR) != 0,
-                    writable: mask & (EPOLLOUT | EPOLLERR) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Backend {
-        fn drop(&mut self) {
-            // SAFETY: `epfd` was returned by epoll_create1 and is closed
-            // exactly once, here.
-            unsafe { close(self.epfd) };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // non-unix stub — keeps the crate compiling; the evented server reports
 // the platform gap as an error instead of failing the build.
 
@@ -392,15 +253,13 @@ mod imp {
     use super::{Fd, Interest, PollEvent, Token};
     use std::io;
 
-    pub const NAME: &str = "unsupported";
-
     pub struct Backend;
 
     impl Backend {
         pub fn new() -> io::Result<Backend> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "evented io requires a unix poll(2)/epoll(7) backend",
+                "evented io requires a unix poll(2) backend",
             ))
         }
 
@@ -560,13 +419,7 @@ mod tests {
         let (_a, b) = pair();
         let mut poller = Poller::new().unwrap();
         poller.register(b.as_raw_fd(), 5, Interest::READ).unwrap();
-        // poll backend tracks tokens itself; epoll rejects the duplicate
-        // fd at the kernel. Either way a second add must fail.
         assert!(poller.register(b.as_raw_fd(), 5, Interest::READ).is_err());
         assert!(poller.reregister(b.as_raw_fd(), 5, Interest::BOTH).is_ok());
-        assert_eq!(
-            poller.backend_name(),
-            if cfg!(feature = "net-epoll") { "epoll" } else { "poll" }
-        );
     }
 }

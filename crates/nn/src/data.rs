@@ -153,58 +153,6 @@ impl Dataset for GaussianBlobs {
 }
 
 // ---------------------------------------------------------------------------
-// TwoSpirals
-// ---------------------------------------------------------------------------
-
-/// The classic two-interleaved-spirals problem: 2-D, 2 classes, genuinely
-/// non-linearly separable. Used to verify the substrate can fit non-convex
-/// decision boundaries.
-pub struct TwoSpirals {
-    len: usize,
-    noise: f32,
-    seed: u64,
-    split: Split,
-}
-
-impl TwoSpirals {
-    /// Creates a training-split two-spirals dataset.
-    pub fn new(len: usize, noise: f32, seed: u64) -> Self {
-        TwoSpirals { len, noise, seed, split: Split::Train }
-    }
-
-    /// A validation split of the same task with `len` fresh samples.
-    pub fn validation(&self, len: usize) -> Self {
-        TwoSpirals { len, noise: self.noise, seed: self.seed, split: Split::Val }
-    }
-}
-
-impl Dataset for TwoSpirals {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn sample_shape(&self) -> Shape {
-        Shape::from([2])
-    }
-
-    fn num_classes(&self) -> usize {
-        2
-    }
-
-    fn fill(&self, index: usize, out: &mut [f32]) -> usize {
-        let label = index % 2;
-        let sample_seed = derive_seed(self.seed, self.split.salt())
-            ^ (index as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let mut rng = seeded(sample_seed);
-        let t = rng.gen_range(0.25f32..3.0) * std::f32::consts::PI;
-        let sign = if label == 0 { 1.0f32 } else { -1.0 };
-        out[0] = sign * t.cos() * t / 3.0 + self.noise * sample_standard_normal(&mut rng);
-        out[1] = sign * t.sin() * t / 3.0 + self.noise * sample_standard_normal(&mut rng);
-        label
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SyntheticVision
 // ---------------------------------------------------------------------------
 
@@ -291,11 +239,6 @@ impl SyntheticVision {
     /// 3×16×16 images.
     pub fn cifar_like(len: usize, seed: u64) -> Self {
         SyntheticVision::new(len, 3, 16, 10, 0.9, seed)
-    }
-
-    /// Large preset standing in for ImageNet: more classes, bigger images.
-    pub fn imagenet_like(len: usize, seed: u64) -> Self {
-        SyntheticVision::new(len, 3, 24, 40, 1.0, seed)
     }
 
     fn prototype_at(&self, class: usize, channel: usize, y: f32, x: f32) -> f32 {
@@ -390,19 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn spirals_basics() {
-        let ds = TwoSpirals::new(50, 0.02, 2);
-        assert_eq!(ds.num_classes(), 2);
-        check_determinism(&ds);
-        // Points fall in a bounded disc.
-        let mut buf = [0.0f32; 2];
-        for i in 0..50 {
-            ds.fill(i, &mut buf);
-            assert!(buf[0].abs() < 5.0 && buf[1].abs() < 5.0);
-        }
-    }
-
-    #[test]
     fn vision_basics() {
         let ds = SyntheticVision::new(64, 3, 8, 5, 0.5, 3);
         assert_eq!(ds.sample_shape().dims(), &[3, 8, 8]);
@@ -450,11 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn presets_constructible() {
+    fn cifar_preset_shape() {
         let c = SyntheticVision::cifar_like(10, 0);
         assert_eq!(c.num_classes(), 10);
-        let i = SyntheticVision::imagenet_like(10, 0);
-        assert!(i.num_classes() > c.num_classes());
-        assert!(i.sample_shape().numel() > c.sample_shape().numel());
+        assert_eq!(c.sample_shape().dims(), &[3, 16, 16]);
     }
 }

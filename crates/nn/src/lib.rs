@@ -16,11 +16,9 @@
 //!   vector + the layer partition.
 //! * [`layer`] — the [`Layer`](layer::Layer) trait and the concrete layers
 //!   (Linear, Conv2d, ChannelNorm, ReLU, pooling, flatten).
-//! * [`activations`] — additional activations (Tanh, Sigmoid, LeakyReLU)
-//!   and average pooling.
+//! * [`activations`] — Tanh, the smooth activation the gradient property
+//!   test needs.
 //! * [`checkpoint`] — model weight save/load with a layout fingerprint.
-//! * [`optim`] — single-node optimizers (SGD, momentum/Nesterov, Adam).
-//! * [`augment`] — deterministic image augmentation (flip + jitter).
 //! * [`resnet`] — residual blocks (self-contained composite layers).
 //! * [`model`] — [`Network`](model::Network): an ordered layer stack over a
 //!   shared `ParamSet`, with forward/backward/flops.
@@ -31,7 +29,7 @@
 //!   CIFAR-10 / ImageNet stand-in; see DESIGN.md for the substitution
 //!   argument).
 //! * [`loader`] — seeded shuffling minibatch iteration.
-//! * [`metrics`] — evaluation loops and running averages.
+//! * [`metrics`] — the evaluation loop.
 //!
 //! Design note: the normalisation layer ([`layer::ChannelNorm`]) always
 //! normalises by the statistics of the *current* batch (BatchNorm's training
@@ -49,7 +47,6 @@
 //! single trained bit.
 
 pub mod activations;
-pub mod augment;
 pub mod checkpoint;
 pub mod data;
 pub mod layer;
@@ -58,11 +55,10 @@ pub mod loss;
 pub mod metrics;
 pub mod model;
 pub mod models;
-pub mod optim;
 pub mod param;
 pub mod resnet;
 
-pub use data::{Dataset, GaussianBlobs, SyntheticVision, TwoSpirals};
+pub use data::{Dataset, GaussianBlobs, SyntheticVision};
 pub use layer::Layer;
 pub use loader::BatchLoader;
 pub use loss::{softmax_cross_entropy, top1_accuracy};

@@ -35,12 +35,6 @@ impl BatchLoader {
         self.batch_size
     }
 
-    /// Number of batches that constitute one pass over the dataset
-    /// (rounded up).
-    pub fn batches_per_epoch(&self) -> usize {
-        self.dataset.len().div_ceil(self.batch_size)
-    }
-
     /// Draws the next minibatch, reshuffling at epoch boundaries.
     pub fn next_batch(&mut self) -> (Tensor, Vec<usize>) {
         let n = self.dataset.len();
@@ -105,7 +99,6 @@ mod tests {
     #[test]
     fn batches_cycle_through_dataset() {
         let mut loader = BatchLoader::new(ds(), 4, 7);
-        assert_eq!(loader.batches_per_epoch(), 3);
         let mut seen = Vec::new();
         for _ in 0..3 {
             let (x, labels) = loader.next_batch();

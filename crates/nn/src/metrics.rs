@@ -1,4 +1,4 @@
-//! Evaluation loops and running statistics.
+//! The evaluation loop.
 
 use crate::data::Dataset;
 use crate::loader::EvalIter;
@@ -39,141 +39,12 @@ pub fn evaluate(net: &mut Network, dataset: &dyn Dataset, batch_size: usize) -> 
     }
 }
 
-/// A confusion matrix over `classes` labels: `counts[true][pred]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix for `classes` labels.
-    pub fn new(classes: usize) -> Self {
-        ConfusionMatrix { classes, counts: vec![0; classes * classes] }
-    }
-
-    /// Records one `(true label, predicted label)` pair.
-    pub fn record(&mut self, truth: usize, pred: usize) {
-        assert!(truth < self.classes && pred < self.classes, "label out of range");
-        self.counts[truth * self.classes + pred] += 1;
-    }
-
-    /// The count at `(truth, pred)`.
-    pub fn get(&self, truth: usize, pred: usize) -> u64 {
-        self.counts[truth * self.classes + pred]
-    }
-
-    /// Total recorded samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (diagonal mass / total); 0 when empty.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u64 = (0..self.classes).map(|c| self.get(c, c)).sum();
-        diag as f64 / total as f64
-    }
-
-    /// Per-class recall (diagonal / row sum); `None` for unseen classes.
-    pub fn per_class_recall(&self) -> Vec<Option<f64>> {
-        (0..self.classes)
-            .map(|c| {
-                let row: u64 = (0..self.classes).map(|p| self.get(c, p)).sum();
-                if row == 0 {
-                    None
-                } else {
-                    Some(self.get(c, c) as f64 / row as f64)
-                }
-            })
-            .collect()
-    }
-}
-
-/// Evaluates a network and additionally builds the confusion matrix —
-/// per-class diagnostics the scalar [`evaluate`] summary hides.
-pub fn evaluate_confusion(
-    net: &mut Network,
-    dataset: &dyn Dataset,
-    batch_size: usize,
-) -> (EvalResult, ConfusionMatrix) {
-    let mut cm = ConfusionMatrix::new(dataset.num_classes());
-    let mut total_loss = 0.0f64;
-    let mut samples = 0usize;
-    for (x, labels) in EvalIter::new(dataset, batch_size) {
-        let n = labels.len();
-        let logits = net.forward(x);
-        let preds = logits.argmax_rows();
-        for (&t, &p) in labels.iter().zip(preds.iter()) {
-            cm.record(t, p);
-        }
-        let (loss, _) = crate::loss::softmax_cross_entropy(&logits, &labels);
-        total_loss += loss * n as f64;
-        samples += n;
-    }
-    let result = EvalResult {
-        loss: if samples > 0 { total_loss / samples as f64 } else { 0.0 },
-        top1: cm.accuracy(),
-        samples,
-    };
-    (result, cm)
-}
-
-/// Streaming mean of a scalar series (loss curves etc.).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Current mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Resets to empty.
-    pub fn reset(&mut self) {
-        *self = RunningMean::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::GaussianBlobs;
     use crate::layer::{Layer, Linear};
     use dgs_tensor::Shape;
-
-    #[test]
-    fn running_mean_basics() {
-        let mut m = RunningMean::default();
-        assert_eq!(m.mean(), 0.0);
-        m.push(2.0);
-        m.push(4.0);
-        assert_eq!(m.mean(), 3.0);
-        assert_eq!(m.count(), 2);
-        m.reset();
-        assert_eq!(m.count(), 0);
-    }
 
     #[test]
     fn evaluate_runs_over_whole_set() {
@@ -184,38 +55,6 @@ mod tests {
         assert_eq!(res.samples, 25);
         assert!(res.loss > 0.0);
         assert!((0.0..=1.0).contains(&res.top1));
-    }
-
-    #[test]
-    fn confusion_matrix_counts_and_recall() {
-        let mut cm = ConfusionMatrix::new(3);
-        cm.record(0, 0);
-        cm.record(0, 1);
-        cm.record(1, 1);
-        cm.record(2, 2);
-        cm.record(2, 2);
-        assert_eq!(cm.total(), 5);
-        assert_eq!(cm.get(0, 1), 1);
-        assert!((cm.accuracy() - 0.8).abs() < 1e-9);
-        let recall = cm.per_class_recall();
-        assert_eq!(recall[0], Some(0.5));
-        assert_eq!(recall[1], Some(1.0));
-        assert_eq!(recall[2], Some(1.0));
-        let empty = ConfusionMatrix::new(2);
-        assert_eq!(empty.accuracy(), 0.0);
-        assert_eq!(empty.per_class_recall(), vec![None, None]);
-    }
-
-    #[test]
-    fn evaluate_confusion_agrees_with_evaluate() {
-        let ds = GaussianBlobs::new(30, 4, 3, 0.2, 3);
-        let layers: Vec<Box<dyn Layer>> = vec![Box::new(Linear::new("fc", 4, 3))];
-        let mut net = Network::new(layers, Shape::from([4]), 1);
-        let plain = evaluate(&mut net, &ds, 8);
-        let (res, cm) = evaluate_confusion(&mut net, &ds, 8);
-        assert_eq!(res.samples, plain.samples);
-        assert!((res.top1 - plain.top1).abs() < 1e-12);
-        assert_eq!(cm.total() as usize, plain.samples);
     }
 
     #[test]

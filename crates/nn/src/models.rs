@@ -94,47 +94,6 @@ pub fn resnet_lite(
     Network::new(layers, Shape::from([channels, hw, hw]), seed)
 }
 
-/// A deeper residual network with a configurable number of blocks per
-/// stage (`blocks = 2` roughly doubles [`resnet_lite`]'s depth). Used by
-/// experiments that need a larger parameter count without changing the
-/// layer mix.
-pub fn resnet_lite_deep(
-    channels: usize,
-    hw: usize,
-    classes: usize,
-    base_width: usize,
-    blocks_per_stage: usize,
-    seed: u64,
-) -> Network {
-    assert!(blocks_per_stage >= 1, "need at least one block per stage");
-    let w = base_width;
-    let mut layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new("stem", channels, w, 3, 1, 1, false)),
-        Box::new(ChannelNorm::new("stem.norm", w)),
-        Box::new(ReLU::new("stem.relu")),
-    ];
-    let stages = [(w, w, 1usize), (w, 2 * w, 2), (2 * w, 4 * w, 2)];
-    for (si, &(cin, cout, stride)) in stages.iter().enumerate() {
-        layers.push(Box::new(ResidualBlock::new(
-            format!("stage{}.block0", si + 1),
-            cin,
-            cout,
-            stride,
-        )));
-        for b in 1..blocks_per_stage {
-            layers.push(Box::new(ResidualBlock::new(
-                format!("stage{}.block{b}", si + 1),
-                cout,
-                cout,
-                1,
-            )));
-        }
-    }
-    layers.push(Box::new(GlobalAvgPool::new("gap")));
-    layers.push(Box::new(Linear::new("head", 4 * w, classes)));
-    Network::new(layers, Shape::from([channels, hw, hw]), seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,17 +142,6 @@ mod tests {
         }
         let (last, _) = net.eval_batch(x, &labels);
         assert!(last < first, "resnet_lite should fit one batch: {first} -> {last}");
-    }
-
-    #[test]
-    fn resnet_lite_deep_scales_depth() {
-        let shallow = resnet_lite(3, 8, 4, 4, 1);
-        let deep = resnet_lite_deep(3, 8, 4, 4, 2, 1);
-        assert!(deep.num_params() > shallow.num_params());
-        let mut net = resnet_lite_deep(3, 8, 4, 4, 2, 1);
-        let x = Tensor::randn([2, 3, 8, 8], 1.0, 2);
-        let y = net.forward(x);
-        assert_eq!(y.shape().dims(), &[2, 4]);
     }
 
     #[test]

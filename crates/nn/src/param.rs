@@ -54,18 +54,6 @@ impl ParamSet {
         &self.grad
     }
 
-    /// Mutable gradients, flat.
-    pub fn grad_mut(&mut self) -> &mut [f32] {
-        &mut self.grad
-    }
-
-    /// Simultaneous access to a layer's parameters and its gradient slice
-    /// (disjoint borrows of the two flat vectors).
-    pub fn layer_view_mut(&mut self, seg: usize) -> (&[f32], &mut [f32]) {
-        let range = self.partition.segments()[seg].range();
-        (&self.data[range.clone()], &mut self.grad[range])
-    }
-
     /// Simultaneous access to an arbitrary `[start, start+len)` window of
     /// the parameter data (shared) and gradient (mutable) vectors. Used by
     /// the network to hand each layer its own multi-segment window.
@@ -90,22 +78,10 @@ impl ParamSet {
         self.grad.fill(0.0);
     }
 
-    /// Copies parameter values from another set (shapes must match).
-    pub fn copy_data_from(&mut self, other: &ParamSet) {
-        assert_eq!(self.len(), other.len(), "ParamSet size mismatch");
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Overwrites parameter values from a flat slice.
     pub fn load_data(&mut self, data: &[f32]) {
         assert_eq!(self.data.len(), data.len(), "ParamSet size mismatch");
         self.data.copy_from_slice(data);
-    }
-
-    /// Size in bytes of the parameter vector — the paper's
-    /// `ParameterMemOfModel` used in the §5.6.2 memory accounting.
-    pub fn param_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -122,15 +98,14 @@ mod tests {
         let p = ps();
         assert_eq!(p.len(), 6);
         assert!(!p.is_empty());
-        assert_eq!(p.param_bytes(), 24);
         assert_eq!(p.partition().num_segments(), 2);
     }
 
     #[test]
-    fn layer_view_disjoint_borrow() {
+    fn window_view_disjoint_borrow() {
         let mut p = ps();
         p.data_mut()[4] = 3.0;
-        let (data, grad) = p.layer_view_mut(1);
+        let (data, grad) = p.window_view_mut(4, 2);
         assert_eq!(data, &[3.0, 0.0]);
         grad[0] = 1.5;
         assert_eq!(p.grad()[4], 1.5);
@@ -140,20 +115,16 @@ mod tests {
     #[test]
     fn zero_grad_clears() {
         let mut p = ps();
-        p.grad_mut().fill(2.0);
+        p.data_and_grad_mut().1.fill(2.0);
         p.zero_grad();
         assert!(p.grad().iter().all(|&g| g == 0.0));
     }
 
     #[test]
-    fn copy_and_load() {
+    fn load_overwrites() {
         let mut a = ps();
-        let mut b = ps();
-        b.data_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        a.copy_data_from(&b);
-        assert_eq!(a.data(), b.data());
-        a.load_data(&[0.0; 6]);
-        assert!(a.data().iter().all(|&x| x == 0.0));
+        a.load_data(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

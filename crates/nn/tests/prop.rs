@@ -2,7 +2,7 @@
 //! architectures/inputs and dataset invariants.
 
 use dgs_nn::activations::Tanh;
-use dgs_nn::data::{Dataset, GaussianBlobs, SyntheticVision, TwoSpirals};
+use dgs_nn::data::{Dataset, GaussianBlobs, SyntheticVision};
 use dgs_nn::layer::{Layer, Linear};
 use dgs_nn::loss::softmax_cross_entropy;
 use dgs_nn::model::Network;
@@ -100,18 +100,6 @@ proptest! {
         prop_assert_eq!(la, lb);
         prop_assert_eq!(&a, &b);
         prop_assert!(a.iter().all(|v| v.abs() < 16.0), "pixels bounded");
-    }
-
-    /// TwoSpirals points stay in a bounded disc and labels alternate.
-    #[test]
-    fn spirals_bounded(seed in 0u64..200) {
-        let ds = TwoSpirals::new(32, 0.05, seed);
-        let mut buf = [0.0f32; 2];
-        for i in 0..32 {
-            let label = ds.fill(i, &mut buf);
-            prop_assert_eq!(label, i % 2);
-            prop_assert!(buf[0].hypot(buf[1]) < 5.0);
-        }
     }
 
     /// Batch assembly preserves per-sample contents and ordering.

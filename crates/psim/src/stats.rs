@@ -1,69 +1,6 @@
-//! Lock-free traffic counters and staleness accounting.
+//! Staleness accounting.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Byte/message counters for one training run, shared across threads.
-///
-/// Counters use `Relaxed` ordering: they are pure statistics with no
-/// synchronisation role, and the engines join all threads before reading
-/// the totals (the join provides the happens-before edge).
-#[derive(Debug, Default)]
-pub struct TrafficStats {
-    bytes_up: AtomicU64,
-    bytes_down: AtomicU64,
-    msgs_up: AtomicU64,
-    msgs_down: AtomicU64,
-}
-
-impl TrafficStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        TrafficStats::default()
-    }
-
-    /// Records one worker→server message of `bytes`.
-    pub fn record_up(&self, bytes: usize) {
-        self.bytes_up.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.msgs_up.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one server→worker message of `bytes`.
-    pub fn record_down(&self, bytes: usize) {
-        self.bytes_down.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.msgs_down.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the counters.
-    pub fn snapshot(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
-            bytes_up: self.bytes_up.load(Ordering::Relaxed),
-            bytes_down: self.bytes_down.load(Ordering::Relaxed),
-            msgs_up: self.msgs_up.load(Ordering::Relaxed),
-            msgs_down: self.msgs_down.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`TrafficStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrafficSnapshot {
-    /// Total worker→server bytes.
-    pub bytes_up: u64,
-    /// Total server→worker bytes.
-    pub bytes_down: u64,
-    /// Worker→server message count.
-    pub msgs_up: u64,
-    /// Server→worker message count.
-    pub msgs_down: u64,
-}
-
-impl TrafficSnapshot {
-    /// Total bytes in both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_up + self.bytes_down
-    }
-}
 
 /// Histogram of update staleness (server timestamp − worker's model
 /// timestamp at gradient arrival), the quantity asynchrony degrades.
@@ -121,44 +58,6 @@ impl StalenessStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn traffic_counting() {
-        let s = TrafficStats::new();
-        s.record_up(100);
-        s.record_up(50);
-        s.record_down(200);
-        let snap = s.snapshot();
-        assert_eq!(snap.bytes_up, 150);
-        assert_eq!(snap.bytes_down, 200);
-        assert_eq!(snap.msgs_up, 2);
-        assert_eq!(snap.msgs_down, 1);
-        assert_eq!(snap.total_bytes(), 350);
-    }
-
-    #[test]
-    fn traffic_concurrent() {
-        let s = Arc::new(TrafficStats::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        s.record_up(3);
-                        s.record_down(7);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.bytes_up, 24_000);
-        assert_eq!(snap.bytes_down, 56_000);
-        assert_eq!(snap.msgs_up, 8_000);
-    }
 
     #[test]
     fn staleness_histogram() {

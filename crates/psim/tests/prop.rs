@@ -1,9 +1,7 @@
-//! Property-based tests for the cluster engines: conservation laws and
-//! timing monotonicity of the discrete-event simulator, and exactly-once
-//! delivery in the thread engine, for arbitrary cluster geometries.
+//! Property-based tests for the discrete-event simulator: conservation
+//! laws and timing monotonicity for arbitrary cluster geometries.
 
 use dgs_psim::des::{run_des, DesNetwork, DesServer, DesWorker};
-use dgs_psim::thread_engine::{run_cluster, ServerLogic, WorkerLogic};
 use dgs_psim::NetworkModel;
 use proptest::prelude::*;
 
@@ -113,50 +111,5 @@ proptest! {
             shared.total_time,
             private.total_time
         );
-    }
-
-    /// Thread engine: exactly-once processing for arbitrary geometries.
-    #[test]
-    fn thread_engine_exactly_once(workers in 1usize..6, iters in 0usize..20) {
-        struct CountServer {
-            per_worker: Vec<u64>,
-        }
-        impl ServerLogic for CountServer {
-            type Request = usize;
-            type Reply = usize;
-            fn handle(&mut self, worker: usize, _seq: u64, req: usize) -> usize {
-                self.per_worker[worker] += 1;
-                req + 1
-            }
-            fn request_bytes(_: &usize) -> usize { 8 }
-            fn reply_bytes(_: &usize) -> usize { 8 }
-        }
-        struct EchoWorker {
-            sent: usize,
-            received: usize,
-        }
-        impl WorkerLogic for EchoWorker {
-            type Request = usize;
-            type Reply = usize;
-            fn step(&mut self, iter: usize) -> usize {
-                self.sent += 1;
-                iter
-            }
-            fn apply(&mut self, reply: usize) {
-                self.received = reply;
-            }
-        }
-        let server = CountServer { per_worker: vec![0; workers] };
-        let ws: Vec<EchoWorker> =
-            (0..workers).map(|_| EchoWorker { sent: 0, received: 0 }).collect();
-        let report = run_cluster(server, ws, iters);
-        prop_assert!(report.server.per_worker.iter().all(|&c| c == iters as u64));
-        prop_assert!(report.workers.iter().all(|w| w.sent == iters));
-        prop_assert_eq!(report.traffic.msgs_up, (workers * iters) as u64);
-        prop_assert_eq!(report.traffic.msgs_down, (workers * iters) as u64);
-        if iters > 0 {
-            // Last reply echoes the final iteration index + 1.
-            prop_assert!(report.workers.iter().all(|w| w.received == iters));
-        }
     }
 }

@@ -13,9 +13,9 @@
 //! charges transfers by this number, so compression ratios in the
 //! experiments are byte-accurate rather than element-count approximations.
 
+use crate::k_for_ratio;
 use crate::partition::Partition;
 use crate::topk::{gather, scatter_add, topk_indices};
-use crate::{k_for_ratio, CompressionStats};
 use dgs_tensor::Kernel;
 
 /// Sparse content of one partition segment: parallel index/value arrays.
@@ -198,11 +198,6 @@ impl SparseUpdate {
             chunks.push(SparseVec { idx, val });
         }
         Some(SparseUpdate { chunks })
-    }
-
-    /// Compression statistics versus sending the dense vector.
-    pub fn stats(&self, dense_len: usize) -> CompressionStats {
-        CompressionStats::new(4 * dense_len, self.wire_bytes())
     }
 }
 
@@ -443,15 +438,5 @@ mod tests {
         // Roundtrip preserves the NaN bit pattern.
         let back = SparseUpdate::decode(&b).unwrap();
         assert_eq!(back.chunks[0].val[0].to_bits(), 0x7FC0_1234);
-    }
-
-    #[test]
-    fn stats_ratio() {
-        let flat: Vec<f32> = (1..=10).map(|i| i as f32).collect();
-        let up = SparseUpdate::from_topk(&flat, &part_2(), 0.2);
-        let st = up.stats(flat.len());
-        assert_eq!(st.dense_bytes, 40);
-        assert!(st.compressed_bytes < st.dense_bytes);
-        assert!(st.ratio() > 1.0);
     }
 }

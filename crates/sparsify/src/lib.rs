@@ -26,7 +26,6 @@
 //!   byte-size accounting used by the network simulator.
 //! * [`quant`] — TernGrad-style ternary quantization of sparse payloads
 //!   (the paper's future-work combination, §6).
-//! * [`stats`] — compression-ratio accounting.
 //!
 //! Everything operates on `&[f32]` segments so the same code path serves
 //! worker-side gradient sparsification, server-side secondary compression,
@@ -44,7 +43,6 @@ pub mod partition;
 pub mod quant;
 pub mod radix_select;
 pub mod sampled;
-pub mod stats;
 pub mod topk;
 
 pub use coo::{merge_sparse_updates, try_merge_sparse_updates, SparseUpdate, SparseVec};
@@ -61,7 +59,6 @@ pub use radix_select::{
     mag_key, radix_threshold, radix_topk_indices, radix_topk_pairs, SelectScratch,
 };
 pub use sampled::sampled_threshold;
-pub use stats::CompressionStats;
 pub use topk::{
     gather, gather_and_zero, scale_all_except, scale_all_restore, scatter_add, topk_indices,
     topk_threshold, zero_at,

@@ -297,18 +297,6 @@ impl Kernel {
             Kernel::Simd => crate::simd::maxpool2_plane(x, h, w, base, y, argmax),
         }
     }
-
-    /// 2×2 stride-2 average-pool of one `h×w` plane (`h`, `w` even):
-    /// appends `h/2 * w/2` means to `y`, each computed as the exact chain
-    /// `((((0.0 + x00) + x01) + x10) + x11) * 0.25` so backends agree
-    /// bitwise (including the `0.0 + -0.0 = +0.0` leading-term quirk).
-    #[inline]
-    pub fn avgpool2_plane(self, x: &[f32], h: usize, w: usize, y: &mut Vec<f32>) {
-        match self {
-            Kernel::Scalar => scalar::avgpool2_plane(x, h, w, y),
-            Kernel::Simd => crate::simd::avgpool2_plane(x, h, w, y),
-        }
-    }
 }
 
 /// Portable scalar twins. These are the semantics the SIMD backend must
@@ -484,28 +472,6 @@ pub(crate) mod scalar {
             }
             y.push(best);
             argmax.push(best_idx);
-        }
-    }
-
-    pub(crate) fn avgpool2_plane(x: &[f32], h: usize, w: usize, y: &mut Vec<f32>) {
-        assert!(h % 2 == 0 && w % 2 == 0 && x.len() == h * w);
-        let (oh, ow) = (h / 2, w / 2);
-        y.reserve(oh * ow);
-        for oy in 0..oh {
-            avgpool2_row(x, w, oy, 0, ow, y);
-        }
-    }
-
-    /// One output row of the 2×2 average-pool, columns `[ox0, ox1)`.
-    pub(crate) fn avgpool2_row(x: &[f32], w: usize, oy: usize, ox0: usize, ox1: usize, y: &mut Vec<f32>) {
-        for ox in ox0..ox1 {
-            let mut acc = 0.0f32;
-            for ky in 0..2 {
-                for kx in 0..2 {
-                    acc += x[(oy * 2 + ky) * w + ox * 2 + kx];
-                }
-            }
-            y.push(acc * 0.25);
         }
     }
 }
@@ -817,20 +783,6 @@ mod tests {
         Kernel::Simd.maxpool2_plane(&[f32::NAN; 4], 2, 2, 77, &mut y, &mut a);
         assert_eq!(a, vec![0]);
         assert_eq!(y[0], f32::NEG_INFINITY);
-    }
-
-    #[test]
-    fn avgpool2_backends_identical() {
-        for (h, w, x) in torture_planes() {
-            let mut y1 = Vec::new();
-            let mut y2 = Vec::new();
-            Kernel::Scalar.avgpool2_plane(&x, h, w, &mut y1);
-            Kernel::Simd.avgpool2_plane(&x, h, w, &mut y2);
-            assert_eq!(y1.len(), h / 2 * (w / 2));
-            for (i, (p, q)) in y1.iter().zip(y2.iter()).enumerate() {
-                assert_eq!(p.to_bits(), q.to_bits(), "avgpool diverged at {i} on {h}x{w}");
-            }
-        }
     }
 
     #[test]

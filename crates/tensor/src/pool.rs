@@ -3,8 +3,8 @@
 //! The `_with` entry points are the compute-tier path: they take a
 //! [`ComputeScratch`] for an explicit [`Kernel`] choice and pooled output
 //! buffers, and the hot 2×2 window dispatches through
-//! [`Kernel::maxpool2_plane`] / [`Kernel::avgpool2_plane`] (SIMD across
-//! output columns, bitwise identical to the scalar scan). The original
+//! [`Kernel::maxpool2_plane`] (SIMD across output columns, bitwise
+//! identical to the scalar scan). The original
 //! signatures remain as convenience wrappers over a throwaway scratch.
 //!
 //! Global average pooling deliberately stays a sequential scalar sum in

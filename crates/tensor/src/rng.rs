@@ -42,13 +42,6 @@ pub fn fill_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32], mean: f32, std
     }
 }
 
-/// Fills `out` with `U(lo, hi)` samples.
-pub fn fill_uniform<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32], lo: f32, hi: f32) {
-    for v in out.iter_mut() {
-        *v = rng.gen_range(lo..hi);
-    }
-}
-
 /// Fisher–Yates shuffle of an index permutation, seeded.
 pub fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
@@ -103,14 +96,6 @@ mod tests {
             let x = sample_standard_normal(&mut rng);
             assert!(x.is_finite());
         }
-    }
-
-    #[test]
-    fn uniform_bounds() {
-        let mut rng = seeded(5);
-        let mut buf = vec![0.0f32; 10_000];
-        fill_uniform(&mut rng, &mut buf, -0.25, 0.75);
-        assert!(buf.iter().all(|&x| (-0.25..0.75).contains(&x)));
     }
 
     #[test]

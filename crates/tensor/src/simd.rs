@@ -195,17 +195,6 @@ pub(crate) fn maxpool2_plane(x: &[f32], h: usize, w: usize, base: u32, y: &mut V
     crate::kernel::scalar::maxpool2_plane(x, h, w, base, y, argmax);
 }
 
-pub(crate) fn avgpool2_plane(x: &[f32], h: usize, w: usize, y: &mut Vec<f32>) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 presence was just verified; the target-feature
-        // function is otherwise safe Rust.
-        unsafe { avx2::avgpool2_plane(x, h, w, y) };
-        return;
-    }
-    crate::kernel::scalar::avgpool2_plane(x, h, w, y);
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::scalar;
@@ -735,42 +724,6 @@ mod avx2 {
                 ox0 += 8;
             }
             scalar::maxpool2_row(x, w, base, oy, full, ow, y, argmax);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn avgpool2_plane(x: &[f32], h: usize, w: usize, y: &mut Vec<f32>) {
-        assert!(h % 2 == 0 && w % 2 == 0 && x.len() == h * w);
-        let (oh, ow) = (h / 2, w / 2);
-        y.reserve(oh * ow);
-        let quarter = _mm256_set1_ps(0.25);
-        let full = ow / 8 * 8;
-        for oy in 0..oh {
-            let (iy0, iy1) = (oy * 2, oy * 2 + 1);
-            let mut ox0 = 0usize;
-            while ox0 < full {
-                // SAFETY: same bounds argument as maxpool2_plane — the
-                // window spans 16 in-plane floats per row.
-                let ((v00, v01), (v10, v11)) = unsafe {
-                    (
-                        deinterleave16(x.as_ptr().add(iy0 * w + 2 * ox0)),
-                        deinterleave16(x.as_ptr().add(iy1 * w + 2 * ox0)),
-                    )
-                };
-                // The exact scalar chain ((((0 + x00) + x01) + x10) + x11)
-                // * 0.25, lane-wise — the leading zero matters for -0.0.
-                let mut acc = _mm256_add_ps(_mm256_setzero_ps(), v00);
-                acc = _mm256_add_ps(acc, v01);
-                acc = _mm256_add_ps(acc, v10);
-                acc = _mm256_add_ps(acc, v11);
-                let r = _mm256_mul_ps(acc, quarter);
-                let mut vals = [0.0f32; 8];
-                // SAFETY: `vals` is exactly eight floats; unaligned store.
-                unsafe { _mm256_storeu_ps(vals.as_mut_ptr(), r) };
-                y.extend_from_slice(&vals);
-                ox0 += 8;
-            }
-            scalar::avgpool2_row(x, w, oy, full, ow, y);
         }
     }
 }

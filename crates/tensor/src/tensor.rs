@@ -1,6 +1,6 @@
 //! The dense row-major `f32` tensor type.
 
-use crate::rng::{fill_normal, fill_uniform, seeded};
+use crate::rng::{fill_normal, seeded};
 use crate::{Result, Shape, TensorError};
 use serde::{Deserialize, Serialize};
 
@@ -62,14 +62,6 @@ impl Tensor {
         t
     }
 
-    /// Creates a tensor with `U(lo, hi)` entries from a seed.
-    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, seed: u64) -> Self {
-        let mut t = Tensor::zeros(shape);
-        let mut rng = seeded(seed);
-        fill_uniform(&mut rng, &mut t.data, lo, hi);
-        t
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -128,14 +120,6 @@ impl Tensor {
         }
     }
 
-    /// `self -= other`, elementwise. Panics on shape mismatch.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "sub_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= b;
-        }
-    }
-
     /// `self *= s`, elementwise scaling.
     pub fn scale(&mut self, s: f32) {
         for a in self.data.iter_mut() {
@@ -147,13 +131,6 @@ impl Tensor {
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
         axpy_slice(self.data_mut(), alpha, other.data());
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in self.data.iter_mut() {
-            *a = f(*a);
-        }
     }
 
     /// Sum of all elements (f64 accumulator for stability).
@@ -168,16 +145,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f64
         }
-    }
-
-    /// Maximum absolute value. Returns 0 for empty tensors.
-    pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Euclidean norm (f64 accumulator).
-    pub fn l2_norm(&self) -> f64 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt()
     }
 
     /// Index of the maximum element in each row of a rank-2 tensor.
@@ -205,13 +172,6 @@ pub fn axpy_slice(y: &mut [f32], alpha: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len(), "axpy_slice length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
-    }
-}
-
-/// `y = alpha * y` over a raw slice.
-pub fn scale_slice(y: &mut [f32], alpha: f32) {
-    for yi in y.iter_mut() {
-        *yi *= alpha;
     }
 }
 
@@ -252,14 +212,10 @@ mod tests {
         let b = Tensor::from_vec([3], vec![0.5, 0.5, 0.5]).unwrap();
         a.add_assign(&b);
         assert_slice_approx_eq(a.data(), &[1.5, 2.5, 3.5], 1e-6);
-        a.sub_assign(&b);
-        assert_slice_approx_eq(a.data(), &[1.0, 2.0, 3.0], 1e-6);
         a.scale(2.0);
-        assert_slice_approx_eq(a.data(), &[2.0, 4.0, 6.0], 1e-6);
+        assert_slice_approx_eq(a.data(), &[3.0, 5.0, 7.0], 1e-6);
         a.axpy(-1.0, &b);
-        assert_slice_approx_eq(a.data(), &[1.5, 3.5, 5.5], 1e-6);
-        a.map_inplace(|x| x * x);
-        assert_slice_approx_eq(a.data(), &[2.25, 12.25, 30.25], 1e-6);
+        assert_slice_approx_eq(a.data(), &[2.5, 4.5, 6.5], 1e-6);
     }
 
     #[test]
@@ -267,8 +223,6 @@ mod tests {
         let t = Tensor::from_vec([4], vec![1.0, -2.0, 3.0, -4.0]).unwrap();
         assert!((t.sum() + 2.0).abs() < 1e-9);
         assert!((t.mean() + 0.5).abs() < 1e-9);
-        assert_eq!(t.abs_max(), 4.0);
-        assert!((t.l2_norm() - (30.0f64).sqrt()).abs() < 1e-9);
     }
 
     #[test]
@@ -290,8 +244,6 @@ mod tests {
         let mut y = vec![1.0f32, 2.0, 3.0];
         axpy_slice(&mut y, 2.0, &[1.0, 1.0, 1.0]);
         assert_slice_approx_eq(&y, &[3.0, 4.0, 5.0], 1e-6);
-        scale_slice(&mut y, 0.5);
-        assert_slice_approx_eq(&y, &[1.5, 2.0, 2.5], 1e-6);
         assert!((l2_norm_slice(&[3.0, 4.0]) - 5.0).abs() < 1e-9);
     }
 

@@ -2,9 +2,10 @@
 # Prints the size of the serving stack's surface: the code-line sum and the
 # entry-point counts that ISSUE 12 ("one run path through the serving
 # stack") set as acceptance numbers, then the same for ISSUE 14 ("one
-# selection engine, one diff path, one per-segment driver"). Informational —
-# CI prints it so the trajectory stays visible; nothing fails on it. Run
-# from any checkout:
+# selection engine, one diff path, one per-segment driver") and the product
+# size ISSUE 15 ("cut the product crates to what a run reaches") left.
+# Informational — CI prints it so the trajectory stays visible; nothing
+# fails on it. Run from any checkout:
 #
 #   scripts/surface.sh [REPO_ROOT]
 set -euo pipefail
@@ -65,3 +66,22 @@ row "$(hits 'fn set_(select|diff)_strategy' "${SRC[@]}")" "strategy setters"
 row "$(hits 'SelectScratch::from_buffers\(' crates/core/src/*.rs)" "SelectScratch::from_buffers( call sites in crates/core/src (per-segment skeletons)"
 row "$(awk '/^pub struct TrainConfig \{/{on=1;next} on&&/^\}/{exit} on&&/^    pub [a-z_]+:/{n++} END{print n+0}' crates/core/src/config.rs)" "TrainConfig fields"
 row "$(awk '/^\[workspace\.dependencies\]/{on=1;next} /^\[/{on=0} on&&/=/&&!/^#/&&!/path *=/{n++} END{print n+0}' Cargo.toml)" "registry crates in [workspace.dependencies]"
+
+# ISSUE 15: the six product crates hold what a run, an experiment or a
+# reference suite reaches. Regrowth shows as the sum rising, or as plain-`pub`
+# items that no file but their own names (lexical: a method that shares its
+# name with anything elsewhere is not counted).
+echo
+PRODUCT=$(find crates/{tensor,sparsify,psim,nn,core,net}/src -name '*.rs' | sort)
+total=0
+for f in $PRODUCT; do total=$((total + $(code "$f" | wc -l))); done
+printf '%6d  product code lines over crates/{tensor,sparsify,psim,nn,core,net}/src (12261 before ISSUE 15)\n' "$total"
+EVERYWHERE=$(find crates src tests examples -name '*.rs')
+lonely=0
+for f in $PRODUCT; do
+    for name in $(code "$f" | sed -nE 's/^[[:space:]]*pub (const |unsafe )?(fn|struct|enum|trait|const|type|static) ([A-Za-z_][A-Za-z0-9_]*).*/\3/p' | sort -u); do
+        # -c, not -q: a reader that exits early SIGPIPEs the lister under pipefail.
+        [ "$(grep -lw -- "$name" $EVERYWHERE | grep -cvx "$f")" -ne 0 ] || lonely=$((lonely + 1))
+    done
+done
+row "$lonely" "plain-pub items named in no file but their own (61 before ISSUE 15)"

@@ -20,13 +20,13 @@
 //! single-lock server: worker connections apply updates concurrently, and
 //! the wire traffic stays byte-identical for a given update order.
 //! `--io evented` serves every connection from one readiness event loop
-//! (`poll(2)`, or epoll with the `net-epoll` feature) instead of one
-//! thread per connection — same protocol, same bytes, but it scales to
-//! tens of thousands of workers; `--max-conns N` caps concurrent
-//! connections (over-budget accepts get an error frame and are counted
-//! in the serve-side stats). All processes must load the *same* config file — the
-//! TCP handshake fingerprints `θ_0` (CRC-32 of the initial parameters)
-//! and rejects workers whose seed/model/dimension drift from the server's.
+//! (`poll(2)`) instead of one thread per connection — same protocol, same
+//! bytes, but it scales to tens of thousands of workers; `--max-conns N`
+//! caps concurrent connections (over-budget accepts get an error frame and
+//! are counted in the serve-side stats). All processes must load the
+//! *same* config file — the TCP handshake fingerprints `θ_0` (CRC-32 of
+//! the initial parameters) and rejects workers whose seed/model/dimension
+//! drift from the server's.
 //!
 //! The **multi-process cluster** splits the server across OS processes:
 //! `serve --span K/N` hosts span K of an N-process span-sharded cluster
