@@ -8,32 +8,34 @@
 //! what it receives from its update accumulator `M`.
 
 use crate::protocol::UpPayload;
-use crate::segments::{split_segments, SegmentDriver};
+use crate::segments::{carried, split_segments, SegmentDriver};
 use dgs_sparsify::{
-    gather, gather_and_zero, k_for_ratio, radix_topk_indices, scale_all_restore, zero_at,
-    Partition, SparseUpdate, SparseVec,
+    gather, gather_and_zero, k_for_ratio, momentum_topk_indices, radix_topk_indices_guessed,
+    scale_all_restore, zero_at, Guess, Partition, SelectScratch, SparseUpdate, SparseVec,
 };
 use dgs_tensor::tensor::l2_norm_slice;
 use dgs_tensor::Kernel;
 use std::iter::repeat;
 
-/// The sparsifying compressors' shared step: per layer of `state`, select
-/// the Top-`ratio` by magnitude and let `take` gather the selected values
-/// and adjust what stays behind. `take` gets the layer's slice of `state`,
-/// its item of `inputs` (one per layer) and the selected indices.
+/// The sparsifying compressors' shared step: `send` runs once per layer of
+/// `state` — select the Top-`ratio` by magnitude, gather the selected
+/// values, adjust what stays behind — and its chunks make the payload.
+/// `send` gets the layer's slice of `state`, its item of `inputs` (one per
+/// layer), the layer's Top-k budget, select scratch, and the layer's entry of
+/// `guesses`, which the compressor keeps from one call to the next.
 fn topk_update<X: Send>(
     driver: &mut SegmentDriver,
+    guesses: &mut Vec<Guess>,
     part: &Partition,
     state: &mut [f32],
     inputs: impl IntoIterator<Item = X>,
     ratio: f64,
-    take: impl Fn(&mut [f32], X, &[u32]) -> Vec<f32> + Sync,
+    send: impl Fn(&mut [f32], X, usize, &mut SelectScratch, &mut Guess) -> SparseVec + Sync,
 ) -> UpPayload {
     let work = state.len();
-    let chunks = driver.run(part.segments(), state, work, inputs, |_, seg, x, sel| {
-        let idx = radix_topk_indices(seg, k_for_ratio(seg.len(), ratio), sel);
-        let val = take(seg, x, &idx);
-        SparseVec { idx, val }
+    let inputs = inputs.into_iter().zip(carried(guesses, part.segments()));
+    let chunks = driver.run(part.segments(), state, work, inputs, |_, seg, (x, guess), sel| {
+        send(seg, x, k_for_ratio(seg.len(), ratio), sel, guess)
     });
     UpPayload::Sparse(SparseUpdate { chunks })
 }
@@ -98,12 +100,17 @@ impl Compressor for DenseCompressor {
 pub struct GradientDroppingCompressor {
     residual: Vec<f32>,
     driver: SegmentDriver,
+    guesses: Vec<Guess>,
 }
 
 impl GradientDroppingCompressor {
     /// Creates the compressor for a model of `dim` parameters.
     pub fn new(dim: usize) -> Self {
-        GradientDroppingCompressor { residual: vec![0.0; dim], driver: SegmentDriver::new() }
+        GradientDroppingCompressor {
+            residual: vec![0.0; dim],
+            driver: SegmentDriver::new(),
+            guesses: Vec::new(),
+        }
     }
 
     /// The residual buffer (`r_k` in the paper), for tests.
@@ -118,10 +125,15 @@ impl Compressor for GradientDroppingCompressor {
         for (r, &g) in self.residual.iter_mut().zip(grad.iter()) {
             *r += ctx.lr * g;
         }
-        // Single pass: gather the sent values and drop them from the
-        // residual (Alg. 1 lines 9-11).
-        let take = |seg: &mut [f32], (), idx: &[u32]| gather_and_zero(seg, idx);
-        topk_update(&mut self.driver, part, &mut self.residual, repeat(()), ctx.ratio, take)
+        let send = |seg: &mut [f32], (), k, sel: &mut SelectScratch, guess: &mut Guess| {
+            let idx = radix_topk_indices_guessed(seg, k, sel, guess);
+            // Single pass: gather the sent values and drop them from the
+            // residual (Alg. 1 lines 9-11).
+            let val = gather_and_zero(seg, &idx);
+            SparseVec { idx, val }
+        };
+        let Self { residual, driver, guesses } = self;
+        topk_update(driver, guesses, part, residual, repeat(()), ctx.ratio, send)
     }
 
     fn aux_floats(&self) -> usize {
@@ -158,6 +170,7 @@ pub struct DgcCompressor {
     momentum: f32,
     clip_norm: f32,
     driver: SegmentDriver,
+    guesses: Vec<Guess>,
 }
 
 impl DgcCompressor {
@@ -169,6 +182,7 @@ impl DgcCompressor {
             momentum,
             clip_norm,
             driver: SegmentDriver::new(),
+            guesses: Vec::new(),
         }
     }
 
@@ -199,14 +213,20 @@ impl Compressor for DgcCompressor {
             *u = self.momentum * *u + scale * g;
             *r += *u;
         }
-        let take = |r_seg: &mut [f32], u_seg: &mut [f32], idx: &[u32]| {
-            let val = gather_and_zero(r_seg, idx);
+        let send = |r_seg: &mut [f32],
+                    u_seg: &mut [f32],
+                    k,
+                    sel: &mut SelectScratch,
+                    guess: &mut Guess| {
+            let idx = radix_topk_indices_guessed(r_seg, k, sel, guess);
+            let val = gather_and_zero(r_seg, &idx);
             // Momentum factor masking.
-            zero_at(u_seg, idx);
-            val
+            zero_at(u_seg, &idx);
+            SparseVec { idx, val }
         };
-        let u_segs = split_segments(part.segments(), &mut self.velocity);
-        topk_update(&mut self.driver, part, &mut self.residual, u_segs, ctx.ratio, take)
+        let Self { velocity, residual, driver, guesses, .. } = self;
+        let u_segs = split_segments(part.segments(), velocity);
+        topk_update(driver, guesses, part, residual, u_segs, ctx.ratio, send)
     }
 
     fn aux_floats(&self) -> usize {
@@ -235,11 +255,15 @@ impl Compressor for DgcCompressor {
 /// coordinate's trajectory between sends telescope into exactly one
 /// momentum decay (Eq. 16), which is what makes a sparse interval
 /// equivalent to a per-parameter enlarged batch (Eq. 17).
+///
+/// A layer costs two walks of its velocity: the update fused into the
+/// selection scan ([`momentum_topk_indices`]), then the magnification.
 #[derive(Debug)]
 pub struct SaMomentumCompressor {
     velocity: Vec<f32>,
     momentum: f32,
     driver: SegmentDriver,
+    guesses: Vec<Guess>,
 }
 
 impl SaMomentumCompressor {
@@ -249,31 +273,44 @@ impl SaMomentumCompressor {
             momentum > 0.0 && momentum < 1.0,
             "SAMomentum needs 0 < m < 1 (the 1/m rescale), got {momentum}"
         );
-        SaMomentumCompressor { velocity: vec![0.0; dim], momentum, driver: SegmentDriver::new() }
+        SaMomentumCompressor {
+            velocity: vec![0.0; dim],
+            momentum,
+            driver: SegmentDriver::new(),
+            guesses: Vec::new(),
+        }
     }
 
     /// The velocity buffer (`u_k` in the paper), for tests.
     pub fn velocity(&self) -> &[f32] {
         &self.velocity
     }
+
+    /// `(one_pass, fallbacks)` over this compressor's guess-eligible
+    /// selections so far.
+    #[cfg(test)]
+    pub(crate) fn select_tally(&self) -> (u64, u64) {
+        (self.driver.one_pass, self.driver.fallbacks)
+    }
 }
 
 impl Compressor for SaMomentumCompressor {
     fn compress(&mut self, grad: &[f32], part: &Partition, ctx: StepCtx) -> UpPayload {
         assert_eq!(grad.len(), self.velocity.len(), "gradient size mismatch");
-        for (u, &g) in self.velocity.iter_mut().zip(grad.iter()) {
-            *u = self.momentum * *u + ctx.lr * g;
-        }
-        let inv_m = 1.0 / self.momentum;
-        let take = |seg: &mut [f32], (), idx: &[u32]| {
-            let val = gather(seg, idx);
-            // Alg. 3 line 11: magnify the *unsent* coordinates by 1/m —
-            // scale the whole segment in one streaming pass, then write the
-            // already-gathered sent values back bitwise.
-            scale_all_restore(seg, idx, &val, inv_m);
-            val
-        };
-        topk_update(&mut self.driver, part, &mut self.velocity, repeat(()), ctx.ratio, take)
+        let (m, inv_m) = (self.momentum, 1.0 / self.momentum);
+        let send =
+            |seg: &mut [f32], g_seg: &[f32], k, sel: &mut SelectScratch, guess: &mut Guess| {
+                let idx = momentum_topk_indices(seg, g_seg, m, ctx.lr, k, sel, guess);
+                let val = gather(seg, &idx);
+                // Alg. 3 line 11: magnify the *unsent* coordinates by 1/m —
+                // scale the whole segment in one streaming pass, then write the
+                // already-gathered sent values back bitwise.
+                scale_all_restore(seg, &idx, &val, inv_m);
+                SparseVec { idx, val }
+            };
+        let g_segs = part.segments().iter().map(|seg| &grad[seg.range()]);
+        let Self { velocity, driver, guesses, .. } = self;
+        topk_update(driver, guesses, part, velocity, g_segs, ctx.ratio, send)
     }
 
     fn aux_floats(&self) -> usize {

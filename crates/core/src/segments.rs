@@ -8,9 +8,14 @@
 //! pooled radix-select scratch, run the jobs in order or across rayon,
 //! collect the per-segment outputs in segment order, and take the scratch
 //! back. What a job *does* is its caller's closure.
+//!
+//! What makes the next round's selection cheap — one [`Guess`] per segment —
+//! belongs to the owner, which passes it in with the job's other inputs
+//! ([`carried`]). Guesses change cost only: every selection is exact for any
+//! guess.
 
 use crate::PAR_THRESHOLD;
-use dgs_sparsify::{Segment, SelectScratch};
+use dgs_sparsify::{Guess, Segment, SelectScratch};
 use dgs_tensor::{BufferPool, Kernel};
 use rayon::prelude::*;
 
@@ -26,6 +31,20 @@ pub(crate) fn split_segments<'a>(
         buf = tail;
         head
     })
+}
+
+/// One owner's carried guesses as per-segment job inputs: `guesses` itself
+/// when it has one per segment, otherwise reset to "no guess" at that length
+/// first (an owner's first run).
+pub(crate) fn carried<'a>(
+    guesses: &'a mut Vec<Guess>,
+    segments: &[Segment],
+) -> std::slice::IterMut<'a, Guess> {
+    if guesses.len() != segments.len() {
+        guesses.clear();
+        guesses.resize(segments.len(), Guess::default());
+    }
+    guesses.iter_mut()
 }
 
 /// Scratch, compute backend and fan-out policy of one owner's per-segment
@@ -44,13 +63,25 @@ pub(crate) struct SegmentDriver {
     /// rayon join point (work-stealing could hand it a sibling task that
     /// blocks on the same lock). Cost only, never the output.
     pub(crate) par: bool,
+    /// Guess-eligible selections (wide segment, sparse `k`) that one scan
+    /// settled, and those that ran the two-pass engine instead. In-crate
+    /// telemetry for the tests that keep the one-pass path from decaying
+    /// into always-fallback.
+    pub(crate) one_pass: u64,
+    pub(crate) fallbacks: u64,
 }
 
 impl SegmentDriver {
     /// Runtime kernel, fan-out allowed, pool sized for the steady state of
     /// one scratch per segment in flight at once.
     pub(crate) fn new() -> Self {
-        SegmentDriver { pool: BufferPool::new(64), kernel: Kernel::runtime(), par: true }
+        SegmentDriver {
+            pool: BufferPool::new(64),
+            kernel: Kernel::runtime(),
+            par: true,
+            one_pass: 0,
+            fallbacks: 0,
+        }
     }
 
     fn lease(&mut self) -> SelectScratch {
@@ -59,6 +90,9 @@ impl SegmentDriver {
     }
 
     fn give_back(&mut self, sel: SelectScratch) {
+        let (one_pass, fallbacks) = sel.tally();
+        self.one_pass += one_pass;
+        self.fallbacks += fallbacks;
         let (keys, spare, pos) = sel.into_buffers();
         self.pool.release(keys);
         self.pool.release(spare);
@@ -166,6 +200,90 @@ mod tests {
         assert_eq!(outs[0], outs[1], "fan-out changed the chunks or the buffer");
         let offsets: Vec<usize> = outs[0].0.iter().map(|(off, _)| *off).collect();
         assert_eq!(offsets, part.segments().iter().map(|s| s.offset).collect::<Vec<_>>());
+    }
+
+    /// The one-pass path must carry the load, or the gain it exists for
+    /// has silently decayed into "always fall back": four DGS workers and
+    /// their server over 24 rounds of real gradients on a model with two
+    /// wide layers. From each owner's third round on, at least nine in ten
+    /// guess-eligible selections settle in one pass; one round at ×100 the
+    /// learning rate costs each compressor exactly one fallback per wide
+    /// layer, and the round after it is one-pass again.
+    #[test]
+    fn carried_guesses_settle_nine_selections_in_ten() {
+        use crate::compress::{Compressor, SaMomentumCompressor, StepCtx};
+        use crate::protocol::{DownMsg, UpMsg};
+        use crate::server::{Downlink, MdtServer};
+        use dgs_nn::data::{Dataset, GaussianBlobs};
+        use dgs_nn::loader::BatchLoader;
+        use dgs_nn::models::mlp;
+        use std::sync::Arc;
+
+        const WORKERS: usize = 4;
+        const ROUNDS: usize = 24;
+        const JUMP: usize = 20;
+        let build = || mlp(256, &[160, 256], 10, 5);
+        let mut nets: Vec<_> = (0..WORKERS).map(|_| build()).collect();
+        let part = nets[0].params().partition().clone();
+        let wide = part.segments().iter().filter(|seg| seg.len >= 1 << 15).count() as u64;
+        assert!(wide >= 2, "the model needs two wide layers, has {wide}");
+        let dim = part.total_len();
+        let train: Arc<dyn Dataset> = Arc::new(GaussianBlobs::new(256, 256, 10, 0.5, 3));
+        let mut loaders: Vec<_> =
+            (0..WORKERS).map(|w| BatchLoader::new(Arc::clone(&train), 4, 40 + w as u64)).collect();
+        let mut comps: Vec<_> = (0..WORKERS).map(|_| SaMomentumCompressor::new(dim, 0.7)).collect();
+        let downlink = Downlink::ModelDifference { secondary_ratio: Some(0.01) };
+        let mut server =
+            MdtServer::new(nets[0].params().data().to_vec(), part.clone(), WORKERS, downlink);
+        // Every reply a dense scan: the path that carries the server's guesses.
+        server.set_log_capacity(1);
+
+        let tallies = |comps: &[SaMomentumCompressor], server: &MdtServer| {
+            let mut t: Vec<(u64, u64)> = comps.iter().map(|c| c.select_tally()).collect();
+            t.push(server.select_tally());
+            t
+        };
+        let mut warm = Vec::new();
+        for round in 0..ROUNDS {
+            if round == 2 {
+                warm = tallies(&comps, &server);
+            }
+            let before = tallies(&comps, &server);
+            let lr = if round == JUMP { 5.0 } else { 0.05 };
+            for w in 0..WORKERS {
+                let (x, labels) = loaders[w].next_batch();
+                let (train_loss, _) = nets[w].train_step(x, &labels);
+                let ctx = StepCtx { lr, ratio: 0.01 };
+                let payload = comps[w].compress(nets[w].params().grad(), &part, ctx);
+                match server.handle_update(w, &UpMsg { payload, train_loss }) {
+                    DownMsg::SparseDiff(diff) => {
+                        diff.apply_add(nets[w].params_mut().data_mut(), &part, 1.0)
+                    }
+                    other => panic!("expected a sparse diff, got {other:?}"),
+                }
+            }
+            let after = tallies(&comps, &server);
+            if round == JUMP - 1 {
+                for (owner, (now, then)) in after.iter().zip(&warm).enumerate() {
+                    let (hit, miss) = (now.0 - then.0, now.1 - then.1);
+                    assert!(
+                        hit + miss >= wide * (JUMP as u64 - 2),
+                        "owner {owner} selected {hit}+{miss} times"
+                    );
+                    assert!(
+                        hit * 10 >= (hit + miss) * 9,
+                        "owner {owner}: {hit} one-pass, {miss} fallbacks"
+                    );
+                }
+            }
+            if round == JUMP || round == JUMP + 1 {
+                for w in 0..WORKERS {
+                    let (hit, miss) = (after[w].0 - before[w].0, after[w].1 - before[w].1);
+                    let want = if round == JUMP { (0, wide) } else { (wide, 0) };
+                    assert_eq!((hit, miss), want, "worker {w}, round {round}");
+                }
+            }
+        }
     }
 
     #[test]

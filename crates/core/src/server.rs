@@ -42,7 +42,7 @@
 use crate::config::TrainConfig;
 use crate::method::Method;
 use crate::protocol::{DownMsg, UpMsg, UpPayloadView};
-use crate::segments::SegmentDriver;
+use crate::segments::{carried, SegmentDriver};
 use crate::update_log::UpdateLog;
 use crate::PAR_THRESHOLD;
 use dgs_psim::StalenessStats;
@@ -51,11 +51,10 @@ use dgs_sparsify::merge::{
     send_topk_dense, sort_dedup, sort_dedup_pooled,
 };
 use dgs_sparsify::{
-    k_for_ratio, radix_topk_pairs, scatter_add, Partition, Segment, SelectScratch, ShardSpan,
-    SparseUpdate, SparseVec,
+    k_for_ratio, radix_topk_pairs, scatter_add, Guess, Partition, Segment, SelectScratch,
+    ShardSpan, SparseUpdate, SparseVec,
 };
 use dgs_tensor::{BufferPool, Kernel};
-use std::iter::repeat;
 use std::sync::Arc;
 
 /// Staleness mitigation applied by the server when folding updates into
@@ -239,6 +238,21 @@ pub fn apportion_log_capacity(capacity: usize, spans: &[ShardSpan]) -> Vec<usize
     caps
 }
 
+/// Degenerate-merge guard under secondary compression: the log merge serves
+/// a reply only while its candidates — dirty set plus everything logged
+/// since the cursor, duplicates included — number at most
+/// `dim / MERGE_GUARD_DIV`. Past that the one-pass dense scan is cheaper:
+/// the measured crossover sits at 75–100 k candidates of a 1.85 M-parameter
+/// model (DESIGN §6 has the table). The dirty-set hysteresis is half of it.
+const MERGE_GUARD_DIV: usize = 24;
+
+/// The same guard without secondary compression, where the scan emits every
+/// nonzero and so pays per nonzero just as the merge pays per candidate: the
+/// merge was measured ahead up to 500 k candidates of 1.85 M (DESIGN §6) and
+/// not past that, while a straggler's candidates can reach `dim` with
+/// duplicates — merge cost follows log entries, scan cost unique nonzeros.
+const MERGE_GUARD_DIV_NO_SECONDARY: usize = 4;
+
 /// The parameter server.
 pub struct MdtServer {
     theta0: Vec<f32>,
@@ -283,11 +297,17 @@ pub struct MdtServer {
     pending_valid: Vec<bool>,
     /// Per-worker: should the next dense fallback under secondary
     /// compression pay the O(nnz) dirty pass to rebuild `pending[k]`?
-    /// Density hysteresis (off above `dim/8` nonzeros, see
+    /// Density hysteresis (off from the reply that trips the merge guard
+    /// until a scan sees at most half the guard's nonzeros, see
     /// [`MdtServer::make_diff_dense`]) keeps the degenerate regime — where
     /// the guard would reject the rebuilt set anyway — at pure dense-scan
     /// cost. Small models (`dim < PAR_THRESHOLD`) always track.
     retrack: Vec<bool>,
+    /// `guesses[k][segment]`: the secondary-compression boundary worker
+    /// `k`'s last dense-scan reply found on that segment, which lets its
+    /// next one select in one pass. Cost state only: never checkpointed,
+    /// sized on first use, cleared with the worker's `v_k` on a resync.
+    guesses: Vec<Vec<Guess>>,
 }
 
 impl MdtServer {
@@ -329,6 +349,7 @@ impl MdtServer {
             mask_pool: BufferPool::new(1),
             pending_valid: vec![true; workers],
             retrack: vec![true; workers],
+            guesses: vec![Vec::new(); workers],
         }
     }
 
@@ -348,6 +369,13 @@ impl MdtServer {
     /// The active compute backend.
     pub fn kernel(&self) -> Kernel {
         self.driver.kernel
+    }
+
+    /// `(one_pass, fallbacks)` over this server's guess-eligible selections
+    /// so far, all workers together.
+    #[cfg(test)]
+    pub(crate) fn select_tally(&self) -> (u64, u64) {
+        (self.driver.one_pass, self.driver.fallbacks)
     }
 
     /// The tunables this server currently runs with (`log_capacity` is its
@@ -418,6 +446,7 @@ impl MdtServer {
             },
             Downlink::ModelDifference { .. } => {
                 self.v[worker].copy_from_slice(&self.m);
+                self.guesses[worker].clear();
                 self.driver.pool.release(std::mem::take(&mut self.pending[worker]));
                 self.pending_valid[worker] = true;
                 self.retrack[worker] = true;
@@ -587,20 +616,27 @@ impl MdtServer {
         since: u64,
         secondary_ratio: Option<f64>,
     ) -> SparseUpdate {
-        // Degenerate-merge guard: under heavy secondary compression the
-        // undelivered dirty set can grow toward `dim`, at which point
-        // merging the candidates costs more than the scan (O(C) merge +
-        // gather traffic vs O(dim) streaming). Both paths emit
-        // bitwise-identical payloads, so take the cheaper one — sized from
-        // lengths alone, before copying a single candidate.
-        if self.pending_valid[worker]
-            && self.log.covers(since)
-            && self.pending[worker].len() + self.log.count_since(since) <= self.m.len() / 4
-        {
-            self.make_diff_log(worker, since, secondary_ratio)
-        } else {
-            self.make_diff_dense(worker, secondary_ratio)
+        if self.pending_valid[worker] && self.log.covers(since) {
+            // Degenerate-merge guard: under secondary compression the
+            // undelivered dirty set grows toward `dim`, and past
+            // `dim / MERGE_GUARD_DIV` candidates the merge costs more than
+            // the one-pass scan. Both paths emit bitwise-identical
+            // payloads, so take the cheaper one — sized from lengths alone,
+            // before copying a single candidate.
+            let div = match secondary_ratio {
+                Some(_) => MERGE_GUARD_DIV,
+                None => MERGE_GUARD_DIV_NO_SECONDARY,
+            };
+            let candidates = self.pending[worker].len() + self.log.count_since(since);
+            if candidates <= self.m.len() / div {
+                return self.make_diff_log(worker, since, secondary_ratio);
+            }
+            // The dirty set the scan could rebuild would fail this guard
+            // again at the next reply: do not pay for it. (Without secondary
+            // compression the scan tracks for free and ignores this.)
+            self.retrack[worker] = false;
         }
+        self.make_diff_dense(worker, secondary_ratio)
     }
 
     /// O(nnz since last pull): visit only `pending[k] ∪ touched(since..t]`.
@@ -672,16 +708,16 @@ impl MdtServer {
     /// under secondary compression the dirty pass is a separate O(nnz) walk,
     /// so it is skipped while the worker's diff density sits in the
     /// degenerate regime where the merge guard would reject the rebuilt set
-    /// anyway (`retrack` hysteresis: tracking resumes once nnz drops to
-    /// `dim/8`, below the guard's `dim/4`). Small models always track — the
-    /// absolute cost is negligible and it keeps the log path live for
+    /// anyway (`retrack` hysteresis: tracking resumes once nnz drops to half
+    /// the guard, `dim / (2·MERGE_GUARD_DIV)`). Small models always track —
+    /// the absolute cost is negligible and it keeps the log path live for
     /// small-dimension tests.
     fn make_diff_dense(&mut self, worker: usize, secondary_ratio: Option<f64>) -> SparseUpdate {
         let small = self.m.len() < PAR_THRESHOLD;
         let track = secondary_ratio.is_none() || small || self.retrack[worker];
         let segments = self.partition.segments();
         let m = &self.m;
-        let job = |seg: &Segment, v_seg: &mut [f32], (), sel: &mut SelectScratch| {
+        let job = |seg: &Segment, v_seg: &mut [f32], guess: &mut Guess, sel: &mut SelectScratch| {
             let m_seg = &m[seg.range()];
             let mut dirty = Vec::new();
             let (idx, val, nnz) = match secondary_ratio {
@@ -690,24 +726,26 @@ impl MdtServer {
                     let nnz = idx.len();
                     (idx, val, nnz)
                 }
-                // Dense-diff Top-k: selecting on the materialised diff
-                // buffer skips the (index, value) pair vectors that the
+                // Dense-diff Top-k: selecting on the dense difference
+                // skips the (index, value) pair vectors that the
                 // candidate-restricted path needs — under secondary
                 // compression the diff here is nearly dense, and pair
-                // materialisation would dominate.
+                // materialisation would dominate. `guess` is what this
+                // worker's last dense reply learned about the segment.
                 Some(r) => {
                     let k = k_for_ratio(m_seg.len(), r);
-                    send_topk_dense(m_seg, v_seg, k, track, &mut dirty, sel)
+                    send_topk_dense(m_seg, v_seg, k, track, &mut dirty, sel, guess)
                 }
             };
             ((SparseVec { idx, val }, dirty), nnz)
         };
-        let results = self.driver.run(segments, &mut self.v[worker], m.len(), repeat(()), job);
+        let guesses = carried(&mut self.guesses[worker], segments);
+        let results = self.driver.run(segments, &mut self.v[worker], m.len(), guesses, job);
         let nnz_total: usize = results.iter().map(|(_, nnz)| nnz).sum();
         self.pending_valid[worker] = track;
         // Hysteresis: resume paying the dirty pass once the observed
         // density clears the guard threshold with margin.
-        self.retrack[worker] = small || nnz_total <= self.m.len() / 8;
+        self.retrack[worker] = small || nnz_total <= self.m.len() / (2 * MERGE_GUARD_DIV);
         // An untracked scan leaves an empty dirty set: the stale one would
         // only mislead a future merge.
         self.finish_reply(worker, results.into_iter().map(|(sent, _)| sent))
@@ -862,6 +900,7 @@ impl MdtServer {
             mask_pool: BufferPool::new(1),
             pending_valid: vec![true; workers],
             retrack: vec![true; workers],
+            guesses: vec![Vec::new(); workers],
         }
     }
 }
@@ -1246,7 +1285,7 @@ mod tests {
         for step in 0..24 {
             // Each update touches dim/16 coordinates while the downlink
             // returns only ~dim/1000, so nnz(M − v_k) quickly outgrows the
-            // dim/8 hysteresis threshold and then the dim/4 merge guard.
+            // merge guard, and stays above the hysteresis threshold below it.
             let mut g = vec![0.0f32; dim];
             for j in 0..dim / 16 {
                 g[(step * 97 + j * 16) % dim] = ((step + j) as f32 * 0.61).cos();

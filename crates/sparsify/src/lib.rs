@@ -13,7 +13,8 @@
 //!   (`sparsify()` / `unsparsify()` in the paper's notation).
 //! * [`radix_select`] — the selection engine product code calls: a
 //!   bit-level O(n) histogram radix select over `abs(f32).to_bits()` keys,
-//!   bitwise-identical to the comparator reference.
+//!   bitwise-identical to the comparator reference, and one streaming pass
+//!   when the [`Guess`] its caller carried over from the last round holds.
 //! * [`sampled`] — DGC-style sampled threshold estimation (the only
 //!   selection code with a `rand` dependency).
 //! * [`merge`] — the server-side diff/merge kernels behind the O(nnz)
@@ -56,7 +57,8 @@ pub use merge::{
 pub use partition::{Partition, Segment, ShardSpan};
 pub use quant::{TernaryUpdate, TernaryVec};
 pub use radix_select::{
-    mag_key, radix_threshold, radix_topk_indices, radix_topk_pairs, SelectScratch,
+    mag_key, momentum_topk_indices, radix_threshold, radix_topk_indices,
+    radix_topk_indices_guessed, radix_topk_pairs, Guess, SelectScratch,
 };
 pub use sampled::sampled_threshold;
 pub use topk::{

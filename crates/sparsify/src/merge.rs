@@ -39,7 +39,9 @@
 //! compile this module together with the tensor crate's
 //! `kernel.rs`/`simd.rs` (see `.claude/skills/verify/SKILL.md`).
 
-use crate::radix_select::{radix_topk_indices, SelectScratch};
+use crate::radix_select::{
+    diff_topk_indices, radix_topk_indices_guessed, select_reseed, Guess, SelectScratch,
+};
 use dgs_tensor::{BufferPool, Kernel};
 use std::cmp::Ordering;
 
@@ -336,14 +338,23 @@ pub fn send_all_dense_with(
     (idx, val)
 }
 
-/// Dense-diff Top-k send over a whole segment: materialises `d = m − v`
-/// once, sends everything if the diff is at or under the `k` budget,
-/// otherwise selects the Top-k directly on the dense buffer (cheaper than
-/// building (index, value) pair vectors first when the diff is dense —
-/// the steady state under secondary compression). Zeros can never be
-/// selected because the k-th ranked element is nonzero whenever the
-/// selection runs, so the outcome is identical to [`topk_pairs`] over the
-/// nonzero pairs: same [`mag_idx_order`] ranking, same ascending output.
+/// Dense-diff Top-k send over a whole segment: sends everything if
+/// `d = m − v` is at or under the `k` budget, otherwise selects the Top-k
+/// directly on the dense difference (cheaper than building (index, value)
+/// pair vectors first when the diff is dense — the steady state under
+/// secondary compression). Zeros can never be selected because the k-th
+/// ranked element is nonzero whenever the selection runs, so the outcome
+/// is identical to [`topk_pairs`] over the nonzero pairs: same
+/// [`mag_idx_order`] ranking, same ascending output.
+///
+/// `guess` is this `(worker, segment)`'s carried boundary. An untracked
+/// send whose guess holds is one pass over `m` and `v` that stores nothing
+/// (the selected values are the same `m[i] − v[i]` subtractions, redone at
+/// the `k` selected positions); every other case materialises the
+/// difference first — the tracked form walks it again for the dirty set.
+/// An untracked send whose guess *misses* has walked `m` and `v` once for
+/// nothing before it does: six walks where the two-pass form alone takes
+/// five. It shows up as a fallback in [`SelectScratch::tally`].
 ///
 /// Also returns the total nonzero count of the diff (the density signal
 /// callers use for tracking hysteresis), which the scan computes anyway.
@@ -354,8 +365,16 @@ pub fn send_topk_dense(
     track_dirty: bool,
     dirty: &mut Vec<u32>,
     scratch: &mut SelectScratch,
+    guess: &mut Guess,
 ) -> (Vec<u32>, Vec<f32>, usize) {
     debug_assert_eq!(m.len(), v.len());
+    if !track_dirty {
+        if let Some((pos, nnz_all)) = diff_topk_indices(m, v, k, scratch, guess) {
+            let val: Vec<f32> = pos.iter().map(|&p| m[p as usize] - v[p as usize]).collect();
+            scatter_pairs(v, &pos, &val);
+            return (pos, val, nnz_all);
+        }
+    }
     // Diff materialisation + nonzero count on the scratch's backend
     // (bitwise identical across backends: vector subtract matches scalar
     // subtract bit for bit, and the NEQ_UQ count matches `d != 0.0`).
@@ -389,7 +408,12 @@ pub fn send_topk_dense(
         }
         return (Vec::new(), Vec::new(), nnz_all);
     }
-    let pos = radix_topk_indices(&diff, k, scratch);
+    let pos = if track_dirty {
+        radix_topk_indices_guessed(&diff, k, scratch, guess)
+    } else {
+        // The fused attempt above was this selection's one pass.
+        select_reseed(&diff, k, scratch, guess)
+    };
     let mut val = Vec::with_capacity(pos.len());
     kernel.gather_into(&diff, &pos, &mut val);
     scatter_pairs(v, &pos, &val);
@@ -672,10 +696,26 @@ mod tests {
                 for k in [0usize, 3, n / 2, n + 7] {
                     let mut vx = v0.clone();
                     let mut dx = Vec::new();
-                    let (xi, xv, xn) = send_topk_dense(&m, &mut vx, k, true, &mut dx, &mut sc);
+                    let (xi, xv, xn) = send_topk_dense(
+                        &m,
+                        &mut vx,
+                        k,
+                        true,
+                        &mut dx,
+                        &mut sc,
+                        &mut Guess::default(),
+                    );
                     let mut vy = v0.clone();
                     let mut dy = Vec::new();
-                    let (yi, yv, yn) = send_topk_dense(&m, &mut vy, k, true, &mut dy, &mut si);
+                    let (yi, yv, yn) = send_topk_dense(
+                        &m,
+                        &mut vy,
+                        k,
+                        true,
+                        &mut dy,
+                        &mut si,
+                        &mut Guess::default(),
+                    );
                     assert_eq!(xi, yi, "topk idx diverged (n {n} seed {seed} k {k})");
                     assert_eq!(xn, yn);
                     assert_eq!(
@@ -788,6 +828,7 @@ mod tests {
     #[test]
     fn send_topk_dense_matches_pair_pipeline() {
         let mut scratch = SelectScratch::new();
+        let mut guess = Guess::default();
         for seed in 1..40u64 {
             for k in [0usize, 1, 3, 8, 64, 100] {
                 let (m, v0) = random_state(seed * 31337, 64);
@@ -808,8 +849,15 @@ mod tests {
                 // Dense-diff kernel under test.
                 let mut v_dense = v0.clone();
                 let mut dirty_dense = Vec::new();
-                let (di, dv, dn) =
-                    send_topk_dense(&m, &mut v_dense, k, true, &mut dirty_dense, &mut scratch);
+                let (di, dv, dn) = send_topk_dense(
+                    &m,
+                    &mut v_dense,
+                    k,
+                    true,
+                    &mut dirty_dense,
+                    &mut scratch,
+                    &mut guess,
+                );
                 assert_eq!(di, ri, "seed {seed} k {k}");
                 assert_eq!(dn, nnz_ref, "seed {seed} k {k}");
                 assert_eq!(
@@ -825,7 +873,7 @@ mod tests {
                 let mut v_u = v0.clone();
                 let mut dirty_u = Vec::new();
                 let (ui, uv, un) =
-                    send_topk_dense(&m, &mut v_u, k, false, &mut dirty_u, &mut scratch);
+                    send_topk_dense(&m, &mut v_u, k, false, &mut dirty_u, &mut scratch, &mut guess);
                 assert_eq!(ui, ri);
                 assert_eq!(un, nnz_ref);
                 assert_eq!(
@@ -835,6 +883,94 @@ mod tests {
                 assert!(dirty_u.is_empty());
             }
         }
+    }
+
+    /// A wide segment over several rounds, guesses carried: the untracked
+    /// one-pass send and the tracked two-pass send must both reproduce the
+    /// comparator pair pipeline — payload, `v`, nonzero count, dirty set —
+    /// and the carried guesses must actually take the one-pass path.
+    #[test]
+    fn send_topk_dense_with_carried_guess_matches_pair_pipeline() {
+        let n = 40_000usize;
+        let k = 400usize;
+        let mut state = 0x5EED_CAFE_F00Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut m = vec![0.0f32; n];
+        let mut v_ref = vec![0.0f32; n];
+        let (mut v_fused, mut v_tracked) = (v_ref.clone(), v_ref.clone());
+        let (mut g_fused, mut g_tracked) = (Guess::default(), Guess::default());
+        let (mut s_fused, mut s_tracked) = (SelectScratch::new(), SelectScratch::new());
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for round in 0..12 {
+            // Four sparse updates land between this worker's pulls.
+            for _ in 0..4 * k {
+                let i = (next() % n as u64) as usize;
+                m[i] -= ((next() % 2000) as f32 - 1000.0) * 1e-4;
+            }
+            let (ai, av) = diff_pairs_dense(&m, &v_ref);
+            let mut dirty_ref = Vec::new();
+            let (ri, rv) = topk_pairs(&ai, &av, k);
+            scatter_track_dirty(&m, &mut v_ref, &ri, &rv, &ai, &mut dirty_ref);
+
+            let mut none = Vec::new();
+            let (fi, fv, fn_) =
+                send_topk_dense(&m, &mut v_fused, k, false, &mut none, &mut s_fused, &mut g_fused);
+            assert_eq!((&fi, bits(&fv), fn_), (&ri, bits(&rv), ai.len()), "fused round {round}");
+            assert_eq!(bits(&v_fused), bits(&v_ref), "fused v round {round}");
+            assert!(none.is_empty());
+
+            let mut dirty = Vec::new();
+            let (ti, tv, tn) = send_topk_dense(
+                &m,
+                &mut v_tracked,
+                k,
+                true,
+                &mut dirty,
+                &mut s_tracked,
+                &mut g_tracked,
+            );
+            assert_eq!((&ti, bits(&tv), tn), (&ri, bits(&rv), ai.len()), "tracked round {round}");
+            assert_eq!(bits(&v_tracked), bits(&v_ref), "tracked v round {round}");
+            assert_eq!(dirty, dirty_ref, "dirty round {round}");
+        }
+        for (what, s) in [("fused", &s_fused), ("tracked", &s_tracked)] {
+            let (one_pass, fallbacks) = s.tally();
+            assert!(
+                one_pass >= 8 && fallbacks >= 1,
+                "{what}: {one_pass} one-pass, {fallbacks} fallbacks"
+            );
+        }
+    }
+
+    /// A difference of exactly `k` nonzeros on a wide segment: whether the
+    /// guess admits all of them (the one-pass settle takes every
+    /// candidate), one too few (a miss) or is absent, the payload is the
+    /// "everything goes" arm's.
+    #[test]
+    fn send_topk_dense_at_budget_sends_everything_under_any_guess() {
+        use crate::radix_select::mag_key;
+        let (n, k) = (40_000usize, 400usize);
+        let mut m = vec![0.0f32; n];
+        for j in 0..k {
+            m[j * 97 + 3] = if j % 2 == 0 { 1.0 + j as f32 } else { -1.0 - j as f32 };
+        }
+        let idx: Vec<u32> = (0..k as u32).map(|j| j * 97 + 3).collect();
+        let val: Vec<f32> = idx.iter().map(|&i| m[i as usize]).collect();
+        let mut scratch = SelectScratch::new();
+        for key in [0, 1, mag_key(1.0), mag_key(2.0), u32::MAX] {
+            let mut v = vec![0.0f32; n];
+            let mut guess = Guess::from_key(key);
+            let sent =
+                send_topk_dense(&m, &mut v, k, false, &mut Vec::new(), &mut scratch, &mut guess);
+            assert_eq!(sent, (idx.clone(), val.clone(), k), "guess {key:#x}");
+            assert_eq!(v, m, "guess {key:#x}");
+        }
+        assert_eq!(scratch.tally(), (2, 0));
     }
 
     #[test]

@@ -43,6 +43,21 @@
 //!    NaN/±∞/denormal/tie torture included (proved by
 //!    `tests/select_equivalence.rs`).
 //!
+//! 4. **Carried guess.** The histogram pass exists only to locate the
+//!    boundary, and an owner's boundary on a segment moves little from one
+//!    of its rounds to the next. Each owner therefore carries a [`Guess`]
+//!    per segment — last round's key at rank `2k` — and
+//!    [`radix_topk_indices_guessed`] (and the fused
+//!    [`momentum_topk_indices`] / dense-diff forms, which compute the
+//!    values they select on in the same pass) scans once for every element
+//!    at or above it, then pins the exact k-th key among those candidates:
+//!    a small histogram of their distance above the guess finds the
+//!    boundary bucket, the same byte-wise refinement settles it. Fewer
+//!    than `k` candidates, or more than `8k`, and steps 2-3 run instead
+//!    and reseed the guess. The candidates are a superset of the Top-k
+//!    whenever there are at least `k` of them, so the output is the
+//!    two-pass engine's for *any* guess.
+//!
 //! Cost: two streaming passes over the segment plus refinement over the
 //! boundary bucket (expected n/65536). A one-ulp plateau — the whole
 //! segment inside one two-byte prefix — is detected when the boundary
@@ -53,7 +68,8 @@
 //! `WIDE_HIST_MIN` (32 Ki) skip the wide histogram entirely for a 256-bucket
 //! stack-resident byte cascade, so small layers never pay the 256 KiB
 //! histogram reset. Scratch is the 65,536-entry histogram plus the
-//! boundary bucket's keys and positions.
+//! boundary bucket's keys and positions. A carried guess that holds
+//! replaces both streaming passes with one.
 //!
 //! The wide path's three hot loops — histogram fill, chunk-skipping fused
 //! scan, and threshold-only gather — run through the
@@ -81,9 +97,10 @@ pub fn mag_key(v: f32) -> u32 {
 }
 
 /// Reusable scratch for the radix select: three `u32` buffers holding the
-/// boundary bucket's candidate keys (`keys`) and positions (`pos`), plus a
-/// dual-use buffer (`spare`) that serves first as the 65,536-entry top
-/// histogram and then as the refinement ping-pong target. Grown once and
+/// candidate keys (`keys`) and positions (`pos`) — the boundary bucket's,
+/// or a one-pass scan's — plus `spare`, which holds the 65,536-entry top
+/// histogram on the two-pass path, and a one-pass selection's candidate
+/// histogram and then its boundary bucket. Grown once and
 /// reusable across calls; pair it with `dgs_tensor::BufferPool<u32>` on
 /// hot paths to keep the steady state allocation-free.
 ///
@@ -97,6 +114,10 @@ pub struct SelectScratch {
     spare: Vec<u32>,
     pos: Vec<u32>,
     kernel: Kernel,
+    /// Guess-eligible selections through this scratch that finished in one
+    /// pass, and those that ran the two-pass engine.
+    one_pass: u64,
+    fallbacks: u64,
 }
 
 impl SelectScratch {
@@ -111,7 +132,7 @@ impl SelectScratch {
         keys.clear();
         spare.clear();
         pos.clear();
-        SelectScratch { keys, spare, pos, kernel: Kernel::runtime() }
+        SelectScratch { keys, spare, pos, ..SelectScratch::default() }
     }
 
     /// Returns the three buffers for release back to their pool.
@@ -129,6 +150,67 @@ impl SelectScratch {
     pub fn kernel(&self) -> Kernel {
         self.kernel
     }
+
+    /// `(one_pass, fallbacks)`: how many guess-eligible selections (see
+    /// [`Guess`]) through this scratch were settled by the one-pass scan,
+    /// and how many ran the two-pass engine instead — a first selection, or
+    /// a guess that admitted too few or too many. Cost telemetry only.
+    pub fn tally(&self) -> (u64, u64) {
+        (self.one_pass, self.fallbacks)
+    }
+}
+
+/// The one-pass scan holds at most this many candidates per selected
+/// element; a guess that admits more is treated like one that admits too
+/// few. Bounds the candidate buffers at `8·k` entries and keeps the
+/// one-pass path to selections sparse enough (`k ≤ n/8`) that scanning for
+/// candidates beats histogramming the segment.
+const CAND_CAP: usize = 8;
+
+/// Next round's guess is this round's key at rank `GUESS_RANK·k`, to
+/// bucket resolution.
+const GUESS_RANK: usize = 2;
+
+/// When fewer than `GUESS_RANK·k` candidates were admitted the rank key is
+/// unknown; the guess then drops by this much in key space — an eighth of
+/// an octave, about −8 % in magnitude.
+const GUESS_STEP: u32 = 1 << 20;
+
+/// One-pass candidates are histogrammed by `(key − guess) >> PICK_SHIFT`,
+/// clamped to the last of `PICK_BUCKETS` buckets: 1/1024-octave buckets
+/// over the two octaves above the guess, where the cut lies unless the
+/// guess was far too low; everything larger shares the top bucket. 8 KiB of
+/// counts, so the fill stays in L1.
+const PICK_SHIFT: u32 = 13;
+const PICK_BUCKETS: usize = 2048;
+
+/// One owner's carried selection boundary for one segment: the magnitude
+/// key that ranked about twice as deep as the k-th at that owner's last
+/// selection on the segment, or nothing yet.
+///
+/// Top-R% thresholds move little between an owner's consecutive rounds, so
+/// the key is a *guess* at where this round's boundary lies:
+/// [`radix_topk_indices_guessed`] and its fused siblings scan once for
+/// every element at or above it and settle the exact k-th key among those
+/// candidates alone. The result never depends on the guess — too high or
+/// too low, and the two-pass histogram engine runs instead and reseeds it —
+/// so a guess is cost state only: never serialised, and safe to drop
+/// (`Guess::default()`) whenever its owner's buffer is rewritten wholesale.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Guess(u32);
+
+impl Guess {
+    /// A guess at `key` (a [`mag_key`]); `0` is "no guess".
+    pub fn from_key(key: u32) -> Self {
+        Guess(key)
+    }
+}
+
+/// Is a Top-`k` of `n` served by the one-pass scan at all: a wide segment
+/// and a selection sparse enough for [`CAND_CAP`] (which also makes
+/// `GUESS_RANK·k ≤ n`).
+fn guessable(n: usize, k: usize) -> bool {
+    n >= WIDE_HIST_MIN && k >= 1 && k * CAND_CAP <= n
 }
 
 /// The resolved selection boundary: the exact k-th largest key and how many
@@ -240,15 +322,9 @@ fn walk_desc_top(hist: &[u32], need: usize) -> (usize, usize) {
 
 /// Refines the candidate key set (all sharing the key prefix above the
 /// first entry of `shifts`) down to the exact `need`-th largest key.
-/// Consumes `keys` (ping-pongs through `spare`); returns the threshold key
-/// and how many *candidates* rank strictly above it.
-fn refine(
-    keys: &mut Vec<u32>,
-    spare: &mut Vec<u32>,
-    mut need: usize,
-    mut prefix: u32,
-    shifts: &[u32],
-) -> Cut {
+/// Consumes `keys` (compacted in place level by level); returns the
+/// threshold key and how many *candidates* rank strictly above it.
+fn refine(keys: &mut Vec<u32>, mut need: usize, mut prefix: u32, shifts: &[u32]) -> Cut {
     debug_assert!(need >= 1 && need <= keys.len(), "refine bounds");
     let mut above = 0usize;
     for &shift in shifts {
@@ -265,13 +341,7 @@ fn refine(
         need -= above_level;
         let byte = bucket as u32;
         prefix |= byte << shift;
-        spare.clear();
-        for &key in keys.iter() {
-            if (key >> shift) & 0xFF == byte {
-                spare.push(key);
-            }
-        }
-        std::mem::swap(keys, spare);
+        keys.retain(|&key| (key >> shift) & 0xFF == byte);
     }
     // All key bytes pinned: the survivors are exact copies of thr_key.
     debug_assert!(keys.iter().all(|&key| key == prefix));
@@ -300,7 +370,7 @@ fn find_cut(seg: &[f32], k: usize, scratch: &mut SelectScratch) -> Cut {
             }
         }
         debug_assert_eq!(keys.len(), hist[top]);
-        let cut = refine(keys, spare, k - above_def, top_byte << 24, &[16, 8, 0]);
+        let cut = refine(keys, k - above_def, top_byte << 24, &[16, 8, 0]);
         Cut { thr_key: cut.thr_key, above: above_def + cut.above }
     } else {
         let (prefix, shift, above_def, need, cand) = wide_window(seg, k, spare, kernel);
@@ -312,7 +382,7 @@ fn find_cut(seg: &[f32], k: usize, scratch: &mut SelectScratch) -> Cut {
         // rare chunks holding boundary-or-above keys.
         kernel.gather_keys(seg, prefix, shift, keys);
         debug_assert_eq!(keys.len(), cand);
-        let cut = refine(keys, spare, need, lo, wide_refine_shifts(shift));
+        let cut = refine(keys, need, lo, wide_refine_shifts(shift));
         Cut { thr_key: cut.thr_key, above: above_def + cut.above }
     }
 }
@@ -425,7 +495,7 @@ fn fused_select_narrow(
     let hist = hist_narrow(seg);
     let (top, above_def) = walk_desc(&hist, k);
     let need = k - above_def;
-    let SelectScratch { keys, spare, pos, .. } = scratch;
+    let SelectScratch { keys, pos, .. } = scratch;
     keys.clear();
     pos.clear();
     keys.reserve(hist[top]);
@@ -443,7 +513,7 @@ fn fused_select_narrow(
         }
     }
     debug_assert_eq!(definite.len(), above_def);
-    let cut = refine(keys, spare, need, top_byte << 24, &[16, 8, 0]);
+    let cut = refine(keys, need, top_byte << 24, &[16, 8, 0]);
     (definite, cut, need - cut.above)
 }
 
@@ -465,8 +535,190 @@ fn fused_select_wide(seg: &[f32], k: usize, scratch: &mut SelectScratch) -> (Vec
     kernel.select_scan(seg, prefix, shift, keys, pos, &mut definite);
     debug_assert_eq!(definite.len(), above_def);
     debug_assert_eq!(keys.len(), cand);
-    let cut = refine(keys, spare, need, lo, wide_refine_shifts(shift));
+    let cut = refine(keys, need, lo, wide_refine_shifts(shift));
     (definite, cut, need - cut.above)
+}
+
+impl SelectScratch {
+    /// Settles a one-pass selection from the candidates a `*_scan_ge`
+    /// kernel left in `pos`/`keys` (every element with key `>= floor`,
+    /// ascending position, `admitted` of them in all): the exact Top-`k`
+    /// positions, or `None` when the guess admitted fewer than `k` or more
+    /// than the scan holds.
+    ///
+    /// Exact for any guess that gets this far: the `k` largest keys are all
+    /// candidates (a non-candidate ranks below every candidate), so the
+    /// `k`-th largest candidate key is the segment's, as is the count above
+    /// it, and ties at it resolve by ascending position — the cut and the
+    /// tie-break of the two-pass engine. The cut is located with one
+    /// [`PICK_BUCKETS`]-bucket histogram of the candidates' distance above
+    /// the floor (a monotone map, so bucket order is key order) and pinned
+    /// by refining the boundary bucket alone. The same histogram moves
+    /// `guess` to the floor of the bucket holding rank `GUESS_RANK·k`, or
+    /// steps it down when that rank was not admitted.
+    fn pick(
+        &mut self,
+        floor: u32,
+        k: usize,
+        admitted: usize,
+        guess: &mut Guess,
+    ) -> Option<Vec<u32>> {
+        if admitted < k || admitted > k * CAND_CAP {
+            return None;
+        }
+        let SelectScratch { keys, spare, pos, one_pass, .. } = self;
+        debug_assert_eq!(keys.len(), admitted);
+        let bucket = |key: u32| (((key - floor) >> PICK_SHIFT) as usize).min(PICK_BUCKETS - 1);
+        spare.clear();
+        spare.resize(PICK_BUCKETS, 0);
+        for &key in keys.iter() {
+            spare[bucket(key)] += 1;
+        }
+        let (boundary, above_def) = walk_desc_top(spare, k);
+        let deep = GUESS_RANK * k;
+        let next = if admitted >= deep {
+            floor + ((walk_desc_top(spare, deep).0 as u32) << PICK_SHIFT)
+        } else {
+            floor.saturating_sub(GUESS_STEP)
+        };
+        // Never back to 0 ("no guess"): key 1 admits every nonzero.
+        *guess = Guess(next.max(1));
+        spare.clear();
+        spare.extend(keys.iter().copied().filter(|&key| bucket(key) == boundary));
+        let cut = refine(spare, k - above_def, 0, &[24, 16, 8, 0]);
+        // Branch-free compaction — about every second candidate is taken,
+        // which no predictor learns. Slot `k` absorbs the stores made after
+        // the `k`-th take.
+        let mut ties = k - above_def - cut.above;
+        let mut out = vec![0u32; k + 1];
+        let mut taken = 0usize;
+        for (&p, &key) in pos.iter().zip(keys.iter()) {
+            let tie = key == cut.thr_key && ties > 0;
+            ties -= tie as usize;
+            out[taken] = p;
+            taken += (key > cut.thr_key || tie) as usize;
+        }
+        debug_assert_eq!(taken, k);
+        out.truncate(k);
+        *one_pass += 1;
+        Some(out)
+    }
+}
+
+/// The two-pass engine behind a guess: [`radix_topk_indices`], after which
+/// a guess-eligible selection reseeds `guess` with the floor of the
+/// histogram bucket holding rank `GUESS_RANK·k` (the first pass's
+/// 65,536-bucket histogram is still in the scratch — refinement compacts
+/// its candidates in place) and counts as a fallback.
+pub(crate) fn select_reseed(
+    seg: &[f32],
+    k: usize,
+    scratch: &mut SelectScratch,
+    guess: &mut Guess,
+) -> Vec<u32> {
+    let idx = radix_topk_indices(seg, k, scratch);
+    if guessable(seg.len(), k) {
+        debug_assert_eq!(scratch.spare.len(), dgs_tensor::kernel::HIST16_BUCKETS);
+        let (bucket, _) = walk_desc_top(&scratch.spare, GUESS_RANK * k);
+        *guess = Guess(((bucket as u32) << 16).max(1));
+        scratch.fallbacks += 1;
+    }
+    idx
+}
+
+/// The one-pass attempt every guessed entry point makes: with a guess
+/// carried and a guess-eligible Top-`k` of `n`, run `scan` — a `*_scan_ge`
+/// kernel call given the backend, the key to scan for, the candidate cap
+/// and the `pos`/`keys` buffers, returning the admitted count — and settle
+/// it with [`SelectScratch::pick`]. `None` when no scan ran or the guess
+/// missed; `guess` is then untouched and the caller owes the two-pass
+/// engine ([`select_reseed`]).
+fn one_pass(
+    n: usize,
+    k: usize,
+    scratch: &mut SelectScratch,
+    guess: &mut Guess,
+    scan: impl FnOnce(Kernel, u32, usize, &mut Vec<u32>, &mut Vec<u32>) -> usize,
+) -> Option<Vec<u32>> {
+    if guess.0 == 0 || !guessable(n, k) {
+        return None;
+    }
+    let (key, cap) = (guess.0, k * CAND_CAP);
+    let admitted = scan(scratch.kernel, key, cap, &mut scratch.pos, &mut scratch.keys);
+    scratch.pick(key, k, admitted, guess)
+}
+
+/// [`radix_topk_indices`] with a carried [`Guess`]: on a wide segment with
+/// a sparse `k`, one [`Kernel::scan_ge`] pass for the candidates at or
+/// above the guess, the exact cut settled among them; otherwise, or when
+/// the guess misses, the two-pass engine (which reseeds the guess).
+/// Bitwise identical to [`radix_topk_indices`] for every guess.
+pub fn radix_topk_indices_guessed(
+    seg: &[f32],
+    k: usize,
+    scratch: &mut SelectScratch,
+    guess: &mut Guess,
+) -> Vec<u32> {
+    one_pass(seg.len(), k, scratch, guess, |kernel, key, cap, pos, keys| {
+        kernel.scan_ge(seg, key, cap, pos, keys)
+    })
+    .unwrap_or_else(|| select_reseed(seg, k, scratch, guess))
+}
+
+/// SAMomentum's update fused into its selection (paper Alg. 3 l.5-8):
+/// `u ← momentum·u + lr·grad`, then the Top-`k` of `|u|` — one pass over
+/// `u` and `grad` when the guess holds ([`Kernel::momentum_scan_ge`]).
+/// `u` and the returned indices are what the update loop followed by
+/// [`radix_topk_indices`] leaves, for every guess and on either backend —
+/// bit for bit, except that where `u[i]` and `grad[i]` are both NaN the
+/// result is a NaN whose payload (and so whose rank among NaNs) is
+/// unspecified, as it already is between two builds of the plain loop.
+pub fn momentum_topk_indices(
+    u: &mut [f32],
+    grad: &[f32],
+    momentum: f32,
+    lr: f32,
+    k: usize,
+    scratch: &mut SelectScratch,
+    guess: &mut Guess,
+) -> Vec<u32> {
+    assert_eq!(u.len(), grad.len(), "gradient size mismatch");
+    let mut updated = false;
+    let hit = one_pass(u.len(), k, scratch, guess, |kernel, key, cap, pos, keys| {
+        updated = true;
+        kernel.momentum_scan_ge(u, grad, momentum, lr, key, cap, pos, keys)
+    });
+    if let Some(idx) = hit {
+        return idx;
+    }
+    if !updated {
+        for (ui, &g) in u.iter_mut().zip(grad.iter()) {
+            *ui = momentum * *ui + lr * g;
+        }
+    }
+    select_reseed(u, k, scratch, guess)
+}
+
+/// The Top-`k` positions of `m − v` in one pass that never materialises the
+/// difference ([`Kernel::diff_scan_ge`]), with the difference's nonzero
+/// count. `None` — no guess, not guess-eligible, or a guess that missed —
+/// leaves the caller to materialise the difference and run
+/// [`select_reseed`] on it; a miss has then cost one walk of `m` and `v` on
+/// top of the two-pass form's five.
+pub(crate) fn diff_topk_indices(
+    m: &[f32],
+    v: &[f32],
+    k: usize,
+    scratch: &mut SelectScratch,
+    guess: &mut Guess,
+) -> Option<(Vec<u32>, usize)> {
+    let mut nonzero = 0;
+    let pos = one_pass(m.len(), k, scratch, guess, |kernel, key, cap, pos, keys| {
+        let (nz, admitted) = kernel.diff_scan_ge(m, v, key, cap, pos, keys);
+        nonzero = nz;
+        admitted
+    })?;
+    Some((pos, nonzero))
 }
 
 /// Radix k-th magnitude — bitwise identical to
@@ -667,6 +919,62 @@ mod tests {
             assert_eq!(ri, ci, "k = {k}");
             assert_eq!(bits(&rv), bits(&cv), "k = {k}");
         }
+    }
+
+    /// The one-pass settle step on its own, below the wide cutoff where
+    /// the public entry points never reach it: for every floor drawn from
+    /// the data (and one ulp either side), every `k` the floor admits
+    /// enough candidates for must come out as the comparator's Top-k.
+    #[test]
+    fn pick_is_exact_for_every_floor_that_admits_k() {
+        let mut s = SelectScratch::new();
+        let mut seg = vec![
+            0.0f32,
+            -0.0,
+            1.0e-42,
+            f32::MIN_POSITIVE,
+            0.5,
+            -0.5,
+            0.5,
+            1.0,
+            1.0 + f32::EPSILON,
+            -1.0,
+            3.0e4, // far above small floors: lands in the clamped top bucket
+            -3.0e4,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7F80_0001),
+        ];
+        seg.extend((0..200).map(|i| (i as f32 * 0.37).sin() * 0.9));
+        let mut floors: Vec<u32> = seg.iter().map(|&v| mag_key(v)).collect();
+        floors.extend(floors.clone().iter().flat_map(|&f| [f.saturating_sub(1), f + 1]));
+        let mut settled = 0;
+        for floor in floors {
+            if floor == 0 {
+                continue;
+            }
+            let admitted = s.kernel.scan_ge(&seg, floor, usize::MAX, &mut s.pos, &mut s.keys);
+            for k in 1..=admitted {
+                // `pick` consumes neither `pos` nor `keys`, so one scan
+                // serves every k; k·CAND_CAP < admitted must refuse.
+                let mut guess = Guess(floor);
+                match s.pick(floor, k, admitted, &mut guess) {
+                    Some(idx) => {
+                        assert_eq!(
+                            idx,
+                            crate::topk::topk_indices(&seg, k),
+                            "floor {floor:#x} k {k}"
+                        );
+                        assert!(guess.0 >= 1);
+                        settled += 1;
+                    }
+                    None => assert!(admitted > k * CAND_CAP, "floor {floor:#x} k {k} refused"),
+                }
+            }
+            assert_eq!(s.pick(floor, admitted + 1, admitted, &mut Guess(floor)), None);
+        }
+        assert!(settled > 10_000, "only {settled} selections settled");
     }
 
     #[test]

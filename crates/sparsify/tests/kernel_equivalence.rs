@@ -18,7 +18,8 @@ use dgs_sparsify::merge::{
     diff_pairs_dense_with, send_all_dense_with, send_topk_dense, sort_dedup, sort_dedup_pooled,
 };
 use dgs_sparsify::{
-    radix_threshold, radix_topk_indices, Kernel, SelectScratch, SparseUpdate, SparseVec,
+    mag_key, momentum_topk_indices, radix_threshold, radix_topk_indices,
+    radix_topk_indices_guessed, Guess, Kernel, SelectScratch, SparseUpdate, SparseVec,
     TernaryUpdate, TernaryVec,
 };
 use dgs_tensor::BufferPool;
@@ -73,10 +74,34 @@ fn assert_merge_equivalent(m: &[f32], v: &[f32], k: usize) {
         let mut vv = v.to_vec();
         let mut dirty = Vec::new();
         let mut scratch = SelectScratch::new().with_kernel(kernel);
-        let (i, val, nnz) = send_topk_dense(m, &mut vv, k, true, &mut dirty, &mut scratch);
+        let mut guess = Guess::default();
+        let (i, val, nnz) =
+            send_topk_dense(m, &mut vv, k, true, &mut dirty, &mut scratch, &mut guess);
         (i, bits(&val), nnz, bits(&vv), dirty)
     };
     assert_eq!(run_topk(Kernel::Scalar), run_topk(Kernel::Simd), "send_topk diverged");
+}
+
+/// Asserts the guessed forms agree across backends on a wide segment, for
+/// guesses that hit, miss low and miss high: same indices, same updated
+/// buffer, same carried guess, same engine taken.
+fn assert_guessed_equivalent(seg: &[f32], k: usize) {
+    let thr = mag_key(radix_threshold(seg, k, &mut SelectScratch::new()));
+    let grad: Vec<f32> = seg.iter().rev().map(|&g| if g.is_nan() { 0.5 } else { g }).collect();
+    for key in [0, 1, thr / 2, thr - 1, thr, thr + 1, u32::MAX] {
+        let run = |kernel: Kernel| {
+            let mut scratch = SelectScratch::new().with_kernel(kernel);
+            let mut guess = Guess::from_key(key);
+            let plain = radix_topk_indices_guessed(seg, k, &mut scratch, &mut guess);
+            let again = radix_topk_indices_guessed(seg, k, &mut scratch, &mut guess);
+            let mut u: Vec<f32> = seg.iter().map(|&x| if x.is_nan() { 1.0 } else { x }).collect();
+            let mut fused_guess = Guess::from_key(key);
+            let fused =
+                momentum_topk_indices(&mut u, &grad, 0.7, 0.05, k, &mut scratch, &mut fused_guess);
+            (plain, again, guess, fused, bits(&u), fused_guess, scratch.tally())
+        };
+        assert_eq!(run(Kernel::Scalar), run(Kernel::Simd), "guessed forms diverged at {key:#x}");
+    }
 }
 
 /// Asserts radix selection agrees when only the scratch's kernel differs.
@@ -241,6 +266,52 @@ fn pinned_torture_corpus_merge_and_select() {
         for k in [0, 1, n / 100 + 1, n / 2, n] {
             assert_select_equivalent(&seg, k.min(n));
         }
+    }
+}
+
+#[test]
+fn guessed_forms_agree_across_backends_on_wide_segments() {
+    let raw = torture_segments().pop().expect("the wide raw-bits segment");
+    // Gradient-shaped: heavy-tailed magnitudes, plateaus of exact ties, and
+    // a sprinkle of ±0 / denormals / NaN payloads.
+    let shaped: Vec<f32> = (0..50_021u32)
+        .map(|i| match i % 97 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(0x7FC0_0000 | (i & 0xFF)),
+            3 => 1.0e-41,
+            4..=9 => 0.75,
+            _ => ((i.wrapping_mul(2_654_435_761) >> 8) as f32 / 16_777_216.0 - 0.5).powi(5),
+        })
+        .collect();
+    for seg in [raw, shaped] {
+        let n = seg.len();
+        for k in [1, n / 100, n / 8] {
+            assert_guessed_equivalent(&seg, k);
+        }
+        // The one-pass dense-diff send, two rounds on a carried guess.
+        let mut v0 = seg.clone();
+        v0.rotate_right(n / 3 + 1);
+        let run = |kernel: Kernel| {
+            let mut scratch = SelectScratch::new().with_kernel(kernel);
+            let mut guess = Guess::default();
+            let mut v = v0.clone();
+            let mut sent = Vec::new();
+            for _ in 0..3 {
+                let (i, val, nnz) = send_topk_dense(
+                    &seg,
+                    &mut v,
+                    n / 100,
+                    false,
+                    &mut Vec::new(),
+                    &mut scratch,
+                    &mut guess,
+                );
+                sent.push((i, bits(&val), nnz, guess));
+            }
+            (sent, bits(&v), scratch.tally())
+        };
+        assert_eq!(run(Kernel::Scalar), run(Kernel::Simd), "one-pass dense send diverged");
     }
 }
 

@@ -10,9 +10,10 @@
 //! `u32` bit patterns through `f32::from_bits` so nothing in the float
 //! space is out of scope.
 
-use dgs_sparsify::merge::topk_pairs;
+use dgs_sparsify::merge::{diff_pairs_dense, send_topk_dense, topk_pairs};
 use dgs_sparsify::{
-    radix_threshold, radix_topk_indices, radix_topk_pairs, topk_indices, topk_threshold,
+    mag_key, momentum_topk_indices, radix_threshold, radix_topk_indices,
+    radix_topk_indices_guessed, radix_topk_pairs, topk_indices, topk_threshold, Guess,
     SelectScratch,
 };
 use proptest::prelude::*;
@@ -118,6 +119,205 @@ proptest! {
         prop_assert_eq!(xv.len(), rv.len());
         for (a, b) in xv.iter().zip(rv.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Carried guesses: exact for every guess
+// ---------------------------------------------------------------------------
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The guesses every input is probed with: none, "every nonzero", one ulp
+/// either side of the exact threshold `thr` and the threshold itself, +∞,
+/// the NaN band's ends, and a key above every key.
+fn guess_keys(thr: u32) -> [u32; 9] {
+    [0, 1, thr.saturating_sub(1), thr, thr + 1, 0x7F80_0000, 0x7F80_0001, 0x7FFF_FFFF, u32::MAX]
+}
+
+/// Every guessed form against the comparator, for every probe guess — and
+/// once more with whatever guess the first call left behind, which must be
+/// as harmless as the one it replaced. Returns the scratch's
+/// `(one_pass, fallbacks)` tally so callers can tell which engine ran.
+fn assert_exact_for_every_guess(seg: &[f32], k: usize) -> (u64, u64) {
+    let reference = topk_indices(seg, k);
+    let thr = if (1..=seg.len()).contains(&k) { mag_key(topk_threshold(seg, k)) } else { 0 };
+    let mut scratch = SelectScratch::new();
+
+    // The momentum form selects on `u = 0.5·seg + 2·grad`; its reference is
+    // the update loop, then the comparator. Where `seg` is NaN the gradient
+    // is finite: which payload a sum of two NaNs keeps is unspecified.
+    let grad: Vec<f32> = seg
+        .iter()
+        .rev()
+        .zip(seg)
+        .map(|(&g, &u)| if g.is_nan() || u.is_nan() { 0.25 } else { g })
+        .collect();
+    let updated: Vec<f32> = seg.iter().zip(&grad).map(|(&u, &g)| 0.5 * u + 2.0 * g).collect();
+    let updated_ref = topk_indices(&updated, k);
+    let updated_thr =
+        if (1..=seg.len()).contains(&k) { mag_key(topk_threshold(&updated, k)) } else { 0 };
+
+    // The dense-diff form selects on `seg − v`; its reference is the
+    // comparator over the nonzero pairs.
+    let v0: Vec<f32> = seg.iter().map(|&x| if x.is_nan() { 1.0 } else { x * 0.5 }).collect();
+    let (all_idx, all_val) = diff_pairs_dense(seg, &v0);
+    let (diff_idx, diff_val) = topk_pairs(&all_idx, &all_val, k);
+
+    for (key, ukey) in guess_keys(thr).into_iter().zip(guess_keys(updated_thr)) {
+        let mut guess = Guess::from_key(key);
+        for round in 0..2 {
+            let got = radix_topk_indices_guessed(seg, k, &mut scratch, &mut guess);
+            assert_eq!(got, reference, "guess {key:#x} round {round} k={k} n={}", seg.len());
+        }
+
+        let mut guess = Guess::from_key(ukey);
+        for round in 0..2 {
+            let mut u = seg.to_vec();
+            let got = momentum_topk_indices(&mut u, &grad, 0.5, 2.0, k, &mut scratch, &mut guess);
+            assert_eq!(got, updated_ref, "momentum guess {ukey:#x} round {round} k={k}");
+            assert_eq!(bits(&u), bits(&updated), "momentum update bits, guess {ukey:#x}");
+        }
+
+        if k >= 1 {
+            let mut guess = Guess::from_key(key);
+            for round in 0..2 {
+                let mut v = v0.clone();
+                let (idx, val, nnz) = send_topk_dense(
+                    seg,
+                    &mut v,
+                    k,
+                    false,
+                    &mut Vec::new(),
+                    &mut scratch,
+                    &mut guess,
+                );
+                assert_eq!(idx, diff_idx, "diff guess {key:#x} round {round} k={k}");
+                assert_eq!(bits(&val), bits(&diff_val), "diff values, guess {key:#x}");
+                assert_eq!(nnz, all_idx.len());
+            }
+        }
+    }
+    scratch.tally()
+}
+
+/// `len` elements cycling through `palette`, with a deterministic scatter
+/// of distinct "gradient" magnitudes on every seventh position so a cut at
+/// a sparse `k` has both a strict part and a plateau to land in.
+fn wide_from(palette: &[f32], len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            if i % 7 == 3 {
+                let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+                sign * (1.0 + (i % 4099) as f32 * 1e-3)
+            } else {
+                palette[i % palette.len()]
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn guessed_forms_exact_on_wide_torture_segments() {
+    let palettes: [&[f32]; 6] = [
+        // One tie plateau.
+        &[0.5, -0.5],
+        // ±0 and denormals under the scatter.
+        &[0.0, -0.0, 1.0e-42, f32::MIN_POSITIVE / 2.0],
+        // NaN payloads and infinities above it.
+        &[f32::NAN, 0.0, f32::INFINITY, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        &[
+            f32::from_bits(0x7F80_0001),
+            0.25,
+            f32::from_bits(0x7FFF_FFFF),
+            0.25,
+            f32::NEG_INFINITY,
+            0.25,
+            -f32::NAN,
+            0.25,
+            0.25,
+            0.25,
+            0.25,
+            0.25,
+            0.25,
+        ],
+        // One-ulp plateau at the top of the scatter's range.
+        &[5.0, 5.0 + 4.0 * f32::EPSILON, 1.0e-3],
+        &[f32::MAX, -f32::MAX, f32::MIN_POSITIVE, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ];
+    for palette in palettes {
+        let (mut one_pass, mut fallbacks) = (0, 0);
+        for n in [32_768usize, 40_001] {
+            let seg = wide_from(palette, n);
+            // Sparse ks take the one-pass path when the guess allows it (a
+            // plateau wider than the candidate cap never does) …
+            for k in [1, 37, n / 100, n / 8] {
+                let tally = assert_exact_for_every_guess(&seg, k);
+                one_pass += tally.0;
+                fallbacks += tally.1;
+            }
+            // … n/4 and n − 1 are too dense for it and must still be exact.
+            for k in [n / 4, n - 1] {
+                assert_eq!(assert_exact_for_every_guess(&seg, k), (0, 0), "k={k}");
+            }
+        }
+        assert!(one_pass >= 40 && fallbacks >= 40, "{palette:?}: {one_pass} / {fallbacks}");
+    }
+}
+
+#[test]
+fn guessed_forms_exact_on_small_torture_segments() {
+    // Below the wide cutoff a guess is carried but never consulted.
+    let seg = [f32::NAN, 1.0, -1.0, 0.0, -0.0, f32::INFINITY, 1.0e-42, 0.5, -0.5, f32::MAX];
+    for k in 0..=seg.len() {
+        assert_exact_for_every_guess(&seg, k);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any guess — raw bits, or a key lifted from the data so it lands
+    /// inside the segment's range — gives the indices `radix_topk_indices`
+    /// gives, and so does the guess it leaves behind.
+    #[test]
+    fn any_guess_matches_the_two_pass_engine(
+        seed in any::<u64>(),
+        n in 32_768usize..36_000,
+        k in 1usize..5_000,
+        raw_guess in any::<u32>(),
+        lifted in any::<proptest::sample::Index>(),
+        specials in 0usize..4,
+    ) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let seg: Vec<f32> = (0..n)
+            .map(|_| {
+                let r = next();
+                match r % 64 {
+                    0 if specials >= 1 => f32::from_bits((r >> 32) as u32),
+                    1 if specials >= 2 => 0.0,
+                    2 if specials >= 3 => 1.5,
+                    _ => ((r >> 40) as f32 / 16_777_216.0 - 0.5).powi(3),
+                }
+            })
+            .collect();
+        let mut scratch = SelectScratch::new();
+        let reference = radix_topk_indices(&seg, k, &mut scratch);
+        for key in [raw_guess, mag_key(*lifted.get(&seg))] {
+            let mut guess = Guess::from_key(key);
+            for _ in 0..3 {
+                let got = radix_topk_indices_guessed(&seg, k, &mut scratch, &mut guess);
+                prop_assert_eq!(&got, &reference, "guess {:#x}", key);
+            }
         }
     }
 }

@@ -8,7 +8,9 @@
 //! denormals, signed zeros, one-ulp tie plateaus included — so backend
 //! choice can never change a payload, only its cost. The differential
 //! suites in `crates/sparsify/tests/kernel_equivalence.rs` and the unit
-//! tests below pin that contract.
+//! tests below pin that contract. The arithmetic kernels' one exclusion,
+//! spelled out on [`Kernel::momentum_scan_ge`] and in [`crate::gemm`]: the
+//! payload of a NaN computed from two NaNs.
 //!
 //! Selection order (cached process-wide on first use):
 //!
@@ -153,6 +155,82 @@ impl Kernel {
         match self {
             Kernel::Scalar => scalar::gather_keys(seg, prefix, shift, keys),
             Kernel::Simd => crate::simd::gather_keys(seg, prefix, shift, keys),
+        }
+    }
+
+    /// One-pass candidate scan: every element whose [`mag_key`] is
+    /// `>= guess`, as `(position, key)` in ascending position. `pos` and
+    /// `keys` are cleared first and receive the first `cap` admitted
+    /// elements; the return value counts *all* of them, so a caller whose
+    /// guess admits more than it is willing to refine sees that from the
+    /// count and pays for at most `cap` emits. A `guess` above every key
+    /// (`> 0x7FFF_FFFF`) admits nothing.
+    #[inline]
+    pub fn scan_ge(
+        self,
+        seg: &[f32],
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> usize {
+        match self {
+            Kernel::Scalar => scalar::scan_ge(seg, guess, cap, pos, keys),
+            Kernel::Simd => crate::simd::scan_ge(seg, guess, cap, pos, keys),
+        }
+    }
+
+    /// [`Kernel::scan_ge`] fused behind the momentum update it selects
+    /// on: `u[i] = momentum * u[i] + lr * grad[i]` (two multiplies and an
+    /// add, never fused — the expression the unfused loop evaluates), the
+    /// result stored and its key compared in the same pass.
+    ///
+    /// The one exception to the module's bitwise contract: where `u[i]`
+    /// and `grad[i]` are *both* NaN the sum is a NaN whose payload — and
+    /// with it the stored bits and the emitted key — is unspecified (LLVM
+    /// may commute the add; x86 keeps its first operand's payload), so the
+    /// backends, or two builds of the scalar loop, may differ there. Every
+    /// other lane, a NaN on one side included, is bit-exact.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn momentum_scan_ge(
+        self,
+        u: &mut [f32],
+        grad: &[f32],
+        momentum: f32,
+        lr: f32,
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> usize {
+        match self {
+            Kernel::Scalar => {
+                scalar::momentum_scan_ge(u, grad, momentum, lr, guess, cap, pos, keys)
+            }
+            Kernel::Simd => {
+                crate::simd::momentum_scan_ge(u, grad, momentum, lr, guess, cap, pos, keys)
+            }
+        }
+    }
+
+    /// [`Kernel::scan_ge`] over the difference `m[i] - v[i]`, which is
+    /// never stored. Returns `(nonzero, admitted)`: the count of nonzero
+    /// differences under [`Kernel::diff_into`]'s rule, and the admitted
+    /// count as in [`Kernel::scan_ge`].
+    #[inline]
+    pub fn diff_scan_ge(
+        self,
+        m: &[f32],
+        v: &[f32],
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> (usize, usize) {
+        match self {
+            Kernel::Scalar => scalar::diff_scan_ge(m, v, guess, cap, pos, keys),
+            Kernel::Simd => crate::simd::diff_scan_ge(m, v, guess, cap, pos, keys),
         }
     }
 
@@ -385,6 +463,86 @@ pub(crate) mod scalar {
         }
     }
 
+    /// Emit step shared by the three `*_scan_ge` twins and the SIMD
+    /// backend's tails: counts an admitted element and records it while
+    /// fewer than `cap` are held.
+    #[inline(always)]
+    pub(crate) fn admit(
+        i: usize,
+        key: u32,
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> usize {
+        if key < guess {
+            return 0;
+        }
+        if pos.len() < cap {
+            pos.push(i as u32);
+            keys.push(key);
+        }
+        1
+    }
+
+    pub(crate) fn scan_ge(
+        seg: &[f32],
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> usize {
+        pos.clear();
+        keys.clear();
+        let mut admitted = 0usize;
+        for (i, &x) in seg.iter().enumerate() {
+            admitted += admit(i, mag_key(x), guess, cap, pos, keys);
+        }
+        admitted
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn momentum_scan_ge(
+        u: &mut [f32],
+        grad: &[f32],
+        momentum: f32,
+        lr: f32,
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> usize {
+        assert_eq!(u.len(), grad.len());
+        pos.clear();
+        keys.clear();
+        let mut admitted = 0usize;
+        for (i, (ui, &g)) in u.iter_mut().zip(grad.iter()).enumerate() {
+            *ui = momentum * *ui + lr * g;
+            admitted += admit(i, mag_key(*ui), guess, cap, pos, keys);
+        }
+        admitted
+    }
+
+    pub(crate) fn diff_scan_ge(
+        m: &[f32],
+        v: &[f32],
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> (usize, usize) {
+        assert_eq!(m.len(), v.len());
+        pos.clear();
+        keys.clear();
+        let (mut nnz, mut admitted) = (0usize, 0usize);
+        for (i, (&mi, &vi)) in m.iter().zip(v.iter()).enumerate() {
+            let d = mi - vi;
+            nnz += (d != 0.0) as usize;
+            admitted += admit(i, mag_key(d), guess, cap, pos, keys);
+        }
+        (nnz, admitted)
+    }
+
     pub(crate) fn diff_into(m: &[f32], v: &[f32], out: &mut Vec<f32>) -> usize {
         assert_eq!(m.len(), v.len());
         out.clear();
@@ -578,6 +736,114 @@ mod tests {
                 Kernel::Scalar.gather_keys(&seg, prefix, shift, &mut k1);
                 Kernel::Simd.gather_keys(&seg, prefix, shift, &mut k2);
                 assert_eq!(k1, k2, "gather diverged (len {}, shift {shift})", seg.len());
+            }
+        }
+    }
+
+    /// Guess keys worth probing on `seg`: the extremes, the NaN band, and
+    /// keys drawn from the data (so some elements sit exactly on the bound).
+    fn guesses_for(seg: &[f32]) -> Vec<u32> {
+        let mut out = vec![0u32, 1, 0x7F80_0000, 0x7F80_0001, 0x7FFF_FFFF, 0x8000_0000, u32::MAX];
+        for &v in seg.iter().step_by(seg.len() / 3 + 1) {
+            let key = mag_key(v);
+            out.extend([key.saturating_sub(1), key, key.saturating_add(1)]);
+        }
+        out
+    }
+
+    fn bits_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn scan_ge_backends_identical_and_exact() {
+        for seg in torture_cases() {
+            for guess in guesses_for(&seg) {
+                for cap in [0usize, 1, 5, usize::MAX] {
+                    let (mut p1, mut k1) = (vec![9], vec![9]);
+                    let (mut p2, mut k2) = (vec![7, 7], Vec::new());
+                    let c1 = Kernel::Scalar.scan_ge(&seg, guess, cap, &mut p1, &mut k1);
+                    let c2 = Kernel::Simd.scan_ge(&seg, guess, cap, &mut p2, &mut k2);
+                    assert_eq!(
+                        (c1, &p1, &k1),
+                        (c2, &p2, &k2),
+                        "len {} guess {guess:#x}",
+                        seg.len()
+                    );
+                    // Against the definition: every key >= guess, ascending,
+                    // the first `cap` of them held.
+                    let all: Vec<(u32, u32)> = seg
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| (i as u32, mag_key(v)))
+                        .filter(|&(_, key)| key >= guess)
+                        .collect();
+                    assert_eq!(c1, all.len());
+                    let held: Vec<(u32, u32)> =
+                        p1.iter().copied().zip(k1.iter().copied()).collect();
+                    assert_eq!(held, all[..all.len().min(cap)]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn momentum_scan_ge_matches_update_then_scan() {
+        for u0 in torture_cases() {
+            // Gradient stream: the same mix shifted by one; a lane that is
+            // NaN on both sides gets a finite gradient, because which NaN
+            // payload an add of two NaNs keeps is unspecified.
+            let mut grad = u0.clone();
+            grad.rotate_left(u0.len().min(1));
+            for (g, u) in grad.iter_mut().zip(&u0) {
+                if g.is_nan() && u.is_nan() {
+                    *g = 0.5;
+                }
+            }
+            for (momentum, lr) in [(0.7f32, 0.05f32), (0.5, 5.0)] {
+                // The unfused form: the update loop, then a plain scan.
+                let mut u_ref = u0.clone();
+                for (u, &g) in u_ref.iter_mut().zip(&grad) {
+                    *u = momentum * *u + lr * g;
+                }
+                for guess in guesses_for(&u_ref) {
+                    let (mut pr, mut kr) = (Vec::new(), Vec::new());
+                    let cr = Kernel::Scalar.scan_ge(&u_ref, guess, 6, &mut pr, &mut kr);
+                    for kernel in [Kernel::Scalar, Kernel::Simd] {
+                        let mut u = u0.clone();
+                        let (mut p, mut k) = (vec![3], vec![3]);
+                        let c = kernel.momentum_scan_ge(
+                            &mut u, &grad, momentum, lr, guess, 6, &mut p, &mut k,
+                        );
+                        assert_eq!(bits_of(&u), bits_of(&u_ref), "{kernel:?} update bits");
+                        assert_eq!((c, &p, &k), (cr, &pr, &kr), "{kernel:?} guess {guess:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diff_scan_ge_matches_diff_into_then_scan() {
+        for m in torture_cases() {
+            let mut v = m.clone();
+            if !v.is_empty() {
+                let r = (v.len() / 3 + 1) % v.len();
+                v.rotate_right(r);
+            }
+            for vv in [v, vec![0.0; m.len()], m.clone()] {
+                let mut diff = Vec::new();
+                let nnz_ref = Kernel::Scalar.diff_into(&m, &vv, &mut diff);
+                for guess in guesses_for(&diff) {
+                    let (mut pr, mut kr) = (Vec::new(), Vec::new());
+                    let cr = Kernel::Scalar.scan_ge(&diff, guess, 6, &mut pr, &mut kr);
+                    for kernel in [Kernel::Scalar, Kernel::Simd] {
+                        let (mut p, mut k) = (vec![3], vec![3]);
+                        let got = kernel.diff_scan_ge(&m, &vv, guess, 6, &mut p, &mut k);
+                        assert_eq!(got, (nnz_ref, cr), "{kernel:?} guess {guess:#x}");
+                        assert_eq!((&p, &k), (&pr, &kr), "{kernel:?} guess {guess:#x}");
+                    }
+                }
             }
         }
     }

@@ -108,6 +108,59 @@ pub(crate) fn gather_keys(seg: &[f32], prefix: u32, shift: u32, keys: &mut Vec<u
     crate::kernel::scalar::gather_keys(seg, prefix, shift, keys);
 }
 
+pub(crate) fn scan_ge(
+    seg: &[f32],
+    guess: u32,
+    cap: usize,
+    pos: &mut Vec<u32>,
+    keys: &mut Vec<u32>,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified; the target-feature
+        // function is otherwise safe Rust.
+        return unsafe { avx2::scan_ge(seg, guess, cap, pos, keys) };
+    }
+    crate::kernel::scalar::scan_ge(seg, guess, cap, pos, keys)
+}
+
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn momentum_scan_ge(
+    u: &mut [f32],
+    grad: &[f32],
+    momentum: f32,
+    lr: f32,
+    guess: u32,
+    cap: usize,
+    pos: &mut Vec<u32>,
+    keys: &mut Vec<u32>,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified; the target-feature
+        // function is otherwise safe Rust.
+        return unsafe { avx2::momentum_scan_ge(u, grad, momentum, lr, guess, cap, pos, keys) };
+    }
+    crate::kernel::scalar::momentum_scan_ge(u, grad, momentum, lr, guess, cap, pos, keys)
+}
+
+pub(crate) fn diff_scan_ge(
+    m: &[f32],
+    v: &[f32],
+    guess: u32,
+    cap: usize,
+    pos: &mut Vec<u32>,
+    keys: &mut Vec<u32>,
+) -> (usize, usize) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified; the target-feature
+        // function is otherwise safe Rust.
+        return unsafe { avx2::diff_scan_ge(m, v, guess, cap, pos, keys) };
+    }
+    crate::kernel::scalar::diff_scan_ge(m, v, guess, cap, pos, keys)
+}
+
 pub(crate) fn diff_into(m: &[f32], v: &[f32], out: &mut Vec<f32>) -> usize {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
@@ -273,6 +326,97 @@ mod avx2 {
         counts.truncate(HIST16_BUCKETS);
     }
 
+    /// A 32-element window of keys compared against one lower bound:
+    /// the unit all the scan kernels below share. One branch per window
+    /// decides whether anything in it emits; the set bits of the mask are
+    /// then walked with `trailing_zeros`, so emission visits exactly the
+    /// admitted lanes, in ascending position — the order the scalar
+    /// twins emit in.
+    struct Window {
+        /// The sign-stripped keys, eight lanes per vector, in order.
+        keys: [__m256i; 4],
+        /// Bit `j` set iff element `j` of the window is `>=` the bound.
+        hits: u32,
+    }
+
+    impl Window {
+        /// Lower bound `lo` prepared for [`Window::of_bits`]: biased by the
+        /// sign bit so a signed lane compare orders keys as unsigned.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn bound(lo: u32) -> __m256i {
+            _mm256_xor_si256(_mm256_set1_epi32(lo as i32), _mm256_set1_epi32(i32::MIN))
+        }
+
+        /// The window over four vectors of raw f32 bits.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn of_bits(bits: [__m256i; 4], lo_x: __m256i) -> Window {
+            let mask = _mm256_set1_epi32(MAG_MASK as i32);
+            let sgn = _mm256_set1_epi32(i32::MIN);
+            let mut keys = bits;
+            let mut below = 0u32;
+            for (ci, k) in keys.iter_mut().enumerate() {
+                *k = _mm256_and_si256(*k, mask);
+                let lt = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(*k, sgn));
+                below |= (_mm256_movemask_ps(_mm256_castsi256_ps(lt)) as u32) << (8 * ci);
+            }
+            Window { keys, hits: !below }
+        }
+
+        /// [`Window::of_bits`] over 32 floats in memory.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn of_floats(w: &[f32], lo_x: __m256i) -> Window {
+            assert_eq!(w.len(), 32);
+            // SAFETY: `w` is exactly 32 f32s (asserted); four unaligned
+            // loads of eight lanes each.
+            let bits = unsafe {
+                [
+                    _mm256_loadu_si256(w.as_ptr().cast()),
+                    _mm256_loadu_si256(w.as_ptr().add(8).cast()),
+                    _mm256_loadu_si256(w.as_ptr().add(16).cast()),
+                    _mm256_loadu_si256(w.as_ptr().add(24).cast()),
+                ]
+            };
+            Window::of_bits(bits, lo_x)
+        }
+
+        /// Calls `emit(j, key)` for every admitted element `j`, ascending.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn for_each_hit(&self, mut emit: impl FnMut(usize, u32)) {
+            let mut lanes = [0u32; 32];
+            for (ci, k) in self.keys.iter().enumerate() {
+                // SAFETY: `lanes` is 32 u32s and `ci < 4`, so the eight
+                // lanes stored at `8 * ci` stay inside it; unaligned store.
+                unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().add(8 * ci).cast(), *k) };
+            }
+            let mut bits = self.hits;
+            while bits != 0 {
+                let j = bits.trailing_zeros() as usize;
+                emit(j, lanes[j]);
+                bits &= bits - 1;
+            }
+        }
+
+        /// The `*_scan_ge` emit step: counts the window's admitted
+        /// elements and records them while fewer than `cap` are held.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn admit(&self, base: usize, cap: usize, pos: &mut Vec<u32>, keys: &mut Vec<u32>) -> usize {
+            if self.hits != 0 && pos.len() < cap {
+                self.for_each_hit(|j, key| {
+                    if pos.len() < cap {
+                        pos.push((base + j) as u32);
+                        keys.push(key);
+                    }
+                });
+            }
+            self.hits.count_ones() as usize
+        }
+    }
+
     #[target_feature(enable = "avx2")]
     pub(super) fn select_scan(
         seg: &[f32],
@@ -282,53 +426,23 @@ mod avx2 {
         pos: &mut Vec<u32>,
         definite: &mut Vec<u32>,
     ) {
-        let lo = prefix << shift;
-        let mask = _mm256_set1_epi32(MAG_MASK as i32);
-        let sgn = _mm256_set1_epi32(i32::MIN);
-        // Bias both sides by the sign bit so a signed compare orders the
-        // keys as unsigned.
-        let lo_x = _mm256_xor_si256(_mm256_set1_epi32(lo as i32), sgn);
+        // Both emit conditions imply `key >= prefix << shift`, and in the
+        // radix cascade ~1% of elements meet it: one branch per 32-element
+        // window skips the rest, and a hit window emits only its set lanes.
+        let lo_x = Window::bound(prefix << shift);
         let mut base = 0usize;
-        // 32-element skip windows: in the radix cascade the prefix matches
-        // ~1% of elements, so nearly every window is all-below — pay one
-        // AND-combined movemask branch per 32 elements instead of four.
-        // A lane of the AND is all-ones only when that lane is below `lo`
-        // in all four chunks, so a full mask still means "all 32 below".
         let mut windows = seg.chunks_exact(32);
         for w in &mut windows {
-            // SAFETY: `w` is exactly 32 f32s; four unaligned loads.
-            let (v0, v1, v2, v3) = unsafe {
-                (
-                    _mm256_loadu_si256(w.as_ptr().cast()),
-                    _mm256_loadu_si256(w.as_ptr().add(8).cast()),
-                    _mm256_loadu_si256(w.as_ptr().add(16).cast()),
-                    _mm256_loadu_si256(w.as_ptr().add(24).cast()),
-                )
-            };
-            let lt0 = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(_mm256_and_si256(v0, mask), sgn));
-            let lt1 = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(_mm256_and_si256(v1, mask), sgn));
-            let lt2 = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(_mm256_and_si256(v2, mask), sgn));
-            let lt3 = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(_mm256_and_si256(v3, mask), sgn));
-            let all =
-                _mm256_and_si256(_mm256_and_si256(lt0, lt1), _mm256_and_si256(lt2, lt3));
-            if _mm256_movemask_epi8(all) != -1 {
-                // Some lane somewhere is >= lo: refine chunk by chunk in
-                // order so the emit sequence matches the scalar twin.
-                for (ci, lt) in [lt0, lt1, lt2, lt3].into_iter().enumerate() {
-                    if _mm256_movemask_epi8(lt) != -1 {
-                        let off = base + 8 * ci;
-                        for (j, &x) in w[8 * ci..8 * ci + 8].iter().enumerate() {
-                            let key = mag_key(x);
-                            let b = key >> shift;
-                            if b == prefix {
-                                keys.push(key);
-                                pos.push((off + j) as u32);
-                            } else if b > prefix {
-                                definite.push((off + j) as u32);
-                            }
-                        }
+            let win = Window::of_floats(w, lo_x);
+            if win.hits != 0 {
+                win.for_each_hit(|j, key| {
+                    if key >> shift == prefix {
+                        keys.push(key);
+                        pos.push((base + j) as u32);
+                    } else {
+                        definite.push((base + j) as u32);
                     }
-                }
+                });
             }
             base += 32;
         }
@@ -347,41 +461,16 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     pub(super) fn gather_keys(seg: &[f32], prefix: u32, shift: u32, keys: &mut Vec<u32>) {
-        let lo = prefix << shift;
-        let mask = _mm256_set1_epi32(MAG_MASK as i32);
-        let sgn = _mm256_set1_epi32(i32::MIN);
-        let lo_x = _mm256_xor_si256(_mm256_set1_epi32(lo as i32), sgn);
-        // Same 32-element skip windows as `select_scan` (see above): one
-        // combined movemask branch per window, per-chunk refinement in
-        // order on a hit so the emit sequence matches the scalar twin.
+        let lo_x = Window::bound(prefix << shift);
         let mut windows = seg.chunks_exact(32);
         for w in &mut windows {
-            // SAFETY: `w` is exactly 32 f32s; four unaligned loads.
-            let (v0, v1, v2, v3) = unsafe {
-                (
-                    _mm256_loadu_si256(w.as_ptr().cast()),
-                    _mm256_loadu_si256(w.as_ptr().add(8).cast()),
-                    _mm256_loadu_si256(w.as_ptr().add(16).cast()),
-                    _mm256_loadu_si256(w.as_ptr().add(24).cast()),
-                )
-            };
-            let lt0 = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(_mm256_and_si256(v0, mask), sgn));
-            let lt1 = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(_mm256_and_si256(v1, mask), sgn));
-            let lt2 = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(_mm256_and_si256(v2, mask), sgn));
-            let lt3 = _mm256_cmpgt_epi32(lo_x, _mm256_xor_si256(_mm256_and_si256(v3, mask), sgn));
-            let all =
-                _mm256_and_si256(_mm256_and_si256(lt0, lt1), _mm256_and_si256(lt2, lt3));
-            if _mm256_movemask_epi8(all) != -1 {
-                for (ci, lt) in [lt0, lt1, lt2, lt3].into_iter().enumerate() {
-                    if _mm256_movemask_epi8(lt) != -1 {
-                        for &x in &w[8 * ci..8 * ci + 8] {
-                            let key = mag_key(x);
-                            if key >> shift == prefix {
-                                keys.push(key);
-                            }
-                        }
+            let win = Window::of_floats(w, lo_x);
+            if win.hits != 0 {
+                win.for_each_hit(|_, key| {
+                    if key >> shift == prefix {
+                        keys.push(key);
                     }
-                }
+                });
             }
         }
         for &x in windows.remainder() {
@@ -390,6 +479,127 @@ mod avx2 {
                 keys.push(key);
             }
         }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scan_ge(
+        seg: &[f32],
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> usize {
+        pos.clear();
+        keys.clear();
+        let lo_x = Window::bound(guess);
+        let (mut admitted, mut base) = (0usize, 0usize);
+        let mut windows = seg.chunks_exact(32);
+        for w in &mut windows {
+            admitted += Window::of_floats(w, lo_x).admit(base, cap, pos, keys);
+            base += 32;
+        }
+        for &x in windows.remainder() {
+            admitted += scalar::admit(base, mag_key(x), guess, cap, pos, keys);
+            base += 1;
+        }
+        admitted
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn momentum_scan_ge(
+        u: &mut [f32],
+        grad: &[f32],
+        momentum: f32,
+        lr: f32,
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> usize {
+        assert_eq!(u.len(), grad.len());
+        pos.clear();
+        keys.clear();
+        let lo_x = Window::bound(guess);
+        let (mv, lrv) = (_mm256_set1_ps(momentum), _mm256_set1_ps(lr));
+        let (mut admitted, mut base) = (0usize, 0usize);
+        let mut uw = u.chunks_exact_mut(32);
+        let mut gw = grad.chunks_exact(32);
+        for (uc, gc) in (&mut uw).zip(&mut gw) {
+            let mut bits = [_mm256_setzero_si256(); 4];
+            for (ci, b) in bits.iter_mut().enumerate() {
+                // SAFETY: `uc` and `gc` are exactly 32 f32s and `ci < 4`,
+                // so lanes `8 * ci .. 8 * ci + 8` are in bounds of both;
+                // unaligned loads and store.
+                let un = unsafe {
+                    // vmulps/vmulps/vaddps, each rounding like its scalar
+                    // operator: AVX2 without FMA cannot contract them.
+                    let un = _mm256_add_ps(
+                        _mm256_mul_ps(mv, _mm256_loadu_ps(uc.as_ptr().add(8 * ci))),
+                        _mm256_mul_ps(lrv, _mm256_loadu_ps(gc.as_ptr().add(8 * ci))),
+                    );
+                    _mm256_storeu_ps(uc.as_mut_ptr().add(8 * ci), un);
+                    un
+                };
+                *b = _mm256_castps_si256(un);
+            }
+            admitted += Window::of_bits(bits, lo_x).admit(base, cap, pos, keys);
+            base += 32;
+        }
+        for (ui, &g) in uw.into_remainder().iter_mut().zip(gw.remainder()) {
+            *ui = momentum * *ui + lr * g;
+            admitted += scalar::admit(base, mag_key(*ui), guess, cap, pos, keys);
+            base += 1;
+        }
+        admitted
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn diff_scan_ge(
+        m: &[f32],
+        v: &[f32],
+        guess: u32,
+        cap: usize,
+        pos: &mut Vec<u32>,
+        keys: &mut Vec<u32>,
+    ) -> (usize, usize) {
+        assert_eq!(m.len(), v.len());
+        pos.clear();
+        keys.clear();
+        let lo_x = Window::bound(guess);
+        let zero = _mm256_setzero_ps();
+        let (mut nnz, mut admitted, mut base) = (0usize, 0usize, 0usize);
+        let mut mw = m.chunks_exact(32);
+        let mut vw = v.chunks_exact(32);
+        for (mc, vc) in (&mut mw).zip(&mut vw) {
+            let mut bits = [_mm256_setzero_si256(); 4];
+            let mut nonzero = 0u32;
+            for (ci, b) in bits.iter_mut().enumerate() {
+                // SAFETY: `mc` and `vc` are exactly 32 f32s and `ci < 4`,
+                // so lanes `8 * ci .. 8 * ci + 8` are in bounds of both;
+                // unaligned loads.
+                let d = unsafe {
+                    _mm256_sub_ps(
+                        _mm256_loadu_ps(mc.as_ptr().add(8 * ci)),
+                        _mm256_loadu_ps(vc.as_ptr().add(8 * ci)),
+                    )
+                };
+                // Same subtract and nonzero rule as `diff_into`.
+                let ne = _mm256_cmp_ps::<_CMP_NEQ_UQ>(d, zero);
+                nonzero |= (_mm256_movemask_ps(ne) as u32) << (8 * ci);
+                *b = _mm256_castps_si256(d);
+            }
+            nnz += nonzero.count_ones() as usize;
+            admitted += Window::of_bits(bits, lo_x).admit(base, cap, pos, keys);
+            base += 32;
+        }
+        for (&mi, &vi) in mw.remainder().iter().zip(vw.remainder()) {
+            let d = mi - vi;
+            nnz += (d != 0.0) as usize;
+            admitted += scalar::admit(base, mag_key(d), guess, cap, pos, keys);
+            base += 1;
+        }
+        (nnz, admitted)
     }
 
     #[target_feature(enable = "avx2")]

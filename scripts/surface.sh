@@ -3,7 +3,8 @@
 # entry-point counts that ISSUE 12 ("one run path through the serving
 # stack") set as acceptance numbers, then the same for ISSUE 14 ("one
 # selection engine, one diff path, one per-segment driver") and the product
-# size ISSUE 15 ("cut the product crates to what a run reaches") left.
+# size ISSUE 15 ("cut the product crates to what a run reaches") left, and
+# what ISSUE 16 ("one-pass exact Top-R% on both ways") added to that sum.
 # Informational — CI prints it so the trajectory stays visible; nothing
 # fails on it. Run from any checkout:
 #
@@ -58,7 +59,14 @@ for f in "${SPARSIFY[@]}"; do
     printf '%6d  %s\n' "$n" "$f"
     total=$((total + n))
 done
-printf '%6d  code lines (2341 before ISSUE 14; files a PR adds under crates/*/src count too)\n\n' "$total"
+printf '%6d  code lines (2341 before ISSUE 14; files a PR adds under crates/*/src count too)\n' "$total"
+
+# ISSUE 16 paid for its speed in selection code: the same sum before it,
+# and the two kernel files its scans live in (not part of the sum).
+printf '%6d  of that sum before ISSUE 16 (carried guesses, one-pass settle, fused producers)\n' 1963
+printf '%6d  crates/tensor/src/kernel.rs (324 before ISSUE 16)\n' "$(code crates/tensor/src/kernel.rs | wc -l)"
+printf '%6d  crates/tensor/src/simd.rs (527 before ISSUE 16)\n' "$(code crates/tensor/src/simd.rs | wc -l)"
+echo
 
 SRC=(crates/*/src/*.rs crates/*/src/*/*.rs src/*.rs src/bin/*.rs)
 row "$(cat "${SRC[@]}" | grep -cE 'SelectStrategy|DiffStrategy' || true)" "SelectStrategy|DiffStrategy occurrences in crates/*/src + src/ (tests and comments included)"

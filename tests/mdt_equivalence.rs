@@ -208,6 +208,72 @@ fn oversized_updates_force_fallback_and_stay_bitwise_equal() {
     run_strategies_against_real_training(None, Some(8), 2, 40, |t| t % 2);
 }
 
+#[test]
+fn carried_guesses_never_leave_the_alg2_oracle() {
+    // A model with a wide layer (64×512 weights = 32,768, the radix
+    // engine's wide cutoff) under 5 % secondary compression: every dense
+    // reply selects through the guess the server carries for that worker
+    // and layer. 96 interleaved rounds against the stateless oracle, through
+    // everything that drops, outlives or bypasses a guess: a one-index log
+    // (dense scan every reply), a worker resync, checkpoint → restore, and
+    // back to the default log.
+    let blobs = GaussianBlobs::new(128, 64, 4, 0.3, 21);
+    let train: Arc<dyn Dataset> = Arc::new(blobs);
+    let n_workers = 3;
+    let mut cfg = make_cfg(Method::Dgs);
+    cfg.workers = n_workers;
+    cfg.sparsity_ratio = 0.05;
+    let build = || mlp(64, &[512], 4, 17);
+    let net0 = build();
+    let theta0 = net0.params().data().to_vec();
+    let partition = net0.params().partition().clone();
+    assert!(partition.segments().iter().any(|seg| seg.len >= 1 << 15), "no wide layer");
+    let secondary = Some(0.05);
+    let downlink = Downlink::ModelDifference { secondary_ratio: secondary };
+    let mut server = MdtServer::new(theta0.clone(), partition.clone(), n_workers, downlink);
+    let mut m_ref = vec![0.0f32; theta0.len()];
+    let mut v_ref = vec![m_ref.clone(); n_workers];
+    let mut workers: Vec<TrainWorker> = (0..n_workers)
+        .map(|k| TrainWorker::new(k, build(), Arc::clone(&train), cfg.clone(), 10.0))
+        .collect();
+    for t in 0..96 {
+        match t {
+            24 => server.set_log_capacity(1),
+            40 => {
+                // Worker 1 lost a reply: it reloads θ0 + M, and v_1 = M.
+                let model = server.resync_worker(1);
+                workers[1].apply_reply(model);
+                v_ref[1].copy_from_slice(&m_ref);
+            }
+            56 => server = MdtServer::restore(server.checkpoint(), partition.clone(), downlink),
+            72 => server.set_log_capacity(0),
+            _ => {}
+        }
+        let k = if t % 7 == 6 { 2 } else { t % 2 };
+        let up = workers[k].local_step();
+        let reply = server.handle_update(k, &up);
+        match &up.payload {
+            UpPayload::Sparse(g) => g.apply_add(&mut m_ref, &partition, -1.0),
+            other => panic!("DGS sends sparse updates, got {other:?}"),
+        }
+        let reply_ref = common::alg2_reply(&m_ref, &mut v_ref[k], &partition, secondary);
+        match &reply {
+            DownMsg::SparseDiff(d) => assert_eq!(
+                d.encode(),
+                reply_ref.encode(),
+                "downlink payload left the Alg. 2 oracle at step {t} (worker {k})"
+            ),
+            other => panic!("expected a sparse diff, got {other:?}"),
+        }
+        workers[k].apply_reply(reply);
+    }
+    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(server.m()), bits(&m_ref), "M left the oracle");
+    for (w, v_w) in v_ref.iter().enumerate() {
+        assert_eq!(bits(server.v(w)), bits(v_w), "v_{w} left the oracle");
+    }
+}
+
 fn run_with_kernel(kernel: dgs::sparsify::Kernel) -> (Vec<f32>, Vec<Vec<f32>>, Vec<Vec<u8>>) {
     use dgs::sparsify::SparseUpdate;
     let blobs = GaussianBlobs::new(128, 8, 4, 0.3, 9);
