@@ -10,8 +10,7 @@
 //! it carries the explicit [`Kernel`](dgs_tensor::Kernel) backend every
 //! GEMM/conv/pool/activation dispatches through, plus the buffer pools
 //! that make the steady-state training step allocation-free (outputs,
-//! im2col columns, gradient buffers and cached activations are all
-//! recycled through it).
+//! gradient buffers and cached activations are all recycled through it).
 
 use dgs_tensor::conv::{conv2d_backward_with, conv2d_forward_with, Conv2dSpec};
 use dgs_tensor::pool::{
@@ -115,7 +114,7 @@ impl Layer for Linear {
         // y = x (n×in) · Wᵀ (in×out); W is stored out×in row-major, so the
         // A·Bᵀ kernel reads it straight off the flat parameter slice — no
         // transpose copy, no `w.to_vec()`.
-        let mut y = scratch.take_zeroed(n * self.out_features);
+        let mut y = scratch.take_dirty(n * self.out_features);
         scratch.kernel().gemm_a_bt(x.data(), w, &mut y, n, self.in_features, self.out_features);
         for row in y.chunks_mut(self.out_features) {
             for (v, &bi) in row.iter_mut().zip(b.iter()) {
@@ -136,21 +135,17 @@ impl Layer for Linear {
         let x = self.cached_input.take().expect("linear backward without forward");
         let w = &params[..self.weight_len()];
         let (n, _) = dy.shape().as_matrix();
-        // dW = dYᵀ·X  (out×n · n×in): use Aᵀ·B with A = dY stored n×out.
-        let mut dw = scratch.take_zeroed(self.weight_len());
-        scratch.kernel().gemm_at_b(
+        // grad_W += dYᵀ·X  (out×n · n×in): Aᵀ·B with A = dY stored n×out,
+        // each finished element added into the gradient at copy-out.
+        let (gw, gb) = grad.split_at_mut(self.weight_len());
+        scratch.kernel().gemm_at_b_add(
             dy.data(),
             x.data(),
-            &mut dw,
+            gw,
             self.out_features,
             n,
             self.in_features,
         );
-        let (gw, gb) = grad.split_at_mut(self.weight_len());
-        for (g, &v) in gw.iter_mut().zip(dw.iter()) {
-            *g += v;
-        }
-        scratch.put(dw);
         for r in 0..n {
             let row = &dy.data()[r * self.out_features..(r + 1) * self.out_features];
             for (g, &v) in gb.iter_mut().zip(row.iter()) {
@@ -158,7 +153,7 @@ impl Layer for Linear {
             }
         }
         // dX = dY (n×out) · W (out×in)
-        let mut dxd = scratch.take_zeroed(n * self.in_features);
+        let mut dxd = scratch.take_dirty(n * self.in_features);
         scratch.kernel().gemm(dy.data(), w, &mut dxd, n, self.out_features, self.in_features);
         scratch.put_tensor(x);
         scratch.put_tensor(dy);
@@ -356,7 +351,76 @@ pub struct ChannelNorm {
 struct NormCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    input_shape: Shape,
+}
+
+/// Channels whose statistic chains advance together. One channel's sum is
+/// a single dependent chain of adds (its `(image, pixel)` order is part of
+/// the bitwise contract), so a lone chain runs at add latency; eight
+/// independent ones keep the adders busy.
+const NORM_LANES: usize = 8;
+
+/// `(n, c, hw)` of a rank-2 (`N×C`, `hw = 1`) or rank-4 (NCHW) input: each
+/// `(image, channel)` pair owns one contiguous row of `hw` elements.
+fn norm_dims(shape: &Shape, channels: usize) -> (usize, usize, usize) {
+    let (n, c, hw) = match shape.rank() {
+        2 => {
+            let (n, c) = shape.as_matrix();
+            (n, c, 1)
+        }
+        4 => {
+            let (n, c, h, w) = shape.as_nchw();
+            (n, c, h * w)
+        }
+        r => panic!("ChannelNorm supports rank 2 or 4 inputs, got rank {r}"),
+    };
+    assert_eq!(c, channels);
+    (n, c, hw)
+}
+
+/// Per-channel sums of `S` terms: `out[s][ch] = Σ term(ch, i)[s]` over the
+/// channel's flat indices `i` in `(image, pixel)` order, each sum one
+/// chain from `0.0`. [`NORM_LANES`] channels advance together; which
+/// channels share a group never changes any channel's own order.
+fn channel_sums<const S: usize>(
+    (n, c, hw): (usize, usize, usize),
+    out: [&mut [f32]; S],
+    term: impl Fn(usize, usize) -> [f32; S],
+) {
+    fn group<const G: usize, const S: usize>(
+        (n, c, hw): (usize, usize, usize),
+        ch0: usize,
+        term: &impl Fn(usize, usize) -> [f32; S],
+    ) -> [[f32; G]; S] {
+        let mut acc = [[0.0f32; G]; S];
+        for i in 0..n {
+            let base = (i * c + ch0) * hw;
+            for p in 0..hw {
+                for j in 0..G {
+                    let t = term(ch0 + j, base + j * hw + p);
+                    for s in 0..S {
+                        acc[s][j] += t[s];
+                    }
+                }
+            }
+        }
+        acc
+    }
+    let mut ch0 = 0;
+    while ch0 < c {
+        if c - ch0 >= NORM_LANES {
+            let acc = group::<NORM_LANES, S>((n, c, hw), ch0, &term);
+            for s in 0..S {
+                out[s][ch0..ch0 + NORM_LANES].copy_from_slice(&acc[s]);
+            }
+            ch0 += NORM_LANES;
+        } else {
+            let acc = group::<1, S>((n, c, hw), ch0, &term);
+            for s in 0..S {
+                out[s][ch0] = acc[s][0];
+            }
+            ch0 += 1;
+        }
+    }
 }
 
 impl ChannelNorm {
@@ -364,39 +428,6 @@ impl ChannelNorm {
     /// tensor (or the feature dim of an N×C tensor).
     pub fn new(name: impl Into<String>, channels: usize) -> Self {
         ChannelNorm { name: name.into(), channels, eps: 1e-5, cached: None }
-    }
-
-    /// For each channel, the list of flat element offsets is implied by the
-    /// layout; this iterates `(channel, flat_index)` pairs.
-    fn for_each_channel(shape: &Shape, channels: usize, mut f: impl FnMut(usize, usize)) {
-        match shape.rank() {
-            2 => {
-                let (n, c) = shape.as_matrix();
-                assert_eq!(c, channels);
-                for i in 0..n {
-                    for ch in 0..c {
-                        f(ch, i * c + ch);
-                    }
-                }
-            }
-            4 => {
-                let (n, c, h, w) = shape.as_nchw();
-                assert_eq!(c, channels);
-                for i in 0..n {
-                    for ch in 0..c {
-                        let base = (i * c + ch) * h * w;
-                        for p in 0..h * w {
-                            f(ch, base + p);
-                        }
-                    }
-                }
-            }
-            r => panic!("ChannelNorm supports rank 2 or 4 inputs, got rank {r}"),
-        }
-    }
-
-    fn counts_per_channel(shape: &Shape, channels: usize) -> f32 {
-        (shape.numel() / channels) as f32
     }
 }
 
@@ -420,36 +451,41 @@ impl Layer for ChannelNorm {
     }
 
     fn forward(&mut self, params: &[f32], x: Tensor, scratch: &mut ComputeScratch) -> Tensor {
-        let c = self.channels;
+        let dims @ (_, c, hw) = norm_dims(x.shape(), self.channels);
         let (gamma, beta) = params.split_at(c);
-        let count = Self::counts_per_channel(x.shape(), c);
-        let mut mean = vec![0.0f32; c];
-        Self::for_each_channel(x.shape(), c, |ch, i| mean[ch] += x.data()[i]);
+        let count = (x.numel() / c) as f32;
+        let mut mean = scratch.take_dirty(c);
+        let mut inv_std = scratch.take_dirty(c);
+        let xd = x.data();
+        channel_sums(dims, [&mut mean], |_, i| [xd[i]]);
         for m in mean.iter_mut() {
             *m /= count;
         }
-        let mut var = vec![0.0f32; c];
-        Self::for_each_channel(x.shape(), c, |ch, i| {
-            let d = x.data()[i] - mean[ch];
-            var[ch] += d * d;
+        channel_sums(dims, [&mut inv_std], |ch, i| {
+            let d = xd[i] - mean[ch];
+            [d * d]
         });
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v / count + self.eps).sqrt()).collect();
-        // Normalise in place — the input tensor becomes the cached x̂, so
-        // the forward needs only one pooled buffer (for y) and no clones.
+        for v in inv_std.iter_mut() {
+            *v = 1.0 / (*v / count + self.eps).sqrt();
+        }
+        // Normalise in place — the input tensor becomes the cached x̂ — and
+        // write y in the same pass over each (image, channel) row.
         let shape = x.shape().clone();
         let mut x_hat = x;
-        {
-            let xh = x_hat.data_mut();
-            Self::for_each_channel(&shape, c, |ch, i| {
-                xh[i] = (xh[i] - mean[ch]) * inv_std[ch];
-            });
+        let mut yd = scratch.take_dirty(shape.numel());
+        let images = x_hat.data_mut().chunks_exact_mut(c * hw).zip(yd.chunks_exact_mut(c * hw));
+        for (xh_img, y_img) in images {
+            let rows = xh_img.chunks_exact_mut(hw).zip(y_img.chunks_exact_mut(hw));
+            for (ch, (xh_row, y_row)) in rows.enumerate() {
+                let (m, s, g, b) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
+                for (xh, y) in xh_row.iter_mut().zip(y_row) {
+                    *xh = (*xh - m) * s;
+                    *y = *xh * g + b;
+                }
+            }
         }
-        let mut yd = scratch.take(shape.numel());
-        yd.extend_from_slice(x_hat.data());
-        Self::for_each_channel(&shape, c, |ch, i| {
-            yd[i] = yd[i] * gamma[ch] + beta[ch];
-        });
-        self.cached = Some(NormCache { x_hat, inv_std, input_shape: shape.clone() });
+        scratch.put(mean);
+        self.cached = Some(NormCache { x_hat, inv_std });
         Tensor::from_vec(shape, yd).unwrap()
     }
 
@@ -460,18 +496,17 @@ impl Layer for ChannelNorm {
         dy: Tensor,
         scratch: &mut ComputeScratch,
     ) -> Tensor {
-        let cache = self.cached.take().expect("norm backward without forward");
-        let c = self.channels;
+        let NormCache { x_hat, inv_std } =
+            self.cached.take().expect("norm backward without forward");
+        let dims @ (_, c, hw) = norm_dims(x_hat.shape(), self.channels);
         let gamma = &params[..c];
-        let count = Self::counts_per_channel(&cache.input_shape, c);
+        let count = (x_hat.numel() / c) as f32;
 
         // Parameter grads.
-        let mut dgamma = vec![0.0f32; c];
-        let mut dbeta = vec![0.0f32; c];
-        Self::for_each_channel(&cache.input_shape, c, |ch, i| {
-            dgamma[ch] += dy.data()[i] * cache.x_hat.data()[i];
-            dbeta[ch] += dy.data()[i];
-        });
+        let mut dgamma = scratch.take_dirty(c);
+        let mut dbeta = scratch.take_dirty(c);
+        let (dyd, xh) = (dy.data(), x_hat.data());
+        channel_sums(dims, [&mut dgamma, &mut dbeta], |_, i| [dyd[i] * xh[i], dyd[i]]);
         let (gg, gb) = grad.split_at_mut(c);
         for (g, &v) in gg.iter_mut().zip(dgamma.iter()) {
             *g += v;
@@ -480,16 +515,24 @@ impl Layer for ChannelNorm {
             *g += v;
         }
 
-        // Input grad (standard batch-norm backward):
+        // Input grad (standard batch-norm backward), over dy in place:
         // dx = (γ·inv_std/count) · (count·dy − Σdy − x̂·Σ(dy·x̂))
-        let mut dxd = scratch.take_zeroed(cache.input_shape.numel());
-        Self::for_each_channel(&cache.input_shape, c, |ch, i| {
-            let g = gamma[ch] * cache.inv_std[ch] / count;
-            dxd[i] = g * (count * dy.data()[i] - dbeta[ch] - cache.x_hat.data()[i] * dgamma[ch]);
-        });
-        let dx = Tensor::from_vec(cache.input_shape.clone(), dxd).unwrap();
-        scratch.put_tensor(cache.x_hat);
-        scratch.put_tensor(dy);
+        let mut dx = dy;
+        let images = dx.data_mut().chunks_exact_mut(c * hw).zip(xh.chunks_exact(c * hw));
+        for (d_img, xh_img) in images {
+            let rows = d_img.chunks_exact_mut(hw).zip(xh_img.chunks_exact(hw));
+            for (ch, (d_row, xh_row)) in rows.enumerate() {
+                let g = gamma[ch] * inv_std[ch] / count;
+                let (db, dg) = (dbeta[ch], dgamma[ch]);
+                for (d, &xh) in d_row.iter_mut().zip(xh_row) {
+                    *d = g * (count * *d - db - xh * dg);
+                }
+            }
+        }
+        scratch.put(dgamma);
+        scratch.put(dbeta);
+        scratch.put(inv_std);
+        scratch.put_tensor(x_hat);
         dx
     }
 
@@ -826,6 +869,133 @@ mod tests {
         let params = alloc_params(&l, 0);
         let x = Tensor::randn([2, 2, 3, 3], 1.0, 8);
         grad_check(&mut l, &x, &params, 3e-2);
+    }
+
+    /// The per-element closure form `ChannelNorm` used before its
+    /// statistics were grouped: one accumulator per channel, elements
+    /// visited in flat `(image, channel, pixel)` order. Kept as the
+    /// reference the grouped form must match bit for bit.
+    fn norm_reference(
+        shape: &Shape,
+        c: usize,
+        params: &[f32],
+        x: &[f32],
+        dy: &[f32],
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let for_each = |f: &mut dyn FnMut(usize, usize)| {
+            let hw = shape.numel() / (shape.dim(0) * c);
+            for i in 0..shape.dim(0) {
+                for ch in 0..c {
+                    for p in 0..hw {
+                        f(ch, (i * c + ch) * hw + p);
+                    }
+                }
+            }
+        };
+        let (gamma, beta) = params.split_at(c);
+        let count = (shape.numel() / c) as f32;
+        let mut mean = vec![0.0f32; c];
+        for_each(&mut |ch, i| mean[ch] += x[i]);
+        for m in mean.iter_mut() {
+            *m /= count;
+        }
+        let mut var = vec![0.0f32; c];
+        for_each(&mut |ch, i| {
+            let d = x[i] - mean[ch];
+            var[ch] += d * d;
+        });
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v / count + 1e-5).sqrt()).collect();
+        let mut x_hat = x.to_vec();
+        for_each(&mut |ch, i| x_hat[i] = (x_hat[i] - mean[ch]) * inv_std[ch]);
+        let mut y = x_hat.clone();
+        for_each(&mut |ch, i| y[i] = y[i] * gamma[ch] + beta[ch]);
+
+        let mut dgamma = vec![0.0f32; c];
+        let mut dbeta = vec![0.0f32; c];
+        for_each(&mut |ch, i| {
+            dgamma[ch] += dy[i] * x_hat[i];
+            dbeta[ch] += dy[i];
+        });
+        let mut dx = vec![0.0f32; x.len()];
+        for_each(&mut |ch, i| {
+            let g = gamma[ch] * inv_std[ch] / count;
+            dx[i] = g * (count * dy[i] - dbeta[ch] - x_hat[i] * dgamma[ch]);
+        });
+        // The layer accumulates into a gradient slice; start it non-zero.
+        let grad: Vec<f32> =
+            dgamma.iter().chain(dbeta.iter()).enumerate().map(|(i, &v)| (i as f32 - 3.0) + v).collect();
+        (y, grad, dx)
+    }
+
+    /// Bitwise equality; both-NaN pairs compare equal (payloads through
+    /// arithmetic are unspecified, see `dgs_tensor::gemm`).
+    fn assert_bits_eq(a: &[f32], b: &[f32], ctx: &str) {
+        assert_eq!(a.len(), b.len(), "{ctx}: length");
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            if x.is_nan() && y.is_nan() {
+                continue;
+            }
+            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: bits diverged at {i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn channelnorm_matches_per_element_reference_bitwise() {
+        // Channel counts below, at, between and above the group width, in
+        // both ranks; ordinary values and the torture palette.
+        let torture = |n: usize, seed: u64| -> Vec<f32> {
+            let mut s = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
+            (0..n)
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    match s % 23 {
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        2 => f32::NEG_INFINITY,
+                        3 => -0.0,
+                        4 => 0.0,
+                        5 => f32::from_bits((s >> 40) as u32 & 0x007F_FFFF),
+                        _ => ((s >> 20) % 2001) as f32 / 500.0 - 2.0,
+                    }
+                })
+                .collect()
+        };
+        for &c in &[1usize, 3, 8, 13, 16, 64] {
+            for shape in [Shape::from([5, c]), Shape::from([3, c, 4, 5])] {
+                for palette in [false, true] {
+                    let ctx = format!("c={c} rank={} torture={palette}", shape.rank());
+                    let n = shape.numel();
+                    let (x, dy) = if palette {
+                        (torture(n, c as u64), torture(n, 77 + c as u64))
+                    } else {
+                        (
+                            Tensor::randn([n], 2.0, c as u64).into_vec(),
+                            Tensor::randn([n], 1.0, 9 + c as u64).into_vec(),
+                        )
+                    };
+                    let params = Tensor::randn([2 * c], 1.0, 31).into_vec();
+                    let (y_ref, grad_ref, dx_ref) = norm_reference(&shape, c, &params, &x, &dy);
+
+                    let mut l = ChannelNorm::new("norm", c);
+                    let s = &mut sc();
+                    // Twice: the second pass draws dirty buffers.
+                    for _ in 0..2 {
+                        let xt = Tensor::from_vec(shape.clone(), x.clone()).unwrap();
+                        let y = l.forward(&params, xt, s);
+                        assert_bits_eq(y.data(), &y_ref, &format!("{ctx}: y"));
+                        let mut grad: Vec<f32> = (0..2 * c).map(|i| i as f32 - 3.0).collect();
+                        let dyt = Tensor::from_vec(shape.clone(), dy.clone()).unwrap();
+                        let dx = l.backward(&params, &mut grad, dyt, s);
+                        assert_bits_eq(&grad, &grad_ref, &format!("{ctx}: grads"));
+                        assert_bits_eq(dx.data(), &dx_ref, &format!("{ctx}: dx"));
+                        s.put_tensor(y);
+                        s.put_tensor(dx);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

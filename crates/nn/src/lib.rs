@@ -40,7 +40,7 @@
 //!
 //! Compute backend: every layer runs on the [`dgs_tensor`] compute tier
 //! through a per-network [`ComputeScratch`] — blocked/SIMD/parallel GEMM,
-//! im2col convolution, and pooled buffers. The backend is runtime-detected
+//! panel-lowered convolution, and pooled buffers. The backend is runtime-detected
 //! (override with `DGS_KERNEL=scalar|simd` or
 //! [`Network::set_kernel`](model::Network::set_kernel)); all backends are
 //! bitwise identical, so the choice affects throughput only, never a

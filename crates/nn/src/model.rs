@@ -20,6 +20,8 @@ pub struct Network {
     params: ParamSet,
     input_shape: Shape,
     flops_per_sample: u64,
+    /// Each layer's `(start, len)` window in the flat parameter vector.
+    windows: Vec<(usize, usize)>,
     scratch: ComputeScratch,
 }
 
@@ -68,11 +70,23 @@ impl Network {
             shape = layer.output_shape(&shape);
         }
 
+        let mut windows = Vec::with_capacity(layers.len());
+        let mut seg = 0usize;
+        for layer in &layers {
+            let segments = &params.partition().segments()[seg..seg + layer.param_sizes().len()];
+            windows.push(match (segments.first(), segments.last()) {
+                (Some(first), Some(last)) => (first.offset, last.offset + last.len - first.offset),
+                _ => (0, 0),
+            });
+            seg += segments.len();
+        }
+
         Network {
             layers,
             params,
             input_shape,
             flops_per_sample: flops,
+            windows,
             scratch: ComputeScratch::default(),
         }
     }
@@ -100,6 +114,12 @@ impl Network {
         self.scratch.misses()
     }
 
+    /// Bytes the owned scratch currently keeps shelved: bounded by the
+    /// step's working set, whatever tensors the caller feeds in.
+    pub fn scratch_retained_bytes(&self) -> usize {
+        self.scratch.retained_bytes()
+    }
+
     /// The flat parameter set.
     pub fn params(&self) -> &ParamSet {
         &self.params
@@ -122,30 +142,10 @@ impl Network {
         self.flops_per_sample
     }
 
-    /// Each layer's `(start, len)` window in the flat parameter vector.
-    fn layer_windows(&self) -> Vec<(usize, usize)> {
-        let part = self.params.partition();
-        let mut windows = Vec::with_capacity(self.layers.len());
-        let mut seg = 0usize;
-        for layer in &self.layers {
-            let n_segs = layer.param_sizes().len();
-            if n_segs == 0 {
-                windows.push((0usize, 0usize));
-            } else {
-                let start = part.segments()[seg].offset;
-                let last = &part.segments()[seg + n_segs - 1];
-                windows.push((start, last.offset + last.len - start));
-            }
-            seg += n_segs;
-        }
-        windows
-    }
-
     /// Forward pass over a batch. `x` must have shape `[batch, input...]`.
     pub fn forward(&mut self, x: Tensor) -> Tensor {
-        let windows = self.layer_windows();
         // Field-level split borrow: layers and scratch mutably, params shared.
-        let Network { layers, params, scratch, .. } = self;
+        let Network { layers, params, windows, scratch, .. } = self;
         let data = params.data();
         let mut cur = x;
         for (layer, &(start, len)) in layers.iter_mut().zip(windows.iter()) {
@@ -158,8 +158,7 @@ impl Network {
     /// Accumulates into the flat gradient vector (call
     /// [`ParamSet::zero_grad`] first for a fresh step).
     pub fn backward(&mut self, dy: Tensor) {
-        let windows = self.layer_windows();
-        let Network { layers, params, scratch, .. } = self;
+        let Network { layers, params, windows, scratch, .. } = self;
         let mut cur = dy;
         for (layer, &(start, len)) in layers.iter_mut().zip(windows.iter()).rev() {
             let (p, g) = params.window_view_mut(start, len);

@@ -24,9 +24,19 @@ pub struct ResidualBlock {
     norm2: ChannelNorm,
     /// 1×1 projection for channel/stride changes; `None` = identity skip.
     proj: Option<Conv2d>,
-    /// Cached forward state for the final ReLU and the skip path.
+    /// `(start, len)` of each sub-layer's window within this block's slice,
+    /// in [`ResidualBlock::sublayers`] order.
+    windows: Vec<(usize, usize)>,
+    /// Cached pre-activation sum for the final ReLU's backward gate.
     cached_pre_relu: Option<Tensor>,
-    cached_input: Option<Tensor>,
+}
+
+/// A copy of `t` in storage from `scratch` (both branches of the block
+/// consume their input, so one of them needs its own).
+fn pooled_copy(t: &Tensor, scratch: &mut ComputeScratch) -> Tensor {
+    let mut v = scratch.take(t.numel());
+    v.extend_from_slice(t.data());
+    Tensor::from_vec(t.shape().clone(), v).expect("copy keeps the shape")
 }
 
 impl ResidualBlock {
@@ -59,7 +69,7 @@ impl ResidualBlock {
         } else {
             None
         };
-        ResidualBlock {
+        let mut block = ResidualBlock {
             name,
             conv1,
             norm1,
@@ -67,9 +77,20 @@ impl ResidualBlock {
             conv2,
             norm2,
             proj,
+            windows: Vec::new(),
             cached_pre_relu: None,
-            cached_input: None,
-        }
+        };
+        let mut offset = 0usize;
+        block.windows = block
+            .sublayers()
+            .iter()
+            .map(|l| {
+                let len: usize = l.param_sizes().iter().map(|&(_, n)| n).sum();
+                offset += len;
+                (offset - len, len)
+            })
+            .collect();
+        block
     }
 
     /// Sub-layers in forward order, for layout bookkeeping.
@@ -80,18 +101,6 @@ impl ResidualBlock {
             v.push(p);
         }
         v
-    }
-
-    /// `(start, len)` of each sub-layer's window within this block's slice.
-    fn sub_windows(&self) -> Vec<(usize, usize)> {
-        let mut windows = Vec::new();
-        let mut offset = 0usize;
-        for l in self.sublayers() {
-            let len: usize = l.param_sizes().iter().map(|&(_, n)| n).sum();
-            windows.push((offset, len));
-            offset += len;
-        }
-        windows
     }
 }
 
@@ -117,8 +126,8 @@ impl Layer for ResidualBlock {
     }
 
     fn init_params(&self, params: &mut [f32], seed: u64) {
-        let windows = self.sub_windows();
-        for (i, (l, &(start, len))) in self.sublayers().into_iter().zip(windows.iter()).enumerate()
+        for (i, (l, &(start, len))) in
+            self.sublayers().into_iter().zip(self.windows.iter()).enumerate()
         {
             l.init_params(&mut params[start..start + len], derive_seed(seed, i as u64));
         }
@@ -129,31 +138,26 @@ impl Layer for ResidualBlock {
     }
 
     fn forward(&mut self, params: &[f32], x: Tensor, scratch: &mut ComputeScratch) -> Tensor {
-        let windows = self.sub_windows();
-        let (c1, n1, _, c2, n2) = (windows[0], windows[1], windows[2], windows[3], windows[4]);
-        let h = self.conv1.forward(&params[c1.0..c1.0 + c1.1], x.clone(), scratch);
-        let h = self.norm1.forward(&params[n1.0..n1.0 + n1.1], h, scratch);
+        let w = &self.windows;
+        let window = |i: usize| &params[w[i].0..w[i].0 + w[i].1];
+        let h = self.conv1.forward(window(0), pooled_copy(&x, scratch), scratch);
+        let h = self.norm1.forward(window(1), h, scratch);
         let h = self.relu1.forward(&[], h, scratch);
-        let h = self.conv2.forward(&params[c2.0..c2.0 + c2.1], h, scratch);
-        let mut h = self.norm2.forward(&params[n2.0..n2.0 + n2.1], h, scratch);
+        let h = self.conv2.forward(window(3), h, scratch);
+        let mut h = self.norm2.forward(window(4), h, scratch);
+        // The skip path is the input's last consumer: it takes `x` itself.
         let skip = match &mut self.proj {
-            Some(p) => {
-                let w = windows[5];
-                p.forward(&params[w.0..w.0 + w.1], x.clone(), scratch)
-            }
-            None => x.clone(),
+            Some(p) => p.forward(window(5), x, scratch),
+            None => x,
         };
         h.add_assign(&skip);
         scratch.put_tensor(skip);
         // The pre-activation tensor is cached for the backward gate; the
         // ReLU output itself lives in a pooled buffer.
-        let mut yd = scratch.take(h.numel());
-        yd.extend_from_slice(h.data());
-        scratch.kernel().relu_inplace(&mut yd);
-        let shape = h.shape().clone();
+        let mut y = pooled_copy(&h, scratch);
+        scratch.kernel().relu_inplace(y.data_mut());
         self.cached_pre_relu = Some(h);
-        self.cached_input = Some(x);
-        Tensor::from_vec(shape, yd).unwrap()
+        y
     }
 
     fn backward(
@@ -163,53 +167,30 @@ impl Layer for ResidualBlock {
         dy: Tensor,
         scratch: &mut ComputeScratch,
     ) -> Tensor {
-        let windows = self.sub_windows();
         let pre = self.cached_pre_relu.take().expect("block backward without forward");
-        let x = self.cached_input.take().expect("block backward without forward");
-        scratch.put_tensor(x);
 
         // Final ReLU gate (the compute tier's mask: zero where pre ≤ 0).
         let mut d = dy;
         scratch.kernel().relu_grad_mask(pre.data(), d.data_mut());
         scratch.put_tensor(pre);
 
-        // Branch gradients: d flows into both the conv path and the skip.
-        let (c1, n1, _, c2, n2) = (windows[0], windows[1], windows[2], windows[3], windows[4]);
-        let d_main = {
-            let dh = self.norm2.backward(
-                &params[n2.0..n2.0 + n2.1],
-                &mut grad[n2.0..n2.0 + n2.1],
-                d.clone(),
-                scratch,
-            );
-            let dh = self.conv2.backward(
-                &params[c2.0..c2.0 + c2.1],
-                &mut grad[c2.0..c2.0 + c2.1],
-                dh,
-                scratch,
-            );
-            let dh = self.relu1.backward(&[], &mut [], dh, scratch);
-            let dh = self.norm1.backward(
-                &params[n1.0..n1.0 + n1.1],
-                &mut grad[n1.0..n1.0 + n1.1],
-                dh,
-                scratch,
-            );
-            self.conv1.backward(
-                &params[c1.0..c1.0 + c1.1],
-                &mut grad[c1.0..c1.0 + c1.1],
-                dh,
-                scratch,
-            )
+        // Branch gradients: d flows into both the conv path (a pooled
+        // copy) and the skip (d itself, its last consumer).
+        let w = &self.windows;
+        let mut run = |layer: &mut dyn Layer, i: usize, dh: Tensor, scratch: &mut ComputeScratch| {
+            let (start, end) = (w[i].0, w[i].0 + w[i].1);
+            layer.backward(&params[start..end], &mut grad[start..end], dh, scratch)
         };
+        let dh = pooled_copy(&d, scratch);
+        let dh = run(&mut self.norm2, 4, dh, scratch);
+        let dh = run(&mut self.conv2, 3, dh, scratch);
+        let dh = run(&mut self.relu1, 2, dh, scratch);
+        let dh = run(&mut self.norm1, 1, dh, scratch);
+        let mut dx = run(&mut self.conv1, 0, dh, scratch);
         let d_skip = match &mut self.proj {
-            Some(p) => {
-                let w = windows[5];
-                p.backward(&params[w.0..w.0 + w.1], &mut grad[w.0..w.0 + w.1], d, scratch)
-            }
+            Some(p) => run(p, 5, d, scratch),
             None => d,
         };
-        let mut dx = d_main;
         dx.add_assign(&d_skip);
         scratch.put_tensor(d_skip);
         dx

@@ -207,25 +207,49 @@ fn whole_network_training_identical_across_backends() {
     }
 }
 
+/// `warm` steps to fill the shelves, then `steady` more that must draw
+/// every buffer from them; returns the bytes the scratch keeps afterwards.
+fn assert_allocation_free_after(net: &mut dgs_nn::Network, batch: usize, warm: usize, steady: usize) -> usize {
+    let mut dims = vec![batch];
+    dims.extend_from_slice(net.input_shape().dims());
+    let x = Tensor::randn(Shape::new(dims), 1.0, 56);
+    let labels: Vec<usize> = (0..batch).map(|i| i % 4).collect();
+    // A fresh clone per step, as a loader would hand over: tensors the
+    // scratch never lent out must not make it grow either.
+    for _ in 0..warm {
+        net.train_step(x.clone(), &labels);
+    }
+    let (misses, retained) = (net.scratch_misses(), net.scratch_retained_bytes());
+    for step in 0..steady {
+        net.train_step(x.clone(), &labels);
+        assert_eq!(
+            net.scratch_misses(),
+            misses,
+            "steady-state step {step} must draw every buffer from the pool"
+        );
+        assert_eq!(net.scratch_retained_bytes(), retained, "the pool holds the step's working set, no more");
+    }
+    retained
+}
+
 #[test]
 fn training_reaches_allocation_free_steady_state() {
-    let mut net = tiny_cnn(2, 8, 4, 4, 55);
-    let x = Tensor::randn([8, 2, 8, 8], 1.0, 56);
-    let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();
-    // Warm the pools: a few steps populate every buffer class the step
-    // needs (forward activations, im2col columns, gradients).
-    for _ in 0..3 {
-        net.train_step(x.clone(), &labels);
-    }
-    let warm = net.scratch_misses();
-    for _ in 0..5 {
-        net.train_step(x.clone(), &labels);
-    }
-    assert_eq!(
-        net.scratch_misses(),
-        warm,
-        "steady-state training steps must draw every buffer from the pool"
-    );
+    // The small case: a few steps populate every buffer class the step
+    // needs (forward activations, gradients, argmax maps).
+    assert_allocation_free_after(&mut tiny_cnn(2, 8, 4, 4, 55), 8, 3, 5);
+
+    // The benchmark's shape (`resnet_dgs`): flat from the third step, and
+    // what the pool keeps is the forward pass's live activations, not a
+    // slot count's worth of the largest one. Every buffer of the step is
+    // an activation or a gradient of one; in units of the stem's output
+    // `a` the forward pass holds 3 (stem) + 8 (stage 1) + 1 + 7/2 (stage 2
+    // entry) + 8/2 (stage 2) + 1/2 + 7/4 (stage 3), and the backward pass
+    // at most one more in flight.
+    let (batch, width, hw) = (32, 16, 16);
+    let retained = assert_allocation_free_after(&mut resnet_lite(3, hw, 10, width, 57), batch, 2, 3);
+    let a = batch * width * hw * hw * std::mem::size_of::<f32>();
+    let bound = 3 * a + 8 * a + (a + 7 * a / 2) + 8 * a / 2 + (a / 2 + 7 * a / 4) + a;
+    assert!(retained <= bound, "pool retains {retained} B, activations account for {bound} B");
 }
 
 #[test]

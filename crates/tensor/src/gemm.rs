@@ -1,22 +1,45 @@
 //! Cache-blocked, register-tiled GEMM behind the [`Kernel`] seam.
 //!
-//! This is the compute-tier core: one 6×16 microkernel shared by the three
-//! layout variants backprop needs (`A·B`, `Aᵀ·B` with `A` stored `k×m`,
-//! `A·Bᵀ` with `B` stored `n×k`), which differ only in how their packing
-//! routines gather panels.
+//! This is the compute-tier core: one packed driver and one 6×16 tile
+//! kernel (an AVX2 body and a portable twin) shared by the three layout
+//! variants backprop needs (`A·B`, `Aᵀ·B` with `A` stored `k×m`, `A·Bᵀ`
+//! with `B` stored `n×k`), which differ only in how their packing routines
+//! gather panels — and by the convolution, which skips the packing of its
+//! big operand altogether by lowering image patches straight into `B`
+//! panels ([`crate::conv`]).
 //!
-//! # Blocking scheme
+//! # Data path
 //!
 //! * `B` is packed once per call into `⌈n/NR⌉` panels of `NR = 16` columns,
-//!   laid out k-major (`panel[p·NR + jj]`), so the microkernel streams two
+//!   laid out k-major (`panel[p·NR + jj]`), so the tile kernel streams two
 //!   contiguous 8-lane vectors per k-step.
-//! * `C` rows are processed in blocks of `MR = 6`; the block's `A` rows are
-//!   packed k-major (`panel[p·MR + ii]`) so each k-step issues `MR`
-//!   broadcasts from one cache line.
-//! * The microkernel holds the full `MR×NR` tile in 12 ymm accumulators
-//!   (plus two `B` vectors and one broadcast — 15 of 16 registers).
+//! * `A` is packed once per call into `⌈m/MR⌉` row blocks of `MR = 6` rows,
+//!   k-major (`block[p·MR + ii]`), so each k-step issues `MR` broadcasts
+//!   from one cache line. A caller that multiplies many `B`s by one `A`
+//!   (the convolution: one weight bank, one `B` per image) packs `A` once
+//!   and calls [`gemm_packed`] per `B`.
+//! * The tile kernel holds the full `MR×NR` tile in 12 ymm accumulators
+//!   (plus two `B` vectors and one broadcast — 15 of 16 registers) and
+//!   finishes the tile's k chain before anything touches `C`.
+//! * The copy-out lands the finished tile in `C` by [`Store`]: `Set`
+//!   overwrites (so `C` never needs zeroing first), `Add` computes
+//!   `C += tile` (so a caller accumulating a product into an existing
+//!   buffer — `Linear`'s `grad += dYᵀ·X` — needs no temporary and no second
+//!   pass). Either way `C` is touched exactly once per element.
 //! * rayon parallelism splits `C` into disjoint row-block chunks; nothing
 //!   else is shared mutably, so the split cannot reorder any accumulation.
+//!
+//! Copies per operand between the caller's matrix and the tile kernel,
+//! before → after this layout (PR 17):
+//!
+//! | operand                    | before                              | after                        |
+//! |----------------------------|-------------------------------------|------------------------------|
+//! | `A` (generic call)         | 1 pack per row block per call       | 1 pack per call              |
+//! | `A` (conv weights)         | 1 pack per row block **per image**  | 1 pack per layer call        |
+//! | `B` (generic call)         | 1 pack                              | 1 pack                       |
+//! | `B` (conv patches)         | im2col matrix + 1 pack (2 writes)   | lowered into panels (1 write)|
+//! | `C`                        | zero-fill + copy-out (2 writes)     | copy-out (1 write)           |
+//! | `C` added into a buffer    | zero-fill + copy-out + add pass (3) | `Store::Add` copy-out (1)    |
 //!
 //! There is deliberately **no blocking over k**: the bitwise-identity
 //! contract (see below) requires each output element's additions to happen
@@ -29,11 +52,13 @@
 //!
 //! Every backend computes, for each output element, exactly
 //! `((0.0 + a·b) + a·b) + …` with `p` ascending and each term a plain
-//! (non-fused) multiply then add. SIMD vectorizes across *independent
-//! output lanes* only, never within one element's chain, so the scalar
-//! loops, the AVX2 microkernel, and any rayon split are bitwise identical
-//! on every non-NaN output — ±Inf, denormals and signed zeros included —
-//! and produce NaN at exactly the same positions.
+//! (non-fused) multiply then add; `Store::Add` then adds that finished sum
+//! to the old `C` value once (`c + tile`, never `(c + a·b) + …`). SIMD
+//! vectorizes across *independent output lanes* only, never within one
+//! element's chain, so the portable tile kernel (the scalar oracle: a plain
+//! safe triple loop), the AVX2 tile kernel, and any rayon split are bitwise
+//! identical on every non-NaN output — ±Inf, denormals and signed zeros
+//! included — and produce NaN at exactly the same positions.
 //!
 //! NaN *payload* bits are the one deliberate exclusion: LLVM treats
 //! `fadd`/`fmul` as commutative and leaves the payload of a NaN result
@@ -44,7 +69,7 @@
 //! order the compiler is free to flip — it differs even between two
 //! scalar compilations of the same source chain. The differential suites
 //! compare NaN outputs payload-insensitively; data-movement kernels
-//! (ReLU, pooling, im2col, packing) still preserve payloads exactly.
+//! (ReLU, pooling, patch lowering, packing) still preserve payloads exactly.
 //!
 //! **FMA is deliberately excluded.** `vfmadd` skips the intermediate
 //! rounding of the multiply, so an FMA kernel cannot be bit-identical to
@@ -52,14 +77,16 @@
 //! hit libm's software `fmaf` on the default x86-64 target — slow and with
 //! its own NaN-payload hazards. Plain `vmulps`+`vaddps` keeps the oracle a
 //! readable safe loop and costs roughly a third of peak throughput, which
-//! the register tiling more than buys back against the streaming scalar
-//! baseline. Zero-padded edge panels are bitwise-safe because padded lanes
-//! are discarded at copy-out and padding never extends the k chain.
+//! the register tiling more than buys back against a streaming scalar
+//! baseline. Edge panels are bitwise-safe because padded lanes are
+//! discarded at copy-out and padding never extends the k chain.
 //!
-//! Packing panels come from a thread-local [`BufferPool`] (released with
+//! Packed operands and the convolution's per-task working set come from a
+//! thread-local [`BufferPool`] (released with
 //! [`BufferPool::release_unchanged`]: every element that will be read is
-//! overwritten first, so the pool skips the O(k·n) re-zero), keeping
-//! steady-state GEMM calls allocation-free on every rayon worker.
+//! overwritten first, so nothing is re-zeroed), keeping steady-state calls
+//! allocation-free on every rayon worker — and, on a sequential build,
+//! keeping one cache-hot working set under every task of every layer.
 
 use crate::bufpool::BufferPool;
 use crate::kernel::Kernel;
@@ -71,15 +98,21 @@ pub const MR: usize = 6;
 /// Microkernel tile columns (`C` columns per register tile; two ymm lanes).
 pub const NR: usize = 16;
 
-/// Minimum number of output elements before the kernels bother with rayon.
+/// Minimum number of output elements before the driver bothers with rayon.
 /// Below this the spawn overhead dominates for the small layers in tests.
 const PAR_THRESHOLD: usize = 16 * 1024;
 
-/// `C` rows per rayon task on the packed path — a few microkernel tiles,
-/// so task count stays well above core count at layer shapes.
+/// `C` rows per rayon task — a few microkernel tiles, so task count stays
+/// well above core count at layer shapes.
 const ROWS_PER_TASK: usize = 4 * MR;
 
-/// Operand layout of a GEMM call. The microkernel is layout-agnostic; only
+/// Images per fan-out chunk of the convolution backward pass: the images
+/// of a chunk run as parallel tasks, then their weight-gradient partials
+/// are folded in image order while still cache-resident, so the partials
+/// buffer is this many weight banks, not a batch of them.
+pub(crate) const IMAGES_PER_CHUNK: usize = 4;
+
+/// Operand layout of a GEMM call. The tile kernel is layout-agnostic; only
 /// the pack routines differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
@@ -91,10 +124,19 @@ pub enum Layout {
     Nt,
 }
 
+/// How the copy-out lands a finished tile in `C`.
+#[derive(Clone, Copy)]
+pub(crate) enum Store {
+    /// `C = tile`: old contents are never read.
+    Set,
+    /// `C += tile`: one add of the finished sum per element.
+    Add,
+}
+
 thread_local! {
-    /// Per-thread pool for packed panels. `release_unchanged` keeps length
-    /// and contents: panels are fully overwritten before every read, so
-    /// re-zeroing on release would be pure waste.
+    /// Per-thread pool for packed operands and conv working sets.
+    /// `release_unchanged` keeps length and contents: every element is
+    /// overwritten before it is read, so re-zeroing would be pure waste.
     static PANELS: RefCell<BufferPool<f32>> = RefCell::new(BufferPool::new(4));
 }
 
@@ -110,11 +152,43 @@ fn panel_put(v: Vec<f32>) {
     PANELS.with(|p| p.borrow_mut().release_unchanged(v));
 }
 
-/// Dispatch entry: `C = op(A)·op(B)` per `layout`, overwriting `c`.
+/// Runs `f` over a `len`-element working set from the calling thread's
+/// panel pool. Contents are whatever the last user left: `f` must write
+/// every element before reading it.
+pub(crate) fn with_workspace<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    let mut ws = panel_take(len);
+    let r = f(&mut ws[..len]);
+    panel_put(ws);
+    r
+}
+
+/// Dispatch entry: `C = op(A)·op(B)` per `layout`, overwriting `c` (whose
+/// old contents are never read).
 ///
 /// Size contract (checked): `c.len() == m*n`, and `a`/`b` hold the layout's
 /// operand exactly (`m×k`/`k×m` and `k×n`/`n×k`).
 pub fn gemm(kernel: Kernel, layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_store(kernel, layout, Store::Set, a, b, c, m, k, n);
+}
+
+/// [`gemm`] with the accumulating copy-out: `C += op(A)·op(B)`, each
+/// element's chain finished first and added to `c` once.
+pub fn gemm_add(kernel: Kernel, layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_store(kernel, layout, Store::Add, a, b, c, m, k, n);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_store(
+    kernel: Kernel,
+    layout: Layout,
+    store: Store,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let (a_len, b_len) = match layout {
         Layout::Nn => (m * k, k * n),
         Layout::Tn => (k * m, k * n),
@@ -126,180 +200,185 @@ pub fn gemm(kernel: Kernel, layout: Layout, a: &[f32], b: &[f32], c: &mut [f32],
     if m == 0 || n == 0 {
         return;
     }
-    match kernel {
-        Kernel::Scalar => scalar_gemm(layout, a, b, c, m, k, n),
-        Kernel::Simd => simd_gemm(layout, a, b, c, m, k, n),
-    }
+    let (a_packed, b_packed) = (packed_a_len(m, k), packed_b_len(k, n));
+    with_workspace(a_packed + b_packed, |ws| {
+        let (pa, pb) = ws.split_at_mut(a_packed);
+        pack_a(layout, a, pa, m, k);
+        pack_b(layout, b, pb, k, n);
+        gemm_packed(kernel, store, pa, pb, c, m, k, n);
+    });
 }
 
 // ---------------------------------------------------------------------------
-// Scalar oracle
+// Packing
 // ---------------------------------------------------------------------------
 
-/// Portable scalar GEMM — the differential oracle the SIMD path must match
-/// bit for bit. `ikj` order for the row-major variants (streaming `b`
-/// rows), a sequential dot product for `Nt`; each output element's k chain
-/// is ascending and unbroken, which is the whole contract.
-fn scalar_gemm(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let body = |(i, c_row): (usize, &mut [f32])| match layout {
-        Layout::Nn => {
-            c_row.fill(0.0);
-            let a_row = &a[i * k..(i + 1) * k];
-            // No zero-skip: `0.0 * b` must still enter the chain (it is not
-            // a no-op for Inf/NaN `b` or a `-0.0` accumulator), or the
-            // backends desync exactly on the torture inputs.
-            for (p, &a_v) in a_row.iter().enumerate() {
-                let b_row = &b[p * n..(p + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                    *c_v += a_v * b_v;
-                }
-            }
-        }
-        Layout::Tn => {
-            c_row.fill(0.0);
-            for p in 0..k {
-                let a_v = a[p * m + i];
-                let b_row = &b[p * n..(p + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                    *c_v += a_v * b_v;
-                }
-            }
-        }
-        Layout::Nt => {
-            let a_row = &a[i * k..(i + 1) * k];
-            for (j, c_v) in c_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
-                }
-                *c_v = acc;
-            }
-        }
-    };
-    if m * n >= PAR_THRESHOLD {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
+/// Length of [`pack_a`]'s output for an `m×k` operand.
+pub(crate) fn packed_a_len(m: usize, k: usize) -> usize {
+    m.div_ceil(MR) * MR * k
 }
 
-// ---------------------------------------------------------------------------
-// Packed AVX2 path
-// ---------------------------------------------------------------------------
-
-/// SIMD GEMM: packed panels + the 6×16 microkernel where AVX2 is present,
-/// scalar oracle otherwise (same fallback rule as every [`crate::simd`]
-/// wrapper, so a hand-built `Kernel::Simd` is safe on any CPU).
-fn simd_gemm(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_available() {
-        return packed_gemm_avx2(layout, a, b, c, m, k, n);
-    }
-    scalar_gemm(layout, a, b, c, m, k, n);
+/// Length of [`pack_b`]'s output for a `k×n` operand.
+pub(crate) fn packed_b_len(k: usize, n: usize) -> usize {
+    n.div_ceil(NR) * NR * k
 }
 
-/// Packs the `NR`-column panel starting at column `j0` into
-/// `pb[..k*NR]`, zero-filling lanes past `n` so edge panels still feed a
-/// full-width microkernel. Writes every element it covers.
-fn pack_b(layout: Layout, b: &[f32], pb: &mut [f32], k: usize, n: usize, j0: usize) {
-    let cols = NR.min(n - j0);
-    match layout {
-        // `b` is k×n: each k-step's slice is contiguous.
-        Layout::Nn | Layout::Tn => {
-            for (p, dst) in pb.chunks_exact_mut(NR).take(k).enumerate() {
-                dst[..cols].copy_from_slice(&b[p * n + j0..p * n + j0 + cols]);
-                dst[cols..].fill(0.0);
-            }
-        }
-        // `b` is stored n×k: jj-outer keeps the reads contiguous (one
-        // stored row per lane) at the cost of NR-strided writes.
-        Layout::Nt => {
-            for jj in 0..cols {
-                let b_row = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                for (p, &v) in b_row.iter().enumerate() {
-                    pb[p * NR + jj] = v;
+/// Packs `B` into `⌈n/NR⌉` k-major panels (`pb[jp·k·NR + p·NR + jj]`),
+/// zero-filling lanes past `n` so edge panels still feed a full-width
+/// tile kernel. Writes every element of `pb[..packed_b_len(k, n)]`.
+pub(crate) fn pack_b(layout: Layout, b: &[f32], pb: &mut [f32], k: usize, n: usize) {
+    for (jp, panel) in pb[..packed_b_len(k, n)].chunks_exact_mut((k * NR).max(1)).enumerate() {
+        let j0 = jp * NR;
+        let cols = NR.min(n - j0);
+        match layout {
+            // `b` is k×n: each k-step's slice is contiguous.
+            Layout::Nn | Layout::Tn => {
+                for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                    dst[..cols].copy_from_slice(&b[p * n + j0..p * n + j0 + cols]);
+                    dst[cols..].fill(0.0);
                 }
             }
-            if cols < NR {
-                for p in 0..k {
-                    pb[p * NR + cols..p * NR + NR].fill(0.0);
+            // `b` is stored n×k: jj-outer keeps the reads contiguous (one
+            // stored row per lane) at the cost of NR-strided writes.
+            Layout::Nt => {
+                for jj in 0..cols {
+                    let b_row = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
+                    for (p, &v) in b_row.iter().enumerate() {
+                        panel[p * NR + jj] = v;
+                    }
+                }
+                if cols < NR {
+                    for dst in panel.chunks_exact_mut(NR) {
+                        dst[cols..].fill(0.0);
+                    }
                 }
             }
         }
     }
 }
 
-/// Packs the `MR`-row block starting at row `i0` into `pa[..k*MR]`,
-/// zero-filling rows past `m`. Writes every element it covers.
-fn pack_a(layout: Layout, a: &[f32], pa: &mut [f32], m: usize, k: usize, i0: usize) {
-    let rows = MR.min(m - i0);
-    match layout {
-        // `a` is m×k row-major: transpose the block into k-major order.
-        Layout::Nn | Layout::Nt => {
-            for ii in 0..rows {
-                let a_row = &a[(i0 + ii) * k..(i0 + ii + 1) * k];
-                for (p, &v) in a_row.iter().enumerate() {
-                    pa[p * MR + ii] = v;
-                }
-            }
-        }
-        // `a` is stored k×m: already k-major, each k-step contiguous.
-        Layout::Tn => {
-            for (p, dst) in pa.chunks_exact_mut(MR).take(k).enumerate() {
-                dst[..rows].copy_from_slice(&a[p * m + i0..p * m + i0 + rows]);
-            }
-        }
-    }
-    if rows < MR {
-        for p in 0..k {
-            pa[p * MR + rows..p * MR + MR].fill(0.0);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn packed_gemm_avx2(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let np = n.div_ceil(NR);
-    let mut pb = panel_take(np * k * NR);
-    for jp in 0..np {
-        pack_b(layout, b, &mut pb[jp * k * NR..(jp + 1) * k * NR], k, n, jp * NR);
-    }
-    let pb_ref: &[f32] = &pb;
-
-    let body = |(blk, c_rows): (usize, &mut [f32])| {
-        let i_base = blk * ROWS_PER_TASK;
-        let rows_in_block = c_rows.len() / n;
-        let mut pa = panel_take(k * MR);
-        let mut tile = [0.0f32; MR * NR];
-        let mut t0 = 0;
-        while t0 < rows_in_block {
-            let rows = MR.min(rows_in_block - t0);
-            pack_a(layout, a, &mut pa, m, k, i_base + t0);
-            for jp in 0..np {
-                let panel = &pb_ref[jp * k * NR..(jp + 1) * k * NR];
-                // SAFETY: AVX2 presence was checked by the caller
-                // (`simd_gemm`); `pa`/`panel` hold at least `k` full
-                // k-steps and `tile` is exactly MR×NR.
-                unsafe { avx2::microkernel_6x16(&pa, panel, k, &mut tile) };
-                let j0 = jp * NR;
-                let cols = NR.min(n - j0);
+/// Packs `A` into `⌈m/MR⌉` k-major row blocks (`pa[ib·k·MR + p·MR + ii]`),
+/// zero-filling rows past `m`. Writes every element of
+/// `pa[..packed_a_len(m, k)]`.
+pub(crate) fn pack_a(layout: Layout, a: &[f32], pa: &mut [f32], m: usize, k: usize) {
+    for (ib, block) in pa[..packed_a_len(m, k)].chunks_exact_mut((k * MR).max(1)).enumerate() {
+        let i0 = ib * MR;
+        let rows = MR.min(m - i0);
+        match layout {
+            // `a` is m×k row-major: transpose the block into k-major order.
+            Layout::Nn | Layout::Nt => {
                 for ii in 0..rows {
-                    let dst = &mut c_rows[(t0 + ii) * n + j0..(t0 + ii) * n + j0 + cols];
-                    dst.copy_from_slice(&tile[ii * NR..ii * NR + cols]);
+                    let a_row = &a[(i0 + ii) * k..(i0 + ii + 1) * k];
+                    for (p, &v) in a_row.iter().enumerate() {
+                        block[p * MR + ii] = v;
+                    }
                 }
             }
-            t0 += rows;
+            // `a` is stored k×m: already k-major, each k-step contiguous.
+            Layout::Tn => {
+                for (p, dst) in block.chunks_exact_mut(MR).enumerate() {
+                    dst[..rows].copy_from_slice(&a[p * m + i0..p * m + i0 + rows]);
+                }
+            }
         }
-        panel_put(pa);
-    };
+        if rows < MR {
+            for dst in block.chunks_exact_mut(MR) {
+                dst[rows..].fill(0.0);
+            }
+        }
+    }
+}
 
+// ---------------------------------------------------------------------------
+// Packed driver
+// ---------------------------------------------------------------------------
+
+/// `C = A·B` (or `C += A·B`) over operands already in packed form: `pa` as
+/// [`pack_a`] lays an `m×k` operand out, `pb` as [`pack_b`] lays a `k×n`
+/// one out (lanes past `n` may hold anything finite or not — their tile
+/// columns are never copied out). `c` is `m×n` row-major.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_packed(
+    kernel: Kernel,
+    store: Store,
+    pa: &[f32],
+    pb: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(pa.len() >= packed_a_len(m, k), "gemm_packed: lhs blocks");
+    assert!(pb.len() >= packed_b_len(k, n), "gemm_packed: rhs panels");
+    assert_eq!(c.len(), m * n, "gemm_packed: out size");
+    if m == 0 || n == 0 {
+        return;
+    }
+    let tile_kernel = tile_kernel_for(kernel);
+    let body = |(chunk, c_rows): (usize, &mut [f32])| {
+        let mut tile = [0.0f32; MR * NR];
+        for (tb, c_tile_rows) in c_rows.chunks_mut(MR * n).enumerate() {
+            let ib = chunk * (ROWS_PER_TASK / MR) + tb;
+            let block = &pa[ib * k * MR..(ib + 1) * k * MR];
+            for (jp, j0) in (0..n).step_by(NR).enumerate() {
+                tile_kernel(block, &pb[jp * k * NR..(jp + 1) * k * NR], k, &mut tile);
+                let cols = NR.min(n - j0);
+                for (c_row, t_row) in c_tile_rows.chunks_exact_mut(n).zip(tile.chunks_exact(NR)) {
+                    let dst = &mut c_row[j0..j0 + cols];
+                    match store {
+                        Store::Set => dst.copy_from_slice(&t_row[..cols]),
+                        Store::Add => {
+                            for (d, &t) in dst.iter_mut().zip(t_row.iter()) {
+                                *d += t;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    };
     if m * n >= PAR_THRESHOLD && m > ROWS_PER_TASK {
         c.par_chunks_mut(ROWS_PER_TASK * n).enumerate().for_each(body);
     } else {
         c.chunks_mut(ROWS_PER_TASK * n).enumerate().for_each(body);
     }
-    panel_put(pb);
+}
+
+/// One `MR×NR` tile from a packed row block and a packed panel.
+type TileKernel = fn(&[f32], &[f32], usize, &mut [f32; MR * NR]);
+
+/// The AVX2 tile kernel where `kernel` asks for SIMD and the CPU has it,
+/// the portable one otherwise (same fallback rule as every [`crate::simd`]
+/// wrapper, so a hand-built `Kernel::Simd` is safe on any CPU).
+fn tile_kernel_for(kernel: Kernel) -> TileKernel {
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Simd && crate::simd::avx2_available() {
+        return |pa, pb, k, tile| {
+            assert!(pa.len() >= k * MR && pb.len() >= k * NR, "tile kernel: packed operand length");
+            // SAFETY: `tile_kernel_for` hands this closure out only after
+            // `avx2_available()`; the assert above is the length contract.
+            unsafe { avx2::microkernel_6x16(pa, pb, k, tile) }
+        };
+    }
+    let _ = kernel;
+    tile_portable
+}
+
+/// Portable tile kernel — the differential oracle the AVX2 kernel must
+/// match bit for bit: per element one ascending-`p` chain of non-fused
+/// multiply-then-add from `0.0`, which is the whole contract. No
+/// zero-skip: `0.0 * b` must still enter the chain (it is not a no-op for
+/// Inf/NaN `b` or a `-0.0` accumulator).
+fn tile_portable(pa: &[f32], pb: &[f32], k: usize, tile: &mut [f32; MR * NR]) {
+    let mut acc = [0.0f32; MR * NR];
+    for (a, b) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(k) {
+        for (acc_row, &a_v) in acc.chunks_exact_mut(NR).zip(a.iter()) {
+            for (c_v, &b_v) in acc_row.iter_mut().zip(b.iter()) {
+                *c_v += a_v * b_v;
+            }
+        }
+    }
+    *tile = acc;
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -492,6 +571,71 @@ mod tests {
             let mut c: Vec<f32> = vec![];
             gemm(kernel, Layout::Nn, &[], &[1.0, 2.0], &mut c, 0, 1, 2);
             gemm(kernel, Layout::Nn, &[1.0, 2.0], &[], &mut c, 2, 1, 0);
+        }
+    }
+
+    #[test]
+    fn add_store_adds_the_finished_tile_once() {
+        // `Store::Add` is `c_old + (finished chain)`, not a chain seeded
+        // with `c_old`: compare against Set into a temporary, then add.
+        for layout in [Layout::Nn, Layout::Tn, Layout::Nt] {
+            for (m, k, n) in shapes() {
+                let (a_len, b_len) = match layout {
+                    Layout::Nn => (m * k, k * n),
+                    Layout::Tn => (k * m, k * n),
+                    Layout::Nt => (m * k, n * k),
+                };
+                let a = torture_vec(a_len, (m * 13 + k) as u64);
+                let b = torture_vec(b_len, (n * 29 + k) as u64);
+                let old = torture_vec(m * n, (m * n) as u64);
+                for kernel in [Kernel::Scalar, Kernel::Simd] {
+                    let mut prod = vec![f32::NAN; m * n];
+                    gemm(kernel, layout, &a, &b, &mut prod, m, k, n);
+                    let want: Vec<f32> = old.iter().zip(prod.iter()).map(|(o, p)| o + p).collect();
+                    let mut got = old.clone();
+                    gemm_add(kernel, layout, &a, &b, &mut got, m, k, n);
+                    assert_bits_eq(&got, &want, &format!("{} add {layout:?} {m}x{k}x{n}", kernel.name()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_store_never_reads_old_contents() {
+        let (m, k, n) = (7, 9, 17);
+        let a: Vec<f32> = (0..m * k).map(|i| (i % 5) as f32 - 2.0).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 - 3.0).collect();
+        for kernel in [Kernel::Scalar, Kernel::Simd] {
+            let mut clean = vec![0.0f32; m * n];
+            let mut dirty = vec![f32::NAN; m * n];
+            gemm(kernel, Layout::Nn, &a, &b, &mut clean, m, k, n);
+            gemm(kernel, Layout::Nn, &a, &b, &mut dirty, m, k, n);
+            assert_bits_eq(&clean, &dirty, kernel.name());
+            assert!(dirty.iter().all(|v| !v.is_nan()));
+        }
+    }
+
+    #[test]
+    fn packed_operands_may_carry_garbage_in_padding_lanes() {
+        // Conv lowering leaves whatever it likes past column `n`; those
+        // tile columns are never copied out.
+        let (m, k, n) = (5, 4, 19);
+        let a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 11) as f32 - 5.0).collect();
+        let mut want = vec![0.0f32; m * n];
+        gemm(Kernel::Scalar, Layout::Nn, &a, &b, &mut want, m, k, n);
+        let mut pa = vec![0.0f32; packed_a_len(m, k)];
+        let mut pb = vec![0.0f32; packed_b_len(k, n)];
+        pack_a(Layout::Nn, &a, &mut pa, m, k);
+        pack_b(Layout::Nn, &b, &mut pb, k, n);
+        for p in 0..k {
+            pb[k * NR + p * NR + (n - NR)..k * NR + (p + 1) * NR].fill(f32::NAN);
+        }
+        for kernel in [Kernel::Scalar, Kernel::Simd] {
+            let mut got = vec![f32::NAN; m * n];
+            gemm_packed(kernel, Store::Set, &pa, &pb, &mut got, m, k, n);
+            assert_bits_eq(&got, &want, kernel.name());
+            assert!(got.iter().all(|v| !v.is_nan()));
         }
     }
 

@@ -25,6 +25,7 @@
 //! scalar twin, so `Simd` means "use vector kernels where possible", not
 //! "the CPU has AVX2".
 
+use crate::gemm::Layout;
 use std::sync::OnceLock;
 
 /// Bucket count of the 16-bit magnitude-key histogram filled by
@@ -316,12 +317,13 @@ impl Kernel {
     // --- compute tier (see crate::gemm and DESIGN.md "Compute tier") ---
 
     /// `C = A·B`: `a` is `m×k` row-major, `b` is `k×n` row-major, `c` is
-    /// overwritten. Every backend runs each output element's k-chain in
-    /// ascending order with non-fused mul+add, so outputs are bitwise
-    /// identical across backends and rayon splits.
+    /// overwritten (never read, so it needs no zeroing). Every backend
+    /// runs each output element's k-chain in ascending order with
+    /// non-fused mul+add, so outputs are bitwise identical across backends
+    /// and rayon splits.
     #[inline]
     pub fn gemm(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        crate::gemm::gemm(self, crate::gemm::Layout::Nn, a, b, c, m, k, n);
+        crate::gemm::gemm(self, Layout::Nn, a, b, c, m, k, n);
     }
 
     /// `C = Aᵀ·B` with `a` stored `k×m` row-major (so no transpose copy is
@@ -329,7 +331,15 @@ impl Kernel {
     /// [`Kernel::gemm`].
     #[inline]
     pub fn gemm_at_b(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        crate::gemm::gemm(self, crate::gemm::Layout::Tn, a, b, c, m, k, n);
+        crate::gemm::gemm(self, Layout::Tn, a, b, c, m, k, n);
+    }
+
+    /// `C += Aᵀ·B`: [`Kernel::gemm_at_b`] with the accumulating copy-out —
+    /// each element's chain is finished first, then added to `c` once, so
+    /// the result is bit for bit `c + (Aᵀ·B)` without the temporary.
+    #[inline]
+    pub fn gemm_at_b_add(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        crate::gemm::gemm_add(self, Layout::Tn, a, b, c, m, k, n);
     }
 
     /// `C = A·Bᵀ` with `b` stored `n×k` row-major (linear-layer forward
@@ -337,7 +347,7 @@ impl Kernel {
     /// [`Kernel::gemm`].
     #[inline]
     pub fn gemm_a_bt(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        crate::gemm::gemm(self, crate::gemm::Layout::Nt, a, b, c, m, k, n);
+        crate::gemm::gemm(self, Layout::Nt, a, b, c, m, k, n);
     }
 
     /// In-place ReLU: `x = if x > 0.0 { x } else { 0.0 }` per element.

@@ -16,8 +16,9 @@
 //! * [`gemm`] — the compute tier: cache-blocked, register-tiled,
 //!   rayon-parallel GEMM (plain and both transposed layouts) behind the
 //!   [`Kernel`] seam, bitwise identical across backends; used by linear
-//!   layers and im2col convolution.
-//! * [`conv`] — im2col + GEMM based 2-D convolution forward/backward.
+//!   layers and the convolution.
+//! * [`conv`] — 2-D convolution forward/backward: image patches lowered
+//!   straight into the GEMM's packed panels.
 //! * [`pool`] — max pooling and global average pooling forward/backward.
 //! * [`ops`] — activation and softmax kernels.
 //! * [`scratch`] — [`ComputeScratch`]: per-network kernel choice plus

@@ -93,3 +93,23 @@ for f in $PRODUCT; do
     done
 done
 row "$lonely" "plain-pub items named in no file but their own (61 before ISSUE 15)"
+
+# ISSUE 17: the conv data path (panel lowering, row-run col2im, one working
+# set per task, set/add copy-out) and the byte-bounded scratch replaced the
+# im2col matrix, the per-image buffer tuples and the 64-slot pool. It did
+# not come out smaller: the padded-plane staging, the second (transposed)
+# lowering and the shelf's bound cost more lines than the append-form
+# im2col and the tuple plumbing freed.
+echo
+COMPUTE=(crates/tensor/src/{conv,gemm,scratch,kernel}.rs crates/nn/src/{layer,resnet,model}.rs)
+before=(258 205 74 448 504 185 130)
+total=0
+for i in "${!COMPUTE[@]}"; do
+    n=$(code "${COMPUTE[$i]}" | wc -l)
+    printf '%6d  %s (%d before ISSUE 17)\n' "$n" "${COMPUTE[$i]}" "${before[$i]}"
+    total=$((total + n))
+done
+printf '%6d  code lines (1804 before ISSUE 17)\n' "$total"
+row "$(hits 'fn im2col_single|Vec<\(Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>\)>' crates/tensor/src/conv.rs)" "im2col matrix form / per-image buffer tuples left in conv.rs product code"
+row "$(hits 'take_zeroed\(' crates/tensor/src/conv.rs crates/nn/src/*.rs)" "take_zeroed( sites in conv.rs + crates/nn/src (accumulators only; 10 before ISSUE 17)"
+
