@@ -4,8 +4,10 @@
 //!
 //! Experiment harness for the DGS reproduction. The `experiments` binary
 //! regenerates every table and figure of the paper's evaluation section;
-//! the Criterion benches under `benches/` measure the primitive costs
-//! (Top-k selection, COO encode/decode, compressor steps, server updates).
+//! the two plain-`main` grids under `benches/` time what no round-ledger
+//! workload runs (connection scale, the edge tier). Primitive costs
+//! (Top-k selection, codec, compressor steps, server updates) are rows of
+//! the round ledger, `crates/ledger`.
 //!
 //! This library holds the shared pieces: workload presets (the CIFAR-10 /
 //! ImageNet stand-ins at experiment scale), plain-text table rendering, and

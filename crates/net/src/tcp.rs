@@ -32,7 +32,7 @@
 //! server exits once every expected worker has done so.
 
 use crate::codec::{ClusterHello, Hello};
-use crate::conn::{protocol_step, ConnPhase, Outgoing};
+use crate::conn::{protocol_step, ConnPhase};
 use crate::error::{NetError, NetResult};
 use crate::frame::MsgType;
 use crate::msg::{DownMsg, UpMsg};
@@ -549,21 +549,6 @@ pub fn serve_cluster<H: SharedUpdateHandler + 'static>(
     Ok(s)
 }
 
-/// Maps one protocol-level [`Outgoing`] onto the blocking send path. The
-/// bytes (and therefore the [`WireStats`] counters) are identical to what
-/// the evented backend's queue encodes for the same `Outgoing`.
-fn send_outgoing(conn: &mut WireConn<TcpStream>, out: &Outgoing) -> NetResult<()> {
-    match out {
-        Outgoing::HelloAck { worker, hello } => conn.send_hello(MsgType::HelloAck, *worker, hello),
-        Outgoing::ClusterHelloAck { worker, hello, layout } => {
-            conn.send_cluster_hello(MsgType::ClusterHelloAck, *worker, hello, layout)
-        }
-        Outgoing::Reply { worker, seq, msg } => conn.send_reply(*worker, *seq, msg),
-        Outgoing::Control { ty, worker } => conn.send_control(*ty, *worker),
-        Outgoing::Error { worker, reason } => conn.send_error(*worker, reason),
-    }
-}
-
 /// Serves one connection to completion. Returns its byte counters.
 ///
 /// The protocol decisions all live in [`protocol_step`] — shared with the
@@ -593,7 +578,7 @@ fn serve_conn<H: SharedUpdateHandler>(
                 // best-effort (the peer may already be gone).
                 let mut send_failed = false;
                 for out in &step.send {
-                    if send_outgoing(&mut conn, out).is_err() {
+                    if conn.send_outgoing(out).is_err() {
                         send_failed = true;
                         break;
                     }

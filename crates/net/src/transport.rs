@@ -19,9 +19,11 @@ use crate::codec::{
     decode_down, decode_up, down_msg_type, encode_down_frame_into, encode_up_frame_into,
     up_msg_type, ClusterHello, Hello,
 };
+use crate::conn::{protocol_step, ConnPhase, Outgoing};
 use crate::error::{NetError, NetResult};
 use crate::frame::{encode_frame_into, read_frame_into, FrameHeader, MsgType, HEADER_LEN};
 use crate::msg::{DownMsg, UpMsg};
+use crate::tcp::ServerOpts;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -332,6 +334,23 @@ impl<S: Read + Write> WireConn<S> {
         self.send(MsgType::Error, worker, 0, reason.as_bytes())
     }
 
+    /// Maps one protocol-level [`Outgoing`] onto the blocking send path. The
+    /// bytes (and therefore the [`WireStats`] counters) are identical to what
+    /// the evented backend's queue encodes for the same `Outgoing`.
+    pub(crate) fn send_outgoing(&mut self, out: &Outgoing) -> NetResult<()> {
+        match out {
+            Outgoing::HelloAck { worker, hello } => {
+                self.send_hello(MsgType::HelloAck, *worker, hello)
+            }
+            Outgoing::ClusterHelloAck { worker, hello, layout } => {
+                self.send_cluster_hello(MsgType::ClusterHelloAck, *worker, hello, layout)
+            }
+            Outgoing::Reply { worker, seq, msg } => self.send_reply(*worker, *seq, msg),
+            Outgoing::Control { ty, worker } => self.send_control(*ty, *worker),
+            Outgoing::Error { worker, reason } => self.send_error(*worker, reason),
+        }
+    }
+
     /// Reads and fully decodes the next frame.
     pub fn read_event(&mut self) -> NetResult<Event> {
         let header = read_frame_into(&mut self.stream, self.max_payload, &mut self.frame)?;
@@ -629,54 +648,34 @@ impl<H: SharedUpdateHandler> Loopback<H> {
         self.server_conn.stats()
     }
 
-    /// A frame naming another worker on this worker's connection.
-    fn check_worker(&self, worker: u16) -> NetResult<()> {
-        if worker == self.worker {
-            return Ok(());
-        }
-        Err(NetError::Protocol(format!(
-            "loopback worker id mismatch: conn {} frame {worker}",
-            self.worker
-        )))
-    }
-
-    /// Pumps one frame through the server side and pushes the reply back,
-    /// decision for decision what `conn::protocol_step` does for a running
-    /// TCP connection (a refusal is a protocol error instead of an error
-    /// frame — there is no peer process to tell).
+    /// Pumps one frame through the server side of a running connection —
+    /// the TCP servers' `conn::protocol_step`, which never reads its options
+    /// past the handshake — and pushes the frames it produced back. A
+    /// refusal is a protocol error instead of an error frame: there is no
+    /// peer process to tell.
     fn serve_one(&mut self) -> NetResult<()> {
-        let refused = |reason: &'static str| NetError::Protocol(reason.to_string());
-        match self.server_conn.read_event()? {
-            Event::Update { worker, seq, msg } => {
-                self.check_worker(worker)?;
-                match self.handler.handle_sequenced(worker, seq, *msg).map_err(refused)? {
-                    Sequenced::Applied(reply) | Sequenced::Duplicate(reply) => {
-                        self.server_conn.send_reply(worker, seq, &reply)
-                    }
-                    Sequenced::Gap { applied } => Err(NetError::Protocol(format!(
-                        "sequence gap: got {seq}, applied {applied}"
-                    ))),
-                }
+        let event = self.server_conn.read_event()?;
+        let mut phase = ConnPhase::Running { worker: self.worker };
+        let opts = ServerOpts::new(0, 0, 0);
+        let step = protocol_step(&mut phase, event, self.handler.as_ref(), &opts);
+        for out in &step.send {
+            if let Outgoing::Error { reason, .. } = out {
+                return Err(NetError::Protocol(reason.clone()));
             }
-            Event::Resync { worker, .. } => {
-                self.check_worker(worker)?;
-                let reply = self.handler.handle_resync(worker).map_err(refused)?;
-                self.server_conn.send_reply(worker, self.seq, &reply)
-            }
-            Event::Shutdown { worker } => {
-                self.server_conn.send_control(MsgType::ShutdownAck, worker)
-            }
-            other => Err(NetError::Protocol(format!("unexpected loopback frame: {other:?}"))),
+            self.server_conn.send_outgoing(out)?;
         }
+        Ok(())
     }
 
-    /// Reads the worker-side reply for sequence `seq`.
-    fn take_reply(&mut self, seq: u32) -> NetResult<DownMsg> {
+    /// Reads the worker-side reply; `want_seq == None` accepts any
+    /// sequence (resync), as `TcpWorkerTransport::await_reply` does.
+    fn take_reply(&mut self, want_seq: Option<u32>) -> NetResult<DownMsg> {
         match self.worker_conn.read_event()? {
-            Event::Reply { worker, seq: got, msg } => {
-                if worker != self.worker || got != seq {
+            Event::Reply { worker, seq, msg } => {
+                if worker != self.worker || want_seq.is_some_and(|want| seq != want) {
                     return Err(NetError::Protocol(format!(
-                        "loopback reply routing: got worker {worker} seq {got}, want {} {seq}",
+                        "loopback reply routing: got worker {worker} seq {seq}, \
+                         want {} {want_seq:?}",
                         self.worker
                     )));
                 }
@@ -692,13 +691,13 @@ impl<H: SharedUpdateHandler> Transport for Loopback<H> {
         self.seq += 1;
         self.worker_conn.send_update(self.worker, self.seq, up)?;
         self.serve_one()?;
-        self.take_reply(self.seq)
+        self.take_reply(Some(self.seq))
     }
 
     fn resync(&mut self) -> NetResult<DownMsg> {
         self.worker_conn.send_resync(self.worker, self.seq)?;
         self.serve_one()?;
-        self.take_reply(self.seq)
+        self.take_reply(None)
     }
 
     fn shutdown(&mut self) -> NetResult<()> {
@@ -930,7 +929,7 @@ mod tests {
         // A resync frame claiming to be worker 1 on worker 0's connection.
         t.worker_conn.send_resync(1, 1).unwrap();
         let err = t.serve_one().unwrap_err().to_string();
-        assert!(err.contains("worker id mismatch"), "{err}");
+        assert!(err.contains("worker id changed mid-connection"), "{err}");
         assert_eq!(handler.lock().unwrap().logic().resyncs, 0, "nothing was resynced");
     }
 

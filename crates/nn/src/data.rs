@@ -10,7 +10,6 @@
 
 use dgs_tensor::rng::{derive_seed, sample_standard_normal, seeded};
 use dgs_tensor::{Shape, Tensor};
-use rand::Rng;
 
 /// Dataset splits: the *task* (class means / prototypes) is a pure function
 /// of the task seed, while per-sample randomness additionally depends on the
@@ -210,10 +209,10 @@ impl SyntheticVision {
                 // Low spatial frequencies (0.5..1.5 cycles per image) so a
                 // small translation perturbs rather than decorrelates the
                 // class signature.
-                let fx = rng.gen_range(0.5f32..1.5) * std::f32::consts::TAU / hw as f32;
-                let fy = rng.gen_range(0.5f32..1.5) * std::f32::consts::TAU / hw as f32;
-                let phase = rng.gen_range(0.0f32..std::f32::consts::TAU);
-                let amp = rng.gen_range(0.4f32..1.0);
+                let fx = rng.uniform(0.5, 1.5) * std::f32::consts::TAU / hw as f32;
+                let fy = rng.uniform(0.5, 1.5) * std::f32::consts::TAU / hw as f32;
+                let phase = rng.uniform(0.0, std::f32::consts::TAU);
+                let amp = rng.uniform(0.4, 1.0);
                 *b = (fx, fy, phase, amp);
             }
             waves.push(bank);
@@ -265,8 +264,8 @@ impl Dataset for SyntheticVision {
         let sample_seed = derive_seed(self.seed, self.split.salt())
             ^ (index as u64).wrapping_mul(0x94D0_49BB_1331_11EB);
         let mut rng = seeded(sample_seed);
-        let dy = rng.gen_range(0..=2 * self.max_shift) as f32 - self.max_shift as f32;
-        let dx = rng.gen_range(0..=2 * self.max_shift) as f32 - self.max_shift as f32;
+        let dy = rng.below(2 * self.max_shift + 1) as f32 - self.max_shift as f32;
+        let dx = rng.below(2 * self.max_shift + 1) as f32 - self.max_shift as f32;
         let hw = self.hw;
         for c in 0..self.channels {
             let plane = &mut out[c * hw * hw..(c + 1) * hw * hw];

@@ -73,10 +73,20 @@ fn assert_bits_exact(a: &[f32], b: &[f32], what: &str) {
 #[test]
 fn gemm_backends_identical_on_torture_inputs() {
     // Shapes cover the microkernel interior (multiples of 6×16), ragged
-    // edges, k = 1 chains, and a product past the parallel threshold.
-    for &(m, k, n) in
-        &[(1, 1, 1), (6, 8, 16), (7, 9, 17), (13, 1, 5), (48, 32, 64), (160, 24, 160)]
-    {
+    // edges, k = 1 chains, a product past the parallel threshold, and
+    // squares that span several cache blocks in every dimension.
+    for &(m, k, n) in &[
+        (1, 1, 1),
+        (6, 8, 16),
+        (7, 9, 17),
+        (13, 1, 5),
+        (48, 32, 64),
+        (160, 24, 160),
+        (64, 64, 64),
+        (128, 128, 128),
+        (256, 256, 256),
+        (384, 384, 384),
+    ] {
         let a = torture_vec(m * k, 0x5EED_0001);
         let b = torture_vec(k * n, 0x5EED_0002);
         let mut c_scalar = vec![0.0f32; m * n];
@@ -119,24 +129,28 @@ fn linear_layer_backends_identical() {
 
 #[test]
 fn conv_layer_backends_identical_on_torture_inputs() {
-    // Finite weights, torture activations: NaN/Inf propagate through
-    // im2col + GEMM identically on every backend.
-    let x = Tensor::from_vec([2, 2, 6, 6], torture_vec(2 * 2 * 6 * 6, 11)).unwrap();
-    let mut outs = Vec::new();
-    for kernel in [Kernel::Scalar, Kernel::Simd] {
-        let mut l = Conv2d::new("conv", 2, 3, 3, 1, 1, true);
-        let mut params = vec![0.0f32; 3 * 2 * 9 + 3];
-        l.init_params(&mut params, 6);
-        let mut s = ComputeScratch::new(kernel);
-        let y = l.forward(&params, x.clone(), &mut s);
-        let dy = Tensor::from_vec(y.shape().clone(), torture_vec(y.numel(), 12)).unwrap();
-        let mut grad = vec![0.0f32; params.len()];
-        let dx = l.backward(&params, &mut grad, dy, &mut s);
-        outs.push((y, grad, dx));
+    // Finite weights, torture activations: NaN/Inf propagate through the
+    // lowering + GEMM identically on every backend. (batch, cin, hw, cout):
+    // a minimal stage, a tiny_cnn-like one and a resnet_lite-like one.
+    for &(n, cin, hw, cout) in &[(2usize, 2usize, 6usize, 3usize), (8, 4, 16, 8), (4, 8, 32, 16)] {
+        let x = Tensor::from_vec([n, cin, hw, hw], torture_vec(n * cin * hw * hw, 11)).unwrap();
+        let mut outs = Vec::new();
+        for kernel in [Kernel::Scalar, Kernel::Simd] {
+            let mut l = Conv2d::new("conv", cin, cout, 3, 1, 1, true);
+            let mut params = vec![0.0f32; cout * cin * 9 + cout];
+            l.init_params(&mut params, 6);
+            let mut s = ComputeScratch::new(kernel);
+            let y = l.forward(&params, x.clone(), &mut s);
+            let dy = Tensor::from_vec(y.shape().clone(), torture_vec(y.numel(), 12)).unwrap();
+            let mut grad = vec![0.0f32; params.len()];
+            let dx = l.backward(&params, &mut grad, dy, &mut s);
+            outs.push((y, grad, dx));
+        }
+        let what = format!("conv {n}x{cin}x{hw}x{hw}->{cout}");
+        assert_bits_eq(outs[0].0.data(), outs[1].0.data(), &format!("{what} forward"));
+        assert_bits_eq(&outs[0].1, &outs[1].1, &format!("{what} param grads"));
+        assert_bits_eq(outs[0].2.data(), outs[1].2.data(), &format!("{what} dx"));
     }
-    assert_bits_eq(outs[0].0.data(), outs[1].0.data(), "conv forward");
-    assert_bits_eq(&outs[0].1, &outs[1].1, "conv param grads");
-    assert_bits_eq(outs[0].2.data(), outs[1].2.data(), "conv dx");
 }
 
 #[test]
@@ -175,20 +189,23 @@ fn step_bits(net: &mut dgs_nn::Network, x: &Tensor, labels: &[usize]) -> (Vec<u3
 fn whole_network_training_identical_across_backends() {
     // mlp exercises Linear/ChannelNorm/ReLU; tiny_cnn adds conv + maxpool;
     // resnet_lite adds residual blocks, projections and global avg pool.
-    let builders: Vec<(&str, Box<dyn Fn() -> dgs_nn::Network>)> = vec![
-        ("mlp", Box::new(|| mlp(12, &[16, 8], 4, 31))),
-        ("tiny_cnn", Box::new(|| tiny_cnn(2, 8, 4, 4, 32))),
-        ("resnet_lite", Box::new(|| resnet_lite(1, 8, 3, 4, 33))),
+    // The last two are the 16×16 RGB, width-8 shapes of a real step.
+    let builders: Vec<(&str, Box<dyn Fn() -> dgs_nn::Network>, usize)> = vec![
+        ("mlp", Box::new(|| mlp(12, &[16, 8], 4, 31)), 6),
+        ("tiny_cnn", Box::new(|| tiny_cnn(2, 8, 4, 4, 32)), 6),
+        ("resnet_lite", Box::new(|| resnet_lite(1, 8, 3, 4, 33)), 6),
+        ("tiny_cnn 16x16", Box::new(|| tiny_cnn(3, 16, 10, 8, 7)), 16),
+        ("resnet_lite 16x16", Box::new(|| resnet_lite(3, 16, 10, 8, 7)), 8),
     ];
-    for (name, build) in builders {
+    for (name, build, batch) in builders {
         let mut net_probe = build();
         let in_shape = {
-            let mut dims = vec![6usize];
+            let mut dims = vec![batch];
             dims.extend_from_slice(net_probe.input_shape().dims());
             Shape::new(dims)
         };
         let x = Tensor::randn(in_shape, 1.0, 41);
-        let labels: Vec<usize> = (0..6).map(|i| i % 3).collect();
+        let labels: Vec<usize> = (0..batch).map(|i| i % 3).collect();
         let _ = net_probe.forward(x.clone());
 
         let mut results = Vec::new();

@@ -16,7 +16,7 @@
 //!   bitwise-identical to the comparator reference, and one streaming pass
 //!   when the [`Guess`] its caller carried over from the last round holds.
 //! * [`sampled`] — DGC-style sampled threshold estimation (the only
-//!   selection code with a `rand` dependency).
+//!   selection code that draws random numbers).
 //! * [`merge`] — the server-side diff/merge kernels behind the O(nnz)
 //!   downlink construction (dense scan, candidate-restricted scan,
 //!   deterministic pair Top-k, dirty-set maintenance). The log merge and

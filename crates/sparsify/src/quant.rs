@@ -10,9 +10,8 @@
 //! per coordinate (index + f32) to 4 bytes + 1 bit.
 
 use crate::coo::{put_u32, put_u32s, take, take_u32, take_u32s, SparseVec};
+use dgs_tensor::rng::{derive_seed, seeded};
 use dgs_tensor::Kernel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One layer's ternary-quantized sparse chunk.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -45,13 +44,15 @@ impl TernaryVec {
         if scale == 0.0 || sv.nnz() == 0 {
             return TernaryVec::default();
         }
-        let mut rng = StdRng::seed_from_u64(seed);
+        // Callers hand in adjacent seeds (`seed + chunk`, a round counter);
+        // raw-adjacent SplitMix64 states give correlated first draws.
+        let mut rng = seeded(derive_seed(seed, 0));
         let mut idx = Vec::with_capacity(sv.nnz());
         let mut signs = Vec::with_capacity(sv.nnz() / 8 + 1);
         let mut bit = 0usize;
         for (&i, &v) in sv.idx.iter().zip(sv.val.iter()) {
             let keep_p = v.abs() / scale;
-            if rng.gen::<f32>() < keep_p {
+            if rng.unit_f32() < keep_p {
                 if bit.is_multiple_of(8) {
                     signs.push(0);
                 }

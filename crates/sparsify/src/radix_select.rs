@@ -9,7 +9,8 @@
 //! the dim-sized index permutation it drags through cache. At the paper's
 //! operating point (dim = 1M, R = 1%) that selection is the per-step hot
 //! spot on **both** sparsification ways: the worker uplink (Alg. 1/3) and
-//! the server's secondary compression (Alg. 2), see `BENCH_server.json`.
+//! the server's secondary compression (Alg. 2) — the round ledger's
+//! `sparsify.topk_replay_us` and `server.handle_us` rows.
 //!
 //! This module replaces the comparator with bit arithmetic:
 //!
@@ -63,8 +64,8 @@
 //! segment inside one two-byte prefix — is detected when the boundary
 //! bucket exceeds n/8 and handled by a third, filtered histogram pass
 //! that narrows the prefix to 24 bits before gathering; the engine stays
-//! exact and still beats the comparator (≈1.3–1.5× measured, vs ≈3.7×
-//! on gradient-shaped data — `BENCH_topk.json`). Segments below
+//! exact and still beats the comparator (≈1.3–1.5× when it was last
+//! timed against it, vs ≈3.7× on gradient-shaped data). Segments below
 //! `WIDE_HIST_MIN` (32 Ki) skip the wide histogram entirely for a 256-bucket
 //! stack-resident byte cascade, so small layers never pay the 256 KiB
 //! histogram reset. Scratch is the 65,536-entry histogram plus the

@@ -4,12 +4,11 @@
 //! selection on very large tensors by estimating the threshold from a
 //! random sample. The estimator lives apart from [`crate::topk`] so the
 //! exact kernels stay std-only (standalone offline harnesses compile them
-//! directly); this module is the only selection code with a `rand`
-//! dependency.
+//! directly); this module is the only selection code that draws random
+//! numbers.
 
 use crate::topk::topk_threshold;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dgs_tensor::rng::seeded;
 
 /// Estimates the Top-k threshold from a random sample of the segment, the
 /// strategy DGC uses to avoid a full selection on very large tensors.
@@ -23,8 +22,8 @@ pub fn sampled_threshold(seg: &[f32], k: usize, sample: usize, seed: u64) -> f32
     if sample >= n {
         return topk_threshold(seg, k);
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut mags: Vec<f32> = (0..sample).map(|_| seg[rng.gen_range(0..n)].abs()).collect();
+    let mut rng = seeded(seed);
+    let mut mags: Vec<f32> = (0..sample).map(|_| seg[rng.below(n)].abs()).collect();
     // Quantile position equivalent to k-of-n within the sample.
     let pos = ((k as f64 / n as f64) * sample as f64).ceil() as usize;
     let pos = pos.clamp(1, sample);

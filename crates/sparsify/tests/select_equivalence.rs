@@ -412,4 +412,26 @@ fn large_segments_cross_histogram_cutoff() {
             assert_equivalent(&equal, k);
         }
     }
+
+    // A layer-sized segment at the paper's keep ratios, three shapes: a
+    // smooth heavy tail (cubed sinusoid mix), a one-ulp-band plateau (every
+    // key inside a single two-byte prefix — the narrowing pass again, 30×
+    // wider) and an exponential decay with sign flips (top-heavy).
+    let n = 1_000_000usize;
+    let heavy = |i: usize| {
+        let x = (i as f64 * 0.7391).sin() * 2.0 + (i as f64 * 0.113).cos();
+        (x * x * x) as f32
+    };
+    let plateau = |i: usize| 1.0 + ((i as f64 * 0.618_033_988).fract() * 1e-3) as f32;
+    let skewed = |i: usize| {
+        let mag = (-(i as f64) * 8.0 / n as f64).exp();
+        (if i % 3 == 0 { -mag } else { mag }) as f32
+    };
+    let shapes: [&dyn Fn(usize) -> f32; 3] = [&heavy, &plateau, &skewed];
+    for shape in shapes {
+        let seg: Vec<f32> = (0..n).map(shape).collect();
+        for k in [n / 100, n / 10] {
+            assert_equivalent(&seg, k);
+        }
+    }
 }

@@ -286,22 +286,16 @@ fn crop(planes: &[f32], dx_img: &mut [f32], g: &Geom) {
     }
 }
 
-/// Convolution forward (throwaway scratch at the runtime backend; layers
-/// use [`conv2d_forward_with`]).
+/// Convolution forward.
 ///
 /// * `x`: `N×C×H×W` input.
 /// * `weight`: flat `OC×(C·K·K)` kernel bank.
 /// * `bias`: `OC` biases (may be empty for no bias).
 ///
-/// Returns the `N×OC×OH×OW` output.
-pub fn conv2d_forward(x: &Tensor, weight: &[f32], bias: &[f32], spec: &Conv2dSpec) -> Tensor {
-    conv2d_forward_with(&mut ComputeScratch::default(), x, weight, bias, spec)
-}
-
-/// [`conv2d_forward`] through the compute tier: the output comes from
-/// `scratch` (never zero-filled — the GEMM overwrites it), the weights are
-/// packed once, and the batch fans out over rayon, one image per task
-/// (images are disjoint, so the split cannot reorder any accumulation).
+/// Returns the `N×OC×OH×OW` output. It comes from `scratch` (never
+/// zero-filled — the GEMM overwrites it), the weights are packed once, and
+/// the batch fans out over rayon, one image per task (images are disjoint,
+/// so the split cannot reorder any accumulation).
 pub fn conv2d_forward_with(
     scratch: &mut ComputeScratch,
     x: &Tensor,
@@ -381,7 +375,7 @@ pub fn conv2d_forward_direct(x: &Tensor, w: &[f32], b: &[f32], sp: &Conv2dSpec) 
     y
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Gradients produced by [`conv2d_backward_with`].
 pub struct Conv2dGrads {
     /// Gradient w.r.t. the input, `N×C×H×W`.
     pub dx: Tensor,
@@ -392,18 +386,7 @@ pub struct Conv2dGrads {
 }
 
 /// Convolution backward: given `dy` (`N×OC×OH×OW`), the forward input and
-/// weights, produces input/weight/bias gradients.
-pub fn conv2d_backward(
-    x: &Tensor,
-    weight: &[f32],
-    dy: &Tensor,
-    spec: &Conv2dSpec,
-    with_bias: bool,
-) -> Conv2dGrads {
-    conv2d_backward_with(&mut ComputeScratch::default(), x, weight, dy, spec, with_bias)
-}
-
-/// [`conv2d_backward`] through the compute tier (pooled outputs, explicit
+/// weights, produces input/weight/bias gradients (pooled outputs, explicit
 /// kernel, rayon over the images of a chunk). Per-image partial weight
 /// grads are folded sequentially after each chunk so the summation order
 /// (and thus the result) is the image order regardless of the rayon
@@ -531,7 +514,7 @@ mod tests {
             let x = Tensor::randn([2, cin, h, w], 1.0, 42);
             let wt = Tensor::randn([sp.weight_len()], 0.5, 43).into_vec();
             let b = Tensor::randn([cout], 0.1, 44).into_vec();
-            let y = conv2d_forward(&x, &wt, &b, &sp);
+            let y = conv2d_forward_with(&mut ComputeScratch::default(), &x, &wt, &b, &sp);
             let y_ref = conv2d_forward_direct(&x, &wt, &b, &sp);
             assert_slice_approx_eq(y.data(), y_ref.data(), 1e-4);
         }
@@ -542,7 +525,7 @@ mod tests {
         let sp = spec(1, 2, 3, 1, 1);
         let x = Tensor::randn([1, 1, 5, 5], 1.0, 7);
         let wt = Tensor::randn([sp.weight_len()], 0.5, 8).into_vec();
-        let y = conv2d_forward(&x, &wt, &[], &sp);
+        let y = conv2d_forward_with(&mut ComputeScratch::default(), &x, &wt, &[], &sp);
         let y_ref = conv2d_forward_direct(&x, &wt, &[], &sp);
         assert_slice_approx_eq(y.data(), y_ref.data(), 1e-4);
     }
@@ -908,13 +891,14 @@ mod tests {
         let wt = Tensor::randn([sp.weight_len()], 0.5, 101).into_vec();
         let b = Tensor::randn([3], 0.1, 102).into_vec();
         // Loss = sum(conv(x)) so dy = ones.
-        let y = conv2d_forward(&x, &wt, &b, &sp);
+        let y = conv2d_forward_with(&mut ComputeScratch::default(), &x, &wt, &b, &sp);
         let dy = Tensor::full(y.shape().clone(), 1.0);
-        let grads = conv2d_backward(&x, &wt, &dy, &sp, true);
+        let grads = conv2d_backward_with(&mut ComputeScratch::default(), &x, &wt, &dy, &sp, true);
 
         let eps = 1e-2f32;
-        let loss =
-            |x: &Tensor, wt: &[f32], b: &[f32]| -> f64 { conv2d_forward(x, wt, b, &sp).sum() };
+        let loss = |x: &Tensor, wt: &[f32], b: &[f32]| -> f64 {
+            conv2d_forward_with(&mut ComputeScratch::default(), x, wt, b, &sp).sum()
+        };
         // Check a sample of weight coordinates.
         for &wi in &[0usize, 5, 17, sp.weight_len() - 1] {
             let mut wp = wt.clone();
@@ -953,9 +937,9 @@ mod tests {
         let sp = spec(1, 2, 3, 2, 1);
         let x = Tensor::randn([1, 1, 8, 8], 1.0, 200);
         let wt = Tensor::randn([sp.weight_len()], 0.5, 201).into_vec();
-        let y = conv2d_forward(&x, &wt, &[], &sp);
+        let y = conv2d_forward_with(&mut ComputeScratch::default(), &x, &wt, &[], &sp);
         let dy = Tensor::full(y.shape().clone(), 1.0);
-        let grads = conv2d_backward(&x, &wt, &dy, &sp, false);
+        let grads = conv2d_backward_with(&mut ComputeScratch::default(), &x, &wt, &dy, &sp, false);
         assert!(grads.dbias.is_empty());
         let eps = 1e-2f32;
         for &xi in &[0usize, 31, 63] {
@@ -963,8 +947,8 @@ mod tests {
             xp.data_mut()[xi] += eps;
             let mut xm = x.clone();
             xm.data_mut()[xi] -= eps;
-            let num = (conv2d_forward(&xp, &wt, &[], &sp).sum()
-                - conv2d_forward(&xm, &wt, &[], &sp).sum())
+            let num = (conv2d_forward_with(&mut ComputeScratch::default(), &xp, &wt, &[], &sp).sum()
+                - conv2d_forward_with(&mut ComputeScratch::default(), &xm, &wt, &[], &sp).sum())
                 / (2.0 * eps as f64);
             assert!(
                 (num - grads.dx.data()[xi] as f64).abs() < 2e-2 * num.abs().max(1.0),

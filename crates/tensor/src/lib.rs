@@ -23,8 +23,8 @@
 //! * [`ops`] — activation and softmax kernels.
 //! * [`scratch`] — [`ComputeScratch`]: per-network kernel choice plus
 //!   buffer pools that make the training loop allocation-free.
-//! * [`rng`] — deterministic seeded RNG helpers including Gaussian sampling
-//!   (hand-rolled Box–Muller; `rand_distr` is not in the offline set).
+//! * [`rng`] — the in-tree seeded generator (SplitMix64) and its helpers,
+//!   including Gaussian sampling (hand-rolled Box–Muller).
 //! * [`bufpool`] — a free-list [`BufferPool`] for allocation-free scratch
 //!   buffers on hot paths (used by the server's reply construction).
 //! * [`kernel`] / [`simd`] — the runtime-selected [`Kernel`] backend seam:

@@ -44,14 +44,8 @@ pub struct MaxPoolOut {
     pub argmax: Vec<u32>,
 }
 
-/// Max-pool forward over an NCHW tensor (throwaway scratch at the
-/// runtime backend; layers use [`maxpool2d_forward_with`]).
-pub fn maxpool2d_forward(x: &Tensor, spec: &MaxPoolSpec) -> MaxPoolOut {
-    maxpool2d_forward_with(&mut ComputeScratch::default(), x, spec)
-}
-
-/// Max-pool forward through the compute tier: output and argmax are
-/// carved from `scratch`'s pools and appended plane by plane.
+/// Max-pool forward over an NCHW tensor: output and argmax are carved
+/// from `scratch`'s pools and appended plane by plane.
 pub fn maxpool2d_forward_with(scratch: &mut ComputeScratch, x: &Tensor, spec: &MaxPoolSpec) -> MaxPoolOut {
     let (n, c, h, w) = x.shape().as_nchw();
     let (oh, ow) = spec.out_hw(h, w);
@@ -89,12 +83,8 @@ pub fn maxpool2d_forward_with(scratch: &mut ComputeScratch, x: &Tensor, spec: &M
     MaxPoolOut { y, argmax }
 }
 
-/// Max-pool backward: routes each output gradient to its argmax input.
-pub fn maxpool2d_backward(input_shape: &Shape, argmax: &[u32], dy: &Tensor) -> Tensor {
-    maxpool2d_backward_with(&mut ComputeScratch::default(), input_shape, argmax, dy)
-}
-
-/// [`maxpool2d_backward`] with the gradient buffer drawn from `scratch`.
+/// Max-pool backward: routes each output gradient to its argmax input
+/// (gradient buffer drawn from `scratch`).
 pub fn maxpool2d_backward_with(
     scratch: &mut ComputeScratch,
     input_shape: &Shape,
@@ -108,14 +98,9 @@ pub fn maxpool2d_backward_with(
     Tensor::from_vec(input_shape.clone(), dxd).expect("maxpool dx size")
 }
 
-/// Global average pooling: `N×C×H×W → N×C`.
-pub fn global_avg_pool_forward(x: &Tensor) -> Tensor {
-    global_avg_pool_forward_with(&mut ComputeScratch::default(), x)
-}
-
-/// [`global_avg_pool_forward`] with the output drawn from `scratch`. The
-/// per-channel sum is sequential scalar under every [`Kernel`] — see the
-/// module docs.
+/// Global average pooling: `N×C×H×W → N×C`, output drawn from `scratch`.
+/// The per-channel sum is sequential scalar under every [`Kernel`] — see
+/// the module docs.
 pub fn global_avg_pool_forward_with(scratch: &mut ComputeScratch, x: &Tensor) -> Tensor {
     let (n, c, h, w) = x.shape().as_nchw();
     let area = (h * w) as f32;
@@ -130,13 +115,8 @@ pub fn global_avg_pool_forward_with(scratch: &mut ComputeScratch, x: &Tensor) ->
 }
 
 /// Global average pooling backward: spreads each `N×C` gradient uniformly
-/// over the `H×W` plane.
-pub fn global_avg_pool_backward(input_shape: &Shape, dy: &Tensor) -> Tensor {
-    global_avg_pool_backward_with(&mut ComputeScratch::default(), input_shape, dy)
-}
-
-/// [`global_avg_pool_backward`] with the gradient buffer drawn from
-/// `scratch` (a broadcast fill — every element written, no zero-init).
+/// over the `H×W` plane. The gradient buffer is drawn from `scratch` (a
+/// broadcast fill — every element written, no zero-init).
 pub fn global_avg_pool_backward_with(scratch: &mut ComputeScratch, input_shape: &Shape, dy: &Tensor) -> Tensor {
     let (n, c, h, w) = input_shape.as_nchw();
     let inv_area = 1.0 / (h * w) as f32;
@@ -167,7 +147,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = maxpool2d_forward(&x, &MaxPoolSpec { window: 2 });
+        let spec = MaxPoolSpec { window: 2 };
+        let out = maxpool2d_forward_with(&mut ComputeScratch::default(), &x, &spec);
         assert_slice_approx_eq(out.y.data(), &[4.0, 8.0, -1.0, 0.5], 1e-6);
         assert_eq!(out.argmax, vec![5, 7, 8, 14]);
     }
@@ -175,9 +156,11 @@ mod tests {
     #[test]
     fn maxpool_backward_routes_to_argmax() {
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 9.0, 3.0, 4.0]).unwrap();
-        let out = maxpool2d_forward(&x, &MaxPoolSpec { window: 2 });
+        let spec = MaxPoolSpec { window: 2 };
+        let out = maxpool2d_forward_with(&mut ComputeScratch::default(), &x, &spec);
         let dy = Tensor::from_vec([1, 1, 1, 1], vec![2.5]).unwrap();
-        let dx = maxpool2d_backward(x.shape(), &out.argmax, &dy);
+        let dx =
+            maxpool2d_backward_with(&mut ComputeScratch::default(), x.shape(), &out.argmax, &dy);
         assert_slice_approx_eq(dx.data(), &[0.0, 2.5, 0.0, 0.0], 1e-6);
     }
 
@@ -185,17 +168,18 @@ mod tests {
     fn maxpool_numerical_gradient() {
         let x = Tensor::randn([2, 3, 4, 4], 1.0, 55);
         let spec = MaxPoolSpec { window: 2 };
-        let out = maxpool2d_forward(&x, &spec);
+        let out = maxpool2d_forward_with(&mut ComputeScratch::default(), &x, &spec);
         let dy = Tensor::full(out.y.shape().clone(), 1.0);
-        let dx = maxpool2d_backward(x.shape(), &out.argmax, &dy);
+        let dx =
+            maxpool2d_backward_with(&mut ComputeScratch::default(), x.shape(), &out.argmax, &dy);
         let eps = 1e-3f32;
         for &xi in &[0usize, 10, 47, x.numel() - 1] {
             let mut xp = x.clone();
             xp.data_mut()[xi] += eps;
             let mut xm = x.clone();
             xm.data_mut()[xi] -= eps;
-            let num = (maxpool2d_forward(&xp, &spec).y.sum()
-                - maxpool2d_forward(&xm, &spec).y.sum())
+            let num = (maxpool2d_forward_with(&mut ComputeScratch::default(), &xp, &spec).y.sum()
+                - maxpool2d_forward_with(&mut ComputeScratch::default(), &xm, &spec).y.sum())
                 / (2.0 * eps as f64);
             assert!(
                 (num - dx.data()[xi] as f64).abs() < 1e-2,
@@ -209,7 +193,7 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn maxpool_rejects_nondivisible() {
         let x = Tensor::zeros([1, 1, 5, 4]);
-        maxpool2d_forward(&x, &MaxPoolSpec { window: 2 });
+        maxpool2d_forward_with(&mut ComputeScratch::default(), &x, &MaxPoolSpec { window: 2 });
     }
 
     #[test]
@@ -218,7 +202,8 @@ mod tests {
         // usefully here, the window=4 general path must agree with an
         // explicit scan.
         let x = Tensor::randn([2, 2, 4, 4], 1.0, 91);
-        let out = maxpool2d_forward(&x, &MaxPoolSpec { window: 4 });
+        let spec = MaxPoolSpec { window: 4 };
+        let out = maxpool2d_forward_with(&mut ComputeScratch::default(), &x, &spec);
         for plane in 0..4 {
             let base = plane * 16;
             let (mut best, mut bi) = (f32::NEG_INFINITY, 0usize);
@@ -251,10 +236,10 @@ mod tests {
     fn gap_forward_backward() {
         let x = Tensor::from_vec([1, 2, 2, 2], vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0])
             .unwrap();
-        let y = global_avg_pool_forward(&x);
+        let y = global_avg_pool_forward_with(&mut ComputeScratch::default(), &x);
         assert_slice_approx_eq(y.data(), &[2.5, 25.0], 1e-6);
         let dy = Tensor::from_vec([1, 2], vec![4.0, 8.0]).unwrap();
-        let dx = global_avg_pool_backward(x.shape(), &dy);
+        let dx = global_avg_pool_backward_with(&mut ComputeScratch::default(), x.shape(), &dy);
         assert_slice_approx_eq(dx.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0], 1e-6);
     }
 
@@ -263,8 +248,8 @@ mod tests {
         // <GAP(x), dy> == <x, GAPᵀ(dy)> for random inputs.
         let x = Tensor::randn([3, 4, 5, 5], 1.0, 77);
         let dy = Tensor::randn([3, 4], 1.0, 78);
-        let y = global_avg_pool_forward(&x);
-        let dx = global_avg_pool_backward(x.shape(), &dy);
+        let y = global_avg_pool_forward_with(&mut ComputeScratch::default(), &x);
+        let dx = global_avg_pool_backward_with(&mut ComputeScratch::default(), x.shape(), &dy);
         let lhs: f64 =
             y.data().iter().zip(dy.data().iter()).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
         let rhs: f64 =

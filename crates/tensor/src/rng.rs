@@ -3,15 +3,70 @@
 //! Everything in the reproduction is seeded: datasets, parameter
 //! initialisation, minibatch shuffling, and the discrete-event simulator all
 //! derive their randomness from explicit `u64` seeds so that every experiment
-//! is replayable bit-for-bit. The offline crate set does not include
-//! `rand_distr`, so Gaussian sampling is a hand-rolled Box–Muller transform.
+//! is replayable bit-for-bit. The generator is in-tree (SplitMix64) so the
+//! stream is the same under every build; Gaussian sampling is a hand-rolled
+//! Box–Muller transform.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Creates a seeded RNG. Thin wrapper so call-sites don't import rand traits.
-pub fn seeded(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
+/// SplitMix64's output mix.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The workspace's one seeded generator: SplitMix64, state = seed.
+///
+/// The draws are `#[inline]`: the per-sample loops in `dgs_nn::data` sit in
+/// another crate, and without it every draw is a call.
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// Next 64 uniform bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(GOLDEN);
+        mix(self.0)
+    }
+
+    /// Uniform in `[0, 1)` from the top 53 bits of one draw.
+    #[inline]
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `[0, 1)` from the top 24 bits of one draw.
+    #[inline]
+    pub fn unit_f32(&mut self) -> f32 {
+        (self.next_u64() >> 40) as f32 / (1u32 << 24) as f32
+    }
+
+    /// Uniform in `[lo, hi)`, one draw.
+    #[inline]
+    pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
+        let v = lo + (hi - lo) * self.unit_f32();
+        // Rounding can land exactly on `hi`; keep the range half-open.
+        if v < hi {
+            v
+        } else {
+            lo
+        }
+    }
+
+    /// Uniform index in `0..n` (`next % n`), one draw; `n` must be nonzero.
+    #[inline]
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+}
+
+/// Creates a seeded generator.
+#[inline]
+pub fn seeded(seed: u64) -> Rng {
+    Rng(seed)
 }
 
 /// Derives a child seed from a parent seed and a stream index.
@@ -20,23 +75,22 @@ pub fn seeded(seed: u64) -> StdRng {
 /// remaining a pure function of the experiment seed. The mixing is
 /// SplitMix64-style so that adjacent stream ids produce uncorrelated seeds.
 pub fn derive_seed(parent: u64, stream: u64) -> u64 {
-    let mut z = parent.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix(parent.wrapping_add(GOLDEN.wrapping_mul(stream.wrapping_add(1))))
 }
 
 /// Samples one standard-normal value via the Box–Muller transform.
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
+#[inline]
+pub fn sample_standard_normal(rng: &mut Rng) -> f32 {
     // Avoid ln(0) by drawing u1 from the half-open interval (0, 1].
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen::<f64>();
+    let u1 = 1.0 - rng.unit_f64();
+    let u2 = rng.unit_f64();
     let mag = (-2.0 * u1.ln()).sqrt();
     (mag * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
 /// Fills `out` with `N(mean, std^2)` samples.
-pub fn fill_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32], mean: f32, std: f32) {
+#[inline]
+pub fn fill_normal(rng: &mut Rng, out: &mut [f32], mean: f32, std: f32) {
     for v in out.iter_mut() {
         *v = mean + std * sample_standard_normal(rng);
     }
@@ -47,7 +101,7 @@ pub fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     let mut rng = seeded(seed);
     for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
+        let j = rng.below(i + 1);
         idx.swap(i, j);
     }
     idx
@@ -62,8 +116,32 @@ mod tests {
         let mut a = seeded(42);
         let mut b = seeded(42);
         for _ in 0..32 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn stream_is_splitmix64() {
+        // Reference vectors for seed 0; every pinned CRC and loss in the
+        // repo hangs off this stream.
+        let mut r = seeded(0);
+        assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(r.next_u64(), 0x06C4_5D18_8009_454F);
+        // Derived draws: one `next_u64` each, in range.
+        let mut r = seeded(5);
+        for _ in 0..1000 {
+            assert!((0.0..1.0).contains(&r.unit_f64()));
+            assert!((0.0..1.0).contains(&r.unit_f32()));
+            assert!((0.5..1.5).contains(&r.uniform(0.5, 1.5)));
+            assert!(r.below(7) < 7);
+        }
+        let (mut a, mut b) = (seeded(9), seeded(9));
+        a.below(3);
+        a.uniform(0.0, 1.0);
+        b.next_u64();
+        b.next_u64();
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -287,7 +287,7 @@ mod avx2 {
             // fold those into a single `+= 16` instead of sixteen
             // serial read-modify-writes. The check costs ~4 vector ops,
             // a ~20% toll when it never hits; clustered fills run 4-6x
-            // faster (see BENCH_kernels.json).
+            // faster.
             let first = _mm256_broadcastd_epi32(_mm256_castsi256_si128(ka));
             let eq =
                 _mm256_and_si256(_mm256_cmpeq_epi32(ka, first), _mm256_cmpeq_epi32(kb, first));

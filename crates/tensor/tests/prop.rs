@@ -1,10 +1,10 @@
 //! Property-based tests for the tensor kernels: algebraic identities that
 //! must hold for arbitrary inputs.
 
-use dgs_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
+use dgs_tensor::conv::{conv2d_backward_with, conv2d_forward_with, Conv2dSpec};
 use dgs_tensor::gemm::{gemm, Layout};
 use dgs_tensor::ops::log_softmax_rows;
-use dgs_tensor::{Kernel, Tensor};
+use dgs_tensor::{ComputeScratch, Kernel, Tensor};
 use proptest::prelude::*;
 
 fn tensor2(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -93,9 +93,9 @@ proptest! {
         let x2 = Tensor::randn([1, 2, 5, 5], 1.0, seed + 2);
         let mut x_sum = x1.clone();
         x_sum.add_assign(&x2);
-        let y_sum = conv2d_forward(&x_sum, &w, &[], &spec);
-        let mut y1 = conv2d_forward(&x1, &w, &[], &spec);
-        let y2 = conv2d_forward(&x2, &w, &[], &spec);
+        let y_sum = conv2d_forward_with(&mut ComputeScratch::default(), &x_sum, &w, &[], &spec);
+        let mut y1 = conv2d_forward_with(&mut ComputeScratch::default(), &x1, &w, &[], &spec);
+        let y2 = conv2d_forward_with(&mut ComputeScratch::default(), &x2, &w, &[], &spec);
         y1.add_assign(&y2);
         for (a, b) in y_sum.data().iter().zip(y1.data().iter()) {
             prop_assert!((a - b).abs() < 1e-3 * b.abs().max(1.0));
@@ -109,9 +109,9 @@ proptest! {
         let spec = Conv2dSpec { in_channels: 2, out_channels: 2, kernel: 3, stride: 2, padding: 1 };
         let w = Tensor::randn([spec.weight_len()], 0.5, seed).into_vec();
         let x = Tensor::randn([2, 2, 6, 6], 1.0, seed + 3);
-        let y = conv2d_forward(&x, &w, &[], &spec);
+        let y = conv2d_forward_with(&mut ComputeScratch::default(), &x, &w, &[], &spec);
         let dy = Tensor::randn(y.shape().clone(), 1.0, seed + 4);
-        let grads = conv2d_backward(&x, &w, &dy, &spec, false);
+        let grads = conv2d_backward_with(&mut ComputeScratch::default(), &x, &w, &dy, &spec, false);
         let lhs: f64 = y
             .data()
             .iter()

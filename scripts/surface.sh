@@ -4,7 +4,9 @@
 # stack") set as acceptance numbers, then the same for ISSUE 14 ("one
 # selection engine, one diff path, one per-segment driver") and the product
 # size ISSUE 15 ("cut the product crates to what a run reaches") left, and
-# what ISSUE 16 ("one-pass exact Top-R% on both ways") added to that sum.
+# what ISSUE 16 ("one-pass exact Top-R% on both ways") added to that sum,
+# and what ISSUE 18 ("one random stream, one benchmark harness") left of the
+# bench directory and the recordings.
 # Informational — CI prints it so the trajectory stays visible; nothing
 # fails on it. Run from any checkout:
 #
@@ -113,3 +115,10 @@ printf '%6d  code lines (1804 before ISSUE 17)\n' "$total"
 row "$(hits 'fn im2col_single|Vec<\(Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>\)>' crates/tensor/src/conv.rs)" "im2col matrix form / per-image buffer tuples left in conv.rs product code"
 row "$(hits 'take_zeroed\(' crates/tensor/src/conv.rs crates/nn/src/*.rs)" "take_zeroed( sites in conv.rs + crates/nn/src (accumulators only; 10 before ISSUE 17)"
 
+
+# ISSUE 18: `rand` and `criterion` left the workspace (the "registry crates"
+# row above read 6 before it), with the six criterion benches and the four
+# recordings only they produced. What stays are the two plain-`main` grids.
+echo
+row "$(cat crates/bench/benches/*.rs | wc -l)" "lines in crates/bench/benches/*.rs ($(ls crates/bench/benches/*.rs | wc -l) files; 1613 lines in 8 files before ISSUE 18)"
+row "$(ls BENCH_*.json | wc -l)" "BENCH_*.json recordings at the repo root (6 before ISSUE 18)"
