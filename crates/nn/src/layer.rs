@@ -54,8 +54,20 @@ pub trait Layer: Send {
         scratch: &mut ComputeScratch,
     ) -> Tensor;
 
-    /// Estimated multiply-accumulate count for a forward+backward pass at
-    /// batch size `batch`; feeds the DES compute-time model.
+    /// Tells the layer that nothing reads the tensor its `backward`
+    /// returns, so it may leave that tensor's contents unspecified (shape
+    /// and buffer discipline unchanged) instead of computing the input
+    /// gradient. [`Network`](crate::model::Network) calls this once, at
+    /// construction, on the first layer that owns parameters: everything in
+    /// front of it is parameter-free. The default keeps computing it.
+    fn skip_input_grad(&mut self) {}
+
+    /// Nominal multiply-accumulate count for a forward+backward pass over
+    /// `input` (batch included): the forward product plus the two backward
+    /// ones, whatever this CPU path actually runs — a layer told to
+    /// [`skip_input_grad`](Layer::skip_input_grad) still counts all three.
+    /// It is the discrete-event simulator's compute-time model, not a
+    /// profile, so no optimisation here may move it.
     fn flops(&self, input: &Shape) -> u64;
 }
 
@@ -69,12 +81,14 @@ pub struct Linear {
     in_features: usize,
     out_features: usize,
     cached_input: Option<Tensor>,
+    /// Set by [`Layer::skip_input_grad`]: `backward` returns `dX` unfilled.
+    skip_dx: bool,
 }
 
 impl Linear {
     /// Creates an `in_features → out_features` linear layer.
     pub fn new(name: impl Into<String>, in_features: usize, out_features: usize) -> Self {
-        Linear { name: name.into(), in_features, out_features, cached_input: None }
+        Linear { name: name.into(), in_features, out_features, cached_input: None, skip_dx: false }
     }
 
     fn weight_len(&self) -> usize {
@@ -152,12 +166,19 @@ impl Layer for Linear {
                 *g += v;
             }
         }
-        // dX = dY (n×out) · W (out×in)
+        // dX = dY (n×out) · W (out×in) — unless nothing reads it, in which
+        // case the buffer goes back as drawn: shape right, contents unspecified.
         let mut dxd = scratch.take_dirty(n * self.in_features);
-        scratch.kernel().gemm(dy.data(), w, &mut dxd, n, self.out_features, self.in_features);
+        if !self.skip_dx {
+            scratch.kernel().gemm(dy.data(), w, &mut dxd, n, self.out_features, self.in_features);
+        }
         scratch.put_tensor(x);
         scratch.put_tensor(dy);
         Tensor::from_vec([n, self.in_features], dxd).unwrap()
+    }
+
+    fn skip_input_grad(&mut self) {
+        self.skip_dx = true;
     }
 
     fn flops(&self, input: &Shape) -> u64 {

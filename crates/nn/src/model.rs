@@ -31,7 +31,13 @@ impl Network {
     ///
     /// `input_shape` is the *per-sample* shape (no batch dimension); it is
     /// used to validate layer chaining and to compute the flops estimate.
-    pub fn new(layers: Vec<Box<dyn Layer>>, input_shape: Shape, seed: u64) -> Self {
+    pub fn new(mut layers: Vec<Box<dyn Layer>>, input_shape: Shape, seed: u64) -> Self {
+        // Only parameter-free layers sit in front of the first one that owns
+        // parameters, so the input gradient it would hand them feeds nothing.
+        if let Some(first) = layers.iter_mut().find(|l| !l.param_sizes().is_empty()) {
+            first.skip_input_grad();
+        }
+
         // Lay out partition segments: one per (layer, param) pair.
         let mut sizes: Vec<(String, usize)> = Vec::new();
         for layer in &layers {
@@ -164,7 +170,8 @@ impl Network {
             let (p, g) = params.window_view_mut(start, len);
             cur = layer.backward(p, g, cur, scratch);
         }
-        // The input gradient of the first layer has no consumer; recycle it.
+        // The input gradient of the first layer has no consumer (and, past
+        // the first layer with parameters, no defined contents); recycle it.
         scratch.put_tensor(cur);
     }
 
@@ -281,5 +288,60 @@ mod tests {
     fn flops_estimate_positive() {
         let net = tiny_net(0);
         assert!(net.flops_per_sample() > 0);
+    }
+
+    #[test]
+    fn flops_stay_nominal_under_the_first_layer_skip() {
+        // The DES's compute model for `widemlp`: three products per Linear,
+        // the first layer's unread `dX` included. Simulated time hangs on it.
+        let net = crate::models::mlp_on_images(3, 16, &[1024, 1024], 10, 0);
+        assert_eq!(net.flops_per_sample(), 11_089_920);
+    }
+
+    #[test]
+    fn first_layer_skip_changes_no_gradient_bit_and_no_allocation() {
+        use crate::models::{mlp, mlp_on_images, resnet_lite};
+        // The reference network's first parameter-owning layer is swapped for
+        // a twin that was never told to skip, so every `backward` computes
+        // its `dX`: first layer a Linear, a Flatten in front of it, and a
+        // conv first (which computes `dX` regardless).
+        type Case = (&'static str, fn() -> Network, Option<(usize, Linear)>);
+        let cases: [Case; 3] = [
+            ("mlp", || mlp(12, &[16, 8], 4, 31), Some((0, Linear::new("fc0", 12, 16)))),
+            (
+                "mlp_on_images",
+                || mlp_on_images(2, 4, &[16, 8], 4, 32),
+                Some((1, Linear::new("fc0", 32, 16))),
+            ),
+            ("resnet_lite", || resnet_lite(1, 8, 3, 4, 33), None),
+        ];
+        for (name, build, twin) in cases {
+            let mut net = build();
+            let mut reference = build();
+            if let Some((at, linear)) = twin {
+                assert_eq!(reference.layers[at].name(), linear.name());
+                reference.layers[at] = Box::new(linear);
+            }
+            let batch = 4;
+            let mut dims = vec![batch];
+            dims.extend_from_slice(net.input_shape().dims());
+            let x = Tensor::randn(Shape::new(dims), 1.0, 41);
+            let labels: Vec<usize> = (0..batch).map(|i| i % 3).collect();
+
+            reference.train_step(x.clone(), &labels);
+            net.train_step(x.clone(), &labels);
+            let bits =
+                |n: &Network| n.params().grad().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&net), bits(&reference), "{name}: gradient bits");
+
+            // Warm already (one step, and one more for margin): the unfilled
+            // buffer is drawn and recycled like the filled one was.
+            net.train_step(x.clone(), &labels);
+            let misses = net.scratch_misses();
+            for _ in 0..8 {
+                net.train_step(x.clone(), &labels);
+            }
+            assert_eq!(net.scratch_misses(), misses, "{name}: warm steps must not allocate");
+        }
     }
 }

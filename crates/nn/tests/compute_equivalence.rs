@@ -14,7 +14,7 @@
 //! scratch.
 
 use dgs_nn::layer::{Conv2d, Layer, Linear, MaxPool2d, ReLU};
-use dgs_nn::models::{mlp, resnet_lite, tiny_cnn};
+use dgs_nn::models::{mlp, mlp_on_images, resnet_lite, tiny_cnn};
 use dgs_nn::{ComputeScratch, Kernel};
 use dgs_tensor::{Shape, Tensor};
 
@@ -73,8 +73,11 @@ fn assert_bits_exact(a: &[f32], b: &[f32], what: &str) {
 #[test]
 fn gemm_backends_identical_on_torture_inputs() {
     // Shapes cover the microkernel interior (multiples of 6×16), ragged
-    // edges, k = 1 chains, a product past the parallel threshold, and
-    // squares that span several cache blocks in every dimension.
+    // edges, k = 1 chains, a product past the parallel threshold, squares
+    // that span several cache blocks in every dimension, and the skinny
+    // products of a batch-4 `widemlp` step, which run unpacked: its three
+    // forward shapes (also its `dX` ones, read as `A·B`), a degenerate
+    // single row, and its two large weight-gradient shapes (`Aᵀ·B`, k = 4).
     for &(m, k, n) in &[
         (1, 1, 1),
         (6, 8, 16),
@@ -86,6 +89,12 @@ fn gemm_backends_identical_on_torture_inputs() {
         (128, 128, 128),
         (256, 256, 256),
         (384, 384, 384),
+        (4, 768, 1024),
+        (4, 1024, 1024),
+        (4, 1024, 10),
+        (1, 5, 3),
+        (1024, 4, 768),
+        (1024, 4, 1024),
     ] {
         let a = torture_vec(m * k, 0x5EED_0001);
         let b = torture_vec(k * n, 0x5EED_0002);
@@ -97,9 +106,13 @@ fn gemm_backends_identical_on_torture_inputs() {
 
         // Same buffers reinterpreted for the transposed layouts: `a` as a
         // k×m store (Aᵀ·B) and `b` as an n×k store (A·Bᵀ).
-        Kernel::Scalar.gemm_at_b(&a, &b, &mut c_scalar, m, k, n);
-        Kernel::Simd.gemm_at_b(&a, &b, &mut c_simd, m, k, n);
-        assert_bits_eq(&c_scalar, &c_simd, &format!("gemm_at_b {m}x{k}x{n}"));
+        // Accumulated into a seeded `C`: also pins the add-once copy-out.
+        let seeded = torture_vec(m * n, 0x5EED_0003);
+        c_scalar.copy_from_slice(&seeded);
+        c_simd.copy_from_slice(&seeded);
+        Kernel::Scalar.gemm_at_b_add(&a, &b, &mut c_scalar, m, k, n);
+        Kernel::Simd.gemm_at_b_add(&a, &b, &mut c_simd, m, k, n);
+        assert_bits_eq(&c_scalar, &c_simd, &format!("gemm_at_b_add {m}x{k}x{n}"));
 
         Kernel::Scalar.gemm_a_bt(&a, &b, &mut c_scalar, m, k, n);
         Kernel::Simd.gemm_a_bt(&a, &b, &mut c_simd, m, k, n);
@@ -189,13 +202,15 @@ fn step_bits(net: &mut dgs_nn::Network, x: &Tensor, labels: &[usize]) -> (Vec<u3
 fn whole_network_training_identical_across_backends() {
     // mlp exercises Linear/ChannelNorm/ReLU; tiny_cnn adds conv + maxpool;
     // resnet_lite adds residual blocks, projections and global avg pool.
-    // The last two are the 16×16 RGB, width-8 shapes of a real step.
+    // The 16×16 RGB ones are the shapes of a real step; the batch-4 MLP over
+    // images is `widemlp`'s, whose products all take the streamed GEMM arms.
     let builders: Vec<(&str, Box<dyn Fn() -> dgs_nn::Network>, usize)> = vec![
         ("mlp", Box::new(|| mlp(12, &[16, 8], 4, 31)), 6),
         ("tiny_cnn", Box::new(|| tiny_cnn(2, 8, 4, 4, 32)), 6),
         ("resnet_lite", Box::new(|| resnet_lite(1, 8, 3, 4, 33)), 6),
         ("tiny_cnn 16x16", Box::new(|| tiny_cnn(3, 16, 10, 8, 7)), 16),
         ("resnet_lite 16x16", Box::new(|| resnet_lite(3, 16, 10, 8, 7)), 8),
+        ("mlp_on_images 16x16", Box::new(|| mlp_on_images(3, 16, &[64, 64], 10, 7)), 4),
     ];
     for (name, build, batch) in builders {
         let mut net_probe = build();

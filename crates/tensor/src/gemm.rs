@@ -12,7 +12,8 @@
 //!
 //! * `B` is packed once per call into `⌈n/NR⌉` panels of `NR = 16` columns,
 //!   laid out k-major (`panel[p·NR + jj]`), so the tile kernel streams two
-//!   contiguous 8-lane vectors per k-step.
+//!   contiguous 8-lane vectors per k-step — unless the call is one row
+//!   block deep, when nothing is packed at all (next section).
 //! * `A` is packed once per call into `⌈m/MR⌉` row blocks of `MR = 6` rows,
 //!   k-major (`block[p·MR + ii]`), so each k-step issues `MR` broadcasts
 //!   from one cache line. A caller that multiplies many `B`s by one `A`
@@ -40,6 +41,35 @@
 //! | `B` (conv patches)         | im2col matrix + 1 pack (2 writes)   | lowered into panels (1 write)|
 //! | `C`                        | zero-fill + copy-out (2 writes)     | copy-out (1 write)           |
 //! | `C` added into a buffer    | zero-fill + copy-out + add pass (3) | `Store::Add` copy-out (1)    |
+//!
+//! # Skinny products: one row block, nothing packed
+//!
+//! Packing pays when a packed element is reused: `B`'s panels once per row
+//! block of `A`, a tile's stack round-trip once per k-step. A batch-4
+//! `Linear` has neither. Its forward (`Nt`) and `dX` (`Nn`) are `m = 4`
+//! products, a single one-third-padded row block, so every packed weight
+//! was written once and read once — three passes over the weight matrix
+//! (read, write strided, read) for one pass of arithmetic — and its
+//! `grad_W += dYᵀ·X` (`Tn`) has `k = 4`, four multiply-adds per element
+//! between a tile's zeroing and its copy-out. So when the packed driver
+//! would run a single row block (`m ≤ MR`, `Nn`/`Nt` overwriting `C`) or
+//! chains no longer than one (`k ≤ MR`, `Tn`), the call takes a streamed
+//! loop instead ([`streams`], [`gemm_streamed`]): the small operand stays
+//! cache-resident and the big one goes past exactly once, unpacked, in its
+//! stored order. The criterion is structural — one row block means packing
+//! is never amortised — so there is no threshold to tune, and the arms are
+//! the contract's chain per element, bit for bit the packed driver
+//! (differential tests below).
+//!
+//! | `Linear` operand (batch ≤ 6)  | packed driver                        | streamed                    |
+//! |-------------------------------|--------------------------------------|-----------------------------|
+//! | `W`, forward (`Nt`)           | read + strided panel write + read (3)| read (1)                    |
+//! | `W`, `dX` (`Nn`)              | read + panel write + read (3)        | read (1); 0 where unread¹   |
+//! | `grad_W`, `+= dYᵀ·X` (`Tn`)   | tile → stack → read-modify-write     | 1 read + 1 write            |
+//! | `X`, `dY`                     | packed (small)                       | in place / 8-lane k-major   |
+//!
+//! ¹ the network's first parameter-owning layer skips its `dX` product
+//! (`dgs_nn::layer::Layer::skip_input_grad`).
 //!
 //! There is deliberately **no blocking over k**: the bitwise-identity
 //! contract (see below) requires each output element's additions to happen
@@ -199,6 +229,9 @@ fn gemm_store(
     assert_eq!(c.len(), m * n, "gemm {layout:?}: out size");
     if m == 0 || n == 0 {
         return;
+    }
+    if streams(layout, store, m, k) {
+        return gemm_streamed(kernel, layout, store, a, b, c, m, k, n);
     }
     let (a_packed, b_packed) = (packed_a_len(m, k), packed_b_len(k, n));
     with_workspace(a_packed + b_packed, |ws| {
@@ -440,6 +473,220 @@ mod avx2 {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Streamed skinny products
+// ---------------------------------------------------------------------------
+
+/// Whether a product is too skinny for packing to pay: the packed driver
+/// would run a single row block (`m ≤ MR`), using every packed `B` element
+/// exactly once, or — in `Tn`, the weight-gradient form — chains no longer
+/// than one block (`k ≤ MR`), round-tripping every tile through the stack
+/// for a handful of multiply-adds. Structural, not tuned: one row block
+/// means the copies are never amortised. `Nn`/`Nt` with [`Store::Add`] have
+/// no caller and keep the packed driver.
+fn streams(layout: Layout, store: Store, m: usize, k: usize) -> bool {
+    match (layout, store) {
+        (Layout::Nn | Layout::Nt, Store::Set) => m <= MR,
+        (Layout::Nn | Layout::Nt, Store::Add) => false,
+        (Layout::Tn, _) => k <= MR,
+    }
+}
+
+/// Output lanes [`stream_nt`] carries per stored row of `B`: the skinny
+/// operand's `m ≤ MR` rows, padded to one 8-float vector.
+const LANES: usize = 8;
+
+/// The products [`streams`] selects, run unpacked: the small operand stays
+/// cache-resident and the big one streams past exactly once. Each loop is
+/// the contract's chain verbatim per output element (`0.0`, then `+ a·b`
+/// with `p` ascending, multiply then add; `Store::Add` adds the finished sum
+/// once), so it is the packed driver bit for bit. One safe body per layout,
+/// compiled twice: as is for the portable path, and under AVX2 codegen —
+/// where LLVM vectorises across the independent output lanes — for
+/// [`Kernel::Simd`]. `ROWS` is [`stream_nt`]'s register budget: its
+/// `ROWS × LANES` sums fill half of either register file.
+#[allow(clippy::too_many_arguments)]
+fn gemm_streamed(
+    kernel: Kernel,
+    layout: Layout,
+    store: Store,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    // Only `Nt` needs room: its `A`, re-laid k-major.
+    let lanes = if layout == Layout::Nt { k * LANES } else { 0 };
+    with_workspace(lanes, |xa| {
+        #[cfg(target_arch = "x86_64")]
+        if kernel == Kernel::Simd && crate::simd::avx2_available() {
+            // SAFETY: AVX2 was verified on the line above, which is the
+            // callee's only obligation — its body is safe code.
+            return unsafe { streamed_avx2(layout, store, a, b, c, xa, m, k, n) };
+        }
+        let _ = kernel;
+        streamed::<4>(layout, store, a, b, c, xa, m, k, n)
+    })
+}
+
+/// [`streamed`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: the one caller checks `avx2_available()` first; nothing in the
+// body is unsafe, the attribute only widens what LLVM may emit.
+#[target_feature(enable = "avx2")]
+unsafe fn streamed_avx2(
+    layout: Layout,
+    store: Store,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    xa: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    streamed::<8>(layout, store, a, b, c, xa, m, k, n)
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn streamed<const ROWS: usize>(
+    layout: Layout,
+    store: Store,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    xa: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match layout {
+        Layout::Nn => stream_nn(a, b, c, k, n),
+        Layout::Tn => stream_tn(store, a, b, c, m, k, n),
+        Layout::Nt => stream_nt::<ROWS>(a, b, c, xa, m, k, n),
+    }
+}
+
+/// `C = A·B`, `m ≤ MR`: `C` (a few rows) stays cache-resident while every
+/// stored row of `B` is read once. `C` starts at `0.0` rather than at the
+/// first product: `0.0 + (-0.0)` is `+0.0`, and the contract's chain says so.
+#[inline(always)]
+fn stream_nn(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    c.fill(0.0);
+    for (p, b_row) in b.chunks_exact(n).enumerate() {
+        for (a_row, c_row) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            let a_v = a_row[p];
+            for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
+                *c_v += a_v * b_v;
+            }
+        }
+    }
+}
+
+/// Output columns per [`stream_tn`] run: four 8-float vectors of sums.
+const TN_RUN: usize = 32;
+
+/// `C = Aᵀ·B` or `C += Aᵀ·B`, `k ≤ MR`: both operands (`k` rows each) stay
+/// cache-resident while `C` is written — or read and written — once, a
+/// vector-friendly run of columns at a time.
+#[inline(always)]
+fn stream_tn(store: Store, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for (o, c_row) in c.chunks_exact_mut(n).enumerate() {
+        // Full runs have a constant length, so their sums live in registers.
+        let mut full = c_row.chunks_exact_mut(TN_RUN);
+        let mut j0 = 0;
+        for c_run in full.by_ref() {
+            tn_run(store, a, b, c_run, o, j0, m, k, n);
+            j0 += TN_RUN;
+        }
+        tn_run(store, a, b, full.into_remainder(), o, j0, m, k, n);
+    }
+}
+
+/// The `c_run.len() ≤ TN_RUN` outputs of row `o` from column `j0` on.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tn_run(
+    store: Store,
+    a: &[f32],
+    b: &[f32],
+    c_run: &mut [f32],
+    o: usize,
+    j0: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut t = [0.0f32; TN_RUN];
+    for p in 0..k {
+        let a_v = a[p * m + o];
+        for (t_v, &b_v) in t.iter_mut().zip(&b[p * n + j0..p * n + j0 + c_run.len()]) {
+            *t_v += a_v * b_v;
+        }
+    }
+    match store {
+        Store::Set => c_run.copy_from_slice(&t[..c_run.len()]),
+        Store::Add => {
+            for (c_v, &t_v) in c_run.iter_mut().zip(t.iter()) {
+                *c_v += t_v;
+            }
+        }
+    }
+}
+
+/// `C = A·Bᵀ`, `m ≤ MR`: `A` is re-laid k-major into `xa` (`xa[p·LANES + i]`,
+/// spare lanes zero) and stays cache-resident; `B`'s stored rows — each one
+/// output column's whole chain, contiguous — are read once, `ROWS` at a time
+/// as that many independent accumulator vectors, and lanes `0..m` are
+/// scattered to `C` when the chains end. No transpose, no panel.
+#[inline(always)]
+fn stream_nt<const ROWS: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    xa: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    xa.fill(0.0);
+    for (i, a_row) in a.chunks_exact(k.max(1)).enumerate() {
+        for (p, &v) in a_row.iter().enumerate() {
+            xa[p * LANES + i] = v;
+        }
+    }
+    for j0 in (0..n).step_by(ROWS) {
+        let rows = ROWS.min(n - j0);
+        // Past the last row the group re-reads it; those sums are dropped.
+        let w: [&[f32]; ROWS] = std::array::from_fn(|jj| {
+            let j = j0 + jj.min(rows - 1);
+            &b[j * k..(j + 1) * k]
+        });
+        let mut acc = [[0.0f32; LANES]; ROWS];
+        for (p, x) in xa.chunks_exact(LANES).enumerate() {
+            for (acc_j, w_j) in acc.iter_mut().zip(w.iter()) {
+                let w_v = w_j[p];
+                for (s, &x_v) in acc_j.iter_mut().zip(x) {
+                    *s += w_v * x_v;
+                }
+            }
+        }
+        for (jj, acc_j) in acc.iter().enumerate().take(rows) {
+            for (i, &s) in acc_j.iter().enumerate().take(m) {
+                c[i * n + j0 + jj] = s;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,6 +843,87 @@ mod tests {
                     gemm_add(kernel, layout, &a, &b, &mut got, m, k, n);
                     assert_bits_eq(&got, &want, &format!("{} add {layout:?} {m}x{k}x{n}", kernel.name()));
                 }
+            }
+        }
+    }
+
+    /// The packed driver called directly: what every `gemm_store` call ran
+    /// before the streamed arms existed, and still the reference for them.
+    #[allow(clippy::too_many_arguments)]
+    fn packed_reference(
+        kernel: Kernel,
+        layout: Layout,
+        store: Store,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let mut pa = vec![f32::NAN; packed_a_len(m, k)];
+        let mut pb = vec![f32::NAN; packed_b_len(k, n)];
+        pack_a(layout, a, &mut pa, m, k);
+        pack_b(layout, b, &mut pb, k, n);
+        gemm_packed(kernel, store, &pa, &pb, c, m, k, n);
+    }
+
+    /// `(layout, store, m, k)` for a skinny side `s` and a free side `d`, for
+    /// every combination that has a streamed arm.
+    fn streamed_arms(s: usize, d: usize) -> [(Layout, Store, usize, usize); 4] {
+        [
+            (Layout::Nn, Store::Set, s, d),
+            (Layout::Nt, Store::Set, s, d),
+            (Layout::Tn, Store::Set, d, s),
+            (Layout::Tn, Store::Add, d, s),
+        ]
+    }
+
+    #[test]
+    fn streamed_arms_match_the_packed_driver_bitwise() {
+        // Skinny side from empty to one past the last streamed size (so the
+        // hand-over to the packed driver is in range); the other two odd and
+        // straddling NR, the Tn run length and the Nt row group.
+        let sizes = [1usize, 15, 16, 17, 33, 100];
+        for s in 0..=MR + 1 {
+            for &d in &sizes {
+                for &n in &sizes {
+                    for (layout, store, m, k) in streamed_arms(s, d) {
+                        assert_eq!(streams(layout, store, m, k), s <= MR);
+                        // Same element count in either storage order.
+                        let a = torture_vec(m * k, (s * 131 + d * 7 + n) as u64);
+                        let b = torture_vec(k * n, (s * 17 + d * 29 + n * 3) as u64);
+                        let old = torture_vec(m * n, (d * n + s) as u64);
+                        for kernel in [Kernel::Scalar, Kernel::Simd] {
+                            let mut want = old.clone();
+                            packed_reference(kernel, layout, store, &a, &b, &mut want, m, k, n);
+                            let mut got = old.clone();
+                            let add = matches!(store, Store::Add);
+                            let public = if add { gemm_add } else { gemm };
+                            public(kernel, layout, &a, &b, &mut got, m, k, n);
+                            let ctx = format!("{} {layout:?} add={add} {m}x{k}x{n}", kernel.name());
+                            assert_bits_eq(&got, &want, &ctx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_chains_start_from_positive_zero() {
+        // `a·b = -0.0` at `p = 0`: the chain is `0.0 + (-0.0) = +0.0`, not
+        // the bare product, and `Add` lands that `+0.0` on an old `-0.0`
+        // (`-0.0 + 0.0 = +0.0`) instead of seeding the chain with it.
+        let (s, d, n) = (1, 1, 19);
+        for (layout, store, m, k) in streamed_arms(s, d) {
+            assert!(streams(layout, store, m, k));
+            let a = vec![-0.0f32; m * k];
+            let b = vec![1.0f32; k * n];
+            for kernel in [Kernel::Scalar, Kernel::Simd] {
+                let mut c = vec![-0.0f32; m * n];
+                gemm_store(kernel, layout, store, &a, &b, &mut c, m, k, n);
+                assert!(c.iter().all(|v| v.to_bits() == 0), "{} {layout:?}: {c:?}", kernel.name());
             }
         }
     }

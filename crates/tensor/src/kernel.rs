@@ -326,17 +326,11 @@ impl Kernel {
         crate::gemm::gemm(self, Layout::Nn, a, b, c, m, k, n);
     }
 
-    /// `C = Aᵀ·B` with `a` stored `k×m` row-major (so no transpose copy is
+    /// `C += Aᵀ·B` with `a` stored `k×m` row-major (so no transpose copy is
     /// needed for weight-gradient products). Same bitwise contract as
-    /// [`Kernel::gemm`].
-    #[inline]
-    pub fn gemm_at_b(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        crate::gemm::gemm(self, Layout::Tn, a, b, c, m, k, n);
-    }
-
-    /// `C += Aᵀ·B`: [`Kernel::gemm_at_b`] with the accumulating copy-out —
-    /// each element's chain is finished first, then added to `c` once, so
-    /// the result is bit for bit `c + (Aᵀ·B)` without the temporary.
+    /// [`Kernel::gemm`], with the accumulating copy-out: each element's
+    /// chain is finished first, then added to `c` once, so the result is
+    /// bit for bit `c + (Aᵀ·B)` without the temporary.
     #[inline]
     pub fn gemm_at_b_add(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         crate::gemm::gemm_add(self, Layout::Tn, a, b, c, m, k, n);

@@ -6,7 +6,8 @@
 # size ISSUE 15 ("cut the product crates to what a run reaches") left, and
 # what ISSUE 16 ("one-pass exact Top-R% on both ways") added to that sum,
 # and what ISSUE 18 ("one random stream, one benchmark harness") left of the
-# bench directory and the recordings.
+# bench directory and the recordings, and what ISSUE 19 ("small-batch Linear
+# touches its weights once per product") added to the compute files.
 # Informational — CI prints it so the trajectory stays visible; nothing
 # fails on it. Run from any checkout:
 #
@@ -122,3 +123,20 @@ row "$(hits 'take_zeroed\(' crates/tensor/src/conv.rs crates/nn/src/*.rs)" "take
 echo
 row "$(cat crates/bench/benches/*.rs | wc -l)" "lines in crates/bench/benches/*.rs ($(ls crates/bench/benches/*.rs | wc -l) files; 1613 lines in 8 files before ISSUE 18)"
 row "$(ls BENCH_*.json | wc -l)" "BENCH_*.json recordings at the repo root (6 before ISSUE 18)"
+
+# ISSUE 19: the streamed one-row-block GEMM arms (three loops and their
+# dispatch, beside the packed driver they bypass at batch ≤ MR) and the
+# first-layer input-gradient skip, less the `Kernel::gemm_at_b` wrapper.
+# The streamed bodies are safe code compiled a second time under AVX2:
+# one `unsafe fn` and one `unsafe` call site more in the tensor crate.
+echo
+STREAMED=(crates/tensor/src/{gemm,kernel}.rs crates/nn/src/{layer,model}.rs)
+before=(233 453 538 126)
+total=0
+for i in "${!STREAMED[@]}"; do
+    n=$(code "${STREAMED[$i]}" | wc -l)
+    printf '%6d  %s (%d before ISSUE 19)\n' "$n" "${STREAMED[$i]}" "${before[$i]}"
+    total=$((total + n))
+done
+printf '%6d  code lines (1350 before ISSUE 19)\n' "$total"
+row "$(hits '\bunsafe\b' crates/tensor/src/*.rs)" "lines naming unsafe in crates/tensor/src product code (52 before ISSUE 19)"
