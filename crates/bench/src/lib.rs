@@ -22,8 +22,8 @@ pub use plot::{ascii_chart, Series};
 pub use presets::{Scale, Workload, WorkloadKind};
 pub use table::Table;
 
-use serde::Serialize;
-use std::path::{Path, PathBuf};
+use dgs_tensor::json::{self, FromJson, ToJson};
+use std::path::PathBuf;
 
 /// Directory experiment artefacts are written into (relative to the
 /// workspace root when run via `cargo run -p dgs-bench`).
@@ -33,13 +33,11 @@ pub fn results_dir() -> PathBuf {
 
 /// Serialises `value` as pretty JSON under `results/<name>.json`.
 /// Creates the directory on first use.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+pub fn write_json<T: ToJson>(name: &str, value: &T) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    std::fs::write(&path, json)?;
+    std::fs::write(&path, json::to_string_pretty(value))?;
     Ok(path)
 }
 
@@ -59,15 +57,12 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::
     Ok(path)
 }
 
-/// Reads a previously written results JSON, if present.
-pub fn read_json<T: serde::de::DeserializeOwned>(name: &str) -> Option<T> {
+/// Reads a previously written results JSON, if present. A file that is
+/// there but does not read as a `T` is reported on stderr, not passed over.
+pub fn read_json<T: FromJson>(name: &str) -> Option<T> {
     let path = results_dir().join(format!("{name}.json"));
-    read_json_path(&path)
-}
-
-fn read_json_path<T: serde::de::DeserializeOwned>(path: &Path) -> Option<T> {
-    let data = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&data).ok()
+    let data = std::fs::read_to_string(&path).ok()?;
+    json::from_str(&data).map_err(|e| eprintln!("{}: {e}", path.display())).ok()
 }
 
 #[cfg(test)]

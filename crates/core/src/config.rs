@@ -2,11 +2,11 @@
 //! hyper-parameters, learning-rate schedules, and the DGC warm-up ramp.
 
 use crate::method::Method;
-use serde::{Deserialize, Serialize};
+use dgs_tensor::json_struct;
 
 /// Step-decay learning-rate schedule: multiply by `factor` at each listed
 /// epoch (the paper decays by 10× at 60% and 80% of the epoch budget).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LrSchedule {
     /// Base learning rate.
     pub base_lr: f32,
@@ -15,6 +15,8 @@ pub struct LrSchedule {
     /// Multiplicative decay factor (paper: 0.1).
     pub factor: f32,
 }
+
+json_struct!(LrSchedule { base_lr, decay_epochs, factor });
 
 impl LrSchedule {
     /// The paper's schedule: decay 10× at 60% and 80% of `total_epochs`.
@@ -41,7 +43,7 @@ impl LrSchedule {
 /// DGC's sparsity warm-up: ramp the kept fraction down exponentially over
 /// the first `warmup_epochs` epochs (75% → 93.75% → 98.44% → … dropped),
 /// reaching the target ratio afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmupRamp {
     /// Final Top-k keep ratio (e.g. 0.01 for 99% sparsity).
     pub target_ratio: f64,
@@ -62,7 +64,7 @@ impl WarmupRamp {
 }
 
 /// Full configuration of one training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Training method.
     pub method: Method,
@@ -77,7 +79,6 @@ pub struct TrainConfig {
     pub lr: LrSchedule,
     /// Momentum coefficient `m` (paper: 0.7, reduced for many workers).
     pub momentum: f32,
-    #[serde(default)]
     /// L2 weight decay coefficient added to every gradient
     /// (`∇ ← ∇ + wd·θ`); 0 disables it. The paper's experiments omit
     /// decay ("we do not include other training tricks"), so 0 is the
@@ -89,17 +90,14 @@ pub struct TrainConfig {
     pub secondary_compression: bool,
     /// Ternary-quantize the sparse uplink (TernGrad combination, paper §6
     /// future work). Ignored by dense methods.
-    #[serde(default)]
     pub quantize_uplink: bool,
     /// Gap-aware staleness damping exponent applied at the server
     /// (extension; 0 disables). Stale updates are scaled by
     /// `1/(1+staleness)^alpha`.
-    #[serde(default)]
     pub staleness_damping: f64,
     /// Server update-log budget in total logged coordinates, bounding the
     /// O(nnz) downlink construction's memory (see `DESIGN.md` §"Server hot
     /// path"); 0 = automatic (one logged coordinate per model parameter).
-    #[serde(default)]
     pub server_log_nnz: usize,
     /// DGC gradient-clipping threshold on the global gradient norm
     /// (0 disables clipping). Only DGC-async uses it.
@@ -113,6 +111,27 @@ pub struct TrainConfig {
     /// Evaluations per run (curve resolution); at least 1 (final).
     pub evals: usize,
 }
+
+// The defaulted members are the fields added after result files existed.
+json_struct!(TrainConfig {
+    method,
+    workers,
+    batch_per_worker,
+    epochs,
+    lr,
+    momentum,
+    weight_decay = 0.0,
+    sparsity_ratio,
+    secondary_compression,
+    quantize_uplink = false,
+    staleness_damping = 0.0,
+    server_log_nnz = 0,
+    clip_norm,
+    warmup_epochs,
+    seed,
+    eval_batch,
+    evals,
+});
 
 impl TrainConfig {
     /// A reasonable default configuration for `method` at `workers`
@@ -163,6 +182,7 @@ impl TrainConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgs_tensor::json::{FromJson, ToJson, Value};
 
     #[test]
     fn lr_schedule_steps() {
@@ -226,9 +246,9 @@ mod tests {
         let cfg = TrainConfig::paper_default(Method::Dgs, 4, 10);
         assert_eq!(cfg.server_log_nnz, 0);
         // Configs written before the server fields existed still load.
-        let mut json: serde_json::Value = serde_json::to_value(&cfg).unwrap();
-        json.as_object_mut().unwrap().remove("server_log_nnz");
-        let back: TrainConfig = serde_json::from_value(json.clone()).unwrap();
+        let Value::Obj(mut members) = cfg.to_json() else { panic!("a config is an object") };
+        members.retain(|(key, _)| key != "server_log_nnz");
+        let back = TrainConfig::from_json(&Value::Obj(members.clone())).unwrap();
         assert_eq!(back, cfg);
         // So does every result file written while the dense-scan switch was
         // a field (retired in PR 14; spelled in two pieces so a grep for the
@@ -237,8 +257,8 @@ mod tests {
         // nothing is lost.
         let retired = concat!("server_dense", "_scan");
         for was in [false, true] {
-            json.as_object_mut().unwrap().insert(retired.into(), was.into());
-            let back: TrainConfig = serde_json::from_value(json.clone()).unwrap();
+            members.push((retired.into(), Value::Bool(was)));
+            let back = TrainConfig::from_json(&Value::Obj(members.clone())).unwrap();
             assert_eq!(back, cfg);
         }
     }

@@ -6,7 +6,7 @@ use crate::memory::MemoryReport;
 use dgs_nn::data::Dataset;
 use dgs_nn::metrics::evaluate;
 use dgs_nn::model::Network;
-use serde::{Deserialize, Serialize};
+use dgs_tensor::json_struct;
 use std::sync::Arc;
 
 /// Staleness histogram a run is finalised with (re-exported so crates
@@ -14,7 +14,7 @@ use std::sync::Arc;
 pub use dgs_psim::StalenessStats;
 
 /// One evaluation point along a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Logical epoch at this point (1-based at the point of evaluation).
     pub epoch: usize,
@@ -34,8 +34,19 @@ pub struct CurvePoint {
     pub bytes_down: u64,
 }
 
+json_struct!(CurvePoint {
+    epoch,
+    updates,
+    train_loss,
+    val_loss,
+    val_acc,
+    virtual_time,
+    bytes_up,
+    bytes_down,
+});
+
 /// Outcome of one full training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// The configuration that produced this run.
     pub config: TrainConfig,
@@ -62,6 +73,21 @@ pub struct RunResult {
     /// Worker memory: auxiliary bytes per worker (residual/velocity).
     pub worker_aux_bytes: usize,
 }
+
+json_struct!(RunResult {
+    config,
+    curve,
+    final_acc,
+    final_loss,
+    bytes_up,
+    bytes_down,
+    virtual_time,
+    wall_secs,
+    mean_staleness,
+    max_staleness,
+    server_tracking_bytes,
+    worker_aux_bytes,
+});
 
 impl RunResult {
     /// The method's display name.
@@ -206,6 +232,7 @@ mod tests {
     use crate::method::Method;
     use dgs_nn::data::GaussianBlobs;
     use dgs_nn::models::mlp;
+    use dgs_tensor::json;
 
     fn recorder(evals: usize) -> RunRecorder {
         let blobs = GaussianBlobs::new(64, 8, 4, 0.3, 1);
@@ -311,10 +338,89 @@ mod tests {
     }
 
     #[test]
+    fn diverged_run_round_trips() {
+        let mut r = dummy_result();
+        (r.final_loss, r.curve[1].val_loss, r.curve[1].train_loss) =
+            (f64::NAN, f64::INFINITY, f64::NEG_INFINITY);
+        let text = json::to_string(&r);
+        assert!(text.contains("\"final_loss\":null"), "{text}");
+        let back: RunResult = json::from_str(&text).unwrap();
+        assert!(back.final_loss.is_nan() && back.curve[1].val_loss.is_nan());
+        assert_eq!(back.curve[0], r.curve[0]);
+        assert_eq!(json::to_string(&back), text);
+    }
+
+    /// A result file as `serde_json::to_string_pretty` spelled it when the
+    /// types still derived `Serialize`, written while the config had a
+    /// since-retired member and by a run that diverged: it loads, and
+    /// written again it is the same text less the member nobody reads.
+    #[test]
+    fn result_files_written_by_serde_json_still_load() {
+        let retired = concat!("    \"server_dense", "_scan\": true,\n");
+        let text = r#"{
+  "config": {
+    "method": "Dgs",
+    "workers": 4,
+    "batch_per_worker": 32,
+    "epochs": 3,
+    "lr": {
+      "base_lr": 0.1,
+      "decay_epochs": [
+        1,
+        2
+      ],
+      "factor": 0.1
+    },
+    "momentum": 0.7,
+    "weight_decay": 0.0,
+    "sparsity_ratio": 0.01,
+    "secondary_compression": false,
+    "quantize_uplink": false,
+    "staleness_damping": 0.0,
+    "server_log_nnz": 0,
+RETIRED    "clip_norm": 0.0,
+    "warmup_epochs": 0,
+    "seed": 18446744073709551615,
+    "eval_batch": 64,
+    "evals": 3
+  },
+  "curve": [
+    {
+      "epoch": 1,
+      "updates": 10,
+      "train_loss": 2.302585092994046,
+      "val_loss": null,
+      "val_acc": 0.3,
+      "virtual_time": 1e-7,
+      "bytes_up": 100,
+      "bytes_down": 150
+    }
+  ],
+  "final_acc": 0.3,
+  "final_loss": null,
+  "bytes_up": 100,
+  "bytes_down": 150,
+  "virtual_time": 0.0,
+  "wall_secs": 0.5,
+  "mean_staleness": 1.5,
+  "max_staleness": 3,
+  "server_tracking_bytes": 1024,
+  "worker_aux_bytes": 256
+}"#;
+        let result: RunResult = json::from_str(&text.replace("RETIRED", retired)).unwrap();
+        let mut config = TrainConfig::paper_default(Method::Dgs, 4, 3);
+        config.seed = u64::MAX;
+        assert_eq!(result.config, config);
+        assert!(result.final_loss.is_nan() && result.curve[0].val_loss.is_nan());
+        assert_eq!(result.curve[0].virtual_time, 1e-7);
+        assert_eq!(json::to_string_pretty(&result), text.replace("RETIRED", ""));
+    }
+
+    #[test]
     fn serde_round_trip() {
         let r = dummy_result();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: RunResult = serde_json::from_str(&json).unwrap();
+        let json = json::to_string(&r);
+        let back: RunResult = json::from_str(&json).unwrap();
         assert_eq!(back.final_acc, r.final_acc);
         assert_eq!(back.curve.len(), 2);
         assert_eq!(back.config.method, Method::Dgs);

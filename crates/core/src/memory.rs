@@ -7,10 +7,10 @@
 //! unchanged; its placement differs.
 
 use crate::method::Method;
-use serde::{Deserialize, Serialize};
+use dgs_tensor::json_struct;
 
 /// Memory footprint of one training configuration, in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryReport {
     /// Method.
     pub method: Method,
@@ -27,6 +27,16 @@ pub struct MemoryReport {
     /// Per worker: auxiliary buffers (residual and/or velocity).
     pub worker_aux_bytes: usize,
 }
+
+json_struct!(MemoryReport {
+    method,
+    workers,
+    model_bytes,
+    server_model_bytes,
+    server_tracking_bytes,
+    worker_model_bytes,
+    worker_aux_bytes,
+});
 
 impl MemoryReport {
     /// Builds the analytic report for a method (matches what the live

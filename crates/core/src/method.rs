@@ -1,6 +1,6 @@
 //! The five training methods and their technique matrix (paper Table 5).
 
-use serde::{Deserialize, Serialize};
+use dgs_tensor::json::{Error, FromJson, ToJson, Value};
 
 /// A training method evaluated in the paper.
 ///
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(m.uses_model_difference());
 /// assert_eq!(m.techniques().momentum, "SAMomentum");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Single-node momentum SGD — the accuracy baseline.
     Msgd,
@@ -120,8 +120,25 @@ impl std::str::FromStr for Method {
     }
 }
 
+/// In JSON a method is its variant identifier (`"Dgs"`, `"GdAsync"`).
+impl ToJson for Method {
+    fn to_json(&self) -> Value {
+        Value::Str(format!("{self:?}"))
+    }
+}
+
+impl FromJson for Method {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        let name = String::from_json(v)?;
+        Method::ALL
+            .into_iter()
+            .find(|m| format!("{m:?}") == name)
+            .ok_or_else(|| Error::new(format!("unknown method variant '{name}'")))
+    }
+}
+
 /// One row of the paper's Table 5.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TechniqueRow {
     /// Method name.
     pub method: &'static str,
@@ -133,6 +150,19 @@ pub struct TechniqueRow {
     pub momentum_correction: bool,
     /// Whether unsent gradients are accumulated in a residual buffer.
     pub residual_accumulation: bool,
+}
+
+/// Write-only: the names are `&'static str`.
+impl ToJson for TechniqueRow {
+    fn to_json(&self) -> Value {
+        Value::Obj(vec![
+            ("method".into(), self.method.to_json()),
+            ("sparsification".into(), self.sparsification.to_json()),
+            ("momentum".into(), self.momentum.to_json()),
+            ("momentum_correction".into(), self.momentum_correction.to_json()),
+            ("residual_accumulation".into(), self.residual_accumulation.to_json()),
+        ])
+    }
 }
 
 #[cfg(test)]

@@ -821,7 +821,7 @@ fn send_segment(
 /// A serialisable snapshot of the server's entire state, for
 /// checkpoint/restore (fault tolerance a production PS deployment needs;
 /// the paper's algorithms are otherwise memoryless beyond `M` and `v_k`).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerCheckpoint {
     /// Initial model `θ_0`.
     pub theta0: Vec<f32>,
@@ -834,6 +834,8 @@ pub struct ServerCheckpoint {
     /// `prev(k)` timestamps.
     pub prev: Vec<u64>,
 }
+
+dgs_tensor::json_struct!(ServerCheckpoint { theta0, m, v, t, prev });
 
 impl MdtServer {
     /// Captures the full server state (everything needed to resume — the
@@ -1469,8 +1471,8 @@ mod tests {
             a.handle_update(step % 2, &sparse_up(&part, &g));
         }
         // Snapshot, serialise, restore.
-        let json = serde_json::to_string(&a.checkpoint()).unwrap();
-        let ckpt: ServerCheckpoint = serde_json::from_str(&json).unwrap();
+        let json = dgs_tensor::json::to_string(&a.checkpoint());
+        let ckpt: ServerCheckpoint = dgs_tensor::json::from_str(&json).unwrap();
         let mut b = MdtServer::restore(ckpt, part.clone(), downlink);
         assert_eq!(a.timestamp(), b.timestamp());
         assert_eq!(a.current_model(), b.current_model());

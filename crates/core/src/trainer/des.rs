@@ -17,11 +17,10 @@ use crate::worker::TrainWorker;
 use dgs_nn::data::Dataset;
 use dgs_psim::des::{run_des_budget, Budget, DesNetwork, DesServer, DesWorker};
 use dgs_psim::NetworkModel;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Server processing cost: seconds per update handled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerCostModel {
     /// Fixed per-update cost in seconds.
     pub base_s: f64,
@@ -44,7 +43,7 @@ impl ServerCostModel {
 }
 
 /// Parameters of a DES run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesParams {
     /// Worker↔server link model.
     pub network: NetworkModel,

@@ -10,60 +10,69 @@ use dgs_net::codec::{
 use dgs_net::frame::read_frame;
 use dgs_net::{HEADER_LEN, MAGIC};
 use dgs_sparsify::{SparseUpdate, SparseVec, TernaryUpdate, TernaryVec};
-use proptest::prelude::*;
+use dgs_tensor::rng::{cases, vec_of, Rng};
 use std::io::Cursor;
 use std::sync::Arc;
 
 const MAX_PAYLOAD: usize = 16 << 20;
 
-// --- strategies -----------------------------------------------------------
+// --- generators -----------------------------------------------------------
 
-fn arb_f32() -> impl Strategy<Value = f32> {
-    prop_oneof![
-        8 => any::<f32>(),
-        1 => Just(f32::NAN),
-        1 => Just(f32::INFINITY),
-        1 => Just(f32::NEG_INFINITY),
-        1 => Just(-0.0f32),
-    ]
+fn arb_u32(rng: &mut Rng) -> u32 {
+    rng.next_u64() as u32
 }
 
-fn arb_sparse_vec() -> impl Strategy<Value = SparseVec> {
-    proptest::collection::vec((any::<u32>(), arb_f32()), 0..24).prop_map(|pairs| {
-        let (idx, val) = pairs.into_iter().unzip();
-        SparseVec { idx, val }
-    })
+/// Any bit pattern two times in three, else one of the values a codec is
+/// most likely to mangle.
+fn arb_f32(rng: &mut Rng) -> f32 {
+    match rng.below(12) {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        3 => -0.0,
+        _ => f32::from_bits(arb_u32(rng)),
+    }
 }
 
-fn arb_sparse_update() -> impl Strategy<Value = SparseUpdate> {
-    proptest::collection::vec(arb_sparse_vec(), 0..4).prop_map(|chunks| SparseUpdate { chunks })
+fn arb_f64(rng: &mut Rng) -> f64 {
+    f64::from_bits(rng.next_u64())
 }
 
-fn arb_ternary_vec() -> impl Strategy<Value = TernaryVec> {
-    (arb_f32(), proptest::collection::vec(any::<u32>(), 0..24)).prop_map(|(scale, idx)| {
-        let signs = vec![0b1010_1010u8; idx.len().div_ceil(8)];
-        TernaryVec { scale, idx, signs }
-    })
+fn arb_sparse_vec(rng: &mut Rng) -> SparseVec {
+    let idx = vec_of(rng, 0..24, arb_u32);
+    let val = idx.iter().map(|_| arb_f32(rng)).collect();
+    SparseVec { idx, val }
 }
 
-fn arb_ternary_update() -> impl Strategy<Value = TernaryUpdate> {
-    proptest::collection::vec(arb_ternary_vec(), 0..4).prop_map(|chunks| TernaryUpdate { chunks })
+fn arb_sparse_update(rng: &mut Rng) -> SparseUpdate {
+    SparseUpdate { chunks: vec_of(rng, 0..4, arb_sparse_vec) }
 }
 
-fn arb_up() -> impl Strategy<Value = UpMsg> {
-    let payload = prop_oneof![
-        proptest::collection::vec(arb_f32(), 0..64).prop_map(UpPayload::Dense),
-        arb_sparse_update().prop_map(UpPayload::Sparse),
-        arb_ternary_update().prop_map(UpPayload::TernarySparse),
-    ];
-    (payload, any::<f64>()).prop_map(|(payload, train_loss)| UpMsg { payload, train_loss })
+fn arb_ternary_vec(rng: &mut Rng) -> TernaryVec {
+    let scale = arb_f32(rng);
+    let idx = vec_of(rng, 0..24, arb_u32);
+    let signs = vec![0b1010_1010u8; idx.len().div_ceil(8)];
+    TernaryVec { scale, idx, signs }
 }
 
-fn arb_down() -> impl Strategy<Value = DownMsg> {
-    prop_oneof![
-        proptest::collection::vec(arb_f32(), 0..64).prop_map(|v| DownMsg::DenseModel(Arc::new(v))),
-        arb_sparse_update().prop_map(DownMsg::SparseDiff),
-    ]
+fn arb_ternary_update(rng: &mut Rng) -> TernaryUpdate {
+    TernaryUpdate { chunks: vec_of(rng, 0..4, arb_ternary_vec) }
+}
+
+fn arb_up(rng: &mut Rng) -> UpMsg {
+    let payload = match rng.below(3) {
+        0 => UpPayload::Dense(vec_of(rng, 0..64, arb_f32)),
+        1 => UpPayload::Sparse(arb_sparse_update(rng)),
+        _ => UpPayload::TernarySparse(arb_ternary_update(rng)),
+    };
+    UpMsg { payload, train_loss: arb_f64(rng) }
+}
+
+fn arb_down(rng: &mut Rng) -> DownMsg {
+    match rng.below(2) {
+        0 => DownMsg::DenseModel(Arc::new(vec_of(rng, 0..64, arb_f32))),
+        _ => DownMsg::SparseDiff(arb_sparse_update(rng)),
+    }
 }
 
 // --- bitwise equality (NaN-safe) ------------------------------------------
@@ -99,99 +108,117 @@ fn assert_up_eq(a: &UpMsg, b: &UpMsg) {
 
 // --- properties -----------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn up_roundtrips_bitwise(up in arb_up(), worker in any::<u16>(), seq in any::<u32>()) {
+#[test]
+fn up_roundtrips_bitwise() {
+    cases(256, |rng| {
+        let up = arb_up(rng);
+        let (worker, seq) = (rng.next_u64() as u16, arb_u32(rng));
         let payload = encode_up_payload(&up).unwrap();
         let back = decode_up(up_msg_type(&up.payload), &payload).unwrap();
         assert_up_eq(&up, &back);
 
         // Full frame: exact wire_bytes, and readable back off a stream.
         let frame = encode_up_frame(worker, seq, &up).unwrap();
-        prop_assert_eq!(frame.len(), up.wire_bytes());
+        assert_eq!(frame.len(), up.wire_bytes());
         let (header, body) = read_frame(&mut Cursor::new(&frame), MAX_PAYLOAD).unwrap();
-        prop_assert_eq!(header.worker, worker);
-        prop_assert_eq!(header.seq, seq);
+        assert_eq!(header.worker, worker);
+        assert_eq!(header.seq, seq);
         assert_up_eq(&up, &decode_up(header.msg_type, &body).unwrap());
-        prop_assert_eq!(&body, &payload);
+        assert_eq!(&body, &payload);
 
         // Encoded in place into a dirty, longer buffer (a connection's
         // reused frame buffer): the very same bytes.
         let mut dirty = vec![0x5A; frame.len() + 97];
         encode_up_frame_into(&mut dirty, worker, seq, &up).unwrap();
-        prop_assert_eq!(&dirty, &frame);
-    }
+        assert_eq!(&dirty, &frame);
+    });
+}
 
-    #[test]
-    fn down_roundtrips_bitwise(down in arb_down(), worker in any::<u16>(), seq in any::<u32>()) {
+#[test]
+fn down_roundtrips_bitwise() {
+    cases(256, |rng| {
+        let down = arb_down(rng);
+        let (worker, seq) = (rng.next_u64() as u16, arb_u32(rng));
         let payload = encode_down_payload(&down).unwrap();
         let back = decode_down(down_msg_type(&down), &payload).unwrap();
         match (&down, &back) {
             (DownMsg::DenseModel(x), DownMsg::DenseModel(y)) => {
-                prop_assert_eq!(bits(x), bits(y))
+                assert_eq!(bits(x), bits(y))
             }
             (DownMsg::SparseDiff(x), DownMsg::SparseDiff(y)) => assert_sparse_eq(x, y),
-            _ => prop_assert!(false, "variant changed across the wire"),
+            _ => panic!("variant changed across the wire"),
         }
         let frame = encode_down_frame(worker, seq, &down).unwrap();
-        prop_assert_eq!(frame.len(), down.wire_bytes());
+        assert_eq!(frame.len(), down.wire_bytes());
         let (header, body) = read_frame(&mut Cursor::new(&frame), MAX_PAYLOAD).unwrap();
-        prop_assert_eq!((header.worker, header.seq), (worker, seq));
-        prop_assert_eq!(header.msg_type, down_msg_type(&down));
-        prop_assert_eq!(&body, &payload);
+        assert_eq!((header.worker, header.seq), (worker, seq));
+        assert_eq!(header.msg_type, down_msg_type(&down));
+        assert_eq!(&body, &payload);
         let mut dirty = vec![0x5A; frame.len() + 97];
         encode_down_frame_into(&mut dirty, worker, seq, &down).unwrap();
-        prop_assert_eq!(&dirty, &frame);
-    }
+        assert_eq!(&dirty, &frame);
+    });
+}
 
-    /// Body layouts are identical to dgs-sparsify's own `encode()` — the
-    /// traffic accounting and the codec describe the same bytes.
-    #[test]
-    fn sparse_body_matches_sparsify_encoder(s in arb_sparse_update(), loss in any::<f64>()) {
+/// Body layouts are identical to dgs-sparsify's own `encode()` — the
+/// traffic accounting and the codec describe the same bytes.
+#[test]
+fn sparse_body_matches_sparsify_encoder() {
+    cases(256, |rng| {
+        let (s, loss) = (arb_sparse_update(rng), arb_f64(rng));
         let up = UpMsg { payload: UpPayload::Sparse(s.clone()), train_loss: loss };
         let payload = encode_up_payload(&up).unwrap();
-        prop_assert_eq!(&payload[8..], &SparseUpdate::encode(&s)[..]);
+        assert_eq!(&payload[8..], &SparseUpdate::encode(&s)[..]);
         let down = DownMsg::SparseDiff(s);
-        prop_assert_eq!(&encode_down_payload(&down).unwrap()[..], &match &down {
-            DownMsg::SparseDiff(s) => SparseUpdate::encode(s),
-            _ => unreachable!(),
-        }[..]);
-    }
+        assert_eq!(
+            &encode_down_payload(&down).unwrap()[..],
+            &match &down {
+                DownMsg::SparseDiff(s) => SparseUpdate::encode(s),
+                _ => unreachable!(),
+            }[..]
+        );
+    });
+}
 
-    #[test]
-    fn ternary_body_matches_sparsify_encoder(t in arb_ternary_update(), loss in any::<f64>()) {
+#[test]
+fn ternary_body_matches_sparsify_encoder() {
+    cases(256, |rng| {
+        let (t, loss) = (arb_ternary_update(rng), arb_f64(rng));
         let up = UpMsg { payload: UpPayload::TernarySparse(t.clone()), train_loss: loss };
-        prop_assert_eq!(&encode_up_payload(&up).unwrap()[8..], &TernaryUpdate::encode(&t)[..]);
-    }
+        assert_eq!(&encode_up_payload(&up).unwrap()[8..], &TernaryUpdate::encode(&t)[..]);
+    });
+}
 
-    /// Any corruption of the length/CRC fields or the payload body of a
-    /// valid frame must produce a decode error — never a panic, never a
-    /// silently wrong message.
-    #[test]
-    fn corrupted_frames_error_not_panic(
-        up in arb_up(),
-        at in any::<proptest::sample::Index>(),
-        flip in 1..=255u8,
-    ) {
+/// Any corruption of the length/CRC fields or the payload body of a
+/// valid frame must produce a decode error — never a panic, never a
+/// silently wrong message.
+#[test]
+fn corrupted_frames_error_not_panic() {
+    cases(256, |rng| {
+        let up = arb_up(rng);
+        let flip = rng.range(1..256) as u8;
         let mut frame = encode_up_frame(3, 9, &up).unwrap();
         // Corrupt magic/version or anything CRC-protected. Worker id, seq,
         // and msg type are CRC-free header metadata: flipping them yields a
         // *different valid frame* by design, so they are out of scope here.
         let corruptible: Vec<usize> = (0..5).chain(12..frame.len()).collect();
-        let pos = *at.get(&corruptible);
+        let pos = corruptible[rng.below(corruptible.len())];
         frame[pos] ^= flip;
         let result = read_frame(&mut Cursor::new(&frame), MAX_PAYLOAD)
             .and_then(|(h, body)| decode_up(h.msg_type, &body));
-        prop_assert!(result.is_err(), "corrupt byte {pos} accepted");
-    }
+        assert!(result.is_err(), "corrupt byte {pos} accepted");
+    });
+}
 
-    /// Every strict prefix of a valid frame errors cleanly.
-    #[test]
-    fn truncated_frames_error_not_panic(up in arb_up(), cut in any::<proptest::sample::Index>()) {
+/// Every strict prefix of a valid frame errors cleanly.
+#[test]
+fn truncated_frames_error_not_panic() {
+    cases(256, |rng| {
+        let up = arb_up(rng);
         let frame = encode_up_frame(1, 1, &up).unwrap();
-        let len = cut.index(frame.len());
-        prop_assert!(read_frame(&mut Cursor::new(&frame[..len]), MAX_PAYLOAD).is_err());
-    }
+        let len = rng.below(frame.len());
+        assert!(read_frame(&mut Cursor::new(&frame[..len]), MAX_PAYLOAD).is_err());
+    });
 }
 
 // --- golden fixture --------------------------------------------------------

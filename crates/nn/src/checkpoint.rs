@@ -3,11 +3,11 @@
 //! wrong architecture.
 
 use crate::model::Network;
-use serde::{Deserialize, Serialize};
+use dgs_tensor::json;
 use std::path::Path;
 
 /// A serialisable snapshot of a model's trainable parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelCheckpoint {
     /// Segment names in partition order — the architecture fingerprint.
     pub layout: Vec<String>,
@@ -16,6 +16,8 @@ pub struct ModelCheckpoint {
     /// The flat parameter vector.
     pub data: Vec<f32>,
 }
+
+dgs_tensor::json_struct!(ModelCheckpoint { layout, lengths, data });
 
 /// Errors from checkpoint I/O and validation.
 #[derive(Debug)]
@@ -26,6 +28,9 @@ pub enum CheckpointError {
     Parse(String),
     /// Checkpoint does not match the target network's layout.
     LayoutMismatch(String),
+    /// The parameter at this index is NaN or infinite: JSON has no spelling
+    /// for it, so the file could not reproduce the model's bits.
+    NonFinite(usize),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -34,6 +39,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
             CheckpointError::Parse(e) => write!(f, "checkpoint parse: {e}"),
             CheckpointError::LayoutMismatch(e) => write!(f, "layout mismatch: {e}"),
+            CheckpointError::NonFinite(i) => write!(f, "parameter {i} is not finite"),
         }
     }
 }
@@ -88,18 +94,19 @@ impl ModelCheckpoint {
         Ok(())
     }
 
-    /// Writes the checkpoint as JSON.
+    /// Writes the checkpoint as JSON; refuses a non-finite parameter.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        let json =
-            serde_json::to_string(self).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-        std::fs::write(path, json)?;
+        if let Some(i) = self.data.iter().position(|v| !v.is_finite()) {
+            return Err(CheckpointError::NonFinite(i));
+        }
+        std::fs::write(path, json::to_string(self))?;
         Ok(())
     }
 
     /// Reads a checkpoint from JSON.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text).map_err(|e| CheckpointError::Parse(e.to_string()))
+        json::from_str(&text).map_err(|e| CheckpointError::Parse(e.to_string()))
     }
 }
 
@@ -128,6 +135,15 @@ mod tests {
         assert_eq!(back.data, ckpt.data);
         assert_eq!(back.layout, ckpt.layout);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn save_refuses_a_non_finite_parameter() {
+        let mut ckpt = ModelCheckpoint::capture(&mlp(6, &[12], 3, 1));
+        ckpt.data[5] = f32::NAN;
+        let path = std::env::temp_dir().join("dgs_nn_ckpt_nonfinite.json");
+        assert!(matches!(ckpt.save(&path), Err(CheckpointError::NonFinite(5))));
+        assert!(!path.exists(), "nothing is written");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 use crate::data::Dataset;
 use crate::loader::EvalIter;
 use crate::model::Network;
-use serde::{Deserialize, Serialize};
 
 /// Result of one full validation pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
     /// Mean cross-entropy loss over the validation set.
     pub loss: f64,

@@ -1,7 +1,5 @@
 //! Link model: bytes on the wire → seconds of transfer time.
 
-use serde::{Deserialize, Serialize};
-
 /// A point-to-point link between a worker and the parameter server.
 ///
 /// Transfer time is the usual first-order model
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let t = lan.transfer_time(46_000_000);
 /// assert!(t > 0.3 && t < 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Link bandwidth in bits per second.
     pub bandwidth_bps: f64,

@@ -1,10 +1,8 @@
 //! Staleness accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Histogram of update staleness (server timestamp − worker's model
 /// timestamp at gradient arrival), the quantity asynchrony degrades.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StalenessStats {
     counts: Vec<u64>,
     total: u64,

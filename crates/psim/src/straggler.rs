@@ -6,10 +6,8 @@
 //! static speed multiplier plus optional per-iteration lognormal jitter,
 //! all deterministic per seed.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic per-(worker, iteration) compute-time multiplier model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StragglerModel {
     /// Static multiplier per worker (1.0 = nominal speed). Workers beyond
     /// the vector's length use 1.0.

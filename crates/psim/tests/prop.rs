@@ -1,9 +1,10 @@
 //! Property-based tests for the discrete-event simulator: conservation
-//! laws and timing monotonicity for arbitrary cluster geometries.
+//! laws and timing monotonicity for arbitrary cluster geometries (48 seeded
+//! cases each).
 
 use dgs_psim::des::{run_des, DesNetwork, DesServer, DesWorker};
 use dgs_psim::NetworkModel;
-use proptest::prelude::*;
+use dgs_tensor::rng::cases;
 
 struct PropServer {
     proc_time: f64,
@@ -40,21 +41,16 @@ impl DesWorker for PropWorker {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Every DES run processes exactly workers × iters iterations, counts
-    /// bytes exactly, serves arrivals in nondecreasing virtual time, and
-    /// accumulates server-busy time = iterations × proc.
-    #[test]
-    fn des_conservation(
-        workers in 1usize..8,
-        iters in 0usize..12,
-        compute_ms in 1u32..50,
-        proc_us in 0u32..500,
-        bytes in 0usize..10_000,
-        shared in proptest::bool::ANY,
-    ) {
+/// Every DES run processes exactly workers × iters iterations, counts
+/// bytes exactly, serves arrivals in nondecreasing virtual time, and
+/// accumulates server-busy time = iterations × proc.
+#[test]
+fn des_conservation() {
+    cases(48, |rng| {
+        let (workers, iters) = (rng.range(1..8), rng.range(0..12));
+        let (compute_ms, proc_us) = (rng.range(1..50) as u32, rng.range(0..500) as u32);
+        let bytes = rng.range(0..10_000);
+        let shared = rng.below(2) == 1;
         let mut server = PropServer {
             proc_time: proc_us as f64 * 1e-6,
             reply_bytes: bytes / 2,
@@ -69,31 +65,28 @@ proptest! {
             DesNetwork::per_worker(NetworkModel::one_gbps())
         };
         let report = run_des(&mut server, &mut ws, iters, net);
-        prop_assert_eq!(report.iterations, (workers * iters) as u64);
-        prop_assert_eq!(report.bytes_up, (workers * iters * bytes) as u64);
-        prop_assert_eq!(report.bytes_down, (workers * iters * (bytes / 2)) as u64);
-        prop_assert!(ws.iter().all(|w| w.applied == iters));
-        prop_assert!(
-            server.arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "server arrivals out of order"
-        );
+        assert_eq!(report.iterations, (workers * iters) as u64);
+        assert_eq!(report.bytes_up, (workers * iters * bytes) as u64);
+        assert_eq!(report.bytes_down, (workers * iters * (bytes / 2)) as u64);
+        assert!(ws.iter().all(|w| w.applied == iters));
+        assert!(server.arrivals.windows(2).all(|w| w[0] <= w[1]), "server arrivals out of order");
         let expect_busy = report.iterations as f64 * proc_us as f64 * 1e-6;
-        prop_assert!((report.server_busy - expect_busy).abs() < 1e-9);
+        assert!((report.server_busy - expect_busy).abs() < 1e-9);
         if iters > 0 && workers > 0 {
             // Total time at least one full round trip.
             let min_rt = compute_ms as f64 * 1e-3;
-            prop_assert!(report.total_time >= min_rt * iters as f64 * 0.999);
+            assert!(report.total_time >= min_rt * iters as f64 * 0.999);
         }
-    }
+    });
+}
 
-    /// Shared-NIC runs are never faster than per-worker-link runs of the
-    /// same workload.
-    #[test]
-    fn shared_never_faster(
-        workers in 1usize..6,
-        iters in 1usize..8,
-        bytes in 100usize..50_000,
-    ) {
+/// Shared-NIC runs are never faster than per-worker-link runs of the
+/// same workload.
+#[test]
+fn shared_never_faster() {
+    cases(48, |rng| {
+        let (workers, iters) = (rng.range(1..6), rng.range(1..8));
+        let bytes = rng.range(100..50_000);
         let mk = || PropServer { proc_time: 0.0, reply_bytes: bytes, arrivals: Vec::new() };
         let mk_w = |n: usize| -> Vec<PropWorker> {
             (0..n).map(|_| PropWorker { compute: 1e-4, bytes, applied: 0 }).collect()
@@ -105,11 +98,11 @@ proptest! {
         let mut s2 = mk();
         let mut w2 = mk_w(workers);
         let private = run_des(&mut s2, &mut w2, iters, DesNetwork::per_worker(net));
-        prop_assert!(
+        assert!(
             shared.total_time >= private.total_time - 1e-12,
             "sharing cannot speed things up: {} vs {}",
             shared.total_time,
             private.total_time
         );
-    }
+    });
 }

@@ -5,10 +5,8 @@
 //! that vector. The paper's algorithms sparsify *per layer* ("for j = 0..J"),
 //! so the partition is threaded through every sparsification call.
 
-use serde::{Deserialize, Serialize};
-
 /// One named contiguous segment of the flat parameter vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Human-readable layer/parameter name (e.g. `"conv1.weight"`).
     pub name: String,
@@ -26,7 +24,7 @@ impl Segment {
 }
 
 /// An ordered, gap-free partition of `[0, total_len)` into layer segments.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     segments: Vec<Segment>,
     total_len: usize,

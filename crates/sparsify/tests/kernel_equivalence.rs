@@ -5,10 +5,10 @@
 //! straight-line Rust with no intrinsics. The SIMD backend
 //! ([`Kernel::Simd`]) must reproduce its output *exactly* — same indices,
 //! same value bits, same wire bytes — including on NaNs (any payload),
-//! ±Inf, denormals, ±0, and arbitrarily long tie plateaus. Proptest
-//! drives raw `u32` bit patterns through `f32::from_bits` so nothing in
+//! ±Inf, denormals, ±0, and arbitrarily long tie plateaus. Seeded cases
+//! drive raw `u32` bit patterns through `f32::from_bits` so nothing in
 //! the float space is out of scope; pinned vectors below cover the
-//! torture corpus even if proptest shrinks away from it.
+//! torture corpus whatever the cases draw.
 //!
 //! On machines without AVX2 both backends run the scalar code and the
 //! suite degenerates to a tautology — CI prints a notice in that case but
@@ -22,33 +22,34 @@ use dgs_sparsify::{
     radix_topk_indices_guessed, Guess, Kernel, SelectScratch, SparseUpdate, SparseVec,
     TernaryUpdate, TernaryVec,
 };
+use dgs_tensor::rng::{cases, vec_of, Rng};
 use dgs_tensor::BufferPool;
-use proptest::prelude::*;
 
 /// Arbitrary f32s by raw bit pattern: hits NaN payloads, ±Inf, denormals,
 /// ±0 with the same probability as any other pattern.
-fn bitwise_f32() -> impl Strategy<Value = f32> {
-    any::<u32>().prop_map(f32::from_bits)
+fn bitwise_f32(rng: &mut Rng) -> f32 {
+    f32::from_bits(rng.next_u64() as u32)
 }
 
 /// Adversarial palette sampled with replacement so ties are common.
-fn special_f32() -> impl Strategy<Value = f32> {
-    prop_oneof![
-        Just(0.0f32),
-        Just(-0.0f32),
-        Just(1.0f32),
-        Just(-1.0f32),
-        Just(f32::INFINITY),
-        Just(f32::NEG_INFINITY),
-        Just(f32::NAN),
-        Just(-f32::NAN),
-        Just(f32::from_bits(0x7FC0_1234)), // NaN with payload
-        Just(f32::from_bits(0xFFC0_5678)), // negative NaN with payload
-        Just(f32::MIN_POSITIVE),
-        Just(f32::MIN_POSITIVE / 2.0), // denormal
-        Just(f32::from_bits(1)),       // smallest denormal
-        Just(f32::MAX),
-    ]
+fn special_f32(rng: &mut Rng) -> f32 {
+    let palette = [
+        0.0f32,
+        -0.0f32,
+        1.0f32,
+        -1.0f32,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7FC0_1234), // NaN with payload
+        f32::from_bits(0xFFC0_5678), // negative NaN with payload
+        f32::MIN_POSITIVE,
+        f32::MIN_POSITIVE / 2.0, // denormal
+        f32::from_bits(1),       // smallest denormal
+        f32::MAX,
+    ];
+    palette[rng.below(palette.len())]
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -118,56 +119,55 @@ fn assert_select_equivalent(seg: &[f32], k: usize) {
     }
 }
 
-proptest! {
-    /// Dense merge kernels agree on arbitrary bit patterns.
-    #[test]
-    fn merge_kernels_agree_on_raw_bits(
-        m in proptest::collection::vec(bitwise_f32(), 1..200),
-        v_bits in proptest::collection::vec(any::<u32>(), 1..200),
-        k in 0usize..64,
-    ) {
+/// Dense merge kernels agree on arbitrary bit patterns.
+#[test]
+fn merge_kernels_agree_on_raw_bits() {
+    cases(256, |rng| {
+        let m = vec_of(rng, 1..200, bitwise_f32);
+        let v_bits = vec_of(rng, 1..200, |rng| rng.next_u64() as u32);
+        let k = rng.range(0..64);
         let n = m.len().min(v_bits.len());
         let v: Vec<f32> = v_bits[..n].iter().map(|&b| f32::from_bits(b)).collect();
         assert_merge_equivalent(&m[..n], &v, k);
-    }
+    });
+}
 
-    /// Dense merge kernels agree on tie-heavy adversarial palettes, where
-    /// most diffs are exactly zero (the chunk-skip fast path) or NaN.
-    #[test]
-    fn merge_kernels_agree_on_specials(
-        m in proptest::collection::vec(special_f32(), 1..140),
-        flips in proptest::collection::vec(any::<bool>(), 1..140),
-        k in 0usize..32,
-    ) {
+/// Dense merge kernels agree on tie-heavy adversarial palettes, where
+/// most diffs are exactly zero (the chunk-skip fast path) or NaN.
+#[test]
+fn merge_kernels_agree_on_specials() {
+    cases(256, |rng| {
+        let m = vec_of(rng, 1..140, special_f32);
+        let flips = vec_of(rng, 1..140, |rng| rng.below(2) == 1);
+        let k = rng.range(0..32);
         let n = m.len().min(flips.len());
         // v is mostly equal to m (zero diff) with occasional flips.
-        let v: Vec<f32> = m[..n]
-            .iter()
-            .zip(&flips[..n])
-            .map(|(&x, &f)| if f { -x } else { x })
-            .collect();
+        let v: Vec<f32> =
+            m[..n].iter().zip(&flips[..n]).map(|(&x, &f)| if f { -x } else { x }).collect();
         assert_merge_equivalent(&m[..n], &v, k);
-    }
+    });
+}
 
-    /// Radix selection (hist fill + chunk scan on the backend) agrees.
-    #[test]
-    fn selection_agrees_on_raw_bits(
-        seg in proptest::collection::vec(bitwise_f32(), 1..160),
-        k_extra in 0usize..160,
-    ) {
+/// Radix selection (hist fill + chunk scan on the backend) agrees.
+#[test]
+fn selection_agrees_on_raw_bits() {
+    cases(256, |rng| {
+        let seg = vec_of(rng, 1..160, bitwise_f32);
+        let k_extra = rng.range(0..160);
         for k in [0, 1, seg.len() / 2, seg.len()] {
             assert_select_equivalent(&seg, k);
         }
         assert_select_equivalent(&seg, k_extra.min(seg.len()));
-    }
+    });
+}
 
-    /// Ternary quantization, dequantization, and both wire encoders emit
-    /// identical bits across backends.
-    #[test]
-    fn quant_and_encode_agree(
-        val in proptest::collection::vec(bitwise_f32(), 0..120),
-        seed in any::<u64>(),
-    ) {
+/// Ternary quantization, dequantization, and both wire encoders emit
+/// identical bits across backends.
+#[test]
+fn quant_and_encode_agree() {
+    cases(256, |rng| {
+        let val = vec_of(rng, 0..120, bitwise_f32);
+        let seed = rng.next_u64();
         // Quantization is only defined on finite values (keep-probability
         // |v|/scale); filter to the domain without losing denormals/±0.
         let val: Vec<f32> = val.into_iter().filter(|v| v.is_finite()).collect();
@@ -175,38 +175,39 @@ proptest! {
         let sv = SparseVec { idx, val };
         let a = TernaryVec::quantize_with(Kernel::Scalar, &sv, seed);
         let b = TernaryVec::quantize_with(Kernel::Simd, &sv, seed);
-        prop_assert_eq!(a.scale.to_bits(), b.scale.to_bits());
-        prop_assert_eq!(&a.idx, &b.idx);
-        prop_assert_eq!(&a.signs, &b.signs);
+        assert_eq!(a.scale.to_bits(), b.scale.to_bits());
+        assert_eq!(&a.idx, &b.idx);
+        assert_eq!(&a.signs, &b.signs);
         let da = a.dequantize_with(Kernel::Scalar);
         let db = b.dequantize_with(Kernel::Simd);
-        prop_assert_eq!(bits(&da.val), bits(&db.val));
+        assert_eq!(bits(&da.val), bits(&db.val));
         let tu = TernaryUpdate { chunks: vec![a] };
-        prop_assert_eq!(tu.encode_with(Kernel::Scalar), tu.encode_with(Kernel::Simd));
+        assert_eq!(tu.encode_with(Kernel::Scalar), tu.encode_with(Kernel::Simd));
         let su = SparseUpdate { chunks: vec![sv] };
-        prop_assert_eq!(su.encode_with(Kernel::Scalar), su.encode_with(Kernel::Simd));
-    }
+        assert_eq!(su.encode_with(Kernel::Scalar), su.encode_with(Kernel::Simd));
+    });
+}
 
-    /// The pooled dedup wrapper matches plain sort_dedup and returns its
-    /// bitmap to the pool all-zero, whatever the candidate multiset.
-    #[test]
-    fn sort_dedup_pooled_matches_plain(
-        cand in proptest::collection::vec(0u32..500, 0..300),
-    ) {
+/// The pooled dedup wrapper matches plain sort_dedup and returns its
+/// bitmap to the pool all-zero, whatever the candidate multiset.
+#[test]
+fn sort_dedup_pooled_matches_plain() {
+    cases(256, |rng| {
+        let cand = vec_of(rng, 0..300, |rng| rng.range(0..500) as u32);
         let mut pool: BufferPool<u64> = BufferPool::new(2);
         let mut a = cand.clone();
         let mut b = cand;
         sort_dedup(&mut a);
         sort_dedup_pooled(&mut b, 500, &mut pool);
-        prop_assert_eq!(a, b);
+        assert_eq!(a, b);
         // The invariant release_unchanged depends on: mask back to zero.
         let mask = pool.acquire();
-        prop_assert!(mask.iter().all(|&w| w == 0));
-    }
+        assert!(mask.iter().all(|&w| w == 0));
+    });
 }
 
 // ---------------------------------------------------------------------------
-// Pinned torture vectors (run even if proptest shrinks away from them)
+// Pinned torture vectors (run whatever the seeded cases draw)
 // ---------------------------------------------------------------------------
 
 /// The torture corpus named by the kernel contract: NaN payloads, ±Inf,

@@ -1,20 +1,23 @@
-//! Property-based tests for the sparsification primitives.
+//! Property-based tests for the sparsification primitives (256 seeded cases
+//! each).
 
 use dgs_sparsify::{
     gather, k_for_ratio, sampled_threshold, scale_all_except, scatter_add, topk_indices,
     topk_threshold, zero_at, Partition, SparseUpdate, SparseVec,
 };
-use proptest::prelude::*;
+use dgs_tensor::rng::{cases, vec_of, Rng};
 
-fn vec_f32(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
-    proptest::collection::vec(-100.0f32..100.0, len)
+fn vec_f32(rng: &mut Rng, len: std::ops::Range<usize>) -> Vec<f32> {
+    vec_of(rng, len, |rng| rng.uniform(-100.0, 100.0))
 }
 
-proptest! {
-    /// sparsify (gather + zero) followed by unsparsify (scatter back) is
-    /// the identity on any segment.
-    #[test]
-    fn sparsify_unsparsify_identity(seg in vec_f32(1..128), k in 1usize..64) {
+/// sparsify (gather + zero) followed by unsparsify (scatter back) is
+/// the identity on any segment.
+#[test]
+fn sparsify_unsparsify_identity() {
+    cases(256, |rng| {
+        let seg = vec_f32(rng, 1..128);
+        let k = rng.range(1..64);
         let original = seg.clone();
         let mut seg = seg;
         let idx = topk_indices(&seg, k);
@@ -22,54 +25,70 @@ proptest! {
         zero_at(&mut seg, &idx);
         scatter_add(&mut seg, &idx, &vals, 1.0);
         for (a, b) in seg.iter().zip(original.iter()) {
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b);
         }
-    }
+    });
+}
 
-    /// The Top-k threshold is the k-th order statistic of |values|:
-    /// exactly ≥ k values have magnitude ≥ thr.
-    #[test]
-    fn threshold_is_order_statistic(seg in vec_f32(1..200), k_raw in 1usize..200) {
+/// The Top-k threshold is the k-th order statistic of |values|:
+/// exactly ≥ k values have magnitude ≥ thr.
+#[test]
+fn threshold_is_order_statistic() {
+    cases(256, |rng| {
+        let seg = vec_f32(rng, 1..200);
+        let k_raw = rng.range(1..200);
         let k = k_raw.min(seg.len());
         let thr = topk_threshold(&seg, k);
         let at_least = seg.iter().filter(|v| v.abs() >= thr).count();
         let strictly = seg.iter().filter(|v| v.abs() > thr).count();
-        prop_assert!(at_least >= k, "at_least {} < k {}", at_least, k);
-        prop_assert!(strictly < k, "strictly {} >= k {}", strictly, k);
-    }
+        assert!(at_least >= k, "at_least {} < k {}", at_least, k);
+        assert!(strictly < k, "strictly {} >= k {}", strictly, k);
+    });
+}
 
-    /// The sampled threshold is always bracketed by the segment's extreme
-    /// magnitudes and falls back to exact when the sample covers everything.
-    #[test]
-    fn sampled_threshold_bracketed(seg in vec_f32(2..128), k_raw in 1usize..128, seed in 0u64..1000) {
+/// The sampled threshold is always bracketed by the segment's extreme
+/// magnitudes and falls back to exact when the sample covers everything.
+#[test]
+fn sampled_threshold_bracketed() {
+    cases(256, |rng| {
+        let seg = vec_f32(rng, 2..128);
+        let k_raw = rng.range(1..128);
+        let seed = rng.below(1000) as u64;
         let k = k_raw.min(seg.len());
         let est = sampled_threshold(&seg, k, seg.len() / 2 + 1, seed);
         let lo = seg.iter().fold(f32::INFINITY, |m, v| m.min(v.abs()));
         let hi = seg.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        prop_assert!(est >= lo && est <= hi, "{} not in [{}, {}]", est, lo, hi);
+        assert!(est >= lo && est <= hi, "{} not in [{}, {}]", est, lo, hi);
         let exact = sampled_threshold(&seg, k, seg.len(), seed);
-        prop_assert_eq!(exact, topk_threshold(&seg, k));
-    }
+        assert_eq!(exact, topk_threshold(&seg, k));
+    });
+}
 
-    /// scale_all_except touches exactly the complement of the index set.
-    #[test]
-    fn scale_all_except_complement(seg in vec_f32(1..64), k in 0usize..64) {
+/// scale_all_except touches exactly the complement of the index set.
+#[test]
+fn scale_all_except_complement() {
+    cases(256, |rng| {
+        let seg = vec_f32(rng, 1..64);
+        let k = rng.range(0..64);
         let original = seg.clone();
         let mut seg = seg;
         let idx = topk_indices(&seg, k);
         scale_all_except(&mut seg, &idx, 3.0);
         for (i, (&a, &b)) in seg.iter().zip(original.iter()).enumerate() {
             if idx.contains(&(i as u32)) {
-                prop_assert_eq!(a, b);
+                assert_eq!(a, b);
             } else {
-                prop_assert_eq!(a, 3.0 * b);
+                assert_eq!(a, 3.0 * b);
             }
         }
-    }
+    });
+}
 
-    /// Encoding is stable: encode(decode(encode(x))) == encode(x).
-    #[test]
-    fn encode_is_canonical(flat in vec_f32(30..90)) {
+/// Encoding is stable: encode(decode(encode(x))) == encode(x).
+#[test]
+fn encode_is_canonical() {
+    cases(256, |rng| {
+        let flat = vec_f32(rng, 30..90);
         let len = flat.len();
         let part = Partition::from_layer_sizes([
             ("a", len / 3),
@@ -79,23 +98,30 @@ proptest! {
         let up = SparseUpdate::from_topk(&flat, &part, 0.2);
         let once = up.encode();
         let twice = SparseUpdate::decode(&once).unwrap().encode();
-        prop_assert_eq!(once, twice);
-    }
+        assert_eq!(once, twice);
+    });
+}
 
-    /// to_dense ∘ from_nonzero is the identity for any vector.
-    #[test]
-    fn nonzero_roundtrip(flat in vec_f32(10..100)) {
+/// to_dense ∘ from_nonzero is the identity for any vector.
+#[test]
+fn nonzero_roundtrip() {
+    cases(256, |rng| {
+        let flat = vec_f32(rng, 10..100);
         let part = Partition::single(flat.len());
         let up = SparseUpdate::from_nonzero(&flat, &part);
         let dense = up.to_dense(&part);
         for (a, b) in dense.iter().zip(flat.iter()) {
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b);
         }
-    }
+    });
+}
 
-    /// Applying an update twice with scales s and −s cancels exactly.
-    #[test]
-    fn apply_add_antisymmetric(flat in vec_f32(10..60), scale in 0.1f32..5.0) {
+/// Applying an update twice with scales s and −s cancels exactly.
+#[test]
+fn apply_add_antisymmetric() {
+    cases(256, |rng| {
+        let flat = vec_f32(rng, 10..60);
+        let scale = rng.uniform(0.1, 5.0);
         let part = Partition::single(flat.len());
         let up = SparseUpdate::from_topk(&flat, &part, 0.3);
         let mut out = flat.clone();
@@ -104,31 +130,31 @@ proptest! {
         for (a, b) in out.iter().zip(flat.iter()) {
             // x + s·v − s·v is exact in IEEE-754 when both adds round the
             // same way; allow one ulp of slack for the general case.
-            prop_assert!((a - b).abs() <= a.abs().max(1.0) * 1e-6);
+            assert!((a - b).abs() <= a.abs().max(1.0) * 1e-6);
         }
-    }
+    });
+}
 
-    /// nnz of a Top-k update equals Σ_layers min(k_layer, layer_len).
-    #[test]
-    fn nnz_matches_budget(flat in vec_f32(30..90), ratio in 0.01f64..1.0) {
+/// nnz of a Top-k update equals Σ_layers min(k_layer, layer_len).
+#[test]
+fn nnz_matches_budget() {
+    cases(256, |rng| {
+        let flat = vec_f32(rng, 30..90);
+        let ratio = 0.01 + 0.99 * rng.unit_f64();
         let len = flat.len();
         let part = Partition::from_layer_sizes([("a", len / 2), ("b", len - len / 2)]);
         let up = SparseUpdate::from_topk(&flat, &part, ratio);
-        let expect: usize = part
-            .segments()
-            .iter()
-            .map(|s| k_for_ratio(s.len, ratio))
-            .sum();
-        prop_assert_eq!(up.nnz(), expect);
-    }
+        let expect: usize = part.segments().iter().map(|s| k_for_ratio(s.len, ratio)).sum();
+        assert_eq!(up.nnz(), expect);
+    });
+}
 
-    /// Wire size formula holds for arbitrary sparse vectors.
-    #[test]
-    fn wire_size_formula(idx_count in 0usize..50) {
-        let sv = SparseVec {
-            idx: (0..idx_count as u32).collect(),
-            val: vec![1.0; idx_count],
-        };
-        prop_assert_eq!(sv.wire_bytes(), 4 + 8 * idx_count);
-    }
+/// Wire size formula holds for arbitrary sparse vectors.
+#[test]
+fn wire_size_formula() {
+    cases(256, |rng| {
+        let idx_count = rng.range(0..50);
+        let sv = SparseVec { idx: (0..idx_count as u32).collect(), val: vec![1.0; idx_count] };
+        assert_eq!(sv.wire_bytes(), 4 + 8 * idx_count);
+    });
 }

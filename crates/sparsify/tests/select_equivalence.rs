@@ -6,7 +6,7 @@
 //! `mag_idx_order` (magnitude descending via `total_cmp`, index ascending
 //! on ties). The radix path must reproduce its output *exactly* — same
 //! indices, same threshold bits — including on NaNs (any payload), ±Inf,
-//! denormals, ±0, and arbitrarily long tie plateaus. Proptest drives raw
+//! denormals, ±0, and arbitrarily long tie plateaus. Seeded cases drive raw
 //! `u32` bit patterns through `f32::from_bits` so nothing in the float
 //! space is out of scope.
 
@@ -16,35 +16,36 @@ use dgs_sparsify::{
     radix_topk_indices_guessed, radix_topk_pairs, topk_indices, topk_threshold, Guess,
     SelectScratch,
 };
-use proptest::prelude::*;
+use dgs_tensor::rng::{cases, vec_of, Rng};
 
 /// Arbitrary f32s by raw bit pattern: hits NaN payloads, ±Inf, denormals,
 /// ±0 with the same probability as any other pattern.
-fn bitwise_f32() -> impl Strategy<Value = f32> {
-    any::<u32>().prop_map(f32::from_bits)
+fn bitwise_f32(rng: &mut Rng) -> f32 {
+    f32::from_bits(rng.next_u64() as u32)
 }
 
 /// A palette of the adversarial values the engine's key mapping must order
 /// correctly, sampled with replacement so ties are common.
-fn special_f32() -> impl Strategy<Value = f32> {
-    prop_oneof![
-        Just(0.0f32),
-        Just(-0.0f32),
-        Just(1.0f32),
-        Just(-1.0f32),
-        Just(f32::INFINITY),
-        Just(f32::NEG_INFINITY),
-        Just(f32::NAN),
-        Just(-f32::NAN),
-        Just(f32::from_bits(0x7FC0_1234)), // NaN with payload
-        Just(f32::from_bits(0xFFC0_5678)), // negative NaN with payload
-        Just(f32::MIN_POSITIVE),
-        Just(f32::MIN_POSITIVE / 2.0), // denormal
-        Just(f32::from_bits(1)),       // smallest denormal
-        Just(1.0e-42f32),              // denormal
-        Just(f32::MAX),
-        Just(f32::EPSILON),
-    ]
+fn special_f32(rng: &mut Rng) -> f32 {
+    let palette = [
+        0.0f32,
+        -0.0f32,
+        1.0f32,
+        -1.0f32,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7FC0_1234), // NaN with payload
+        f32::from_bits(0xFFC0_5678), // negative NaN with payload
+        f32::MIN_POSITIVE,
+        f32::MIN_POSITIVE / 2.0, // denormal
+        f32::from_bits(1),       // smallest denormal
+        1.0e-42f32,              // denormal
+        f32::MAX,
+        f32::EPSILON,
+    ];
+    palette[rng.below(palette.len())]
 }
 
 /// The k values worth probing for a segment of length `n`: the edges plus
@@ -71,39 +72,40 @@ fn assert_equivalent(seg: &[f32], k: usize) {
     }
 }
 
-proptest! {
-    /// Radix == comparator on arbitrary bit patterns, all edge ks.
-    #[test]
-    fn radix_matches_comparator_on_raw_bits(
-        seg in proptest::collection::vec(bitwise_f32(), 1..160),
-        k_extra in 0usize..160,
-    ) {
+/// Radix == comparator on arbitrary bit patterns, all edge ks.
+#[test]
+fn radix_matches_comparator_on_raw_bits() {
+    cases(256, |rng| {
+        let seg = vec_of(rng, 1..160, bitwise_f32);
+        let k_extra = rng.range(0..160);
         for k in probe_ks(seg.len()) {
             assert_equivalent(&seg, k);
         }
         assert_equivalent(&seg, k_extra.min(seg.len()));
-    }
+    });
+}
 
-    /// Radix == comparator on tie-heavy adversarial palettes.
-    #[test]
-    fn radix_matches_comparator_on_specials(
-        seg in proptest::collection::vec(special_f32(), 1..96),
-        k_extra in 0usize..96,
-    ) {
+/// Radix == comparator on tie-heavy adversarial palettes.
+#[test]
+fn radix_matches_comparator_on_specials() {
+    cases(256, |rng| {
+        let seg = vec_of(rng, 1..96, special_f32);
+        let k_extra = rng.range(0..96);
         for k in probe_ks(seg.len()) {
             assert_equivalent(&seg, k);
         }
         assert_equivalent(&seg, k_extra.min(seg.len()));
-    }
+    });
+}
 
-    /// Pair-form selection (the server's secondary compression) agrees
-    /// bitwise, with strictly ascending global indices as on the real path.
-    #[test]
-    fn pairs_match_on_raw_bits(
-        gaps in proptest::collection::vec(1u32..5, 1..120),
-        val_bits in proptest::collection::vec(any::<u32>(), 1..120),
-        k in 0usize..140,
-    ) {
+/// Pair-form selection (the server's secondary compression) agrees
+/// bitwise, with strictly ascending global indices as on the real path.
+#[test]
+fn pairs_match_on_raw_bits() {
+    cases(256, |rng| {
+        let gaps = vec_of(rng, 1..120, |rng| rng.range(1..5) as u32);
+        let val_bits = vec_of(rng, 1..120, |rng| rng.next_u64() as u32);
+        let k = rng.range(0..140);
         let n = gaps.len().min(val_bits.len());
         let mut idx = Vec::with_capacity(n);
         let mut acc = 0u32;
@@ -115,12 +117,12 @@ proptest! {
         let mut scratch = SelectScratch::new();
         let (ri, rv) = topk_pairs(&idx, &val, k);
         let (xi, xv) = radix_topk_pairs(&idx, &val, k, &mut scratch);
-        prop_assert_eq!(&xi, &ri);
-        prop_assert_eq!(xv.len(), rv.len());
+        assert_eq!(&xi, &ri);
+        assert_eq!(xv.len(), rv.len());
         for (a, b) in xv.iter().zip(rv.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -277,21 +279,17 @@ fn guessed_forms_exact_on_small_torture_segments() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any guess — raw bits, or a key lifted from the data so it lands
-    /// inside the segment's range — gives the indices `radix_topk_indices`
-    /// gives, and so does the guess it leaves behind.
-    #[test]
-    fn any_guess_matches_the_two_pass_engine(
-        seed in any::<u64>(),
-        n in 32_768usize..36_000,
-        k in 1usize..5_000,
-        raw_guess in any::<u32>(),
-        lifted in any::<proptest::sample::Index>(),
-        specials in 0usize..4,
-    ) {
+/// Any guess — raw bits, or a key lifted from the data so it lands
+/// inside the segment's range — gives the indices `radix_topk_indices`
+/// gives, and so does the guess it leaves behind.
+#[test]
+fn any_guess_matches_the_two_pass_engine() {
+    cases(48, |rng| {
+        let seed = rng.next_u64();
+        let (n, k) = (rng.range(32_768..36_000), rng.range(1..5_000));
+        let raw_guess = rng.next_u64() as u32;
+        let lifted = rng.next_u64() as usize;
+        let specials = rng.range(0..4);
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -312,18 +310,18 @@ proptest! {
             .collect();
         let mut scratch = SelectScratch::new();
         let reference = radix_topk_indices(&seg, k, &mut scratch);
-        for key in [raw_guess, mag_key(*lifted.get(&seg))] {
+        for key in [raw_guess, mag_key(seg[lifted % seg.len()])] {
             let mut guess = Guess::from_key(key);
             for _ in 0..3 {
                 let got = radix_topk_indices_guessed(&seg, k, &mut scratch, &mut guess);
-                prop_assert_eq!(&got, &reference, "guess {:#x}", key);
+                assert_eq!(&got, &reference, "guess {:#x}", key);
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
-// Pinned torture vectors (run even if proptest shrinks away from them)
+// Pinned torture vectors (run whatever the seeded cases draw)
 // ---------------------------------------------------------------------------
 
 #[test]

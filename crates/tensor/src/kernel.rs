@@ -639,7 +639,7 @@ pub(crate) mod scalar {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Torture inputs: every special-value class the bitwise-identity

@@ -24,7 +24,10 @@
 //! * [`scratch`] — [`ComputeScratch`]: per-network kernel choice plus
 //!   buffer pools that make the training loop allocation-free.
 //! * [`rng`] — the in-tree seeded generator (SplitMix64) and its helpers,
-//!   including Gaussian sampling (hand-rolled Box–Muller).
+//!   including Gaussian sampling (hand-rolled Box–Muller) and the seeded
+//!   property loop ([`rng::cases`]) the test suites draw from.
+//! * [`json`] — the workspace's one JSON reader/writer and the
+//!   [`json_struct!`] macro the serialised types implement it with.
 //! * [`bufpool`] — a free-list [`BufferPool`] for allocation-free scratch
 //!   buffers on hot paths (used by the server's reply construction).
 //! * [`kernel`] / [`simd`] — the runtime-selected [`Kernel`] backend seam:
@@ -37,6 +40,7 @@
 pub mod bufpool;
 pub mod conv;
 pub mod gemm;
+pub mod json;
 pub mod kernel;
 pub mod ops;
 pub mod pool;

@@ -61,6 +61,37 @@ impl Rng {
     pub fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
+
+    /// Uniform in the nonempty `range`, one draw.
+    #[inline]
+    pub fn range(&mut self, range: std::ops::Range<usize>) -> usize {
+        range.start + self.below(range.end - range.start)
+    }
+}
+
+/// The property loop of the test suites: runs `property` on `n` generators,
+/// case `i` seeded with `derive_seed(0, i)`. When a case panics, its index
+/// and seed are printed before the panic continues, so
+/// `property(&mut seeded(SEED))` replays that one case. There is no
+/// shrinking: the failing input is the one the seed draws.
+pub fn cases(n: u64, mut property: impl FnMut(&mut Rng)) {
+    for case in 0..n {
+        let seed = derive_seed(0, case);
+        let run = std::panic::AssertUnwindSafe(|| property(&mut seeded(seed)));
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!("property failed on case {case} of {n}: replay with seeded({seed:#x})");
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
+/// A vector of `item` draws whose length is uniform in `len` (for [`cases`]).
+pub fn vec_of<T>(
+    rng: &mut Rng,
+    len: std::ops::Range<usize>,
+    mut item: impl FnMut(&mut Rng) -> T,
+) -> Vec<T> {
+    (0..rng.range(len)).map(|_| item(rng)).collect()
 }
 
 /// Creates a seeded generator.
@@ -142,6 +173,24 @@ mod tests {
         b.next_u64();
         b.next_u64();
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn cases_are_seeded_per_index_and_a_failing_case_still_panics() {
+        let mut firsts = Vec::new();
+        cases(8, |rng| firsts.push((rng.next_u64(), rng.range(3..5))));
+        let replay: Vec<u64> = (0..8).map(|i| seeded(derive_seed(0, i)).next_u64()).collect();
+        assert_eq!(firsts.iter().map(|f| f.0).collect::<Vec<_>>(), replay);
+        assert!(firsts.iter().all(|f| (3..5).contains(&f.1)));
+        let mut ran = 0;
+        let failing = std::panic::AssertUnwindSafe(|| {
+            cases(8, |_| {
+                ran += 1;
+                assert!(ran < 3, "third case fails");
+            })
+        });
+        assert!(std::panic::catch_unwind(failing).is_err());
+        assert_eq!(ran, 3, "the loop stops at the failing case");
     }
 
     #[test]

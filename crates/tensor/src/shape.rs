@@ -1,12 +1,10 @@
 //! Tensor shapes: dimension lists plus row-major index arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of a dense row-major tensor.
 ///
 /// A `Shape` is an ordered list of dimension extents. Rank-0 (scalar) shapes
 /// are represented by an empty dimension list and have `numel() == 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -2,7 +2,6 @@
 
 use crate::rng::{fill_normal, seeded};
 use crate::{Result, Shape, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.at(&[1, 0]), 6.0);
 /// assert_eq!(t.sum(), 20.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

@@ -82,63 +82,50 @@ use dgs::nn::model::Network;
 use dgs::nn::models::{mlp, mlp_on_images, resnet_lite, tiny_cnn};
 use dgs::psim::NetworkModel;
 use dgs::sparsify::Partition;
-use serde::{Deserialize, Serialize};
-use serde_json::{json, Value};
+use dgs::tensor::json::{self, ToJson, Value};
+use dgs::tensor::json_struct;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Workload section of the config file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct WorkloadConfig {
     /// `"vision"` (synthetic images) or `"blobs"` (Gaussian clusters).
     kind: String,
     samples: usize,
     val_samples: usize,
     classes: usize,
-    #[serde(default = "default_hw")]
     hw: usize,
-    #[serde(default = "default_channels")]
     channels: usize,
-    #[serde(default = "default_noise")]
     noise: f32,
-    #[serde(default = "default_dim")]
     dim: usize,
 }
 
-fn default_hw() -> usize {
-    12
-}
-fn default_channels() -> usize {
-    3
-}
-fn default_noise() -> f32 {
-    2.2
-}
-fn default_dim() -> usize {
-    16
-}
+json_struct!(WorkloadConfig {
+    kind,
+    samples,
+    val_samples,
+    classes,
+    hw = 12,
+    channels = 3,
+    noise = 2.2,
+    dim = 16,
+});
 
 /// Model section of the config file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ModelConfig {
     /// `"resnet_lite"`, `"tiny_cnn"`, `"mlp"`, or `"mlp_on_images"`.
     kind: String,
-    #[serde(default = "default_width")]
     width: usize,
-    #[serde(default = "default_hidden")]
     hidden: Vec<usize>,
 }
 
-fn default_width() -> usize {
-    6
-}
-fn default_hidden() -> Vec<usize> {
-    vec![128, 64]
-}
+json_struct!(ModelConfig { kind, width = 6, hidden = vec![128, 64] });
 
 /// Training section of the config file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TrainSection {
     /// `"msgd"`, `"asgd"`, `"gd-async"`, `"dgc-async"`, or `"dgs"`.
     method: String,
@@ -147,49 +134,46 @@ struct TrainSection {
     epochs: usize,
     lr: f32,
     momentum: f32,
-    #[serde(default = "default_ratio")]
     sparsity_ratio: f64,
-    #[serde(default)]
     secondary_compression: bool,
-    #[serde(default)]
     quantize_uplink: bool,
-    #[serde(default = "default_seed")]
     seed: u64,
 }
 
-fn default_ratio() -> f64 {
-    0.05
-}
-fn default_seed() -> u64 {
-    42
-}
+json_struct!(TrainSection {
+    method,
+    workers,
+    batch_per_worker,
+    epochs,
+    lr,
+    momentum,
+    sparsity_ratio = 0.05,
+    secondary_compression = false,
+    quantize_uplink = false,
+    seed = 42,
+});
 
 /// Engine section of the config file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct EngineConfig {
     /// `"threads"` (real async threads) or `"des"` (virtual-time simulator).
     kind: String,
-    #[serde(default = "default_bandwidth")]
     bandwidth_gbps: f64,
-    #[serde(default = "default_gflops")]
     worker_gflops: f64,
 }
 
-fn default_bandwidth() -> f64 {
-    10.0
-}
-fn default_gflops() -> f64 {
-    5.0
-}
+json_struct!(EngineConfig { kind, bandwidth_gbps = 10.0, worker_gflops = 5.0 });
 
 /// Top-level config file format.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CliConfig {
     workload: WorkloadConfig,
     model: ModelConfig,
     train: TrainSection,
     engine: EngineConfig,
 }
+
+json_struct!(CliConfig { workload, model, train, engine });
 
 impl CliConfig {
     fn example() -> Self {
@@ -235,7 +219,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("init") => {
-            println!("{}", serde_json::to_string_pretty(&CliConfig::example()).unwrap());
+            println!("{}", json::to_string_pretty(&CliConfig::example()));
         }
         Some("methods") => {
             println!(
@@ -263,7 +247,7 @@ fn main() {
             let result = run(&config);
             print_summary(&result);
             if let Some(out) = out {
-                std::fs::write(&out, serde_json::to_string_pretty(&result).unwrap())
+                std::fs::write(&out, json::to_string_pretty(&result))
                     .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
                 println!("wrote {out}");
             }
@@ -364,7 +348,7 @@ fn flag_parsed<T: std::str::FromStr>(args: &[String], flag: &str, must_be: &str)
 fn load_config(path: &str) -> CliConfig {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("invalid config: {e}")))
+    json::from_str(&text).unwrap_or_else(|e| fail(&format!("invalid config {path}: {e}")))
 }
 
 /// Builds the train/validation datasets the config describes. Everything
@@ -503,7 +487,7 @@ impl Endpoint {
             .unwrap_or_else(|e| fail(&format!("cannot listen on {}: {e}", self.listen)));
         let local =
             listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| self.listen.clone());
-        let mut doc = vec![("listen", json!(local))];
+        let mut doc = vec![("listen", local.to_json())];
         doc.extend(identity);
         let bound = Bound { local, out: self.out.clone(), doc };
         bound.write();
@@ -514,9 +498,7 @@ impl Endpoint {
 impl Bound {
     fn write(&self) {
         if let Some(out) = &self.out {
-            let doc: Value =
-                Value::Object(self.doc.iter().map(|(k, v)| (k.to_string(), v.clone())).collect());
-            std::fs::write(out, serde_json::to_string_pretty(&doc).unwrap())
+            std::fs::write(out, json::to_string_pretty(&object(self.doc.clone())))
                 .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
         }
     }
@@ -566,7 +548,7 @@ fn serve(config: &CliConfig, endpoint: Endpoint, shards: usize, io: &IoConfig) {
     };
     print_summary(&result);
     print_wire_stats("server", &stats);
-    bound.finish(vec![("result", json!(result)), ("wire", wire_json(&stats))]);
+    bound.finish(vec![("result", result.to_json()), ("wire", wire_json(&stats))]);
 }
 
 /// Serves `logic` until the run completes and finalises its record.
@@ -602,9 +584,9 @@ fn serve_span(
     let (handler, mut opts) = span_server(&cfg, &theta0, &partition, &layout, span_index, expected);
     opts.deadline = endpoint.deadline;
     let (listener, bound) = endpoint.bind(vec![
-        ("span", json!(span_index)),
-        ("spans", json!(num_spans)),
-        ("layout_hash", json!(layout.layout_hash())),
+        ("span", span_index.to_json()),
+        ("spans", num_spans.to_json()),
+        ("layout_hash", layout.layout_hash().to_json()),
     ]);
     println!(
         "serving {} span {span_index}/{num_spans} ({} of {} coords) on {}: \
@@ -650,9 +632,9 @@ fn edge(config: &CliConfig, endpoint: Endpoint, connect: &str, group: usize, bas
         EdgeHandler::new(upstream, partition, theta0, base as u16, group, EDGE_ROUND_TIMEOUT)
             .unwrap_or_else(|e| fail(&format!("bad edge config: {e}")));
     let (listener, bound) = endpoint.bind(vec![
-        ("base", json!(base)),
-        ("group", json!(group)),
-        ("layout_hash", json!(layout_hash)),
+        ("base", base.to_json()),
+        ("group", group.to_json()),
+        ("layout_hash", layout_hash.to_json()),
     ]);
     println!(
         "edge on {}: merging group [{base}, {}) toward {} root spans: \
@@ -733,28 +715,37 @@ fn print_wire_stats(who: &str, stats: &WireStats) {
     );
 }
 
+/// An object from `(key, value)` pairs, in their order.
+fn object(members: Vec<(&'static str, Value)>) -> Value {
+    Value::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
 fn wire_json(stats: &WireStats) -> Value {
     let links: Vec<Value> = stats
         .links
         .iter()
         .map(|l| {
-            json!({
-                "tier": match l.tier { Tier::Root => "root", Tier::Edge => "edge" },
-                "span": l.span,
-                "uplink_bytes": l.uplink_bytes,
-                "downlink_bytes": l.downlink_bytes,
-            })
+            let tier = match l.tier {
+                Tier::Root => "root",
+                Tier::Edge => "edge",
+            };
+            object(vec![
+                ("tier", tier.to_json()),
+                ("span", l.span.to_json()),
+                ("uplink_bytes", l.uplink_bytes.to_json()),
+                ("downlink_bytes", l.downlink_bytes.to_json()),
+            ])
         })
         .collect();
-    json!({
-        "data_up": stats.data_up,
-        "data_down": stats.data_down,
-        "control": stats.control,
-        "frames_up": stats.frames_up,
-        "frames_down": stats.frames_down,
-        "rejected_conns": stats.rejected_conns,
-        "links": links,
-    })
+    object(vec![
+        ("data_up", stats.data_up.to_json()),
+        ("data_down", stats.data_down.to_json()),
+        ("control", stats.control.to_json()),
+        ("frames_up", stats.frames_up.to_json()),
+        ("frames_down", stats.frames_down.to_json()),
+        ("rejected_conns", stats.rejected_conns.to_json()),
+        ("links", links.to_json()),
+    ])
 }
 
 fn print_summary(result: &RunResult) {

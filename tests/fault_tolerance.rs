@@ -70,8 +70,9 @@ fn server_checkpoint_resumes_exact_trajectory() {
     let (mut srv, mut workers) = make();
     drive(&mut srv, &mut workers, 18);
     let server_ckpt = srv.checkpoint();
-    let json = serde_json::to_string(&server_ckpt).unwrap();
-    let restored_ckpt: dgs::core::server::ServerCheckpoint = serde_json::from_str(&json).unwrap();
+    let json = dgs::tensor::json::to_string(&server_ckpt);
+    let restored_ckpt: dgs::core::server::ServerCheckpoint =
+        dgs::tensor::json::from_str(&json).unwrap();
     let net0 = build();
     let mut restored =
         MdtServer::restore(restored_ckpt, net0.params().partition().clone(), downlink);

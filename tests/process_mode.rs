@@ -16,6 +16,7 @@
 //! CI runs this with a hard timeout; the test also enforces its own
 //! deadline so a wedged handshake can never hang the suite.
 
+use dgs::tensor::json;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -143,38 +144,37 @@ fn serve_smoke(dir_name: &str, extra_serve_args: &[&str]) {
     let summary = drain.join().expect("drain serve stdout");
     assert!(summary.contains("final top-1"), "serve summary missing:\n{summary}");
 
-    let doc: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+    let doc = json::parse(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
     let result = &doc["result"];
     let wire = &doc["wire"];
 
-    let final_loss = result["final_loss"].as_f64().unwrap();
+    let final_loss = result["final_loss"].to::<f64>().unwrap();
     assert!(final_loss.is_finite(), "final loss not finite: {final_loss}");
-    assert!(result["final_acc"].as_f64().unwrap() >= 0.0);
+    assert!(result["final_acc"].to::<f64>().unwrap() >= 0.0);
 
     // Frame counters vs wire_bytes() accounting: a clean run (no resyncs)
     // must agree exactly in both directions.
     assert_eq!(
-        wire["data_up"].as_u64().unwrap(),
-        result["bytes_up"].as_u64().unwrap(),
+        wire["data_up"].to::<u64>().unwrap(),
+        result["bytes_up"].to::<u64>().unwrap(),
         "uplink frame bytes != logic accounting"
     );
     assert_eq!(
-        wire["data_down"].as_u64().unwrap(),
-        result["bytes_down"].as_u64().unwrap(),
+        wire["data_down"].to::<u64>().unwrap(),
+        result["bytes_down"].to::<u64>().unwrap(),
         "downlink frame bytes != logic accounting"
     );
-    assert!(wire["frames_up"].as_u64().unwrap() > 0);
+    assert!(wire["frames_up"].to::<u64>().unwrap() > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Polls a bind-time `--out` JSON until it parses and contains `key`
 /// (file writes aren't atomic, so tolerate partial content), returning
 /// the document. Panics at the deadline.
-fn poll_json(path: &std::path::Path, key: &str, deadline: Instant) -> serde_json::Value {
+fn poll_json(path: &std::path::Path, key: &str, deadline: Instant) -> json::Value {
     loop {
         if let Ok(text) = std::fs::read_to_string(path) {
-            if let Ok(doc) = serde_json::from_str::<serde_json::Value>(&text) {
+            if let Ok(doc) = json::parse(&text) {
                 if doc.get(key).is_some() {
                     return doc;
                 }
@@ -195,7 +195,10 @@ fn evented_cluster_with_edge_trains_over_tcp() {
     // Same topology with the span servers on the readiness event loop
     // (the edge's member listener is always thread-per-connection — its
     // members block on the round barrier).
-    cluster_smoke("dgs_process_mode_cluster_evented_test", &["--io", "evented", "--max-conns", "8"]);
+    cluster_smoke(
+        "dgs_process_mode_cluster_evented_test",
+        &["--io", "evented", "--max-conns", "8"],
+    );
 }
 
 /// Three `serve --span K/3` span processes + one `edge --group 2` + two
@@ -230,16 +233,16 @@ fn cluster_smoke(dir_name: &str, extra_span_args: &[&str]) {
         );
         span_outs.push(out);
     }
-    let span_docs: Vec<serde_json::Value> =
+    let span_docs: Vec<json::Value> =
         span_outs.iter().map(|p| poll_json(p, "listen", deadline)).collect();
     let span_addrs: Vec<String> =
-        span_docs.iter().map(|d| d["listen"].as_str().unwrap().to_string()).collect();
+        span_docs.iter().map(|d| d["listen"].to::<String>().unwrap()).collect();
     for (k, doc) in span_docs.iter().enumerate() {
-        assert_eq!(doc["span"].as_u64(), Some(k as u64), "span index in bind-time doc");
-        assert_eq!(doc["spans"].as_u64(), Some(3));
+        assert_eq!(doc["span"].to::<u64>().ok(), Some(k as u64), "span index in bind-time doc");
+        assert_eq!(doc["spans"].to::<u64>().ok(), Some(3));
         assert_eq!(
-            doc["layout_hash"].as_u64(),
-            span_docs[0]["layout_hash"].as_u64(),
+            doc["layout_hash"].to::<u64>().ok(),
+            span_docs[0]["layout_hash"].to::<u64>().ok(),
             "partition-map hash must agree across the tier"
         );
     }
@@ -256,8 +259,7 @@ fn cluster_smoke(dir_name: &str, extra_span_args: &[&str]) {
         .stdout(Stdio::null())
         .spawn()
         .expect("spawn edge");
-    let edge_addr =
-        poll_json(&edge_out, "listen", deadline)["listen"].as_str().unwrap().to_string();
+    let edge_addr = poll_json(&edge_out, "listen", deadline)["listen"].to::<String>().unwrap();
 
     // Members speak the plain single-server protocol to the edge.
     let mut workers: Vec<Child> = (0..2)
@@ -284,11 +286,11 @@ fn cluster_smoke(dir_name: &str, extra_span_args: &[&str]) {
     // and the edge recorded both its member side and its upstream side.
     for (k, out) in span_outs.iter().enumerate() {
         let doc = poll_json(out, "wire", deadline);
-        assert!(doc["wire"]["frames_up"].as_u64().unwrap() > 0, "span {k} saw no uplink frames");
+        assert!(doc["wire"]["frames_up"].to::<u64>().unwrap() > 0, "span {k} saw no uplink frames");
     }
     let edge_doc = poll_json(&edge_out, "member_wire", deadline);
-    assert!(edge_doc["member_wire"]["data_up"].as_u64().unwrap() > 0);
-    assert!(edge_doc["upstream_wire"]["data_up"].as_u64().unwrap() > 0);
+    assert!(edge_doc["member_wire"]["data_up"].to::<u64>().unwrap() > 0);
+    assert!(edge_doc["upstream_wire"]["data_up"].to::<u64>().unwrap() > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -322,7 +324,7 @@ fn workers_connect_cluster_directly() {
     }
     let span_addrs: Vec<String> = span_outs
         .iter()
-        .map(|p| poll_json(p, "listen", deadline)["listen"].as_str().unwrap().to_string())
+        .map(|p| poll_json(p, "listen", deadline)["listen"].to::<String>().unwrap())
         .collect();
 
     let mut workers: Vec<Child> = (0..2)
@@ -345,7 +347,7 @@ fn workers_connect_cluster_directly() {
     }
     for (k, out) in span_outs.iter().enumerate() {
         let doc = poll_json(out, "wire", deadline);
-        assert!(doc["wire"]["frames_up"].as_u64().unwrap() > 0, "span {k} saw no uplink frames");
+        assert!(doc["wire"]["frames_up"].to::<u64>().unwrap() > 0, "span {k} saw no uplink frames");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -198,8 +198,8 @@ fn kernel_backend_swap_preserves_trained_bits() {
 fn run_results_serialise() {
     let (train, val) = datasets();
     let res = train_async(&cfg(Method::Dgs, 2), &build, train, val);
-    let json = serde_json::to_string(&res).expect("serialise");
-    let back: dgs::core::curves::RunResult = serde_json::from_str(&json).expect("parse");
+    let json = dgs::tensor::json::to_string(&res);
+    let back: dgs::core::curves::RunResult = dgs::tensor::json::from_str(&json).expect("parse");
     assert_eq!(back.final_acc, res.final_acc);
     assert_eq!(back.curve.len(), res.curve.len());
     assert_eq!(back.config.method, Method::Dgs);
